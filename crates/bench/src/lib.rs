@@ -137,375 +137,6 @@ pub fn run_figure_campaign(name: &str) -> (ziv_harness::Campaign, ziv_harness::C
     (campaign, outcome)
 }
 
-/// One timed cell of the hot-path throughput bench: a `spec` ×
-/// `workload` pair driven end-to-end through [`ziv_sim::run_one`] with
-/// a wall clock around the whole run.
-#[derive(Debug, Clone)]
-pub struct ThroughputSample {
-    /// Figure-style spec label (`I-LRU 256KB`, …).
-    pub label: String,
-    /// Workload name.
-    pub workload: String,
-    /// Simulated accesses actually served, summed over cores (restart
-    /// laps included, so this can exceed the nominal trace length).
-    pub accesses: u64,
-    /// Best (minimum) wall-clock seconds over the timed repeats.
-    pub wall_seconds: f64,
-}
-
-impl ThroughputSample {
-    /// End-to-end simulated accesses per wall-clock second.
-    pub fn accesses_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.accesses as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Times every cell (spec × recipe) of the named registered campaign
-/// through the plain unchecked driver — no auditor, no budget, no
-/// result cache, so the numbers measure the simulator hot path itself.
-/// Each cell runs `repeats` times (at least once) and keeps the fastest
-/// wall time; the access count is identical across repeats because runs
-/// are deterministic.
-///
-/// # Panics
-///
-/// Panics if `name` is not a registered campaign.
-pub fn run_throughput_bench(
-    name: &str,
-    params: &ziv_harness::CampaignParams,
-    repeats: usize,
-) -> Vec<ThroughputSample> {
-    run_throughput_bench_with(name, params, repeats, ziv_sim::ObserveConfig::disabled())
-}
-
-/// [`run_throughput_bench`] with the flight recorder configured — the
-/// instrument behind the tracing-on vs tracing-off overhead comparison
-/// (`zivsim bench-throughput --traced`, recorded non-gating by CI).
-/// With `observe` disabled this *is* `run_throughput_bench`: the same
-/// unchecked driver, one `Option` branch per event site.
-///
-/// # Panics
-///
-/// Panics if `name` is not a registered campaign.
-pub fn run_throughput_bench_with(
-    name: &str,
-    params: &ziv_harness::CampaignParams,
-    repeats: usize,
-    observe: ziv_sim::ObserveConfig,
-) -> Vec<ThroughputSample> {
-    let campaign = ziv_harness::campaigns::by_name(name, params)
-        .unwrap_or_else(|| panic!("campaign '{name}' is not registered"));
-    let workloads: Vec<Workload> = campaign.recipes.iter().map(|r| r.build()).collect();
-    let opts = ziv_sim::RunOptions {
-        observe,
-        ..ziv_sim::RunOptions::default()
-    };
-    let mut out = Vec::with_capacity(campaign.specs.len() * workloads.len());
-    for spec in &campaign.specs {
-        for wl in &workloads {
-            let mut best = f64::INFINITY;
-            let mut accesses = 0u64;
-            for _ in 0..repeats.max(1) {
-                let t0 = std::time::Instant::now();
-                let (r, _) = ziv_sim::run_one_traced(spec, wl, &opts);
-                let dt = t0.elapsed().as_secs_f64();
-                let r = r.expect("throughput bench runs unchecked: no audit, no budget");
-                accesses = r.metrics.per_core.iter().map(|c| c.accesses).sum();
-                if dt < best {
-                    best = dt;
-                }
-            }
-            out.push(ThroughputSample {
-                label: spec.label.clone(),
-                workload: wl.name.clone(),
-                accesses,
-                wall_seconds: best,
-            });
-        }
-    }
-    out
-}
-
-/// Per-mode aggregate of throughput samples: cells summed across
-/// workloads, in first-seen spec-label order.
-pub fn throughput_per_mode(samples: &[ThroughputSample]) -> Vec<ThroughputSample> {
-    let mut order: Vec<ThroughputSample> = Vec::new();
-    for s in samples {
-        match order.iter_mut().find(|m| m.label == s.label) {
-            Some(m) => {
-                m.accesses += s.accesses;
-                m.wall_seconds += s.wall_seconds;
-            }
-            None => order.push(ThroughputSample {
-                workload: String::from("(all)"),
-                ..s.clone()
-            }),
-        }
-    }
-    order
-}
-
-/// One sample as a compact JSON object row (escaping and float
-/// formatting via the workspace's own [`ziv_common::json`]).
-fn sample_json(s: &ThroughputSample) -> ziv_common::json::JsonValue {
-    use ziv_common::json::JsonValue;
-    // Round the derived/noisy floats so the file diffs readably.
-    let wall = (s.wall_seconds * 1e6).round() / 1e6;
-    let rate = (s.accesses_per_sec() * 10.0).round() / 10.0;
-    JsonValue::Obj(vec![
-        ("label".into(), JsonValue::str(s.label.clone())),
-        ("workload".into(), JsonValue::str(s.workload.clone())),
-        ("accesses".into(), JsonValue::u64(s.accesses)),
-        ("wall_seconds".into(), JsonValue::f64(wall)),
-        ("accesses_per_sec".into(), JsonValue::f64(rate)),
-    ])
-}
-
-/// Renders throughput samples as the `BENCH_hotpath.json` document:
-/// one row per cell, a per-mode aggregate (cells summed across
-/// workloads), and a grand total. Wall-clock numbers vary run to run —
-/// the file is a recorded baseline, not a gating artifact
-/// (DESIGN.md §8).
-pub fn throughput_report_json(
-    campaign: &str,
-    repeats: usize,
-    samples: &[ThroughputSample],
-) -> String {
-    use std::fmt::Write as _;
-    use ziv_common::json::JsonValue;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"hotpath-throughput\",");
-    let _ = writeln!(out, "  \"campaign\": {},", JsonValue::str(campaign));
-    let _ = writeln!(out, "  \"repeats\": {repeats},");
-    out.push_str("  \"cells\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 < samples.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", sample_json(s));
-    }
-    out.push_str("  ],\n  \"per_mode\": [\n");
-    let per_mode = throughput_per_mode(samples);
-    for (i, s) in per_mode.iter().enumerate() {
-        let comma = if i + 1 < per_mode.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", sample_json(s));
-    }
-    let total = ThroughputSample {
-        label: String::from("(total)"),
-        workload: String::from("(all)"),
-        accesses: samples.iter().map(|s| s.accesses).sum(),
-        wall_seconds: samples.iter().map(|s| s.wall_seconds).sum(),
-    };
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"total\": {}", sample_json(&total));
-    out.push_str("}\n");
-    out
-}
-
-/// One `(label, workload)` row of a throughput-report comparison.
-#[derive(Debug, Clone)]
-pub struct BenchDelta {
-    /// Spec label (`"(total)"` for the grand-total row).
-    pub label: String,
-    /// Workload name (`"(all)"` for aggregate rows).
-    pub workload: String,
-    /// Baseline accesses/second.
-    pub old_rate: f64,
-    /// New accesses/second.
-    pub new_rate: f64,
-}
-
-impl BenchDelta {
-    /// Signed percent change in throughput; negative is a slowdown.
-    pub fn delta_pct(&self) -> f64 {
-        if self.old_rate > 0.0 {
-            (self.new_rate - self.old_rate) / self.old_rate * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The diff of two throughput-report JSON files
-/// (`zivsim bench-compare`).
-#[derive(Debug, Clone, Default)]
-pub struct BenchComparison {
-    /// Per-cell deltas, in the new report's order.
-    pub cells: Vec<BenchDelta>,
-    /// Per-mode aggregate deltas.
-    pub per_mode: Vec<BenchDelta>,
-    /// The grand-total delta.
-    pub total: Option<BenchDelta>,
-    /// Rows present in only one report (renamed specs, changed
-    /// campaign) — listed, never silently dropped.
-    pub unmatched: Vec<String>,
-}
-
-impl BenchComparison {
-    /// The rows that regressed more than `threshold_pct`. Only the
-    /// per-mode aggregates and the total gate: single cells are noisy
-    /// (best-of-N wall clocks), aggregates are what CI should fail on.
-    pub fn regressions(&self, threshold_pct: f64) -> Vec<&BenchDelta> {
-        self.per_mode
-            .iter()
-            .chain(self.total.as_ref())
-            .filter(|d| d.delta_pct() < -threshold_pct)
-            .collect()
-    }
-
-    /// Renders the comparison as a fixed-width table, flagging rows
-    /// beyond the threshold.
-    pub fn render(&self, threshold_pct: f64) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<8} {:<26} {:<18} {:>14} {:>14} {:>9}",
-            "scope", "label", "workload", "old acc/s", "new acc/s", "delta%"
-        );
-        let sections = [("cell", &self.cells), ("mode", &self.per_mode)];
-        let total_rows: Vec<BenchDelta> = self.total.clone().into_iter().collect();
-        for (scope, rows) in sections.into_iter().chain([("total", &total_rows)]) {
-            for d in rows {
-                let flag = if d.delta_pct() < -threshold_pct {
-                    "  << regression"
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<8} {:<26} {:<18} {:>14.1} {:>14.1} {:>+9.2}{}",
-                    scope,
-                    d.label,
-                    d.workload,
-                    d.old_rate,
-                    d.new_rate,
-                    d.delta_pct(),
-                    flag
-                );
-            }
-        }
-        for u in &self.unmatched {
-            let _ = writeln!(out, "unmatched: {u}");
-        }
-        out
-    }
-}
-
-fn bench_row(
-    row: &ziv_common::json::JsonValue,
-    key: &str,
-) -> Result<(String, String, f64), String> {
-    let field = |name: &str| {
-        row.get(name)
-            .ok_or_else(|| format!("'{key}' row is missing '{name}'"))
-    };
-    let label = field("label")?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' row has a non-string label"))?
-        .to_string();
-    let workload = field("workload")?
-        .as_str()
-        .ok_or_else(|| format!("'{key}' row has a non-string workload"))?
-        .to_string();
-    let rate = field("accesses_per_sec")?
-        .as_f64()
-        .ok_or_else(|| format!("'{key}' row has a non-numeric accesses_per_sec"))?;
-    Ok((label, workload, rate))
-}
-
-fn bench_rows(
-    doc: &ziv_common::json::JsonValue,
-    key: &str,
-) -> Result<Vec<(String, String, f64)>, String> {
-    use ziv_common::json::JsonValue;
-    doc.get(key)
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(|row| bench_row(row, key))
-        .collect()
-}
-
-fn pair_rows(
-    scope: &str,
-    old: &[(String, String, f64)],
-    new: &[(String, String, f64)],
-    unmatched: &mut Vec<String>,
-) -> Vec<BenchDelta> {
-    let mut out = Vec::new();
-    for (label, workload, new_rate) in new {
-        match old.iter().find(|(l, w, _)| l == label && w == workload) {
-            Some((_, _, old_rate)) => out.push(BenchDelta {
-                label: label.clone(),
-                workload: workload.clone(),
-                old_rate: *old_rate,
-                new_rate: *new_rate,
-            }),
-            None => unmatched.push(format!(
-                "{scope} '{label}' × '{workload}' only in new report"
-            )),
-        }
-    }
-    for (label, workload, _) in old {
-        if !new.iter().any(|(l, w, _)| l == label && w == workload) {
-            unmatched.push(format!(
-                "{scope} '{label}' × '{workload}' only in old report"
-            ));
-        }
-    }
-    out
-}
-
-/// Compares two throughput-report JSON documents (the
-/// `BENCH_hotpath.json` format of [`throughput_report_json`]) cell by
-/// cell, mode by mode, and in total.
-///
-/// # Errors
-///
-/// Returns a description when either document fails to parse, the two
-/// reports are different bench kinds, or a required field is missing.
-pub fn compare_throughput_reports(old: &str, new: &str) -> Result<BenchComparison, String> {
-    use ziv_common::json::JsonValue;
-    let old_doc = ziv_common::json::parse(old).map_err(|e| format!("old report: {e}"))?;
-    let new_doc = ziv_common::json::parse(new).map_err(|e| format!("new report: {e}"))?;
-    let old_bench = old_doc.get("bench").and_then(JsonValue::as_str);
-    let new_bench = new_doc.get("bench").and_then(JsonValue::as_str);
-    if old_bench.is_none() || old_bench != new_bench {
-        return Err(format!(
-            "bench kind mismatch: old is {old_bench:?}, new is {new_bench:?}"
-        ));
-    }
-    let mut cmp = BenchComparison::default();
-    for (key, scope) in [("cells", "cell"), ("per_mode", "mode")] {
-        let old_rows = bench_rows(&old_doc, key).map_err(|e| format!("old report: {e}"))?;
-        let new_rows = bench_rows(&new_doc, key).map_err(|e| format!("new report: {e}"))?;
-        let paired = pair_rows(scope, &old_rows, &new_rows, &mut cmp.unmatched);
-        match key {
-            "cells" => cmp.cells = paired,
-            _ => cmp.per_mode = paired,
-        }
-    }
-    let old_total = old_doc
-        .get("total")
-        .ok_or_else(|| String::from("old report: missing 'total'"))
-        .and_then(|t| bench_row(t, "total").map_err(|e| format!("old report: {e}")))?;
-    let new_total = new_doc
-        .get("total")
-        .ok_or_else(|| String::from("new report: missing 'total'"))
-        .and_then(|t| bench_row(t, "total").map_err(|e| format!("new report: {e}")))?;
-    cmp.total = Some(BenchDelta {
-        label: new_total.0,
-        workload: new_total.1,
-        old_rate: old_total.2,
-        new_rate: new_total.2,
-    });
-    Ok(cmp)
-}
-
 /// Prints the standard figure banner.
 pub fn banner(figure: &str, title: &str, expectation: &str) {
     println!("==============================================================");
@@ -572,143 +203,5 @@ mod tests {
     fn mode_sets_match_paper() {
         assert_eq!(lru_modes().len(), 7);
         assert_eq!(hawkeye_modes().len(), 6);
-    }
-
-    fn sample(label: &str, workload: &str, accesses: u64, wall: f64) -> ThroughputSample {
-        ThroughputSample {
-            label: label.into(),
-            workload: workload.into(),
-            accesses,
-            wall_seconds: wall,
-        }
-    }
-
-    #[test]
-    fn per_mode_sums_across_workloads_in_label_order() {
-        let samples = vec![
-            sample("B", "w0", 100, 1.0),
-            sample("A", "w0", 200, 2.0),
-            sample("B", "w1", 300, 3.0),
-        ];
-        let agg = throughput_per_mode(&samples);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg[0].label, "B");
-        assert_eq!(agg[0].accesses, 400);
-        assert_eq!(agg[0].wall_seconds, 4.0);
-        assert_eq!(agg[1].label, "A");
-        assert_eq!(agg[1].accesses, 200);
-    }
-
-    #[test]
-    fn accesses_per_sec_handles_zero_wall() {
-        assert_eq!(sample("A", "w", 10, 0.0).accesses_per_sec(), 0.0);
-        assert_eq!(sample("A", "w", 10, 2.0).accesses_per_sec(), 5.0);
-    }
-
-    #[test]
-    fn report_json_parses_with_the_workspace_parser() {
-        use ziv_common::json::JsonValue;
-        let samples = vec![
-            sample("I-LRU 256KB", "w\"0", 1000, 0.5),
-            sample("Z-LRU 256KB", "w1", 3000, 1.0),
-        ];
-        let json = throughput_report_json("smoke", 3, &samples);
-        let doc = ziv_common::json::parse(&json).expect("report must be valid JSON");
-        assert_eq!(
-            doc.get("bench").and_then(JsonValue::as_str),
-            Some("hotpath-throughput")
-        );
-        assert_eq!(
-            doc.get("campaign").and_then(JsonValue::as_str),
-            Some("smoke")
-        );
-        assert_eq!(doc.get("repeats").and_then(JsonValue::as_u64), Some(3));
-        let cells = doc.get("cells").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(
-            cells[0].get("workload").and_then(JsonValue::as_str),
-            Some("w\"0")
-        );
-        assert_eq!(
-            cells[0].get("accesses_per_sec").and_then(JsonValue::as_f64),
-            Some(2000.0)
-        );
-        let total = doc.get("total").unwrap();
-        assert_eq!(
-            total.get("accesses").and_then(JsonValue::as_u64),
-            Some(4000)
-        );
-        assert_eq!(
-            doc.get("per_mode")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
-        );
-    }
-
-    #[test]
-    fn compare_reports_flags_aggregate_regressions_only() {
-        let old = throughput_report_json(
-            "smoke",
-            1,
-            &[sample("A", "w0", 1000, 1.0), sample("B", "w0", 1000, 1.0)],
-        );
-        // A's cell slows 50%; B speeds up. The per-mode and total rows
-        // gate, single cells only inform.
-        let new = throughput_report_json(
-            "smoke",
-            1,
-            &[sample("A", "w0", 1000, 2.0), sample("B", "w0", 1000, 0.5)],
-        );
-        let cmp = compare_throughput_reports(&old, &new).unwrap();
-        assert_eq!(cmp.cells.len(), 2);
-        assert_eq!(cmp.per_mode.len(), 2);
-        assert!(cmp.unmatched.is_empty());
-        let total = cmp.total.as_ref().unwrap();
-        assert_eq!(total.old_rate, 1000.0);
-        assert_eq!(total.new_rate, 800.0);
-        let regs = cmp.regressions(5.0);
-        assert_eq!(regs.len(), 2, "mode A and the total regressed: {regs:?}");
-        assert!(regs.iter().any(|d| d.label == "A"));
-        assert!(regs.iter().any(|d| d.label == "(total)"));
-        assert!(cmp.regressions(60.0).is_empty(), "threshold respected");
-        let table = cmp.render(5.0);
-        assert!(table.contains("<< regression"), "{table}");
-        assert!(table.lines().next().unwrap().contains("delta%"));
-    }
-
-    #[test]
-    fn compare_reports_rejects_mismatched_kinds_and_lists_unmatched() {
-        let old = throughput_report_json("smoke", 1, &[sample("A", "w0", 1000, 1.0)]);
-        let new = throughput_report_json("smoke", 1, &[sample("B", "w0", 1000, 1.0)]);
-        let cmp = compare_throughput_reports(&old, &new).unwrap();
-        assert!(cmp.cells.is_empty());
-        assert_eq!(cmp.unmatched.len(), 4, "{:?}", cmp.unmatched);
-        assert!(cmp.unmatched.iter().any(|u| u.contains("only in old")));
-        assert!(cmp.unmatched.iter().any(|u| u.contains("only in new")));
-
-        let other_kind = old.replace("hotpath-throughput", "something-else");
-        let err = compare_throughput_reports(&old, &other_kind).unwrap_err();
-        assert!(err.contains("bench kind mismatch"), "{err}");
-        let err = compare_throughput_reports("not json", &old).unwrap_err();
-        assert!(err.starts_with("old report:"), "{err}");
-    }
-
-    #[test]
-    fn throughput_bench_runs_the_smoke_campaign() {
-        let params = ziv_harness::CampaignParams::tiny();
-        let samples = run_throughput_bench("smoke", &params, 1);
-        let campaign = ziv_harness::campaigns::by_name("smoke", &params).unwrap();
-        assert_eq!(samples.len(), campaign.total_cells());
-        for s in &samples {
-            assert!(
-                s.accesses > 0,
-                "{} × {} served no accesses",
-                s.label,
-                s.workload
-            );
-            assert!(s.wall_seconds >= 0.0);
-        }
     }
 }

@@ -3,11 +3,11 @@
 //! engine, the mesh, and main memory — orchestrated access by access.
 
 use crate::audit::FaultInjection;
-use crate::forensics::{ChainKind, ProvenanceStamp};
+use crate::forensics::ChainKind;
 use crate::latency::{AccessClass, LatencyBreakdown};
 use crate::llc::{EvictedBlock, FillOutcome, LlcMode, SharedLlc, VictimReason, ZivProperty};
 use crate::metrics::Metrics;
-use crate::observe::{EventKind, FlightRecorder, TraceEvent};
+use crate::observe::{FlightRecorder, HierarchyEvent, TearOut};
 use crate::prefetch::{PrefetchConfig, StridePrefetcher};
 use crate::private::{EvictionNotice, PrivLookup, PrivateHierarchy};
 use crate::profile::{ProfileSection, SelfProfiler};
@@ -190,9 +190,10 @@ pub struct CacheHierarchy {
     /// polls [`CacheHierarchy::is_hung`] and parks the cell until the
     /// supervisor cancels it.
     hung: bool,
-    /// Attached flight recorder (events/heatmaps). `None` in every
-    /// untraced run: each emission site pays one branch and nothing
-    /// else, keeping the hot path allocation-free.
+    /// Attached flight recorder, the one consumer of the hierarchy's
+    /// [`HierarchyEvent`] stream. `None` in every untraced run: each
+    /// emission site pays one branch and nothing else, keeping the hot
+    /// path allocation-free.
     recorder: Option<Box<FlightRecorder>>,
     /// Attached wall-clock self-profiler (`--profile`). `None` in every
     /// unprofiled run: each span pays one branch and never reads the
@@ -401,30 +402,15 @@ impl CacheHierarchy {
         }
     }
 
-    /// Emits one typed event at the current access index; a single
-    /// branch when no recorder is attached.
+    /// Reports `ev`, which happened at `now` during the current access,
+    /// to the attached recorder: the hierarchy's single dispatch point
+    /// to its observers, and one branch when none is attached.
     #[inline]
-    fn emit_event(
-        &mut self,
-        kind: EventKind,
-        now: Cycle,
-        line: LineAddr,
-        core: Option<CoreId>,
-        loc: Option<LlcLocation>,
-    ) {
-        let Some(rec) = self.recorder.as_mut() else {
-            return;
-        };
-        rec.record(TraceEvent {
-            kind,
-            access_index: self.accesses_done.saturating_sub(1),
-            cycle: now,
-            line: line.raw(),
-            core: core.map(|c| c.index() as u16),
-            bank: loc.map(|l| l.bank.index() as u16),
-            set: loc.map(|l| l.set),
-            way: loc.map(|l| l.way),
-        });
+    fn observe(&mut self, now: Cycle, ev: HierarchyEvent) {
+        let access_index = self.accesses_done.saturating_sub(1);
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.observe(access_index, now, ev);
+        }
     }
 
     /// The DRAM model (energy/row-hit diagnostics).
@@ -481,7 +467,6 @@ impl CacheHierarchy {
         let ci = a.core.index();
         self.metrics.per_core[ci].accesses += 1;
         let outcome = self.cores[ci].access(line, a.is_instr, a.is_write, &mut self.notice_buf);
-        let mut forensic_refetch = None;
         let (breakdown, class) = match outcome {
             PrivLookup::L1Hit => {
                 self.drain_notices(a.core, now);
@@ -514,44 +499,29 @@ impl CacheHierarchy {
                 self.metrics.per_core[ci].l1_misses += 1;
                 self.metrics.per_core[ci].l2_misses += 1;
                 self.metrics.l2_energy_events += 1;
-                // A prior back-invalidation of this very line from this
-                // core's private caches makes this miss an inclusion-
-                // victim re-fetch: its whole latency is the inclusion
-                // cost the paper's Fig 2 describes.
-                let refetch = self
-                    .recorder
-                    .as_mut()
-                    .and_then(|r| r.latency_mut())
-                    .is_some_and(|l| l.take_victim(a.core, line));
-                // The forensics table mirrors the latency table entry for
-                // entry, but also remembers *who* instigated the
-                // victimization, closing the causal chain.
-                forensic_refetch = self
-                    .recorder
-                    .as_mut()
-                    .and_then(|r| r.forensics_mut())
-                    .and_then(|f| f.take_victim(a.core, line));
-                let (b, mut class) = self.llc_access(a, line, now, seq);
-                if refetch {
-                    class = AccessClass::InclusionVictimRefetch;
-                }
+                // Reported before the LLC stage: a miss on a line torn
+                // out of this core is an inclusion-victim refetch (Fig
+                // 2's cost), and the stage's fill may tear out and note
+                // other lines in the same victim-table slot.
+                let core = a.core;
+                self.observe(now, HierarchyEvent::LlcLookup { core, line });
+                let (b, class) = self.llc_access(a, line, now, seq);
                 self.issue_prefetches(a, line, now, seq);
                 (b, class)
             }
         };
         let lat = breakdown.total();
         self.metrics.access_latency_cycles += lat;
-        if let Some((instigator, chain_seq)) = forensic_refetch {
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.record_refetch(instigator, a.core, chain_seq, lat);
-            }
-        }
-        if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-            obs.record(a.core, class, &breakdown);
-        }
-        if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-            obs.record_access(a.core, line, class);
-        }
+        let core = a.core;
+        self.observe(
+            now,
+            HierarchyEvent::Access {
+                core,
+                line,
+                class,
+                breakdown,
+            },
+        );
         lat
     }
 
@@ -635,7 +605,6 @@ impl CacheHierarchy {
             let fill = self.llc.fill(line, &ctx, &self.dir, core, now);
             self.span_end(t0, ProfileSection::Replacement);
             self.metrics.llc_writes_energy_events += 1;
-            self.emit_event(EventKind::Fill, now, line, Some(core), Some(fill.loc));
             self.apply_fill_outcome(line, fill, core, now);
             let t0 = self.span_start();
             let _ = self.dram.access(line, now, false);
@@ -682,12 +651,6 @@ impl CacheHierarchy {
         };
         self.metrics.llc_accesses += 1;
         self.metrics.dir_energy_events += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            if let Some(hm) = rec.heatmap_mut() {
-                hm.accesses
-                    .inc(home.index(), self.cfg.llc.set_of(line) as usize);
-            }
-        }
 
         // Case 1: hit on a non-relocated block.
         if let Some(loc) = self.llc.probe(line) {
@@ -756,7 +719,6 @@ impl CacheHierarchy {
             self.span_end(t0, ProfileSection::Replacement);
             self.metrics.llc_writes_energy_events += 1;
             self.metrics.llc_demand_fills += 1;
-            self.emit_event(EventKind::Fill, now, line, Some(a.core), Some(fill.loc));
             self.apply_fill_outcome(line, fill, a.core, now);
             if owner_dirty {
                 self.llc.update_state(fill.loc, |s| s.dirty = true);
@@ -777,7 +739,6 @@ impl CacheHierarchy {
         self.span_end(t0, ProfileSection::Replacement);
         self.metrics.llc_writes_energy_events += 1;
         self.metrics.llc_demand_fills += 1;
-        self.emit_event(EventKind::Fill, now, line, Some(a.core), Some(fill.loc));
         self.apply_fill_outcome(line, fill, a.core, now);
         let t0 = self.span_start();
         let mem = self.dram.access(line, now + base, false);
@@ -864,31 +825,20 @@ impl CacheHierarchy {
     /// fill — the *instigator* any resulting inclusion victims are blamed
     /// on.
     fn apply_fill_outcome(&mut self, line: LineAddr, fill: FillOutcome, core: CoreId, now: Cycle) {
-        // Forensics: stamp the freshly allocated line with its
-        // provenance — which access filled it, and why its way was free.
-        if self.recorder.is_some() {
-            let idx = self.accesses_done.saturating_sub(1);
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.stamp_fill(
-                    line,
-                    ProvenanceStamp {
-                        access_index: idx,
-                        cycle: now,
-                        core,
-                        bank: fill.loc.bank.index() as u16,
-                        set: fill.loc.set,
-                        way: fill.loc.way,
-                        reason: fill.victim_reason,
-                    },
-                );
-            }
-        }
+        let (loc, reason) = (fill.loc, fill.victim_reason);
+        self.observe(
+            now,
+            HierarchyEvent::Fill {
+                line,
+                core,
+                loc,
+                reason,
+            },
+        );
         self.metrics.qbs_queries += fill.qbs_queries;
         if fill.sharp_alarm {
             self.metrics.sharp_alarms += 1;
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                obs.note_sharp_alarm();
-            }
+            self.observe(now, HierarchyEvent::SharpAlarm);
         }
         if fill.in_set_alternate {
             self.metrics.in_set_alternate_victims += 1;
@@ -912,18 +862,8 @@ impl CacheHierarchy {
             }
             self.metrics.dir_energy_events += 1;
             self.dir.set_relocated(rel.moved_line, Some(rel.to));
-            if self.recorder.is_some() {
-                self.emit_event(
-                    EventKind::Relocation,
-                    now,
-                    rel.moved_line,
-                    None,
-                    Some(rel.to),
-                );
-                if let Some(hm) = self.recorder.as_mut().and_then(|r| r.heatmap_mut()) {
-                    hm.relocations.inc(rel.to.bank.index(), rel.to.set as usize);
-                }
-            }
+            let (line, to) = (rel.moved_line, rel.to);
+            self.observe(now, HierarchyEvent::Relocation { line, to });
             if let Some(ev) = rel.evicted_from_rs {
                 debug_assert!(!self.dir.is_privately_cached(ev.line));
                 self.handle_llc_eviction(ev, rel.to, core, fill.victim_reason, now);
@@ -947,48 +887,23 @@ impl CacheHierarchy {
         now: Cycle,
     ) {
         let sharers = match self.dir.probe(line) {
-            Some(e) => e.sharers,
-            None => return,
+            Some(e) if !e.sharers.is_empty() => e.sharers,
+            _ => return,
         };
-        if sharers.is_empty() {
-            return;
-        }
-        let event_loc = if self.recorder.is_some() {
-            self.llc.probe(line)
-        } else {
-            None
-        };
-        // Forensics: every sharer tear-out below is one chain victim —
-        // the note sites pair 1:1 with the `inclusion_victims` bumps, so
-        // the blame matrix conserves exactly.
-        let idx = self.accesses_done.saturating_sub(1);
-        if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-            f.open_chain(ChainKind::Eci, instigator, idx, now, line, reason);
-        }
-        let mut any_dirty = false;
-        for s in sharers.iter() {
-            if self.cores[s.index()].invalidate(line).is_some_and(|d| d) {
-                any_dirty = true;
-            }
-            self.metrics.inclusion_victims += 1;
-            self.metrics.per_core[s.index()].inclusion_victims_suffered += 1;
-            self.metrics.eci_early_invalidations += 1;
-            self.emit_event(EventKind::BackInvalidation, now, line, Some(s), event_loc);
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-                obs.note_back_invalidation(s, line);
-            }
-            if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                obs.note_back_invalidation(s, line);
-            }
-            if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                f.chain_victim(s);
-            }
-        }
-        if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-            f.close_chain();
-        }
-        self.dir.free_line(line);
-        if let Some(loc) = self.llc.probe(line) {
+        let loc = self.llc.probe(line);
+        let any_dirty = self.tear_out(
+            TearOut {
+                kind: ChainKind::Eci,
+                line,
+                loc,
+                instigator,
+                reason,
+                victims: sharers,
+            },
+            now,
+        );
+        self.metrics.eci_early_invalidations += u64::from(sharers.count());
+        if let Some(loc) = loc {
             self.llc.update_state(loc, |st| {
                 st.not_in_prc = true;
                 st.dirty |= any_dirty;
@@ -996,6 +911,23 @@ impl CacheHierarchy {
         } else if any_dirty {
             self.writeback_to_memory(line, now);
         }
+    }
+
+    /// Invalidates `t.line` in every core of `t.victims` (never empty),
+    /// frees its directory entry and reports `t`: the one place
+    /// inclusion victims happen, counted from the same victim set the
+    /// observers receive. Returns whether any torn-out copy was dirty.
+    fn tear_out(&mut self, t: TearOut, now: Cycle) -> bool {
+        debug_assert!(!t.victims.is_empty(), "a tear-out needs a victim");
+        let mut any_dirty = false;
+        for s in t.victims.iter() {
+            any_dirty |= self.cores[s.index()].invalidate(t.line).is_some_and(|d| d);
+            self.metrics.per_core[s.index()].inclusion_victims_suffered += 1;
+        }
+        self.metrics.inclusion_victims += u64::from(t.victims.count());
+        self.dir.free_line(t.line);
+        self.observe(now, HierarchyEvent::TearOut(t));
+        any_dirty
     }
 
     /// Handles a block leaving the LLC; `loc` is the (bank, set, way)
@@ -1011,12 +943,8 @@ impl CacheHierarchy {
         reason: VictimReason,
         now: Cycle,
     ) {
-        if self.recorder.is_some() {
-            self.emit_event(EventKind::Eviction, now, ev.line, None, Some(loc));
-            if let Some(hm) = self.recorder.as_mut().and_then(|r| r.heatmap_mut()) {
-                hm.evictions.inc(loc.bank.index(), loc.set as usize);
-            }
-        }
+        let line = ev.line;
+        self.observe(now, HierarchyEvent::Eviction { line, loc });
         if ev.was_relocated {
             // Only the defensive ZIV fallback can evict a relocated
             // block; drop its directory pointer before back-invalidating.
@@ -1058,44 +986,18 @@ impl CacheHierarchy {
                     self.fault = None;
                     return;
                 }
-                // Forensics: one causal chain per victimizing eviction,
-                // its victim notes paired 1:1 with the
-                // `inclusion_victims` bumps below (the conservation the
-                // tests pin). The fault path above returns before any
-                // bump, so a "lost" back-invalidation emits no chain.
-                let idx = self.accesses_done.saturating_sub(1);
-                if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                    f.open_chain(ChainKind::Inclusive, instigator, idx, now, ev.line, reason);
-                }
-                let mut any_dirty = ev.dirty;
-                for s in sharers.iter() {
-                    if self.cores[s.index()].invalidate(ev.line).is_some_and(|d| d) {
-                        any_dirty = true;
-                    }
-                    self.metrics.inclusion_victims += 1;
-                    self.metrics.per_core[s.index()].inclusion_victims_suffered += 1;
-                    self.emit_event(
-                        EventKind::BackInvalidation,
-                        now,
-                        ev.line,
-                        Some(s),
-                        Some(loc),
-                    );
-                    if let Some(obs) = self.recorder.as_mut().and_then(|r| r.latency_mut()) {
-                        obs.note_back_invalidation(s, ev.line);
-                    }
-                    if let Some(obs) = self.recorder.as_mut().and_then(|r| r.leakage_mut()) {
-                        obs.note_back_invalidation(s, ev.line);
-                    }
-                    if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                        f.chain_victim(s);
-                    }
-                }
-                if let Some(f) = self.recorder.as_mut().and_then(|r| r.forensics_mut()) {
-                    f.close_chain();
-                }
+                // The fault path above returns before the tear-out, so a
+                // "lost" back-invalidation counts no victim.
+                let tear_out = TearOut {
+                    kind: ChainKind::Inclusive,
+                    line,
+                    loc: Some(loc),
+                    instigator,
+                    reason,
+                    victims: sharers,
+                };
+                let any_dirty = self.tear_out(tear_out, now) | ev.dirty;
                 self.metrics.inclusion_victim_events += 1;
-                self.dir.free_line(ev.line);
                 if any_dirty {
                     self.writeback_to_memory(ev.line, now);
                 }
@@ -1147,22 +1049,8 @@ impl CacheHierarchy {
     /// the tracked sharers; invalidate the relocated LLC block if the
     /// entry was tracking one (Section III-F).
     fn handle_dir_eviction(&mut self, ev: EvictedEntry, now: Cycle) {
-        if self.recorder.is_some() {
-            let bank = self.cfg.home_bank(ev.line);
-            let idx = self.accesses_done.saturating_sub(1);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.record(TraceEvent {
-                    kind: EventKind::DirectoryVictim,
-                    access_index: idx,
-                    cycle: now,
-                    line: ev.line.raw(),
-                    core: None,
-                    bank: Some(bank.index() as u16),
-                    set: None,
-                    way: None,
-                });
-            }
-        }
+        let line = ev.line;
+        self.observe(now, HierarchyEvent::DirectoryVictim { line });
         let mut any_dirty = false;
         for s in ev.state.sharers.iter() {
             if self.cores[s.index()].invalidate(ev.line).is_some_and(|d| d) {

@@ -9,16 +9,16 @@
 //! `Metrics::access_latency_cycles` counter bit-for-bit.
 //!
 //! The observatory also tracks **inclusion-victim cost** — the
-//! phenomenon the ZIV paper eliminates. Lines back-invalidated out of a
-//! core's private hierarchy by an inclusive LLC eviction (or an ECI
-//! early invalidation) are remembered in a bounded per-core table;
-//! when that core next misses on such a line, the miss's full latency
-//! lands in the [`AccessClass::InclusionVictimRefetch`] class. ZIV
-//! modes generate no inclusion victims, so they report exactly zero
-//! re-fetch cycles.
+//! phenomenon the ZIV paper eliminates. Lines torn out of a core's
+//! private hierarchy by an inclusive LLC eviction (or an ECI early
+//! invalidation) are remembered in the flight recorder's bounded
+//! per-core victim table, which forensics shares; when that core next
+//! misses on such a line, the miss's full latency lands in the
+//! [`AccessClass::InclusionVictimRefetch`] class. ZIV modes generate
+//! no inclusion victims, so they report exactly zero re-fetch cycles.
 
 use ziv_common::stats::Log2Histogram;
-use ziv_common::{CoreId, Cycle, LineAddr};
+use ziv_common::{CoreId, Cycle};
 
 /// One architectural component an access's cycles can be attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,78 +217,39 @@ impl ClassCells {
     }
 }
 
-/// Slots in each core's recently-back-invalidated table. Direct-mapped
-/// on the line address's low bits; a collision overwrites the older
-/// entry (the same bounded-memory spirit as the event ring), so the
-/// re-fetch attribution is a floor, never an overcount: every access
-/// classified as a re-fetch really did lose its line to an inclusion
-/// victim.
-pub const VICTIM_TABLE_SLOTS: usize = 1024;
-
-/// The observatory: per-core × per-class attribution cells, per-class
-/// latency histograms, and the bounded recently-victimized line tables.
+/// The observatory: per-core × per-class attribution cells and
+/// per-class latency histograms, fed by the flight recorder.
 #[derive(Debug)]
 pub struct LatencyObservatory {
     per_core: Vec<[ClassCells; NUM_CLASSES]>,
     histograms: Vec<Log2Histogram>,
-    victims: Vec<Vec<u64>>,
     victims_noted: u64,
 }
 
 impl LatencyObservatory {
     /// Creates an empty observatory for `cores` cores.
-    pub fn new(cores: usize) -> Self {
+    pub(crate) fn new(cores: usize) -> Self {
         LatencyObservatory {
             per_core: vec![[ClassCells::default(); NUM_CLASSES]; cores],
             histograms: (0..NUM_CLASSES).map(|_| Log2Histogram::new()).collect(),
-            victims: vec![vec![u64::MAX; VICTIM_TABLE_SLOTS]; cores],
             victims_noted: 0,
         }
     }
 
-    /// Remembers that `line` was just back-invalidated out of `core`'s
-    /// private hierarchy by an inclusive LLC eviction.
-    ///
-    /// Mirror contract: the forensics observatory
-    /// (`crate::forensics::ForensicsObservatory`) keeps an identically
-    /// sized, identically indexed table written at exactly the same
-    /// call sites. The slot formula, the overwrite-on-collision
-    /// behavior, and the clear-on-take discipline below must stay bit
-    /// for bit in sync with it — that equivalence is what makes
-    /// `ForensicsReport::total_refetch_cycles()` conserve against
-    /// [`LatencyReport::inclusion_victim_refetch_cycles`]
-    /// (asserted per mode in `tests/forensics.rs`).
-    #[inline]
-    pub fn note_back_invalidation(&mut self, core: CoreId, line: LineAddr) {
-        let slot = line.raw() as usize & (VICTIM_TABLE_SLOTS - 1);
-        self.victims[core.index()][slot] = line.raw();
-        self.victims_noted += 1;
-    }
-
-    /// Whether `core` recently lost `line` to a back-invalidation;
-    /// clears the entry so one victimization explains at most one
-    /// re-fetch.
-    #[inline]
-    pub fn take_victim(&mut self, core: CoreId, line: LineAddr) -> bool {
-        let slot = line.raw() as usize & (VICTIM_TABLE_SLOTS - 1);
-        let entry = &mut self.victims[core.index()][slot];
-        if *entry == line.raw() {
-            *entry = u64::MAX;
-            true
-        } else {
-            false
-        }
+    /// Counts `n` lines torn out into the victim table.
+    pub(crate) fn note_victims(&mut self, n: u64) {
+        self.victims_noted += n;
     }
 
     /// Records one finished access.
     #[inline]
-    pub fn record(&mut self, core: CoreId, class: AccessClass, b: &LatencyBreakdown) {
+    pub(crate) fn record(&mut self, core: CoreId, class: AccessClass, b: &LatencyBreakdown) {
         self.per_core[core.index()][class.index()].add(b);
         self.histograms[class.index()].record(b.total());
     }
 
     /// Seals the observatory into its report.
-    pub fn finish(self) -> LatencyReport {
+    pub(crate) fn finish(self) -> LatencyReport {
         LatencyReport {
             per_core: self.per_core,
             histograms: self.histograms,
@@ -307,8 +268,8 @@ pub struct LatencyReport {
     /// Per-class histograms of total access latency (global across
     /// cores), indexed like [`AccessClass::ALL`].
     pub histograms: Vec<Log2Histogram>,
-    /// Back-invalidations noted into the victim tables (table
-    /// collisions overwrite, so this can exceed the re-fetches seen).
+    /// Lines torn out into the victim table (table collisions
+    /// overwrite, so this can exceed the re-fetches seen).
     pub victims_noted: u64,
 }
 
@@ -406,32 +367,6 @@ mod tests {
         assert_eq!(report.component_total(LatencyComponent::Dram), 150);
         assert_eq!(report.histogram(AccessClass::LlcMissDram).total(), 2);
         assert_eq!(report.inclusion_victim_refetch_cycles(), 0);
-    }
-
-    #[test]
-    fn victim_table_remembers_and_clears() {
-        let mut obs = LatencyObservatory::new(2);
-        let line = LineAddr::new(0x40);
-        let c0 = CoreId::new(0);
-        let c1 = CoreId::new(1);
-        assert!(!obs.take_victim(c0, line), "nothing noted yet");
-        obs.note_back_invalidation(c0, line);
-        assert!(!obs.take_victim(c1, line), "tables are per-core");
-        assert!(obs.take_victim(c0, line));
-        assert!(!obs.take_victim(c0, line), "taking clears the entry");
-        assert_eq!(obs.finish().victims_noted, 1);
-    }
-
-    #[test]
-    fn victim_table_collisions_overwrite() {
-        let mut obs = LatencyObservatory::new(1);
-        let c = CoreId::new(0);
-        let a = LineAddr::new(0x7);
-        let b = LineAddr::new(0x7 + VICTIM_TABLE_SLOTS as u64);
-        obs.note_back_invalidation(c, a);
-        obs.note_back_invalidation(c, b); // same slot, evicts `a`
-        assert!(!obs.take_victim(c, a), "older colliding entry forgotten");
-        assert!(obs.take_victim(c, b));
     }
 
     #[test]

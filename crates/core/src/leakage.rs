@@ -17,15 +17,17 @@
 //!   latency-distinguishability side of the same channel;
 //! - **SHARP alarm counts**, the defense-side detector.
 //!
-//! Like the latency observatory it rides the [`FlightRecorder`]
-//! (`crate::observe::FlightRecorder`): never digested, never in the
-//! result ledger, and conserving exactly against
-//! [`Metrics::inclusion_victims`](crate::Metrics) — the observatory's
-//! total back-invalidation count equals the aggregate metric, which the
-//! invariant tests pin. ZIV modes therefore report *exactly zero*
-//! leakage, not approximately zero.
+//! Like the latency observatory it rides the
+//! [`FlightRecorder`](crate::observe::FlightRecorder): never digested,
+//! never in the result ledger, and counting its back-invalidations from
+//! the same tear-out events the hierarchy counts
+//! [`Metrics::inclusion_victims`](crate::Metrics) from, so the two
+//! agree by construction (the invariant tests still check it). ZIV
+//! modes therefore report *exactly zero* leakage, not approximately
+//! zero.
 
 use crate::latency::AccessClass;
+use crate::observe::FlatSets;
 use ziv_common::{CoreId, LineAddr};
 
 /// Per-core leakage counters.
@@ -47,12 +49,11 @@ pub struct CoreLeakage {
 
 /// Counts attacker-observable events during a run. Constructed from an
 /// attack workload's [`AttackPlan`]-equivalent role lists by the
-/// driver; the hierarchy feeds it from the same emission sites as the
-/// event ring and the latency observatory.
+/// driver; the flight recorder feeds it from the hierarchy's event
+/// stream, like the event ring and the latency observatory.
 #[derive(Debug)]
 pub struct LeakageObservatory {
-    banks: usize,
-    sets_per_bank: usize,
+    sets: FlatSets,
     attacker: Vec<bool>,
     victim: Vec<bool>,
     /// Flat `(bank, set)` membership of the probed sets.
@@ -75,13 +76,12 @@ impl LeakageObservatory {
         victim_cores: &[usize],
         probe_lines: &[u64],
     ) -> Self {
-        debug_assert!(banks.is_power_of_two() && sets_per_bank.is_power_of_two());
+        let sets = FlatSets::new(banks, sets_per_bank);
         let mut obs = LeakageObservatory {
-            banks,
-            sets_per_bank,
+            sets,
             attacker: vec![false; cores],
             victim: vec![false; cores],
-            probed: vec![false; banks * sets_per_bank],
+            probed: vec![false; sets.count()],
             per_core: vec![CoreLeakage::default(); cores],
             sharp_alarms: 0,
         };
@@ -96,29 +96,16 @@ impl LeakageObservatory {
             }
         }
         for &line in probe_lines {
-            let flat = obs.flat_set(line);
-            obs.probed[flat] = true;
+            obs.probed[sets.index(LineAddr::new(line))] = true;
         }
         obs
     }
 
-    /// The flat `(bank, set)` index of a raw line address — the same
-    /// mapping `LlcConfig::bank_of`/`set_of` use (bank bits low, set
-    /// bits above them).
-    #[inline]
-    fn flat_set(&self, line: u64) -> usize {
-        let bank = (line as usize) & (self.banks - 1);
-        let set = ((line >> self.banks.trailing_zeros()) as usize) & (self.sets_per_bank - 1);
-        bank * self.sets_per_bank + set
-    }
-
     /// Records one inclusion-victim back-invalidation of `line` out of
-    /// `core`'s private caches (called from both the inclusive-eviction
-    /// and the ECI early-invalidate paths — exactly the sites that bump
-    /// `Metrics::inclusion_victims`).
+    /// `core`'s private caches (one per victim of each tear-out event).
     #[inline]
-    pub fn note_back_invalidation(&mut self, core: CoreId, line: LineAddr) {
-        let flat = self.flat_set(line.raw());
+    pub(crate) fn note_back_invalidation(&mut self, core: CoreId, line: LineAddr) {
+        let flat = self.sets.index(line);
         let c = &mut self.per_core[core.index()];
         c.back_invalidations += 1;
         if self.probed[flat] {
@@ -133,12 +120,11 @@ impl LeakageObservatory {
     /// evicted since the attacker last touched it — the distinguishable
     /// "slow probe"; anything still on chip reads as fast.
     #[inline]
-    pub fn record_access(&mut self, core: CoreId, line: LineAddr, class: AccessClass) {
+    pub(crate) fn record_access(&mut self, core: CoreId, line: LineAddr, class: AccessClass) {
         if !self.attacker[core.index()] {
             return;
         }
-        let flat = self.flat_set(line.raw());
-        if !self.probed[flat] {
+        if !self.probed[self.sets.index(line)] {
             return;
         }
         let c = &mut self.per_core[core.index()];
@@ -152,13 +138,13 @@ impl LeakageObservatory {
 
     /// Records one SHARP cross-core eviction alarm.
     #[inline]
-    pub fn note_sharp_alarm(&mut self) {
+    pub(crate) fn note_sharp_alarm(&mut self) {
         self.sharp_alarms += 1;
     }
 
     /// Drains the observatory into its report; `cycles` is filled in by
     /// the driver (the co-run window length).
-    pub fn finish(self) -> LeakageReport {
+    pub(crate) fn finish(self) -> LeakageReport {
         let attacker_cores = flags_to_indices(&self.attacker);
         let victim_cores = flags_to_indices(&self.victim);
         LeakageReport {

@@ -68,7 +68,8 @@ pub use leakage::{CoreLeakage, LeakageObservatory, LeakageReport};
 pub use llc::{LlcMode, VictimReason, ZivProperty};
 pub use metrics::Metrics;
 pub use observe::{
-    EventFilter, EventKind, EventTraceConfig, FlightRecorder, Heatmap, Observations, ObserveConfig,
-    ProbeSnapshot, SamplingProgress, TelemetryProbe, TraceEvent,
+    EventFilter, EventKind, EventTraceConfig, FlightRecorder, Heatmap, HierarchyEvent,
+    Observations, ObserveConfig, ProbeSnapshot, Recording, SamplingProgress, TearOut,
+    TelemetryProbe, TraceEvent,
 };
 pub use profile::{ProfileReport, ProfileSection, SelfProfiler};

@@ -21,18 +21,27 @@
 //! * [`Heatmap`] — per-(bank, set) access/eviction/relocation counts
 //!   for spotting hot sets.
 //!
+//! The hierarchy reports to all of it through one typed stream: each
+//! [`HierarchyEvent`] goes to [`FlightRecorder::observe`], which feeds
+//! the ring, the heatmaps and the latency, leakage and forensics
+//! observatories from that single record. An inclusion victim is one
+//! [`TearOut`] event, so every observer's count of them agrees with
+//! `Metrics::inclusion_victims` by construction.
+//!
 //! Everything here is opt-in via [`ObserveConfig`]; with the default
 //! (disabled) config the hierarchy carries a `None` recorder and the
 //! hot path pays a single branch per potential event.
 
-use crate::forensics::{ForensicsObservatory, ForensicsReport};
-use crate::latency::{LatencyObservatory, LatencyReport};
+use crate::forensics::{ChainKind, ForensicsObservatory, ForensicsReport, ProvenanceStamp};
+use crate::latency::{AccessClass, LatencyBreakdown, LatencyObservatory, LatencyReport};
 use crate::leakage::{LeakageObservatory, LeakageReport};
+use crate::llc::VictimReason;
 use crate::metrics::{core_metrics_u64_fields, metrics_u64_fields, CoreMetrics, Metrics};
 use crate::profile::ProfileReport;
 use ziv_common::json::JsonValue;
 use ziv_common::stats::CountGrid;
-use ziv_common::{AuditViolation, Cycle, SimError};
+use ziv_common::{AuditViolation, CoreId, Cycle, LineAddr, SimError};
+use ziv_directory::{LlcLocation, SharerSet};
 
 macro_rules! name_array {
     ($($f:ident),*) => { &[$(stringify!($f)),*] };
@@ -456,20 +465,22 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 256;
 /// run; the CLI clamps to this and warns on the sink.
 pub const MAX_EVENT_CAPACITY: usize = 1 << 20;
 
-/// A fixed-capacity ring buffer keeping the **last** `capacity` events.
+/// A fixed-capacity ring buffer keeping the **last** `capacity` items
+/// (trace events by default; the forensics observatory keeps its causal
+/// chains in one too).
 ///
 /// The buffer is allocated once at construction; pushes never allocate,
 /// preserving the allocation-free hot path.
 #[derive(Debug, Clone)]
-pub struct EventRing {
-    buf: Vec<TraceEvent>,
+pub struct EventRing<T = TraceEvent> {
+    buf: Vec<T>,
     cap: usize,
     head: usize,
     recorded: u64,
 }
 
-impl EventRing {
-    /// Creates an empty ring with room for `capacity` events (clamped
+impl<T: Clone> EventRing<T> {
+    /// Creates an empty ring with room for `capacity` items (clamped
     /// to at least 1).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
@@ -481,24 +492,24 @@ impl EventRing {
         }
     }
 
-    /// Appends an event, overwriting the oldest once full.
+    /// Appends an item, overwriting the oldest once full.
     #[inline]
-    pub fn push(&mut self, ev: TraceEvent) {
+    pub fn push(&mut self, item: T) {
         if self.buf.len() < self.cap {
-            self.buf.push(ev);
+            self.buf.push(item);
         } else {
-            self.buf[self.head] = ev;
+            self.buf[self.head] = item;
             self.head = (self.head + 1) % self.cap;
         }
         self.recorded += 1;
     }
 
-    /// Total events ever pushed (including overwritten ones).
+    /// Total items ever pushed (including overwritten ones).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Events currently retained.
+    /// Items currently retained.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -508,8 +519,13 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// The retained events, oldest first.
-    pub fn ordered(&self) -> Vec<TraceEvent> {
+    /// The retained items, in no particular order.
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.buf.iter_mut()
+    }
+
+    /// The retained items, oldest first.
+    pub fn ordered(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
@@ -552,6 +568,49 @@ impl Heatmap {
     /// Number of sets per bank (grid columns).
     pub fn sets(&self) -> usize {
         self.accesses.cols()
+    }
+}
+
+/// The LLC's flat `(bank, set)` numbering, `bank * sets_per_bank + set`,
+/// with a line's bank bits low and its set bits above them — the
+/// mapping `LlcConfig::bank_of`/`set_of` use. The recorder places
+/// heatmap lookups with it; leakage and forensics roll up by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlatSets {
+    pub(crate) banks: usize,
+    pub(crate) sets_per_bank: usize,
+}
+
+impl FlatSets {
+    /// The numbering of a `banks × sets_per_bank` LLC (both powers of
+    /// two).
+    pub(crate) fn new(banks: usize, sets_per_bank: usize) -> Self {
+        debug_assert!(banks.is_power_of_two() && sets_per_bank.is_power_of_two());
+        FlatSets {
+            banks,
+            sets_per_bank,
+        }
+    }
+
+    /// Number of flat sets (`banks × sets_per_bank`).
+    pub(crate) fn count(self) -> usize {
+        self.banks * self.sets_per_bank
+    }
+
+    /// The home `(bank, set)` of `line`.
+    #[inline]
+    pub(crate) fn bank_set(self, line: LineAddr) -> (usize, usize) {
+        let raw = line.raw();
+        let bank = raw as usize & (self.banks - 1);
+        let set = (raw >> self.banks.trailing_zeros()) as usize & (self.sets_per_bank - 1);
+        (bank, set)
+    }
+
+    /// The flat index of `line`'s home set.
+    #[inline]
+    pub(crate) fn index(self, line: LineAddr) -> usize {
+        let (bank, set) = self.bank_set(line);
+        bank * self.sets_per_bank + set
     }
 }
 
@@ -638,24 +697,145 @@ impl ObserveConfig {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The hierarchy's event stream and the recorder that consumes it
+// ---------------------------------------------------------------------------
+
+/// Private copies torn out of core caches to keep the LLC inclusive:
+/// an inclusive eviction's back-invalidation or an ECI early
+/// invalidation. One event per tear-out, carrying every core it reached
+/// into — each one an inclusion victim (Fig 2). The hierarchy counts
+/// `Metrics::inclusion_victims` from the same `victims` set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TearOut {
+    /// The mechanism.
+    pub kind: ChainKind,
+    /// The line whose private copies were invalidated.
+    pub line: LineAddr,
+    /// The line's LLC location (an ECI candidate may have none).
+    pub loc: Option<LlcLocation>,
+    /// The core whose fill instigated the tear-out.
+    pub instigator: CoreId,
+    /// The instigating fill's victim-choice reason.
+    pub reason: VictimReason,
+    /// The cores that lost a copy; never empty.
+    pub victims: SharerSet,
+}
+
+/// One thing the hierarchy reports to its observers, handed to
+/// [`FlightRecorder::observe`] at the access and cycle it happened.
+/// Each variant's doc names what its fields hold.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HierarchyEvent {
+    /// `core`'s fill (demand or prefetch) installed `line` at `loc`;
+    /// `reason` is why victim selection freed that way.
+    Fill {
+        line: LineAddr,
+        core: CoreId,
+        loc: LlcLocation,
+        reason: VictimReason,
+    },
+    /// `core` missed `line` in its private caches and looks it up in the
+    /// LLC. Comes before the LLC stage of the access, whose fill may
+    /// tear out (and so re-note) other lines.
+    LlcLookup { core: CoreId, line: LineAddr },
+    /// A ZIV relocation moved `line` to `to`.
+    Relocation { line: LineAddr, to: LlcLocation },
+    /// `line` left the LLC from `loc`.
+    Eviction { line: LineAddr, loc: LlcLocation },
+    /// The sparse directory evicted `line`'s entry, back-invalidating
+    /// its sharers.
+    DirectoryVictim { line: LineAddr },
+    /// SHARP raised a cross-core eviction alarm.
+    SharpAlarm,
+    /// Private copies were torn out (see [`TearOut`]).
+    TearOut(TearOut),
+    /// `core`'s access to `line` finished, served as `class` at the
+    /// latency `breakdown` totals.
+    Access {
+        core: CoreId,
+        line: LineAddr,
+        class: AccessClass,
+        breakdown: LatencyBreakdown,
+    },
+}
+
+/// Slots in each core's recently-torn-out line table. Direct-mapped on
+/// the line address's low bits; a collision overwrites the older entry
+/// (the same bounded-memory spirit as the event ring), so refetch
+/// attribution is a floor, never an overcount: every access classified
+/// as a refetch really did lose its line to an inclusion victim.
+pub const VICTIM_TABLE_SLOTS: usize = 1024;
+
+/// One victim-table entry: a line torn out of a core's private caches,
+/// with the instigating core and forensics chain a refetch is blamed on.
+#[derive(Debug, Clone, Copy)]
+struct VictimNote {
+    line: u64,
+    instigator: CoreId,
+    chain_seq: u64,
+}
+
+const NO_VICTIM: VictimNote = VictimNote {
+    line: u64::MAX,
+    instigator: CoreId::new(0),
+    chain_seq: 0,
+};
+
+/// `core`'s victim-table slot for `line`.
+#[inline]
+fn victim_slot(core: CoreId, line: LineAddr) -> usize {
+    core.index() * VICTIM_TABLE_SLOTS + (line.raw() as usize & (VICTIM_TABLE_SLOTS - 1))
+}
+
 /// The in-flight recorder attached to a
-/// [`CacheHierarchy`](crate::CacheHierarchy): an event ring and/or
-/// heatmap grids. Constructed only when enabled, so the disabled-mode
-/// hierarchy carries `None` and pays one branch per emission site.
+/// [`CacheHierarchy`](crate::CacheHierarchy): it consumes the
+/// hierarchy's [`HierarchyEvent`] stream into an event ring, heatmap
+/// grids and the latency, leakage and forensics observatories.
+/// Constructed only when enabled, so the disabled-mode hierarchy
+/// carries `None` and pays one branch per emission site.
 #[derive(Debug)]
 pub struct FlightRecorder {
     filter: EventFilter,
     events: Option<EventRing>,
     heatmap: Option<Heatmap>,
+    sets: FlatSets,
+    /// Recently torn-out lines, [`VICTIM_TABLE_SLOTS`] per core; shared
+    /// by latency attribution and forensics so both blame the same
+    /// refetches, and empty unless one of them is on. A lookup clears
+    /// its entry: one tear-out explains at most one refetch.
+    victims: Vec<VictimNote>,
+    /// The current access's torn-out line, taken at its LLC lookup and
+    /// attributed when the access finishes.
+    refetch: Option<VictimNote>,
     latency: Option<LatencyObservatory>,
     leakage: Option<LeakageObservatory>,
     forensics: Option<ForensicsObservatory>,
 }
 
+/// What a [`FlightRecorder`] captured, drained by
+/// [`FlightRecorder::finish`].
+#[derive(Debug, Default)]
+pub struct Recording {
+    /// Retained events, oldest first.
+    pub events: Vec<TraceEvent>,
+    /// Total events recorded, including ones the ring overwrote.
+    pub events_recorded: u64,
+    /// Occupancy heatmaps, when enabled.
+    pub heatmap: Option<Heatmap>,
+    /// The latency attribution report, when enabled.
+    pub latency: Option<LatencyReport>,
+    /// The leakage report, when an observatory was attached.
+    pub leakage: Option<LeakageReport>,
+    /// The forensics report, when enabled.
+    pub forensics: Option<ForensicsReport>,
+}
+
 impl FlightRecorder {
     /// Builds a recorder per `cfg` for a `cores`-core system with a
     /// `banks × sets` LLC; `None` when `cfg` requests no recorder-side
-    /// capture (events, heatmaps, or latency attribution).
+    /// capture (see [`ObserveConfig::wants_recorder`]).
     pub fn new(
         cfg: &ObserveConfig,
         cores: usize,
@@ -665,10 +845,19 @@ impl FlightRecorder {
         if !cfg.wants_recorder() {
             return None;
         }
+        let flat_sets = FlatSets::new(banks, sets);
+        let tracks_victims = cfg.latency || cfg.forensics;
         Some(Box::new(FlightRecorder {
             filter: cfg.events.map_or(EventFilter::none(), |e| e.filter),
             events: cfg.events.map(|e| EventRing::new(e.capacity)),
             heatmap: cfg.heatmap.then(|| Heatmap::new(banks, sets)),
+            sets: flat_sets,
+            victims: if tracks_victims {
+                vec![NO_VICTIM; cores * VICTIM_TABLE_SLOTS]
+            } else {
+                Vec::new()
+            },
+            refetch: None,
             latency: cfg.latency.then(|| LatencyObservatory::new(cores)),
             // Leakage accounting needs the workload's attack roles, which
             // the recorder cannot know; the driver attaches it when the
@@ -676,7 +865,7 @@ impl FlightRecorder {
             leakage: None,
             forensics: cfg
                 .forensics
-                .then(|| ForensicsObservatory::new(cores, banks, sets)),
+                .then(|| ForensicsObservatory::new(cores, flat_sets)),
         }))
     }
 
@@ -689,7 +878,7 @@ impl FlightRecorder {
     /// Records `ev` if event tracing is on and the filter keeps its
     /// kind.
     #[inline]
-    pub fn record(&mut self, ev: TraceEvent) {
+    fn record(&mut self, ev: TraceEvent) {
         if self.filter.contains(ev.kind) {
             if let Some(ring) = &mut self.events {
                 ring.push(ev);
@@ -711,56 +900,148 @@ impl FlightRecorder {
         });
     }
 
-    /// The heatmap grids, when enabled.
-    #[inline]
-    pub fn heatmap_mut(&mut self) -> Option<&mut Heatmap> {
-        self.heatmap.as_mut()
+    /// Feeds one hierarchy event, which happened during access
+    /// `access_index` at `cycle`, to every attached capture. The single
+    /// entry point of the stream: each observer derives its books from
+    /// the same event, so their victim and refetch counts agree.
+    pub fn observe(&mut self, access_index: u64, cycle: Cycle, ev: HierarchyEvent) {
+        let event =
+            |kind, line: LineAddr, core: Option<CoreId>, loc: Option<LlcLocation>| TraceEvent {
+                kind,
+                access_index,
+                cycle,
+                line: line.raw(),
+                core: core.map(|c| c.index() as u16),
+                bank: loc.map(|l| l.bank.index() as u16),
+                set: loc.map(|l| l.set),
+                way: loc.map(|l| l.way),
+            };
+        match ev {
+            HierarchyEvent::Fill {
+                line,
+                core,
+                loc,
+                reason,
+            } => {
+                self.record(event(EventKind::Fill, line, Some(core), Some(loc)));
+                if let Some(f) = &mut self.forensics {
+                    let (bank, set, way) = (loc.bank.index() as u16, loc.set, loc.way);
+                    f.stamp_fill(
+                        line,
+                        ProvenanceStamp {
+                            access_index,
+                            cycle,
+                            core,
+                            bank,
+                            set,
+                            way,
+                            reason,
+                        },
+                    );
+                }
+            }
+            HierarchyEvent::LlcLookup { core, line } => {
+                if let Some(hm) = &mut self.heatmap {
+                    let (bank, set) = self.sets.bank_set(line);
+                    hm.accesses.inc(bank, set);
+                }
+                self.refetch = self
+                    .victims
+                    .get_mut(victim_slot(core, line))
+                    .filter(|note| note.line == line.raw())
+                    .map(|note| std::mem::replace(note, NO_VICTIM));
+            }
+            HierarchyEvent::Relocation { line, to } => {
+                self.record(event(EventKind::Relocation, line, None, Some(to)));
+                if let Some(hm) = &mut self.heatmap {
+                    hm.relocations.inc(to.bank.index(), to.set as usize);
+                }
+            }
+            HierarchyEvent::Eviction { line, loc } => {
+                self.record(event(EventKind::Eviction, line, None, Some(loc)));
+                if let Some(hm) = &mut self.heatmap {
+                    hm.evictions.inc(loc.bank.index(), loc.set as usize);
+                }
+            }
+            HierarchyEvent::DirectoryVictim { line } => {
+                let bank = Some(self.sets.bank_set(line).0 as u16);
+                self.record(TraceEvent {
+                    bank,
+                    ..event(EventKind::DirectoryVictim, line, None, None)
+                });
+            }
+            HierarchyEvent::SharpAlarm => {
+                if let Some(l) = &mut self.leakage {
+                    l.note_sharp_alarm();
+                }
+            }
+            HierarchyEvent::TearOut(t) => {
+                let chain_seq = (self.forensics.as_mut())
+                    .map_or(0, |f| f.record_chain(&t, access_index, cycle));
+                if let Some(lat) = &mut self.latency {
+                    lat.note_victims(t.victims.count() as u64);
+                }
+                for victim in t.victims.iter() {
+                    self.record(event(
+                        EventKind::BackInvalidation,
+                        t.line,
+                        Some(victim),
+                        t.loc,
+                    ));
+                    if let Some(note) = self.victims.get_mut(victim_slot(victim, t.line)) {
+                        let instigator = t.instigator;
+                        *note = VictimNote {
+                            line: t.line.raw(),
+                            instigator,
+                            chain_seq,
+                        };
+                    }
+                    if let Some(l) = &mut self.leakage {
+                        l.note_back_invalidation(victim, t.line);
+                    }
+                }
+            }
+            HierarchyEvent::Access {
+                core,
+                line,
+                class,
+                breakdown,
+            } => {
+                let refetch = self.refetch.take();
+                if let (Some(note), Some(f)) = (refetch, &mut self.forensics) {
+                    f.record_refetch(note.instigator, core, note.chain_seq, breakdown.total());
+                }
+                // Latency attribution owns the refetch class; without it
+                // every observer sees where the access was served from.
+                let class = if refetch.is_some() && self.latency.is_some() {
+                    AccessClass::InclusionVictimRefetch
+                } else {
+                    class
+                };
+                if let Some(lat) = &mut self.latency {
+                    lat.record(core, class, &breakdown);
+                }
+                if let Some(l) = &mut self.leakage {
+                    l.record_access(core, line, class);
+                }
+            }
+        }
     }
 
-    /// The latency observatory, when enabled.
-    #[inline]
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_mut()
-    }
-
-    /// The leakage observatory, when attached.
-    #[inline]
-    pub fn leakage_mut(&mut self) -> Option<&mut LeakageObservatory> {
-        self.leakage.as_mut()
-    }
-
-    /// The forensics observatory, when enabled.
-    #[inline]
-    pub fn forensics_mut(&mut self) -> Option<&mut ForensicsObservatory> {
-        self.forensics.as_mut()
-    }
-
-    /// Drains the recorder into its final observation payload:
-    /// `(events oldest-first, total events recorded, heatmap, latency,
-    /// leakage, forensics)`.
-    #[allow(clippy::type_complexity)]
-    pub fn finish(
-        self,
-    ) -> (
-        Vec<TraceEvent>,
-        u64,
-        Option<Heatmap>,
-        Option<LatencyReport>,
-        Option<LeakageReport>,
-        Option<ForensicsReport>,
-    ) {
-        let (events, recorded) = match &self.events {
+    /// Drains the recorder into its final observation payload.
+    pub fn finish(self) -> Recording {
+        let (events, events_recorded) = match &self.events {
             Some(ring) => (ring.ordered(), ring.recorded()),
             None => (Vec::new(), 0),
         };
-        (
+        Recording {
             events,
-            recorded,
-            self.heatmap,
-            self.latency.map(LatencyObservatory::finish),
-            self.leakage.map(LeakageObservatory::finish),
-            self.forensics.map(ForensicsObservatory::finish),
-        )
+            events_recorded,
+            heatmap: self.heatmap,
+            latency: self.latency.map(LatencyObservatory::finish),
+            leakage: self.leakage.map(LeakageObservatory::finish),
+            forensics: self.forensics.map(ForensicsObservatory::finish),
+        }
     }
 }
 
@@ -1042,16 +1323,14 @@ mod tests {
         let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
         rec.record(ev(EventKind::Fill, 0));
         rec.record(ev(EventKind::Eviction, 1));
-        assert!(rec.heatmap_mut().is_none());
-        assert!(rec.latency_mut().is_none());
-        let (events, recorded, heatmap, latency, leakage, forensics) = rec.finish();
-        assert_eq!(recorded, 1);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::Eviction);
-        assert!(heatmap.is_none());
-        assert!(latency.is_none());
-        assert!(leakage.is_none());
-        assert!(forensics.is_none());
+        let out = rec.finish();
+        assert_eq!(out.events_recorded, 1);
+        assert_eq!(out.events.len(), 1);
+        assert_eq!(out.events[0].kind, EventKind::Eviction);
+        assert!(out.heatmap.is_none());
+        assert!(out.latency.is_none());
+        assert!(out.leakage.is_none());
+        assert!(out.forensics.is_none());
         assert!(FlightRecorder::new(&ObserveConfig::disabled(), 2, 4, 16).is_none());
     }
 
@@ -1091,76 +1370,249 @@ mod tests {
         assert!(forensics.wants_recorder() && forensics.is_enabled());
     }
 
+    use crate::llc::VictimReason;
+
+    fn line(raw: u64) -> LineAddr {
+        LineAddr::new(raw)
+    }
+
+    fn tear_out(kind: ChainKind, raw: u64, victims: &[usize]) -> HierarchyEvent {
+        let mut set = SharerSet::EMPTY;
+        for &v in victims {
+            set.insert(CoreId::new(v));
+        }
+        HierarchyEvent::TearOut(TearOut {
+            kind,
+            line: line(raw),
+            loc: None,
+            instigator: CoreId::new(0),
+            reason: VictimReason::Baseline,
+            victims: set,
+        })
+    }
+
+    /// Core `core`'s private miss on `raw`, served from DRAM in `cycles`.
+    fn miss(rec: &mut FlightRecorder, core: usize, raw: u64, cycles: Cycle) {
+        let core = CoreId::new(core);
+        rec.observe(
+            9,
+            0,
+            HierarchyEvent::LlcLookup {
+                core,
+                line: line(raw),
+            },
+        );
+        let breakdown = LatencyBreakdown {
+            dram: cycles,
+            ..LatencyBreakdown::default()
+        };
+        let class = AccessClass::LlcMissDram;
+        rec.observe(
+            9,
+            0,
+            HierarchyEvent::Access {
+                core,
+                line: line(raw),
+                class,
+                breakdown,
+            },
+        );
+    }
+
+    fn all_observers() -> ObserveConfig {
+        ObserveConfig {
+            events: Some(EventTraceConfig::default()),
+            latency: true,
+            leakage: true,
+            forensics: true,
+            ..ObserveConfig::disabled()
+        }
+    }
+
     #[test]
-    fn forensics_observatory_rides_the_recorder() {
-        use crate::forensics::ChainKind;
-        use crate::llc::VictimReason;
-        use ziv_common::CoreId;
+    fn one_tear_out_feeds_every_observer_once_per_victim() {
+        let mut rec = FlightRecorder::new(&all_observers(), 3, 4, 16).unwrap();
+        rec.attach_leakage(LeakageObservatory::new(3, 4, 16, &[0], &[1], &[0x41]));
+        rec.observe(7, 70, tear_out(ChainKind::Inclusive, 0x41, &[1, 2]));
+        rec.observe(8, 80, HierarchyEvent::SharpAlarm);
+        let out = rec.finish();
+        let kinds: Vec<_> = out.events.iter().map(|e| (e.kind, e.core)).collect();
+        let back = EventKind::BackInvalidation;
+        assert_eq!(kinds, vec![(back, Some(1)), (back, Some(2))]);
+        let forensics = out.forensics.unwrap();
+        assert_eq!(forensics.chains_recorded, 1);
+        assert_eq!(forensics.total_victims(), 2);
+        let leakage = out.leakage.unwrap();
+        assert_eq!(leakage.total_back_invalidations(), 2);
+        assert_eq!(leakage.observable_victim_evictions(), 1);
+        assert_eq!(leakage.sharp_alarms, 1);
+        assert_eq!(out.latency.unwrap().victims_noted, 2);
+    }
+
+    #[test]
+    fn victim_table_attributes_one_refetch_per_tear_out() {
+        let mut rec = FlightRecorder::new(&all_observers(), 2, 4, 16).unwrap();
+        miss(&mut rec, 1, 0x40, 100); // nothing torn out yet
+        rec.observe(1, 10, tear_out(ChainKind::Inclusive, 0x40, &[1]));
+        miss(&mut rec, 0, 0x40, 100); // tables are per-core
+        miss(&mut rec, 1, 0x40, 100); // the refetch
+        miss(&mut rec, 1, 0x40, 100); // taking clears the entry
+        let out = rec.finish();
+        let latency = out.latency.unwrap();
+        assert_eq!(
+            latency
+                .class_total(AccessClass::InclusionVictimRefetch)
+                .count,
+            1
+        );
+        assert_eq!(latency.inclusion_victim_refetch_cycles(), 100);
+        let forensics = out.forensics.unwrap();
+        assert_eq!(forensics.total_refetch_cycles(), 100);
+        assert_eq!(forensics.chains[0].refetches, 1);
+    }
+
+    #[test]
+    fn victim_table_collisions_overwrite() {
+        let mut rec = FlightRecorder::new(&all_observers(), 1, 4, 16).unwrap();
+        let (a, b) = (0x7, 0x7 + VICTIM_TABLE_SLOTS as u64);
+        rec.observe(0, 0, tear_out(ChainKind::Inclusive, a, &[0]));
+        rec.observe(1, 0, tear_out(ChainKind::Inclusive, b, &[0])); // same slot
+        miss(&mut rec, 0, a, 5); // older colliding entry forgotten
+        miss(&mut rec, 0, b, 7);
+        let latency = rec.finish().latency.unwrap();
+        assert_eq!(latency.inclusion_victim_refetch_cycles(), 7);
+    }
+
+    #[test]
+    fn refetch_class_needs_latency_attribution() {
+        // Leakage sees the reclassified refetch only when latency
+        // attribution runs; forensics blames the refetch either way.
+        for latency in [true, false] {
+            let cfg = ObserveConfig {
+                latency,
+                ..all_observers()
+            };
+            let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
+            rec.attach_leakage(LeakageObservatory::new(2, 4, 16, &[1], &[0], &[0x40]));
+            rec.observe(0, 0, tear_out(ChainKind::Eci, 0x40, &[1]));
+            rec.observe(
+                1,
+                0,
+                HierarchyEvent::LlcLookup {
+                    core: CoreId::new(1),
+                    line: line(0x40),
+                },
+            );
+            let breakdown = LatencyBreakdown {
+                llc_tag: 3,
+                ..LatencyBreakdown::default()
+            };
+            let (core, class) = (CoreId::new(1), AccessClass::LlcHit);
+            rec.observe(
+                1,
+                0,
+                HierarchyEvent::Access {
+                    core,
+                    line: line(0x40),
+                    class,
+                    breakdown,
+                },
+            );
+            let out = rec.finish();
+            let leakage = out.leakage.unwrap();
+            assert_eq!(leakage.probe_evictions_seen(), u64::from(latency));
+            assert_eq!(leakage.probe_hits(), u64::from(!latency));
+            assert_eq!(out.forensics.unwrap().total_refetch_cycles(), 3);
+        }
+    }
+
+    /// Seeded scripts of tear-outs, each followed by its first victim's
+    /// refetch, keep the forensics books balanced: the matrix holds the
+    /// victims fed in, the ring keeps the last ≤256 chains in order, and
+    /// one tear-out explains at most one refetch.
+    #[test]
+    fn chain_scripts_keep_the_books_balanced() {
+        for seed in 0..64u64 {
+            let mut rng = ziv_common::SimRng::seed_from_u64(seed);
+            let mut rec = FlightRecorder::new(&all_observers(), 3, 2, 4).unwrap();
+            let (mut victims, mut eci, mut cycles) = (0u64, 0u64, 0u64);
+            let chains = 1 + rng.below(400);
+            for i in 0..chains {
+                let kind = if rng.chance(0.5) {
+                    eci += 1;
+                    ChainKind::Eci
+                } else {
+                    ChainKind::Inclusive
+                };
+                let raw = rng.below(96);
+                let mask = 1 + rng.below_usize(7);
+                let cores: Vec<usize> = (0..3).filter(|c| mask & (1 << c) != 0).collect();
+                victims += cores.len() as u64;
+                rec.observe(i, i * 10, tear_out(kind, raw, &cores));
+                let refetch = rng.below(500);
+                cycles += refetch;
+                miss(&mut rec, cores[0], raw, refetch);
+                miss(&mut rec, cores[0], raw, 1_000); // no second refetch
+            }
+            let out = rec.finish();
+            let r = out.forensics.unwrap();
+            assert_eq!(r.total_victims(), victims, "seed {seed}");
+            assert_eq!(r.chains_recorded, chains, "seed {seed}");
+            assert_eq!(r.eci_chains, eci, "seed {seed}");
+            assert_eq!(r.inclusive_chains, chains - eci, "seed {seed}");
+            assert_eq!(r.total_refetches(), chains, "seed {seed}");
+            assert_eq!(r.total_refetch_cycles(), cycles, "seed {seed}");
+            assert_eq!(
+                out.latency.unwrap().inclusion_victim_refetch_cycles(),
+                cycles
+            );
+            assert_eq!(r.chains.len() as u64, chains.min(256), "seed {seed}");
+            assert!(
+                r.chains.windows(2).all(|p| p[0].seq < p[1].seq),
+                "seed {seed}"
+            );
+            assert_eq!(r.set_victims.iter().sum::<u64>(), victims, "seed {seed}");
+            assert_eq!(r.phase_victims.iter().sum::<u64>(), victims, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn fills_stamp_provenance_and_heat_follows_the_stream() {
         let cfg = ObserveConfig {
+            heatmap: true,
             forensics: true,
             ..ObserveConfig::disabled()
         };
         let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        let f = rec.forensics_mut().expect("forensics observatory attached");
-        f.open_chain(
-            ChainKind::Inclusive,
-            CoreId::new(0),
-            7,
-            70,
-            ziv_common::LineAddr::new(0x40),
-            VictimReason::Baseline,
-        );
-        f.chain_victim(CoreId::new(1));
-        f.close_chain();
-        let (_, _, _, _, _, forensics) = rec.finish();
-        let report = forensics.expect("forensics report produced");
-        assert_eq!(report.total_victims(), 1);
-        assert_eq!(report.chains_recorded, 1);
-    }
-
-    #[test]
-    fn leakage_observatory_rides_the_recorder() {
-        use crate::leakage::LeakageObservatory;
-        use ziv_common::CoreId;
-        let cfg = ObserveConfig {
-            leakage: true,
-            ..ObserveConfig::disabled()
+        let loc = LlcLocation {
+            bank: ziv_common::BankId::new(1),
+            set: 3,
+            way: 2,
         };
-        let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        // The recorder exists but carries no observatory until the
-        // driver attaches one (it needs the workload's attack roles).
-        assert!(rec.leakage_mut().is_none());
-        rec.attach_leakage(LeakageObservatory::new(2, 4, 16, &[0], &[1], &[3]));
-        rec.leakage_mut()
-            .unwrap()
-            .note_back_invalidation(CoreId::new(1), ziv_common::Addr::new(3 << 6).line());
-        let (_, _, _, _, leakage, _) = rec.finish();
-        let report = leakage.expect("leakage report produced");
-        assert_eq!(report.observable_victim_evictions(), 1);
-        assert_eq!(report.total_back_invalidations(), 1);
-    }
-
-    #[test]
-    fn latency_observatory_rides_the_recorder() {
-        use crate::latency::{AccessClass, LatencyBreakdown};
-        use ziv_common::CoreId;
-        let cfg = ObserveConfig {
-            latency: true,
-            ..ObserveConfig::disabled()
-        };
-        let mut rec = FlightRecorder::new(&cfg, 2, 4, 16).unwrap();
-        let lat = rec.latency_mut().expect("latency observatory attached");
-        lat.record(
-            CoreId::new(0),
-            AccessClass::L1Hit,
-            &LatencyBreakdown {
-                l1: 3,
-                ..LatencyBreakdown::default()
+        let (core, l) = (CoreId::new(1), line(0x0d)); // bank 1, set 3
+        let reason = VictimReason::Baseline;
+        rec.observe(
+            4,
+            40,
+            HierarchyEvent::Fill {
+                line: l,
+                core,
+                loc,
+                reason,
             },
         );
-        let (_, _, _, report, _, _) = rec.finish();
-        let report = report.expect("latency report produced");
-        assert_eq!(report.total_cycles(), 3);
-        assert_eq!(report.class_total(AccessClass::L1Hit).count, 1);
+        rec.observe(5, 50, HierarchyEvent::LlcLookup { core, line: l });
+        rec.observe(6, 60, HierarchyEvent::Eviction { line: l, loc });
+        rec.observe(6, 60, HierarchyEvent::Relocation { line: l, to: loc });
+        rec.observe(6, 60, tear_out(ChainKind::Inclusive, 0x0d, &[1]));
+        let out = rec.finish();
+        let hm = out.heatmap.unwrap();
+        assert_eq!(hm.accesses.get(1, 3), 1);
+        assert_eq!(hm.evictions.get(1, 3), 1);
+        assert_eq!(hm.relocations.get(1, 3), 1);
+        let forensics = out.forensics.unwrap();
+        assert_eq!(forensics.fills_stamped, 1);
+        let alloc = forensics.chains[0].alloc.expect("stamp survived");
+        assert_eq!((alloc.access_index, alloc.core, alloc.way), (4, core, 2));
     }
 }

@@ -891,15 +891,44 @@ mod tests {
         }
     }
 
+    /// A 2-core recorder on a 2-bank × 4-set LLC, fed `events`.
+    fn record(
+        observe: ziv_core::ObserveConfig,
+        events: &[ziv_core::observe::HierarchyEvent],
+    ) -> ziv_core::observe::Recording {
+        let mut rec = ziv_core::FlightRecorder::new(&observe, 2, 2, 4).expect("recorder on");
+        if observe.leakage {
+            rec.attach_leakage(ziv_core::LeakageObservatory::new(2, 2, 4, &[0], &[1], &[1]));
+        }
+        for &ev in events {
+            rec.observe(7, 70, ev);
+        }
+        rec.finish()
+    }
+
+    /// Core 0's fill tears `line` out of core 1.
+    fn tear_out(line: u64) -> ziv_core::observe::HierarchyEvent {
+        use ziv_common::{CoreId, LineAddr};
+        ziv_core::observe::HierarchyEvent::TearOut(ziv_core::observe::TearOut {
+            kind: ziv_core::ChainKind::Inclusive,
+            line: LineAddr::new(line),
+            loc: None,
+            instigator: CoreId::new(0),
+            reason: ziv_core::VictimReason::Baseline,
+            victims: ziv_directory::SharerSet::single(CoreId::new(1)),
+        })
+    }
+
     #[test]
     fn leakage_csv_emits_one_row_per_reporting_cell() {
-        use ziv_common::CoreId;
-        use ziv_core::LeakageObservatory;
-        let mut leak = LeakageObservatory::new(2, 2, 4, &[0], &[1], &[1]);
+        use ziv_core::observe::HierarchyEvent;
+        let leakage = ziv_core::ObserveConfig {
+            leakage: true,
+            ..ziv_core::ObserveConfig::disabled()
+        };
         // Line 1 homes at (bank 1, set 0) — the probed set.
-        leak.note_back_invalidation(CoreId::new(1), ziv_common::Addr::new(1 << 6).line());
-        leak.note_sharp_alarm();
-        let mut report = leak.finish();
+        let events = [tear_out(1), HierarchyEvent::SharpAlarm];
+        let mut report = record(leakage, &events).leakage.unwrap();
         report.cycles = 1_000_000;
         let mut with_leak = synthetic_observations();
         with_leak.leakage = Some(report);
@@ -928,21 +957,12 @@ mod tests {
 
     #[test]
     fn blame_csv_emits_full_matrix_including_zero_rows() {
-        use ziv_common::{CoreId, LineAddr};
-        use ziv_core::{ChainKind, ForensicsObservatory, VictimReason};
-        let mut f = ForensicsObservatory::new(2, 2, 4);
-        f.open_chain(
-            ChainKind::Inclusive,
-            CoreId::new(0),
-            7,
-            70,
-            LineAddr::new(0x33),
-            VictimReason::Baseline,
-        );
-        f.chain_victim(CoreId::new(1));
-        f.close_chain();
+        let forensics = ziv_core::ObserveConfig {
+            forensics: true,
+            ..ziv_core::ObserveConfig::disabled()
+        };
         let mut with_forensics = synthetic_observations();
-        with_forensics.forensics = Some(f.finish());
+        with_forensics.forensics = record(forensics, &[tear_out(0x33)]).forensics;
         let without = synthetic_observations();
         let cells = [
             ObservedCell {
@@ -972,28 +992,34 @@ mod tests {
 
     #[test]
     fn latency_csv_emits_per_core_and_all_rows() {
-        use ziv_common::CoreId;
-        use ziv_core::latency::{LatencyBreakdown, LatencyObservatory};
-        let mut lat = LatencyObservatory::new(2);
-        lat.record(
-            CoreId::new(0),
-            AccessClass::L1Hit,
-            &LatencyBreakdown {
-                l1: 3,
-                ..LatencyBreakdown::default()
-            },
-        );
-        lat.record(
-            CoreId::new(1),
-            AccessClass::LlcMissDram,
-            &LatencyBreakdown {
-                noc: 8,
-                dram: 120,
-                ..LatencyBreakdown::default()
-            },
-        );
+        use ziv_common::{CoreId, LineAddr};
+        use ziv_core::latency::LatencyBreakdown;
+        use ziv_core::observe::HierarchyEvent;
+        let access = |core, class, breakdown| HierarchyEvent::Access {
+            core: CoreId::new(core),
+            line: LineAddr::new(0x40),
+            class,
+            breakdown,
+        };
+        let l1 = LatencyBreakdown {
+            l1: 3,
+            ..LatencyBreakdown::default()
+        };
+        let dram = LatencyBreakdown {
+            noc: 8,
+            dram: 120,
+            ..LatencyBreakdown::default()
+        };
+        let events = [
+            access(0, AccessClass::L1Hit, l1),
+            access(1, AccessClass::LlcMissDram, dram),
+        ];
+        let latency = ziv_core::ObserveConfig {
+            latency: true,
+            ..ziv_core::ObserveConfig::disabled()
+        };
         let mut obs = synthetic_observations();
-        obs.latency = Some(lat.finish());
+        obs.latency = record(latency, &events).latency;
         let cells = [ObservedCell {
             config: "I-LRU",
             workload: "w",

@@ -58,7 +58,9 @@ pub struct RunOptions {
     pub budget: Option<CellBudget>,
     /// What to observe (epoch slicing, event tracing, heatmaps).
     /// Never digested and never serialized into result ledgers:
-    /// observing a run must not change its outcome.
+    /// observing a run must not change its outcome. Full runs only:
+    /// [`run_one_sampled`](crate::run_one_sampled) rejects any enabled
+    /// observation with [`SimError::Config`].
     pub observe: ObserveConfig,
     /// Statistical sampling plan, consumed by
     /// [`run_one_sampled`](crate::run_one_sampled)'s interval-sampling
@@ -231,23 +233,20 @@ pub(crate) fn collect_observations(
     if !observing {
         return None;
     }
-    let (events, events_recorded, heatmap, latency, leakage, forensics) = match h.take_recorder() {
-        Some(rec) => rec.finish(),
-        None => (Vec::new(), 0, None, None, None, None),
-    };
-    let leakage = leakage.map(|mut l| {
+    let rec = h.take_recorder().map(|r| r.finish()).unwrap_or_default();
+    let leakage = rec.leakage.map(|mut l| {
         l.cycles = window_cycles;
         l
     });
     let profile = h.take_profiler().map(|p| p.report());
     Some(Box::new(Observations {
         epochs: slicer.map_or_else(Vec::new, EpochSlicer::into_samples),
-        events,
-        events_recorded,
-        heatmap,
-        latency,
+        events: rec.events,
+        events_recorded: rec.events_recorded,
+        heatmap: rec.heatmap,
+        latency: rec.latency,
         leakage,
-        forensics,
+        forensics: rec.forensics,
         profile,
         dir_slice_occupancy: h.directory().slice_occupancies(),
     }))

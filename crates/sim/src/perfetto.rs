@@ -275,22 +275,28 @@ pub fn write_perfetto_json(
 mod tests {
     use super::*;
     use ziv_common::{json, CoreId, LineAddr};
-    use ziv_core::forensics::{ChainKind, ForensicsObservatory};
+    use ziv_core::forensics::ChainKind;
     use ziv_core::llc::VictimReason;
-    use ziv_core::observe::{EventKind, Observations, TraceEvent};
+    use ziv_core::observe::{
+        EventKind, FlightRecorder, HierarchyEvent, Observations, ObserveConfig, TearOut, TraceEvent,
+    };
+    use ziv_directory::SharerSet;
 
     fn observations_with_chain() -> Observations {
-        let mut f = ForensicsObservatory::new(2, 2, 4);
-        f.open_chain(
-            ChainKind::Inclusive,
-            CoreId::new(0),
-            7,
-            70,
-            LineAddr::new(0x33),
-            VictimReason::Baseline,
-        );
-        f.chain_victim(CoreId::new(1));
-        f.close_chain();
+        let cfg = ObserveConfig {
+            forensics: true,
+            ..ObserveConfig::disabled()
+        };
+        let mut rec = FlightRecorder::new(&cfg, 2, 2, 4).expect("recorder on");
+        let tear_out = TearOut {
+            kind: ChainKind::Inclusive,
+            line: LineAddr::new(0x33),
+            loc: None,
+            instigator: CoreId::new(0),
+            reason: VictimReason::Baseline,
+            victims: SharerSet::single(CoreId::new(1)),
+        };
+        rec.observe(7, 70, HierarchyEvent::TearOut(tear_out));
         Observations {
             epochs: Vec::new(),
             events: vec![
@@ -319,7 +325,7 @@ mod tests {
             heatmap: None,
             latency: None,
             leakage: None,
-            forensics: Some(f.finish()),
+            forensics: rec.finish().forensics,
             profile: None,
             dir_slice_occupancy: Vec::new(),
         }

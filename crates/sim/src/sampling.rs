@@ -15,18 +15,17 @@
 //! ```
 //!
 //! - **Timed** accesses run the full simulation path — hierarchy,
-//!   latency attribution, auditing, observability — and feed the
-//!   per-interval estimators. The window is sliced into
-//!   [`SamplingPlan::window`] consecutive intervals so one warm span
-//!   feeds several estimates.
+//!   latency, auditing — and feed the per-interval estimators. The
+//!   window is sliced into [`SamplingPlan::window`] consecutive
+//!   intervals so one warm span feeds several estimates.
 //! - **Skipped** accesses never touch the hierarchy: only the trace
 //!   cursors and instruction/cycle clocks advance (at base CPI, in
 //!   bulk), which is what buys the speedup.
 //! - **Warm** accesses (the tail of each gap) run through the
 //!   hierarchy inside a [`CacheHierarchy::begin_warmup`] scope:
 //!   caches, directory, and replacement state are re-warmed after the
-//!   skip, but the timing [`Metrics`] are provably untouched and
-//!   observability/audit hooks are parked.
+//!   skip, but the timing [`Metrics`] are provably untouched and the
+//!   auditor is silent.
 //!
 //! Cache state has a long history: a skipped span leaves the hierarchy
 //! frozen at its pre-skip image, and a timed window opened on that
@@ -61,14 +60,11 @@
 //! IPC delta's confidence interval excludes zero (or its interval
 //! budget is exhausted).
 
-use crate::driver::{
-    collect_observations, probe_snapshot, publish_core_clocks, RunOptions, RunResult,
-};
+use crate::driver::{probe_snapshot, publish_core_clocks, RunOptions, RunResult};
 use crate::spec::RunSpec;
 use ziv_common::stats::{Confidence, ConfidenceInterval, RunningMoments};
 use ziv_common::SimError;
-use ziv_core::observe::{EpochSlicer, FlightRecorder, SamplingProgress, TelemetryProbe};
-use ziv_core::profile::{ProfileSection, SelfProfiler};
+use ziv_core::observe::{SamplingProgress, TelemetryProbe};
 use ziv_core::{Access, Auditor, CacheHierarchy, CancelToken};
 use ziv_workloads::Workload;
 
@@ -685,9 +681,10 @@ struct IntervalOpen {
 
 /// Simulates `workload` under `spec` with the sampling plan in
 /// `opts.sampling`, on the current thread. See the module docs for the
-/// period structure. `opts.audit` and `opts.observe` apply to timed
-/// accesses only — fast-forwarded spans are audit- and
-/// observability-silent by construction.
+/// period structure. `opts.audit` applies to timed accesses only —
+/// fast-forwarded spans are audit-silent by construction. Observation
+/// is not supported: a flight recording of the sampled intervals would
+/// cover only part of the trace, so `opts.observe` must be disabled.
 ///
 /// Unlike the full driver, a sampled run is single-pass: cores park
 /// after their first trace completion instead of restarting (restart
@@ -697,7 +694,8 @@ struct IntervalOpen {
 ///
 /// # Errors
 ///
-/// - [`SimError::Config`] when `opts.sampling` is `None`.
+/// - [`SimError::Config`] when `opts.sampling` is `None` or
+///   `opts.observe` enables any observation.
 /// - [`SimError::Audit`] / [`SimError::BudgetExceeded`] /
 ///   [`SimError::Timeout`] exactly as in the full driver, from timed
 ///   accesses.
@@ -759,6 +757,14 @@ pub fn run_one_sampled_instrumented(
     probe: Option<&dyn TelemetryProbe>,
     mut on_interval: impl FnMut(&IntervalEstimate) -> bool,
 ) -> Result<SampledRun, SimError> {
+    if opts.observe.is_enabled() {
+        return Err(SimError::Config(
+            "sampled runs do not support observation: a flight recording of \
+             sampled intervals covers only part of the trace; run the full driver \
+             to observe"
+                .into(),
+        ));
+    }
     let plan = resolve_plan(spec, workload, opts)?;
     let period = plan.period();
     let hier_cfg = spec.build_hierarchy_config(workload);
@@ -779,20 +785,6 @@ pub fn run_one_sampled_instrumented(
     let mut issued = 0u64;
     let mut auditor = Auditor::new(opts.audit);
     let budget_cycles = opts.budget.map(|b| b.cycles_for(workload));
-    let observing = opts.observe.is_enabled();
-    if let Some(rec) = FlightRecorder::new(
-        &opts.observe,
-        ncores,
-        spec.system.llc.banks,
-        spec.system.llc.bank_geometry.sets as usize,
-    ) {
-        h.attach_recorder(rec);
-    }
-    let profiling = opts.observe.profile;
-    if profiling {
-        h.attach_profiler(Box::new(SelfProfiler::new()));
-    }
-    let mut slicer = opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores));
 
     let mut intervals: Vec<IntervalEstimate> = Vec::new();
     // Running per-interval IPC moments, published to the probe at each
@@ -939,11 +931,7 @@ pub fn run_one_sampled_instrumented(
                     is_instr: false,
                 };
                 let now = cycles[core] as u64;
-                let t0 = (profiling && phase == Phase::Timed).then(std::time::Instant::now);
                 let lat = h.access(&a, now, seq);
-                if let Some(t0) = t0 {
-                    h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
-                }
                 let exposed = lat as f64 * (1.0 - trace.overlap);
                 cycles[core] += (1 + rec.gap as u64) as f64 * base_cpi + exposed;
                 instructions[core] += 1 + rec.gap as u64;
@@ -971,13 +959,7 @@ pub fn run_one_sampled_instrumented(
                 }
                 if phase == Phase::Timed {
                     if auditor.due() {
-                        let t0 = profiling.then(std::time::Instant::now);
-                        let verdict = Auditor::check(&h, issued);
-                        if let Some(t0) = t0 {
-                            h.profile_add(ProfileSection::Audit, t0.elapsed());
-                        }
-                        if let Err(v) = verdict {
-                            h.record_audit_violation(&v, now);
+                        if let Err(v) = Auditor::check(&h, issued) {
                             failure = Some(SimError::Audit(v));
                             break 'sim;
                         }
@@ -992,12 +974,6 @@ pub fn run_one_sampled_instrumented(
                                 access_index: issued,
                             });
                             break 'sim;
-                        }
-                    }
-                    if let Some(sl) = slicer.as_mut() {
-                        if sl.due(timed_accesses) {
-                            publish_core_clocks(&mut h, &instructions, &cycles);
-                            sl.slice(timed_accesses, h.metrics());
                         }
                     }
                 }
@@ -1081,27 +1057,12 @@ pub fn run_one_sampled_instrumented(
         h.end_warmup();
     }
     if let Some(err) = failure {
-        if let Some(sl) = slicer.as_mut() {
-            publish_core_clocks(&mut h, &instructions, &cycles);
-            sl.finish(timed_accesses, h.metrics());
-        }
-        let window = window_now(&cycles);
-        let _ = collect_observations(&mut h, slicer, observing, window);
         return Err(err);
     }
 
     publish_core_clocks(&mut h, &instructions, &cycles);
     h.finalize();
     debug_assert!(h.verify_invariants().is_ok(), "{:?}", h.verify_invariants());
-    if let Some(sl) = slicer.as_mut() {
-        sl.finish(timed_accesses, h.metrics());
-    }
-    let window = window_now(&cycles);
-    let observations = collect_observations(&mut h, slicer, observing, window);
-    // Sampled runs keep their observations out of the public result for
-    // now (nothing consumes a partial-coverage flight recording); the
-    // drain above still detaches the recorder cleanly.
-    drop(observations);
 
     let result = RunResult {
         label: spec.label.clone(),
@@ -1473,6 +1434,22 @@ mod tests {
         let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
         let err = run_one_sampled(&spec, &workload, &RunOptions::default()).unwrap_err();
         assert_eq!(err.kind_tag(), "config");
+    }
+
+    #[test]
+    fn observing_a_sampled_run_is_a_config_error() {
+        let workload = wl(2, 500);
+        let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
+        let opts = RunOptions {
+            observe: ziv_core::ObserveConfig {
+                epoch: Some(100),
+                ..ziv_core::ObserveConfig::disabled()
+            },
+            ..sampled_opts(SamplingPlan::auto())
+        };
+        let err = run_one_sampled(&spec, &workload, &opts).unwrap_err();
+        assert_eq!(err.kind_tag(), "config");
+        assert!(err.to_string().contains("observation"), "{err}");
     }
 
     #[test]

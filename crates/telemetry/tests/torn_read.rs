@@ -26,10 +26,40 @@ fn counters_for(g: u64) -> (u64, u64, u64) {
     (g * 256, g * 1000 + 7, g * 3 + 1)
 }
 
+/// The campaign record the writer publishes for step `g`.
+fn campaign_for(g: u64) -> CampaignCounters {
+    CampaignCounters {
+        total: g + 10,
+        cached: g,
+        done: g,
+        failed: 0,
+        retried: 0,
+        running: 1,
+        eta_ms: Some(g),
+    }
+}
+
+/// Stops the writer when dropped, so a failed reader assertion unwinds
+/// into a failed test instead of leaving the scope waiting forever on a
+/// writer that never sees `stop`.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 #[test]
 fn concurrent_reader_never_sees_torn_records() {
     let dir = tmpdir("drill");
-    let writer = TelemetryWriter::create(&dir, 1).unwrap();
+    // Generation 0 is published before the segment becomes visible, as
+    // production writers do: a reader never sees zero-filled records.
+    let writer = TelemetryWriter::create_with(&dir, 1, |w| {
+        w.publish_heartbeat(0, false, 0);
+        w.publish_campaign(&campaign_for(0));
+    })
+    .unwrap();
     let stop = AtomicBool::new(false);
     let deadline = Instant::now() + Duration::from_millis(800);
 
@@ -45,15 +75,7 @@ fn concurrent_reader_never_sees_torn_records() {
                 let (access, instructions, relocations) = counters_for(g);
                 record.publish_progress(access, instructions, 0, 0, 0, 0, relocations, 0);
                 writer.publish_heartbeat(g, false, g);
-                writer.publish_campaign(&CampaignCounters {
-                    total: g + 10,
-                    cached: g,
-                    done: g,
-                    failed: 0,
-                    retried: 0,
-                    running: 1,
-                    eta_ms: Some(g),
-                });
+                writer.publish_campaign(&campaign_for(g));
                 // On a single-core host, yield between iterations so the
                 // reader's timeslices land outside write sections often
                 // enough to make the drill meaningful.
@@ -61,6 +83,7 @@ fn concurrent_reader_never_sees_torn_records() {
             }
         });
 
+        let stop_writer = StopOnDrop(stop);
         let reader = TelemetryReader::open(&dir.join(SEGMENT_FILE)).unwrap();
         let mut consistent = 0u64;
         let mut torn_skipped = 0u64;
@@ -111,7 +134,7 @@ fn concurrent_reader_never_sees_torn_records() {
                 }
             }
         }
-        stop.store(true, Ordering::Release);
+        drop(stop_writer);
         // The drill only proves something if reads actually happened
         // while the writer was live; torn refusals are allowed but
         // consistent snapshots must dominate eventually.

@@ -1,3 +1,3 @@
 //! Empty library target; the content of this crate is its `tests/`
-//! (proptest suites) and `benches/` (criterion microbenchmarks), kept
-//! out of the root workspace so the default build stays offline.
+//! (proptest suites), kept out of the root workspace so the default
+//! build stays offline.

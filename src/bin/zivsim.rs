@@ -25,11 +25,6 @@
 //!                                         # ziv-likelydead) and an inclusive baseline
 //!                                         # sample the same trace; report per-interval IPC
 //!                                         # and whether the IPC delta's CI excludes zero
-//! zivsim bench-throughput [options]       # time the smoke campaign end-to-end (accesses/s)
-//! zivsim bench-compare <old.json> <new.json> [--threshold <pct>]
-//!                                         # diff two bench reports; nonzero exit on
-//!                                         # aggregate regressions beyond the threshold
-//!                                         # (default 5%)
 //! zivsim soak [options]                   # deterministic chaos-soak drill: run the soak
 //!                                         # grid fault-free, re-run it with five seeded
 //!                                         # injected faults under full supervision, audit
@@ -44,23 +39,12 @@
 //!
 //! exit codes:
 //!   0  clean run, nothing failed
-//!   1  command-specific failure (bench regression, replay non-repro, ...)
+//!   1  command-specific failure (replay non-repro, conservation mismatch, ...)
 //!   2  configuration / usage error (bad flag, unknown name, malformed value)
 //!   3  cell failures, all fault-isolated (campaign cells failed but the
 //!      campaign completed; for `soak`, the expected chaos outcome)
 //!   4  internal error: panic, ledger corruption, infrastructure I/O
 //!      failure, or a violated supervision guarantee in `soak`
-//!
-//! bench-throughput options:
-//!   --repeats <N>                         (timed repeats per cell, best-of; default 3)
-//!   --out <FILE>                          (JSON report path; default BENCH_hotpath.json;
-//!                                          parent directories are created as needed)
-//!   --traced                              (run with the flight recorder fully enabled,
-//!                                          for tracing-on vs tracing-off comparisons)
-//!   --latency / --profile also apply (the BENCH_latency.json twin bounds
-//!   the observatory's overhead). --cores/--seed also apply. The report
-//!   is a recorded performance baseline, not a gate: wall-clock numbers
-//!   vary with the machine.
 //!
 //! observability options (trace + profile + campaign):
 //!   --epoch <N>                           (snapshot counter deltas every N accesses;
@@ -195,7 +179,6 @@ struct Options {
     retries: u32,
     cell_timeout_ms: Option<u64>,
     stall_window_ms: Option<u64>,
-    repeats: usize,
     out: Option<String>,
     epoch: Option<u64>,
     events: Option<String>,
@@ -207,8 +190,6 @@ struct Options {
     forensics: bool,
     perfetto: bool,
     sets: u32,
-    threshold: Option<f64>,
-    traced: bool,
     sampling: Option<ziv::sim::SamplingPlan>,
     validate: bool,
     telemetry: bool,
@@ -244,7 +225,6 @@ impl Default for Options {
             retries: 0,
             cell_timeout_ms: None,
             stall_window_ms: None,
-            repeats: 3,
             out: None,
             epoch: None,
             events: None,
@@ -256,8 +236,6 @@ impl Default for Options {
             forensics: false,
             perfetto: false,
             sets: 8,
-            threshold: None,
-            traced: false,
             sampling: None,
             validate: false,
             telemetry: false,
@@ -314,8 +292,8 @@ impl Options {
 /// 4 internal.
 #[derive(Debug)]
 enum CliError {
-    /// Exit 1 — a command-specific verdict (bench regression, replay
-    /// that did not reproduce, a failing single run).
+    /// Exit 1 — a command-specific verdict (a replay that did not
+    /// reproduce, a failing single run).
     Other(String),
     /// Exit 2 — a configuration or usage error: bad flag, unknown
     /// campaign/mode/workload name, malformed value.
@@ -428,12 +406,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut positionals_allowed: usize = match opts.command.as_str() {
         "export" | "campaign" | "replay" | "trace" | "profile" | "blame" | "attack" | "sample"
         | "watch" => 1,
-        "bench-compare" => 2,
         _ => 0,
     };
     while let Some(flag) = it.next() {
         if positionals_allowed > 0 && !flag.starts_with("--") {
-            // The export file path / campaign name / bench report paths
+            // The export file path / campaign name / results dir
             // (consumed from raw args by the command handlers).
             positionals_allowed -= 1;
             continue;
@@ -497,9 +474,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 opts.stall_window_ms = Some(ms);
             }
-            "--repeats" => {
-                opts.repeats = value()?.parse().map_err(|e| format!("--repeats: {e}"))?
-            }
             "--out" => opts.out = Some(value()?),
             "--epoch" => {
                 let n: u64 = value()?.parse().map_err(|e| format!("--epoch: {e}"))?;
@@ -542,14 +516,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 opts.sets = n;
             }
-            "--threshold" => {
-                let pct: f64 = value()?.parse().map_err(|e| format!("--threshold: {e}"))?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err("--threshold must be a non-negative percentage".into());
-                }
-                opts.threshold = Some(pct);
-            }
-            "--traced" => opts.traced = true,
             "--sampling" => {
                 opts.sampling =
                     ziv::sim::SamplingPlan::parse(&value()?).map_err(|e| e.to_string())?
@@ -1421,77 +1387,6 @@ fn cmd_watch(args: &[String], opts: &Options) -> Result<(), CliError> {
     }
 }
 
-fn cmd_bench_throughput(opts: &Options) -> Result<(), String> {
-    use ziv::bench::{run_throughput_bench_with, throughput_per_mode, throughput_report_json};
-    let mut params = ziv::harness::CampaignParams::from_env();
-    if opts.seed_explicit {
-        params.seed = opts.seed;
-    }
-    params.cores = opts.cores;
-    let mut observe = if opts.traced {
-        // The full-fat recorder: epoch slicing, an event ring, and
-        // heatmaps, so `--traced` bounds the recorder's worst case.
-        ziv::sim::ObserveConfig {
-            epoch: Some(1_000),
-            events: Some(ziv::sim::EventTraceConfig::default()),
-            heatmap: true,
-            ..ziv::sim::ObserveConfig::disabled()
-        }
-    } else {
-        ziv::sim::ObserveConfig::disabled()
-    };
-    // `--latency` / `--profile` bound the observatory's own overhead
-    // (recorded as BENCH_latency.json by CI, next to BENCH_hotpath.json).
-    observe.latency = opts.latency;
-    observe.profile = opts.profile;
-    let samples = run_throughput_bench_with("smoke", &params, opts.repeats, observe);
-    println!(
-        "hot-path throughput (smoke campaign, best of {} repeat(s){}{}):",
-        opts.repeats.max(1),
-        if opts.traced {
-            ", flight recorder ON"
-        } else {
-            ""
-        },
-        if opts.latency || opts.profile {
-            ", latency observatory ON"
-        } else {
-            ""
-        }
-    );
-    for s in throughput_per_mode(&samples) {
-        println!(
-            "  {:<28} {:>12.0} accesses/s  ({} accesses in {:.3}s)",
-            s.label,
-            s.accesses_per_sec(),
-            s.accesses,
-            s.wall_seconds
-        );
-    }
-    let total_acc: u64 = samples.iter().map(|s| s.accesses).sum();
-    let total_wall: f64 = samples.iter().map(|s| s.wall_seconds).sum();
-    println!(
-        "  {:<28} {:>12.0} accesses/s  ({} accesses in {:.3}s)",
-        "(total)",
-        if total_wall > 0.0 {
-            total_acc as f64 / total_wall
-        } else {
-            0.0
-        },
-        total_acc,
-        total_wall
-    );
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_hotpath.json".into());
-    let json = throughput_report_json("smoke", opts.repeats.max(1), &samples);
-    ziv::common::fsutil::create_parent_dirs(&path).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("cannot write '{path}': {e}"))?;
-    println!("wrote {path}");
-    Ok(())
-}
-
 /// One traced run of the configured spec × workload: drains the event
 /// ring as JSONL (stdout, or `--out <FILE>`) and prints a trace summary
 /// — counts per retained event kind, total recorded, the epoch count
@@ -1933,39 +1828,6 @@ fn cmd_attack(args: &[String], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Diffs two `bench-throughput` JSON reports and exits nonzero when any
-/// aggregate row (a per-mode rate or the grand total) regressed by more
-/// than the threshold. Per-cell rows are printed for context but never
-/// gate: single cells are best-of-N wall clocks and too noisy to fail on.
-fn cmd_bench_compare(args: &[String], opts: &Options) -> Result<(), String> {
-    let grab = |ix: usize| {
-        args.get(ix)
-            .filter(|a| !a.starts_with("--"))
-            .ok_or("bench-compare needs two report paths: <old.json> <new.json>")
-    };
-    let old_path = grab(1)?;
-    let new_path = grab(2)?;
-    let threshold = opts.threshold.unwrap_or(5.0);
-    let old =
-        std::fs::read_to_string(old_path).map_err(|e| format!("cannot read '{old_path}': {e}"))?;
-    let new =
-        std::fs::read_to_string(new_path).map_err(|e| format!("cannot read '{new_path}': {e}"))?;
-    let cmp = ziv::bench::compare_throughput_reports(&old, &new)?;
-    print!("{}", cmp.render(threshold));
-    let regressions = cmp.regressions(threshold);
-    if regressions.is_empty() {
-        println!("no aggregate regression beyond {threshold:.1}%");
-        Ok(())
-    } else {
-        Err(format!(
-            "{} aggregate rate(s) regressed beyond {threshold:.1}% \
-             (wall-clock benches are machine-dependent; re-run on a quiet \
-             machine before trusting a marginal result)",
-            regressions.len()
-        ))
-    }
-}
-
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     use ziv::harness::{replay, FailureRecord};
     let path = args
@@ -2125,7 +1987,7 @@ fn cmd_export(args: &[String], opts: &Options) -> Result<(), String> {
 fn usage() {
     println!(
         "usage: zivsim <list|run|compare|export|campaign|replay|trace|profile|blame|attack|\
-         sample|bench-throughput|bench-compare|soak|watch> \
+         sample|soak|watch> \
          [options]   (see --help text in the source header; exit codes: \
          0 clean, 1 command failure, 2 usage, 3 isolated cell failures, 4 internal)"
     );
@@ -2149,8 +2011,6 @@ fn dispatch(args: &[String], opts: &Options) -> Result<(), CliError> {
         "blame" => cmd_blame(args, opts).map_err(CliError::Other),
         "attack" => cmd_attack(args, opts).map_err(CliError::Other),
         "sample" => cmd_sample(args, opts).map_err(CliError::Other),
-        "bench-throughput" => cmd_bench_throughput(opts).map_err(CliError::Other),
-        "bench-compare" => cmd_bench_compare(args, opts).map_err(CliError::Other),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
@@ -2430,30 +2290,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench_throughput_flags() {
-        let o = parse_args(&args(
-            "bench-throughput --repeats 5 --out /tmp/b.json --cores 4",
-        ))
-        .unwrap();
-        assert_eq!(o.command, "bench-throughput");
-        assert_eq!(o.repeats, 5);
-        assert_eq!(o.out.as_deref(), Some("/tmp/b.json"));
-        assert_eq!(o.cores, 4);
-
-        let o = parse_args(&args("bench-throughput")).unwrap();
-        assert_eq!(o.repeats, 3, "default repeats");
-        assert!(o.out.is_none());
-        assert!(!o.traced);
-        assert!(parse_args(&args("bench-throughput --repeats nope")).is_err());
-
-        assert!(
-            parse_args(&args("bench-throughput --traced"))
-                .unwrap()
-                .traced
-        );
-    }
-
-    #[test]
     fn parses_observability_flags() {
         let o = parse_args(&args(
             "campaign smoke --epoch 500 --events back-invalidation,relocation \
@@ -2552,20 +2388,6 @@ mod tests {
         assert_eq!(o.last, Some(cap), "oversized --last clamps, not errors");
         let o = parse_args(&args(&format!("trace --last {cap}"))).unwrap();
         assert_eq!(o.last, Some(cap), "the limit itself is accepted verbatim");
-    }
-
-    #[test]
-    fn parses_bench_compare_positionals_and_threshold() {
-        let o = parse_args(&args("bench-compare old.json new.json --threshold 2.5")).unwrap();
-        assert_eq!(o.command, "bench-compare");
-        assert_eq!(o.threshold, Some(2.5));
-        // Threshold defaults to None (the handler uses 5%).
-        let o = parse_args(&args("bench-compare old.json new.json")).unwrap();
-        assert!(o.threshold.is_none());
-        assert!(parse_args(&args("bench-compare a b --threshold nope")).is_err());
-        assert!(parse_args(&args("bench-compare a b --threshold -3")).is_err());
-        // Only two positionals are tolerated.
-        assert!(parse_args(&args("bench-compare a b c")).is_err());
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! - [`telemetry`] — the live telemetry bus: a seqlock shared-memory
 //!   segment written by running campaigns and tailed by
 //!   `zivsim watch`.
-//! - [`bench`] — figure-regeneration plumbing and the hot-path
-//!   throughput baseline (`zivsim bench-throughput`).
+//! - [`bench`] — figure-regeneration plumbing for the per-figure
+//!   bench targets.
 //!
 //! # Quick start
 //!

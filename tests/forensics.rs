@@ -107,7 +107,7 @@ fn assert_conservation(report: &ForensicsReport, victims: u64, refetch_cycles: u
     for c in &report.chains {
         assert!(
             c.victim_count > 0,
-            "{label}: victimless chain {} survived close_chain",
+            "{label}: victimless chain {} recorded",
             c.seq
         );
     }

@@ -331,7 +331,7 @@ fn trace_cli_emits_parseable_jsonl_and_creates_parent_dirs() {
     let base = std::env::temp_dir().join(format!("ziv-obs-cli-{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     // Deliberately nested, not-yet-existing output paths: both `trace
-    // --out` and `bench-throughput --out` must create parents.
+    // --out` and `profile --out` must create parents.
     let events_path = base.join("deep/nested/events.jsonl");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_zivsim"))
         .args([
@@ -370,26 +370,28 @@ fn trace_cli_emits_parseable_jsonl_and_creates_parent_dirs() {
         assert!(v.get("cycle").is_some());
     }
 
-    let bench_path = base.join("also/new/bench.json");
+    let profile_path = base.join("also/new/profile.json");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_zivsim"))
         .args([
-            "bench-throughput",
-            "--repeats",
-            "1",
+            "profile",
+            "ziv-likelydead",
+            "--workload",
+            "homo:circset",
+            "--accesses",
+            "400",
             "--cores",
             "2",
             "--out",
         ])
-        .arg(&bench_path)
-        .env("ZIV_FAST", "1")
+        .arg(&profile_path)
         .output()
-        .expect("zivsim bench-throughput runs");
+        .expect("zivsim profile runs");
     assert!(
         out.status.success(),
-        "bench-throughput failed: {}",
+        "profile failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report = std::fs::read_to_string(&bench_path).expect("bench report written");
+    let report = std::fs::read_to_string(&profile_path).expect("profile report written");
     ziv::common::json::parse(&report).expect("report is valid JSON");
     std::fs::remove_dir_all(&base).ok();
 }
