@@ -130,6 +130,34 @@ fn grid_pipeline_produces_consistent_reports() {
     }
 }
 
+/// FNV-1a digest of the grid CSV of a 2-spec × 2-workload grid,
+/// generated before the grid runner moved onto the supervised pool.
+const GRID_CSV_DIGEST: u64 = 0xea72_969d_3aff_3284;
+
+#[test]
+fn grid_csv_is_pinned_at_every_thread_count() {
+    let sys = SystemConfig::scaled();
+    let scale = ScaleParams::from_system(&sys);
+    let wls: Vec<Workload> = (0..2)
+        .map(|i| mixes::heterogeneous(i, 4, 2_000, 7, scale))
+        .collect();
+    let specs = vec![
+        RunSpec::new("I-LRU", sys.clone()),
+        RunSpec::new("ZIV", sys).with_mode(LlcMode::Ziv(ZivProperty::LikelyDead)),
+    ];
+    for threads in [1, 4] {
+        let mut csv = Vec::new();
+        ziv::sim::grid_to_csv(&run_grid(&specs, &wls, threads), &mut csv).unwrap();
+        let mut h = ziv::common::digest::Fnv1a::new();
+        h.write_bytes(&csv);
+        assert_eq!(
+            h.finish(),
+            GRID_CSV_DIGEST,
+            "grid.csv digest at {threads} thread(s) moved"
+        );
+    }
+}
+
 #[test]
 fn attacker_cannot_flush_victim_private_caches_under_ziv() {
     // A condensed version of examples/side_channel.rs as a regression
