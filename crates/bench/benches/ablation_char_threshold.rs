@@ -6,8 +6,9 @@ use ziv_bench::{assert_ziv_guarantee, banner, footer, mp_suite, spec};
 use ziv_char::CharConfig;
 use ziv_common::config::L2Size;
 use ziv_core::{LlcMode, ZivProperty};
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{run_grid, speedup_summary, Effort};
+use ziv_sim::{speedup_summary, Effort};
 
 fn static_d(d: u8) -> CharConfig {
     CharConfig {

@@ -6,8 +6,9 @@ use std::time::Instant;
 use ziv_bench::{banner, footer, mp_suite, spec};
 use ziv_common::config::L2Size;
 use ziv_core::{LlcMode, ZivProperty};
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{normalized_metric, run_grid, speedup_summary, Effort};
+use ziv_sim::{normalized_metric, speedup_summary, Effort};
 
 fn main() {
     let t0 = Instant::now();

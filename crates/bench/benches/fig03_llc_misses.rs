@@ -4,8 +4,9 @@ use std::time::Instant;
 use ziv_bench::{banner, footer, mp_suite, spec};
 use ziv_common::config::L2Size;
 use ziv_core::LlcMode;
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{normalized_metric, run_grid, Effort};
+use ziv_sim::{normalized_metric, Effort};
 
 fn main() {
     let t0 = Instant::now();

@@ -5,8 +5,9 @@ use std::time::Instant;
 use ziv_bench::{assert_ziv_guarantee, banner, footer, mp_suite, spec};
 use ziv_common::config::L2Size;
 use ziv_core::{LlcMode, ZivProperty};
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{run_grid, Effort};
+use ziv_sim::Effort;
 
 fn main() {
     let t0 = Instant::now();

@@ -5,8 +5,9 @@ use std::time::Instant;
 use ziv_bench::{assert_ziv_guarantee, banner, footer, mp_suite, spec};
 use ziv_common::config::{L2Size, SystemConfig};
 use ziv_core::{LlcMode, ZivProperty};
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{run_grid, speedup_summary, Effort, RunSpec};
+use ziv_sim::{speedup_summary, Effort, RunSpec};
 
 fn big(label: &str, mode: LlcMode, policy: PolicyKind) -> RunSpec {
     RunSpec::new(format!("{label} 16MB/1MB"), SystemConfig::big_llc(8))

@@ -6,8 +6,9 @@ use ziv_bench::{assert_ziv_guarantee, banner, footer, mp_suite_small};
 use ziv_common::config::{DirRatio, L2Size, SystemConfig};
 use ziv_core::{LlcMode, ZivProperty};
 use ziv_directory::DirectoryMode;
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{run_grid, speedup_summary, Effort, RunSpec};
+use ziv_sim::{speedup_summary, Effort, RunSpec};
 
 fn main() {
     let t0 = Instant::now();

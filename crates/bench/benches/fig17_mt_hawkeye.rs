@@ -5,8 +5,9 @@ use std::time::Instant;
 use ziv_bench::{assert_ziv_guarantee, banner, footer};
 use ziv_common::config::{L2Size, SystemConfig};
 use ziv_core::{LlcMode, ZivProperty};
+use ziv_harness::run_grid;
 use ziv_replacement::PolicyKind;
-use ziv_sim::{run_grid, Effort, RunSpec};
+use ziv_sim::{Effort, RunSpec};
 use ziv_workloads::{multithreaded, ScaleParams};
 
 fn main() {

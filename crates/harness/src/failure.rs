@@ -10,7 +10,7 @@
 //! the record is a *repro*, not merely a log line.
 
 use crate::campaign::{campaigns, CampaignParams, CellDigest, CELL_SCHEMA_VERSION};
-use crate::supervise::run_one_guarded;
+use crate::supervise::{run_cells_supervised, NoopSuperviseObserver, SuperviseConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use ziv_common::json::{self, JsonValue};
@@ -279,9 +279,11 @@ pub struct ReplayReport {
 /// `every-access` audit cadence (pinning any violation to the exact
 /// access that introduced it) under the recorded cycle budget, and
 /// compares the outcome with what the record claims. The replay runs
-/// supervised — panic containment plus a wall-clock watchdog — so
-/// hang-core and panic-core records reproduce their failures instead
-/// of taking the replaying process down with them.
+/// its one cell through the worker pool — panic containment plus a
+/// wall-clock watchdog — so hang-core and panic-core records reproduce
+/// their failures instead of taking the replaying process down with
+/// them. Reproduction is judged by error kind and, for audit errors,
+/// by violation, never by message text.
 ///
 /// # Errors
 ///
@@ -333,15 +335,29 @@ pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
     let opts = RunOptions {
         audit: AuditCadence::EveryAccess,
         budget: Some(CellBudget::Cycles(record.budget_cycles)),
-        observe: ziv_sim::ObserveConfig::disabled(),
-        sampling: None,
+        ..RunOptions::default()
     };
-    // Guarded execution: a hang-core record parks the model again (the
-    // watchdog cancels it, reproducing the timeout) and a panic-core
-    // record panics again (contained, reproducing the internal error).
-    let (outcome, _) = run_one_guarded(&spec, &workload, &opts, Some(REPLAY_WALL_BUDGET));
+    // A hang-core record parks the model again (the watchdog cancels
+    // it, reproducing the timeout) and a panic-core record panics again
+    // (contained, reproducing the internal error).
+    let sup = SuperviseConfig {
+        cell_timeout: Some(REPLAY_WALL_BUDGET),
+        ..SuperviseConfig::unsupervised()
+    };
+    let run = run_cells_supervised(
+        std::slice::from_ref(&spec),
+        std::slice::from_ref(&workload),
+        &[(0, 0)],
+        1,
+        &opts,
+        &sup,
+        &NoopSuperviseObserver,
+        None,
+    )
+    .pop()
+    .expect("the pool runs its one cell");
 
-    let report = match outcome {
+    let report = match run.outcome {
         Ok(_) => ReplayReport {
             reproduced: false,
             error: None,

@@ -23,7 +23,7 @@
 //!   `DESIGN.md` for what is and is not digested). Hand-rolled JSON
 //!   (`ziv_common::json`) keeps the build dependency-free.
 //! - [`run_campaign`]: the runner — partitions cells into cached and
-//!   missing, executes the missing ones on the supervised worker pool
+//!   missing, executes the missing ones on the worker pool
 //!   ([`run_cells_supervised`]: watchdog-cancelled hangs, contained
 //!   panics, deterministic retry of transient failures),
 //!   appends each finished cell to the ledger as it completes, and
@@ -39,6 +39,8 @@
 //!   tails while the campaign runs, plus `--progress jsonl` heartbeat
 //!   lines for CI log scraping. Off by default and provably zero-cost
 //!   when off.
+//! - [`run_grid`]: a plain `spec × workload` grid through the same
+//!   pool, for the figure benches and `zivsim compare`.
 //! - [`FailureRecord`] / [`replay`]: the robustness layer — a failing
 //!   cell (invariant-audit violation, watchdog trip) is isolated,
 //!   recorded as a ledger error entry that `--resume` retries, and
@@ -89,7 +91,6 @@ pub use runner::{
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use supervise::{
     default_stall_window, execute_with_retry, oversubscription_factor, run_cells_supervised,
-    run_cells_supervised_probed, run_one_guarded, NoopSuperviseObserver, SuperviseConfig,
-    SuperviseObserver, SupervisedRun,
+    run_grid, NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};

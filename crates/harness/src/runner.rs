@@ -5,7 +5,7 @@ use crate::bus::{BusOptions, CampaignBus};
 use crate::campaign::{Campaign, CampaignParams, CellDigest};
 use crate::failure::FailureRecord;
 use crate::ledger::{Ledger, LedgerWriter};
-use crate::supervise::{run_cells_supervised_probed, SuperviseConfig, SuperviseObserver};
+use crate::supervise::{contain_panic, run_cells_supervised, SuperviseConfig, SuperviseObserver};
 use crate::telemetry::{CellTiming, ProgressSink, Telemetry};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,8 +15,8 @@ use ziv_common::json::JsonValue;
 use ziv_common::{RetryPolicy, SimError};
 use ziv_core::AuditCadence;
 use ziv_sim::{
-    run_one_sampled_instrumented, run_one_traced, speedup_summary, write_blame_csv, write_grid_csv,
-    write_heatmap_csv, write_latency_csv, write_leakage_csv, write_perfetto_json,
+    run_one_instrumented, run_one_sampled_instrumented, speedup_summary, write_blame_csv,
+    write_grid_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv, write_perfetto_json,
     write_sampling_csv, write_summary_csv, write_timeseries_csv, write_validation_csv, CellBudget,
     EventFilter, EventTraceConfig, GridResult, Observations, ObserveConfig, ObservedCell,
     ProfileReport, RunOptions, RunResult, RunSpec, SampledCell, SampledRun, SamplingPlan,
@@ -400,10 +400,6 @@ pub fn run_campaign(
             audit: cfg.audit,
             budget: Some(budget),
             observe: cfg.observe,
-            // The ledgered pass is always full-fidelity; sampled
-            // estimates live in `run_campaign_sampled` and never enter
-            // the result cache.
-            sampling: None,
         };
         let writer = LedgerWriter::append_to(&ledger_path)
             .map_err(|e| SimError::io("open ledger for append", &ledger_path, e))?;
@@ -427,7 +423,7 @@ pub fn run_campaign(
             poll: Duration::from_millis(5),
         };
         let probes = bus.as_ref().and_then(|b| b.worker_probes());
-        let runs = run_cells_supervised_probed(
+        let runs = run_cells_supervised(
             &campaign.specs,
             &workloads,
             &missing,
@@ -704,9 +700,10 @@ fn aggregate_ipc(r: &RunResult) -> f64 {
 /// Sampled estimates are **never** written to the result ledger — the
 /// content-addressed cache stores only full-fidelity results — so a
 /// sampled pass cannot poison later full campaigns. The sampled cells
-/// run sequentially and unsupervised (each simulates only a fraction
-/// of its trace; the wall-clock win comes from the fast-forward, not
-/// the pool).
+/// run sequentially, outside the pool (each simulates only a fraction
+/// of its trace; the wall-clock win comes from the fast-forward), but
+/// under the pool's panic containment: a panicking cell is reported
+/// as a [`SimError::Internal`] failure and the other cells still run.
 ///
 /// With `validate` set, the full campaign runs first via
 /// [`run_campaign`] — ledgered, supervised, and exporting its standard
@@ -747,7 +744,6 @@ pub fn run_campaign_sampled(
         audit: cfg.audit,
         budget: Some(budget),
         observe: ObserveConfig::disabled(),
-        sampling: Some(plan),
     };
     // Sampled cells run sequentially, so the bus gets one worker slot
     // and the campaign's solo probe. In validation mode the full pass
@@ -783,14 +779,18 @@ pub fn run_campaign_sampled(
                 &campaign.recipes[w].workload_name(),
             );
         }
-        let outcome = run_one_sampled_instrumented(
-            &campaign.specs[s],
-            &workloads[w],
-            &opts,
-            None,
-            probe,
-            |_| false,
-        );
+        let outcome = contain_panic(|| {
+            run_one_sampled_instrumented(
+                &campaign.specs[s],
+                &workloads[w],
+                &opts,
+                plan,
+                None,
+                probe,
+                |_| false,
+            )
+        })
+        .and_then(|sampled| sampled);
         if let Some(p) = probe {
             p.cell_end();
         }
@@ -949,6 +949,6 @@ fn failure_events(
         events: Some(EventTraceConfig::default()),
         ..ObserveConfig::disabled()
     };
-    let (_, obs) = run_one_traced(spec, workload, &retrace);
+    let (_, obs) = run_one_instrumented(spec, workload, &retrace, None, None);
     obs.map(|o| o.events).unwrap_or_default()
 }

@@ -1,9 +1,12 @@
-//! The supervised worker pool: watchdog-cancelled cells, per-worker
-//! panic containment, and bounded deterministic retry.
+//! The worker pool: watchdog-cancelled cells, per-worker panic
+//! containment, and bounded deterministic retry.
 //!
-//! [`run_cells_supervised`] is the campaign runner's execution engine.
-//! It extends the fault isolation of `ziv_sim::run_cells_checked` with
-//! the three failure modes that layer cannot contain:
+//! [`run_cells_supervised`] is the one pool every grid of cells runs
+//! through: campaigns, [`run_grid`], and `replay`'s single cell. Each
+//! cell is one `ziv_sim::run_one_instrumented` call; a failing cell
+//! comes back as an `Err` outcome and never takes down its worker or
+//! the other cells. On top of that the pool contains the three failure
+//! modes a single run cannot:
 //!
 //! - **Hangs.** Each attempt runs under a [`CancelToken`] registered in
 //!   a per-worker watch slot; a single watchdog thread scans the slots
@@ -21,10 +24,9 @@
 //!   is reported to the observer so the ledger records it.
 //!
 //! With no timeout and no retries ([`SuperviseConfig::unsupervised`])
-//! the pool is behaviorally identical to `run_cells_checked` — same
-//! claiming order, same results, same observer cadence — which is what
-//! keeps clean-campaign ledgers byte-identical to the pre-supervision
-//! harness.
+//! cells run without a cancellation token and no watchdog thread
+//! starts; cell results are deterministic and independent of thread
+//! count and claiming order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,8 +35,7 @@ use std::time::{Duration, Instant};
 use ziv_common::{RetryPolicy, SimError};
 use ziv_core::CancelToken;
 use ziv_sim::{
-    run_one_instrumented, run_one_supervised, Observations, RunOptions, RunResult, RunSpec,
-    TelemetryProbe,
+    run_one_instrumented, GridResult, Observations, RunOptions, RunResult, RunSpec, TelemetryProbe,
 };
 use ziv_workloads::Workload;
 
@@ -58,9 +59,8 @@ pub struct SuperviseConfig {
 }
 
 impl SuperviseConfig {
-    /// No watchdog, no retries: byte-identical to the pre-supervision
-    /// pool. With neither budget set, cells run without a cancellation
-    /// token — the zero-cost unarmed path.
+    /// No watchdog, no retries. With neither budget set, cells run
+    /// without a cancellation token — the zero-cost unarmed path.
     pub fn unsupervised() -> Self {
         SuperviseConfig {
             cell_timeout: None,
@@ -114,8 +114,10 @@ pub fn default_stall_window(base: Duration, workers: usize) -> Duration {
     base * oversubscription_factor(workers)
 }
 
-/// Observer of supervised cell execution — the attempt-aware sibling of
-/// `ziv_sim::GridObserver`, called from worker threads.
+/// Observer of cell execution in the pool, called from worker threads.
+/// The campaign runner hooks it to append finished cells to its ledger
+/// and drive progress telemetry; [`run_grid`] uses the no-op
+/// [`NoopSuperviseObserver`].
 pub trait SuperviseObserver: Sync {
     /// A worker picked up cell `(spec_index, workload_index)`.
     fn cell_started(&self, spec_index: usize, workload_index: usize) {
@@ -274,6 +276,14 @@ pub fn execute_with_retry<T>(
     )
 }
 
+/// Runs `f`, turning a panic into one [`SimError::Internal`] carrying
+/// the panic message: the containment every cell runs under, in the
+/// pool and in the runner's sampled pass.
+pub(crate) fn contain_panic<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|payload| SimError::Internal(panic_message(payload.as_ref())))
+}
+
 /// One guarded attempt: panic containment always; a watchdog token
 /// registered in the given slot when `watch` is provided (the inner
 /// `Option<Duration>` is the attempt's wall-clock budget).
@@ -289,103 +299,32 @@ fn run_attempt(
         *slot.lock().unwrap() = Some(Watch::new(token.clone(), timeout));
         token
     });
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_one_instrumented(spec, workload, opts, token.as_ref(), probe)
-    }));
+    let outcome =
+        contain_panic(|| run_one_instrumented(spec, workload, opts, token.as_ref(), probe));
     if let Some((slot, _)) = watch {
         *slot.lock().unwrap() = None;
     }
-    match outcome {
-        Ok((result, observations)) => (result, observations),
-        Err(payload) => (
-            Err(SimError::Internal(panic_message(payload.as_ref()))),
-            None,
-        ),
-    }
+    outcome.unwrap_or_else(|e| (Err(e), None))
 }
 
-/// Runs one cell to completion under full supervision but outside any
-/// pool: panic containment plus an optional wall-clock watchdog on a
-/// dedicated thread. Used by `zivsim replay` so that replaying a
-/// hang-core repro record reproduces its `Timeout` instead of wedging
-/// the CLI.
-pub fn run_one_guarded(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-    timeout: Option<Duration>,
-) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    let Some(timeout) = timeout else {
-        return run_attempt(spec, workload, opts, None, None);
-    };
-    let token = CancelToken::new();
-    let done = std::sync::Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let token = token.clone();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            let deadline = Instant::now() + timeout;
-            while !done.load(Ordering::Acquire) {
-                if Instant::now() >= deadline {
-                    token.cancel(format!(
-                        "wall-clock budget {}ms exceeded",
-                        timeout.as_millis()
-                    ));
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_one_supervised(spec, workload, opts, Some(&token))
-    }));
-    done.store(true, Ordering::Release);
-    let _ = watchdog.join();
-    match outcome {
-        Ok((result, observations)) => (result, observations),
-        Err(payload) => (
-            Err(SimError::Internal(panic_message(payload.as_ref()))),
-            None,
-        ),
-    }
-}
-
-/// The supervised worker pool. Runs the listed
-/// `(spec_index, workload_index)` cells across `threads` workers, each
-/// attempt guarded by panic containment, the optional watchdog, and the
-/// retry policy (see the module docs). Results are sorted by
-/// `(spec_index, workload_index)`; cells skipped by
-/// [`SuperviseObserver::should_abort`] are absent.
+/// The worker pool. Runs the listed `(spec_index, workload_index)`
+/// cells across `threads` workers, each attempt guarded by panic
+/// containment, the optional watchdog, and the retry policy (see the
+/// module docs). Results are sorted by `(spec_index, workload_index)`;
+/// cells skipped by [`SuperviseObserver::should_abort`] are absent.
 ///
-/// # Panics
-///
-/// Panics if a cell index is out of range for `specs` / `workloads`.
-pub fn run_cells_supervised(
-    specs: &[RunSpec],
-    workloads: &[Workload],
-    cells: &[(usize, usize)],
-    threads: usize,
-    opts: &RunOptions,
-    sup: &SuperviseConfig,
-    observer: &dyn SuperviseObserver,
-) -> Vec<SupervisedRun> {
-    run_cells_supervised_probed(specs, workloads, cells, threads, opts, sup, observer, None)
-}
-
-/// [`run_cells_supervised`] plus optional per-worker live-telemetry
-/// probes: worker slot `i` uses `probes[i]` for every cell it claims,
-/// bracketing each retry attempt with `cell_begin`/`cell_end` and
-/// threading the probe into the sim driver's hot-loop publish site.
+/// With `probes`, worker slot `i` uses `probes[i]` for every cell it
+/// claims, bracketing each retry attempt with `cell_begin`/`cell_end`
+/// and threading the probe into the sim driver's hot-loop publish site.
 /// Probes observe, never steer — results are byte-identical with and
-/// without them, and `probes == None` is the exact pre-telemetry path.
+/// without them, and `probes == None` publishes nothing.
 ///
 /// # Panics
 ///
 /// Panics if a cell index is out of range for `specs` / `workloads`,
 /// or if fewer probes are supplied than worker slots.
 #[allow(clippy::too_many_arguments)]
-pub fn run_cells_supervised_probed(
+pub fn run_cells_supervised(
     specs: &[RunSpec],
     workloads: &[Workload],
     cells: &[(usize, usize)],
@@ -423,7 +362,7 @@ pub fn run_cells_supervised_probed(
         // One watchdog for the whole pool: scan the per-worker watch
         // slots and cancel anything past its wall-clock deadline or
         // stalled beyond the progress window. It exits when the last
-        // worker retires, which `thread::scope` then joins.
+        // worker retires, which the scope then joins.
         if sup.watched() {
             scope.spawn(|| {
                 while active.load(Ordering::Acquire) > 0 {
@@ -510,10 +449,138 @@ pub fn run_cells_supervised_probed(
     out
 }
 
+/// Runs every `spec × workload` cell through the pool, unsupervised,
+/// and returns the results sorted by `(spec, workload)`.
+///
+/// Deterministic: results are identical regardless of thread count.
+///
+/// # Panics
+///
+/// Panics if any cell fails: with auditing, budget and watchdog off, a
+/// failure is a simulator bug.
+pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Vec<GridResult> {
+    let cells: Vec<(usize, usize)> = (0..specs.len())
+        .flat_map(|s| (0..workloads.len()).map(move |w| (s, w)))
+        .collect();
+    run_cells_supervised(
+        specs,
+        workloads,
+        &cells,
+        threads,
+        &RunOptions::default(),
+        &SuperviseConfig::unsupervised(),
+        &NoopSuperviseObserver,
+        None,
+    )
+    .into_iter()
+    .map(|run| GridResult {
+        spec_index: run.spec_index,
+        workload_index: run.workload_index,
+        result: run.outcome.unwrap_or_else(|e| {
+            panic!(
+                "grid cell ({}, {}) failed: {e}",
+                run.spec_index, run.workload_index
+            )
+        }),
+    })
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ziv_common::config::SystemConfig;
     use ziv_common::BackoffSchedule;
+    use ziv_core::LlcMode;
+    use ziv_workloads::{apps, mixes, ScaleParams};
+
+    fn workloads() -> Vec<Workload> {
+        let sys = SystemConfig::scaled();
+        let sc = ScaleParams::from_system(&sys);
+        vec![
+            mixes::homogeneous(apps::APPS[4], 2, 1_000, 1, sc),
+            mixes::homogeneous(apps::APPS[0], 2, 1_000, 1, sc),
+        ]
+    }
+
+    fn specs() -> Vec<RunSpec> {
+        let sys = SystemConfig::scaled();
+        vec![
+            RunSpec::new("I-LRU", sys.clone()),
+            RunSpec::new("NI-LRU", sys).with_mode(LlcMode::NonInclusive),
+        ]
+    }
+
+    #[test]
+    fn grid_covers_all_cells_in_order() {
+        let grid = run_grid(&specs(), &workloads(), 4);
+        assert_eq!(grid.len(), 4);
+        let cells: Vec<_> = grid
+            .iter()
+            .map(|g| (g.spec_index, g.workload_index))
+            .collect();
+        assert_eq!(cells, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn run_cells_covers_only_requested_cells_and_notifies() {
+        struct Counter {
+            started: AtomicUsize,
+            finished: AtomicUsize,
+        }
+        impl SuperviseObserver for Counter {
+            fn cell_started(&self, _s: usize, _w: usize) {
+                self.started.fetch_add(1, Ordering::Relaxed);
+            }
+            fn cell_finished(
+                &self,
+                _s: usize,
+                _w: usize,
+                result: &RunResult,
+                attempts: u32,
+                wall: Duration,
+            ) {
+                assert!(result.metrics.llc_accesses > 0);
+                assert_eq!(attempts, 1);
+                assert!(wall > Duration::ZERO);
+                self.finished.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let obs = Counter {
+            started: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+        };
+        let out = run_cells_supervised(
+            &specs(),
+            &workloads(),
+            &[(1, 0), (0, 1)],
+            2,
+            &RunOptions::default(),
+            &SuperviseConfig::unsupervised(),
+            &obs,
+            None,
+        );
+        assert_eq!(obs.started.load(Ordering::Relaxed), 2);
+        assert_eq!(obs.finished.load(Ordering::Relaxed), 2);
+        // Sorted output, exactly the requested cells.
+        let got: Vec<_> = out
+            .iter()
+            .map(|g| (g.spec_index, g.workload_index))
+            .collect();
+        assert_eq!(got, vec![(0, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn grid_is_deterministic_across_thread_counts() {
+        let specs = &specs()[..1];
+        let wls = workloads();
+        let a = run_grid(specs, &wls, 1);
+        let b = run_grid(specs, &wls, 8);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.result.metrics.llc_misses, y.result.metrics.llc_misses);
+            assert_eq!(x.result.cores[0].cycles, y.result.cores[0].cycles);
+        }
+    }
 
     fn transient() -> SimError {
         SimError::io("flaky append", "/tmp/x", std::io::Error::other("EIO"))

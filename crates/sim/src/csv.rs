@@ -94,14 +94,15 @@ fn cell_row(r: &RunResult) -> Vec<String> {
 /// # Examples
 ///
 /// ```
-/// use ziv_sim::{run_grid, RunSpec, grid_to_csv};
+/// use ziv_sim::{grid_to_csv, run_one, GridResult, RunSpec};
 /// use ziv_common::config::SystemConfig;
 /// use ziv_workloads::{apps, mixes, ScaleParams};
 ///
 /// let sys = SystemConfig::scaled();
 /// let wl = mixes::homogeneous(
 ///     apps::APPS[4], 2, 500, 1, ScaleParams::from_system(&sys));
-/// let grid = run_grid(&[RunSpec::new("I-LRU", sys)], &[wl], 1);
+/// let result = run_one(&RunSpec::new("I-LRU", sys), &wl);
+/// let grid = [GridResult { spec_index: 0, workload_index: 0, result }];
 /// let mut out = Vec::new();
 /// grid_to_csv(&grid, &mut out).unwrap();
 /// let text = String::from_utf8(out).unwrap();
@@ -807,21 +808,26 @@ pub fn write_summary_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{run_grid, RunSpec};
+    use crate::driver::run_one;
+    use crate::spec::RunSpec;
     use ziv_common::config::SystemConfig;
     use ziv_workloads::{apps, mixes, ScaleParams};
 
     fn small_grid() -> Vec<GridResult> {
         let sys = SystemConfig::scaled();
         let wl = mixes::homogeneous(apps::APPS[4], 2, 500, 1, ScaleParams::from_system(&sys));
-        run_grid(
-            &[
-                RunSpec::new("I-LRU", sys.clone()),
-                RunSpec::new("with,comma", sys),
-            ],
-            &[wl],
-            1,
-        )
+        [
+            RunSpec::new("I-LRU", sys.clone()),
+            RunSpec::new("with,comma", sys),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(spec_index, spec)| GridResult {
+            spec_index,
+            workload_index: 0,
+            result: run_one(spec, &wl),
+        })
+        .collect()
     }
 
     #[test]

@@ -46,10 +46,10 @@ pub fn derived_budget(workload: &Workload) -> u64 {
         .max(10_000_000)
 }
 
-/// Robustness and observability options for a checked run: audit
-/// cadence, watchdog budget, and the flight-recorder configuration.
-/// The default (`audit off`, no budget, observe nothing) makes
-/// [`run_one_checked`] behave exactly like [`run_one`].
+/// Robustness and observability options for a run: audit cadence,
+/// watchdog budget, and the flight-recorder configuration. The default
+/// (`audit off`, no budget, observe nothing) makes [`run_one_checked`]
+/// behave exactly like [`run_one`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// How often the auditor walks the hierarchy.
@@ -62,14 +62,6 @@ pub struct RunOptions {
     /// [`run_one_sampled`](crate::run_one_sampled) rejects any enabled
     /// observation with [`SimError::Config`].
     pub observe: ObserveConfig,
-    /// Statistical sampling plan, consumed by
-    /// [`run_one_sampled`](crate::run_one_sampled)'s interval-sampling
-    /// loop. The full-run entry points (`run_one*`) ignore it — callers
-    /// route sampled runs explicitly — so `None` (the default) keeps
-    /// every existing path byte-identical to pre-sampling builds.
-    /// Sampled results are estimates and are never written to the
-    /// content-addressed result ledger.
-    pub sampling: Option<crate::sampling::SamplingPlan>,
 }
 
 impl Default for RunOptions {
@@ -78,7 +70,6 @@ impl Default for RunOptions {
             audit: AuditCadence::Off,
             budget: None,
             observe: ObserveConfig::disabled(),
-            sampling: None,
         }
     }
 }
@@ -204,7 +195,7 @@ pub fn run_one_checked(
     workload: &Workload,
     opts: &RunOptions,
 ) -> Result<RunResult, SimError> {
-    run_one_traced(spec, workload, opts).0
+    run_one_instrumented(spec, workload, opts, None, None).0
 }
 
 /// Publishes the driver's live per-core instruction/cycle clocks into
@@ -275,50 +266,38 @@ pub(crate) fn probe_snapshot(
     }
 }
 
-/// [`run_one_checked`] plus the flight-recorder payload: the second
-/// element carries the epoch time-series, retained events, and heatmaps
-/// when `opts.observe` enables any of them — **even when the run
-/// fails**, so failure records can embed the events leading up to the
-/// violation. `None` when observability is disabled.
-pub fn run_one_traced(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    run_one_supervised(spec, workload, opts, None)
-}
-
-/// [`run_one_traced`] under an optional cooperative [`CancelToken`].
+/// Simulates `workload` under `spec`: the general full-run entry point
+/// behind [`run_one`] and [`run_one_checked`].
+///
+/// The second element carries the flight-recorder payload — the epoch
+/// time-series, retained events, and heatmaps — when `opts.observe`
+/// enables any of them, **even when the run fails**, so failure records
+/// can embed the events leading up to the violation. `None` when
+/// observability is disabled.
 ///
 /// When `cancel` is `Some`, the access loop polls the token once per
 /// access (one relaxed atomic load) and publishes coarse progress; a
 /// fired token stops the run with [`SimError::Timeout`] carrying the
-/// cancellation reason and the access position. When `cancel` is `None`
-/// the poll site is a single never-taken branch, so unsupervised runs
-/// stay byte-identical — the property the differential determinism
-/// tests pin.
+/// cancellation reason and the access position. A hierarchy wedged by
+/// [`ziv_core::FaultInjection::HangCore`] parks here, burning wall-clock
+/// time (not simulated cycles) until the token fires; without a token
+/// the hang is converted into an immediate [`SimError::Timeout`] rather
+/// than wedging the caller forever.
 ///
-/// A hierarchy wedged by [`ziv_core::FaultInjection::HangCore`] parks
-/// here, burning wall-clock time (not simulated cycles) until the token
-/// fires; without a token the hang is converted into an immediate
-/// [`SimError::Timeout`] rather than wedging the caller forever.
-pub fn run_one_supervised(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-    cancel: Option<&CancelToken>,
-) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    run_one_instrumented(spec, workload, opts, cancel, None)
-}
-
-/// [`run_one_supervised`] plus an optional live-telemetry probe.
+/// When `probe` is `Some`, the loop publishes a [`ProbeSnapshot`] every
+/// 256 accesses (the cadence a supervisor polls at). Probes observe,
+/// never steer. With `cancel` and `probe` both `None` each poll site is
+/// a single never-taken branch, so unsupervised, unwatched runs stay
+/// byte-identical and add no allocations or syscalls to the hot path —
+/// the property the differential determinism tests pin.
 ///
-/// The probe mirrors the cancel token's cost model: when `probe` is
-/// `Some`, the access loop publishes a [`ProbeSnapshot`] every 256
-/// accesses (the cadence the supervisor already polls at); when `None`
-/// the publish site is a single never-taken branch, so unwatched runs
-/// add zero allocations and no mmap or clock syscalls to the hot path.
-/// Probes observe, never steer: results are byte-identical either way.
+/// # Errors
+///
+/// As [`run_one_checked`], plus [`SimError::Timeout`] from `cancel`.
+///
+/// # Panics
+///
+/// Panics if the workload's core count exceeds the system's.
 pub fn run_one_instrumented(
     spec: &RunSpec,
     workload: &Workload,

@@ -34,7 +34,7 @@ impl Effort {
                 );
             });
         }
-        let threads = crate::spec::default_threads();
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
         if fast {
             Effort {
                 accesses_per_core: 15_000,

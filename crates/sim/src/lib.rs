@@ -1,11 +1,16 @@
 //! # ziv-sim
 //!
-//! The simulation driver and experiment harness: feeds workload traces
-//! through a [`ziv_core::CacheHierarchy`], models per-core timing (base
-//! CPI + exposed miss latency under a per-workload memory-level-
-//! parallelism factor), runs experiment grids in parallel across OS
-//! threads, and aggregates the paper's reporting metrics (weighted
-//! speedup, normalized miss counts, relocation statistics, EPI).
+//! Runs one cell: feeds a workload's traces through a
+//! [`ziv_core::CacheHierarchy`] under one [`RunSpec`], models per-core
+//! timing (base CPI + exposed miss latency under a per-workload
+//! memory-level-parallelism factor), and aggregates the paper's
+//! reporting metrics (weighted speedup, normalized miss counts,
+//! relocation statistics, EPI). Each run kind has one general entry
+//! point and one result-only shortcut: [`run_one_instrumented`] /
+//! [`run_one`] (with [`run_one_checked`] for audited runs),
+//! [`run_one_sampled_instrumented`] / [`run_one_sampled`], and
+//! [`run_paired_sampled_instrumented`]. Grids and campaigns of cells
+//! run in `ziv-harness`, through its one worker pool.
 //!
 //! # Examples
 //!
@@ -43,21 +48,17 @@ pub use csv::{
     VALIDATION_COLUMNS,
 };
 pub use driver::{
-    derived_budget, run_one, run_one_checked, run_one_instrumented, run_one_supervised,
-    run_one_traced, CellBudget, CoreRunStats, RunOptions, RunResult,
+    derived_budget, run_one, run_one_checked, run_one_instrumented, CellBudget, CoreRunStats,
+    RunOptions, RunResult,
 };
 pub use effort::Effort;
 pub use perfetto::{perfetto_to_json, write_perfetto_json};
 pub use report::{normalized_metric, speedup_summary, NormalizedRows};
 pub use sampling::{
-    run_one_sampled, run_one_sampled_instrumented, run_one_sampled_supervised, run_paired_sampled,
-    run_paired_sampled_instrumented, IntervalEstimate, PairedSampleReport, SampledRun,
-    SamplingPlan, SamplingProfile, StopReason,
+    run_one_sampled, run_one_sampled_instrumented, run_paired_sampled_instrumented,
+    IntervalEstimate, PairedSampleReport, SampledRun, SamplingPlan, SamplingProfile, StopReason,
 };
-pub use spec::{
-    default_threads, run_cells, run_cells_checked, run_grid, CellRun, GridObserver, GridResult,
-    NoopObserver, RunSpec,
-};
+pub use spec::{GridResult, RunSpec};
 pub use ziv_common::stats::{Confidence, ConfidenceInterval, RunningMoments};
 pub use ziv_core::observe::{
     EventFilter, EventKind, EventTraceConfig, Observations, ObserveConfig, ProbeSnapshot,

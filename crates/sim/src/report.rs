@@ -134,7 +134,8 @@ pub fn normalized_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{run_grid, RunSpec};
+    use crate::driver::run_one;
+    use crate::spec::RunSpec;
     use ziv_common::config::SystemConfig;
     use ziv_core::LlcMode;
     use ziv_workloads::{apps, mixes, ScaleParams};
@@ -142,15 +143,26 @@ mod tests {
     fn grid() -> (Vec<GridResult>, usize) {
         let sys = SystemConfig::scaled();
         let sc = ScaleParams::from_system(&sys);
-        let wls = vec![
+        let wls = [
             mixes::homogeneous(apps::app_by_name("circset").unwrap(), 2, 2_000, 1, sc),
             mixes::homogeneous(apps::app_by_name("hotl2").unwrap(), 2, 2_000, 1, sc),
         ];
-        let specs = vec![
+        let specs = [
             RunSpec::new("I-LRU", sys.clone()),
             RunSpec::new("NI-LRU", sys).with_mode(LlcMode::NonInclusive),
         ];
-        (run_grid(&specs, &wls, 4), specs.len())
+        let mut grid = Vec::new();
+        for (spec_index, spec) in specs.iter().enumerate() {
+            for (workload_index, wl) in wls.iter().enumerate() {
+                let result = run_one(spec, wl);
+                grid.push(GridResult {
+                    spec_index,
+                    workload_index,
+                    result,
+                });
+            }
+        }
+        (grid, specs.len())
     }
 
     #[test]

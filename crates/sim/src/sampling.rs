@@ -55,10 +55,10 @@
 //! `CPI ≈ (C_head + CPI_steady × I_steady) / I_total` — with only the
 //! steady stratum contributing to the confidence width.
 //!
-//! [`run_paired_sampled`] implements the auto-stop rule: the baseline
-//! runs first, then the target stops as soon as the paired per-interval
-//! IPC delta's confidence interval excludes zero (or its interval
-//! budget is exhausted).
+//! [`run_paired_sampled_instrumented`] implements the auto-stop rule:
+//! the baseline runs first, then the target stops as soon as the paired
+//! per-interval IPC delta's confidence interval excludes zero (or its
+//! interval budget is exhausted).
 
 use crate::driver::{probe_snapshot, publish_core_clocks, RunOptions, RunResult};
 use crate::spec::RunSpec;
@@ -69,8 +69,8 @@ use ziv_core::{Access, Auditor, CacheHierarchy, CancelToken};
 use ziv_workloads::Workload;
 
 /// How to sample a run: the period structure and the statistical
-/// targets. All-integer and `Copy`/`Eq` so it can ride inside
-/// [`RunOptions`] without disturbing its derives.
+/// targets. Passed to the sampled entry points next to the
+/// [`RunOptions`] a full run would take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Timed accesses per interval (global stream count). `0` means
@@ -599,7 +599,7 @@ impl SampledRun {
 }
 
 /// The paired ZIV-vs-baseline auto-stop verdict from
-/// [`run_paired_sampled`].
+/// [`run_paired_sampled_instrumented`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PairedSampleReport {
     /// The baseline's sampled run (always runs to its own stop rule).
@@ -648,24 +648,17 @@ fn stratum_code(in_head: bool, phase: Phase) -> u64 {
     }
 }
 
-/// Resolves `opts.sampling` against the workload: auto plans are sized
-/// from the stream length and de-aliased against the workload's phase
-/// period, derived from `spec`'s cache capacities (the same scale the
-/// campaign generators build footprints from).
-fn resolve_plan(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> Result<SamplingPlan, SimError> {
-    let plan = opts
-        .sampling
-        .ok_or_else(|| SimError::Config("run_one_sampled needs opts.sampling".into()))?;
+/// Resolves `plan` against the workload: auto plans are sized from the
+/// stream length and de-aliased against the workload's phase period,
+/// derived from `spec`'s cache capacities (the same scale the campaign
+/// generators build footprints from).
+fn resolve_plan(spec: &RunSpec, workload: &Workload, plan: SamplingPlan) -> SamplingPlan {
     let scale = ziv_workloads::ScaleParams::from_system(&spec.system);
-    Ok(plan.resolve_for_stream(
+    plan.resolve_for_stream(
         workload.total_accesses(),
         workload.phase_period(scale),
         scale.llc_lines,
-    ))
+    )
 }
 
 /// Snapshot of the estimator inputs at an interval boundary.
@@ -679,12 +672,12 @@ struct IntervalOpen {
     inclusion_victims: u64,
 }
 
-/// Simulates `workload` under `spec` with the sampling plan in
-/// `opts.sampling`, on the current thread. See the module docs for the
-/// period structure. `opts.audit` applies to timed accesses only —
-/// fast-forwarded spans are audit-silent by construction. Observation
-/// is not supported: a flight recording of the sampled intervals would
-/// cover only part of the trace, so `opts.observe` must be disabled.
+/// Simulates `workload` under `spec` with the sampling `plan`, on the
+/// current thread. See the module docs for the period structure.
+/// `opts.audit` applies to timed accesses only — fast-forwarded spans
+/// are audit-silent by construction. Observation is not supported: a
+/// flight recording of the sampled intervals would cover only part of
+/// the trace, so `opts.observe` must be disabled.
 ///
 /// Unlike the full driver, a sampled run is single-pass: cores park
 /// after their first trace completion instead of restarting (restart
@@ -694,8 +687,7 @@ struct IntervalOpen {
 ///
 /// # Errors
 ///
-/// - [`SimError::Config`] when `opts.sampling` is `None` or
-///   `opts.observe` enables any observation.
+/// - [`SimError::Config`] when `opts.observe` enables any observation.
 /// - [`SimError::Audit`] / [`SimError::BudgetExceeded`] /
 ///   [`SimError::Timeout`] exactly as in the full driver, from timed
 ///   accesses.
@@ -707,40 +699,24 @@ pub fn run_one_sampled(
     spec: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
 ) -> Result<SampledRun, SimError> {
-    run_one_sampled_supervised(spec, workload, opts, None, |_| false)
+    run_one_sampled_instrumented(spec, workload, opts, plan, None, None, |_| false)
 }
 
-/// [`run_one_sampled`] under an optional cooperative [`CancelToken`]
-/// and a per-interval stop rule: `on_interval` sees each completed
-/// interval and returns `true` to stop the run
-/// ([`StopReason::DeltaResolved`]).
+/// [`run_one_sampled`] under an optional cooperative [`CancelToken`],
+/// an optional live-telemetry probe, and a per-interval stop rule: the
+/// general sampled entry point.
 ///
-/// # Errors
-///
-/// As [`run_one_sampled`].
-///
-/// # Panics
-///
-/// Panics if the workload's core count exceeds the system's.
-pub fn run_one_sampled_supervised(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-    cancel: Option<&CancelToken>,
-    on_interval: impl FnMut(&IntervalEstimate) -> bool,
-) -> Result<SampledRun, SimError> {
-    run_one_sampled_instrumented(spec, workload, opts, cancel, None, on_interval)
-}
-
-/// [`run_one_sampled_supervised`] plus an optional live-telemetry
-/// probe (the same contract as
-/// [`run_one_instrumented`](crate::run_one_instrumented)): every 256
-/// accesses the loop publishes a progress sample carrying the current
-/// sampling stratum (head/skip/warm/timed), and each closed interval
-/// publishes the running per-interval IPC mean and confidence
-/// half-width so watchers can see CI convergence live. With `probe ==
-/// None` every publish site is a single never-taken branch.
+/// `cancel` and `probe` follow the contract of
+/// [`run_one_instrumented`](crate::run_one_instrumented): every 256
+/// accesses the loop polls the token and publishes a progress sample
+/// carrying the current sampling stratum (head/skip/warm/timed), and
+/// each closed interval publishes the running per-interval IPC mean and
+/// confidence half-width so watchers can see CI convergence live. With
+/// both `None` every poll and publish site is a single never-taken
+/// branch. `on_interval` sees each completed interval and returns
+/// `true` to stop the run ([`StopReason::DeltaResolved`]).
 ///
 /// # Errors
 ///
@@ -753,6 +729,7 @@ pub fn run_one_sampled_instrumented(
     spec: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
     cancel: Option<&CancelToken>,
     probe: Option<&dyn TelemetryProbe>,
     mut on_interval: impl FnMut(&IntervalEstimate) -> bool,
@@ -765,7 +742,7 @@ pub fn run_one_sampled_instrumented(
                 .into(),
         ));
     }
-    let plan = resolve_plan(spec, workload, opts)?;
+    let plan = resolve_plan(spec, workload, plan);
     let period = plan.period();
     let hier_cfg = spec.build_hierarchy_config(workload);
     let mut h = CacheHierarchy::new(&hier_cfg);
@@ -999,7 +976,7 @@ pub fn run_one_sampled_instrumented(
             && if in_head {
                 issued.is_multiple_of(plan.interval) || issued == plan.head
             } else {
-                (pos + 1 - plan.gap) % plan.interval == 0
+                (pos + 1 - plan.gap).is_multiple_of(plan.interval)
             };
         let closing = open.is_some() && phase == Phase::Timed && (interval_done || done == ncores);
         if closing {
@@ -1102,32 +1079,14 @@ pub fn run_one_sampled_instrumented(
 /// series requires an identical period structure even when the two
 /// specs' cache scales would de-alias differently.
 ///
+/// An optional live-telemetry probe sees `cell_begin`/`cell_end` around
+/// each of the two runs (spec index 0 = baseline, 1 = target) and live
+/// stratum/CI progress from inside them, so `zivsim watch` can follow a
+/// paired sampling session like a two-cell campaign.
+///
 /// # Errors
 ///
 /// As [`run_one_sampled`], for either run.
-///
-/// # Panics
-///
-/// Panics if the workload's core count exceeds either spec's system
-/// core count.
-pub fn run_paired_sampled(
-    baseline: &RunSpec,
-    target: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> Result<PairedSampleReport, SimError> {
-    run_paired_sampled_instrumented(baseline, target, workload, opts, None)
-}
-
-/// [`run_paired_sampled`] plus an optional live-telemetry probe: the
-/// probe sees `cell_begin`/`cell_end` around each of the two runs
-/// (spec index 0 = baseline, 1 = target) and live stratum/CI progress
-/// from inside them, so `zivsim watch` can follow a paired sampling
-/// session like a two-cell campaign.
-///
-/// # Errors
-///
-/// As [`run_paired_sampled`].
 ///
 /// # Panics
 ///
@@ -1138,16 +1097,16 @@ pub fn run_paired_sampled_instrumented(
     target: &RunSpec,
     workload: &Workload,
     opts: &RunOptions,
+    plan: SamplingPlan,
     probe: Option<&dyn TelemetryProbe>,
 ) -> Result<PairedSampleReport, SimError> {
-    let mut opts = *opts;
-    opts.sampling = Some(resolve_plan(baseline, workload, &opts)?);
-    let opts = &opts;
+    let plan = resolve_plan(baseline, workload, plan);
     let expected = workload.total_accesses();
     if let Some(p) = probe {
         p.cell_begin(0, 0, 1, expected, &baseline.label, &workload.name);
     }
-    let base = run_one_sampled_instrumented(baseline, workload, opts, None, probe, |_| false)?;
+    let base =
+        run_one_sampled_instrumented(baseline, workload, opts, plan, None, probe, |_| false)?;
     let confidence = base.profile.plan.confidence;
     let base_ipcs: Vec<f64> = base.intervals.iter().map(|iv| iv.ipc).collect();
     let mut deltas = RunningMoments::new();
@@ -1155,7 +1114,7 @@ pub fn run_paired_sampled_instrumented(
         p.cell_end();
         p.cell_begin(1, 0, 1, expected, &target.label, &workload.name);
     }
-    let tgt = run_one_sampled_instrumented(target, workload, opts, None, probe, |iv| {
+    let tgt = run_one_sampled_instrumented(target, workload, opts, plan, None, probe, |iv| {
         let Some(&b) = base_ipcs.get(iv.index as usize) else {
             return false;
         };
@@ -1193,13 +1152,6 @@ mod tests {
             1,
             ScaleParams::from_system(&sys),
         )
-    }
-
-    fn sampled_opts(plan: SamplingPlan) -> RunOptions {
-        RunOptions {
-            sampling: Some(plan),
-            ..RunOptions::default()
-        }
     }
 
     #[test]
@@ -1348,7 +1300,8 @@ mod tests {
         let run = run_one_sampled(
             &RunSpec::new("I-LRU", sys),
             &workload,
-            &sampled_opts(SamplingPlan::auto()),
+            &RunOptions::default(),
+            SamplingPlan::auto(),
         )
         .unwrap();
         assert_ne!(run.profile.plan.period() % phase, 0);
@@ -1364,7 +1317,7 @@ mod tests {
             gap: 448,
             ..SamplingPlan::auto()
         };
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(plan)).unwrap();
+        let run = run_one_sampled(&spec, &workload, &RunOptions::default(), plan).unwrap();
         let p = &run.profile;
         assert_eq!(
             p.timed_accesses + p.warm_accesses + p.skipped_accesses,
@@ -1393,7 +1346,13 @@ mod tests {
         // access instead of freezing state across skips.
         let workload = wl(2, 3_000);
         let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(SamplingPlan::auto())).unwrap();
+        let run = run_one_sampled(
+            &spec,
+            &workload,
+            &RunOptions::default(),
+            SamplingPlan::auto(),
+        )
+        .unwrap();
         let p = &run.profile;
         assert_eq!(p.skipped_accesses, 0, "out-of-regime plans never skip");
         assert_eq!(
@@ -1409,9 +1368,9 @@ mod tests {
         let workload = wl(2, 2_000);
         let spec = RunSpec::new("ZIV", SystemConfig::scaled())
             .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
-        let opts = sampled_opts(SamplingPlan::auto());
-        let a = run_one_sampled(&spec, &workload, &opts).unwrap();
-        let b = run_one_sampled(&spec, &workload, &opts).unwrap();
+        let opts = RunOptions::default();
+        let a = run_one_sampled(&spec, &workload, &opts, SamplingPlan::auto()).unwrap();
+        let b = run_one_sampled(&spec, &workload, &opts, SamplingPlan::auto()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1423,17 +1382,9 @@ mod tests {
             max_intervals: 2,
             ..SamplingPlan::auto()
         };
-        let run = run_one_sampled(&spec, &workload, &sampled_opts(plan)).unwrap();
+        let run = run_one_sampled(&spec, &workload, &RunOptions::default(), plan).unwrap();
         assert_eq!(run.intervals.len(), 2);
         assert_eq!(run.profile.stop, StopReason::MaxIntervals);
-    }
-
-    #[test]
-    fn sampling_none_is_a_config_error() {
-        let workload = wl(2, 500);
-        let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
-        let err = run_one_sampled(&spec, &workload, &RunOptions::default()).unwrap_err();
-        assert_eq!(err.kind_tag(), "config");
     }
 
     #[test]
@@ -1445,9 +1396,9 @@ mod tests {
                 epoch: Some(100),
                 ..ziv_core::ObserveConfig::disabled()
             },
-            ..sampled_opts(SamplingPlan::auto())
+            ..RunOptions::default()
         };
-        let err = run_one_sampled(&spec, &workload, &opts).unwrap_err();
+        let err = run_one_sampled(&spec, &workload, &opts, SamplingPlan::auto()).unwrap_err();
         assert_eq!(err.kind_tag(), "config");
         assert!(err.to_string().contains("observation"), "{err}");
     }
@@ -1458,8 +1409,15 @@ mod tests {
         let sys = SystemConfig::scaled();
         let base = RunSpec::new("I-LRU", sys.clone());
         let ziv = RunSpec::new("ZIV", sys).with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
-        let rep = run_paired_sampled(&base, &ziv, &workload, &sampled_opts(SamplingPlan::auto()))
-            .unwrap();
+        let rep = run_paired_sampled_instrumented(
+            &base,
+            &ziv,
+            &workload,
+            &RunOptions::default(),
+            SamplingPlan::auto(),
+            None,
+        )
+        .unwrap();
         assert!(!rep.baseline.intervals.is_empty());
         assert!(!rep.target.intervals.is_empty());
         assert!(

@@ -1,12 +1,8 @@
-//! Run specifications (Send-able configuration data) and the parallel
-//! experiment grid runner.
+//! Run specifications (Send-able configuration data) and the grid cell
+//! they produce.
 
-use crate::driver::{run_one_traced, RunOptions, RunResult};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use crate::driver::RunResult;
 use ziv_common::config::SystemConfig;
-use ziv_common::SimError;
-use ziv_core::observe::Observations;
 use ziv_core::{FaultInjection, HierarchyConfig, LlcMode};
 use ziv_directory::DirectoryMode;
 use ziv_replacement::{PolicyKind, PrecomputedFuture};
@@ -174,276 +170,9 @@ pub struct GridResult {
     pub result: RunResult,
 }
 
-/// Observer of cell-level experiment execution, called from worker
-/// threads as cells start and finish. The campaign harness hooks this
-/// to append finished cells to its result ledger and drive progress
-/// telemetry; `run_grid` itself uses the no-op [`NoopObserver`].
-pub trait GridObserver: Sync {
-    /// A worker picked up the cell `(spec_index, workload_index)`.
-    fn cell_started(&self, spec_index: usize, workload_index: usize) {
-        let _ = (spec_index, workload_index);
-    }
-
-    /// A worker finished a cell; `wall` is the cell's wall-clock cost.
-    fn cell_finished(
-        &self,
-        spec_index: usize,
-        workload_index: usize,
-        result: &RunResult,
-        wall: std::time::Duration,
-    ) {
-        let _ = (spec_index, workload_index, result, wall);
-    }
-
-    /// A cell failed (audit violation, watchdog trip). Only reachable
-    /// through [`run_cells_checked`]; the plain [`run_cells`] path runs
-    /// with auditing off and cannot fail.
-    fn cell_failed(
-        &self,
-        spec_index: usize,
-        workload_index: usize,
-        error: &SimError,
-        wall: std::time::Duration,
-    ) {
-        let _ = (spec_index, workload_index, error, wall);
-    }
-
-    /// Polled by workers before claiming the next cell; return `true` to
-    /// stop the grid early (the campaign harness's `--strict` fail-fast).
-    /// Cells already in flight still complete.
-    fn should_abort(&self) -> bool {
-        false
-    }
-}
-
-/// The do-nothing [`GridObserver`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
-
-impl GridObserver for NoopObserver {}
-
-/// Runs the listed `(spec_index, workload_index)` cells, fanning out
-/// across OS threads, and returns their results sorted by
-/// `(spec_index, workload_index)`.
-///
-/// This is the cache-aware entry point: a caller that already holds
-/// results for some cells (the campaign harness's content-addressed
-/// ledger) passes only the missing cells. Deterministic: per-cell
-/// results are identical regardless of thread count or cell order.
-///
-/// # Panics
-///
-/// Panics if a cell index is out of range for `specs` / `workloads`.
-pub fn run_cells(
-    specs: &[RunSpec],
-    workloads: &[Workload],
-    cells: &[(usize, usize)],
-    threads: usize,
-    observer: &dyn GridObserver,
-) -> Vec<GridResult> {
-    run_cells_checked(
-        specs,
-        workloads,
-        cells,
-        threads,
-        &RunOptions::default(),
-        observer,
-    )
-    .into_iter()
-    .map(|c| {
-        let result = c
-            .outcome
-            .expect("a run with auditing and watchdog disabled is infallible");
-        GridResult {
-            spec_index: c.spec_index,
-            workload_index: c.workload_index,
-            result,
-        }
-    })
-    .collect()
-}
-
-/// One cell's outcome under the fault-isolated runner: the result, or
-/// the typed error that felled it.
-#[derive(Debug)]
-pub struct CellRun {
-    /// Index of the spec in the grid's spec list.
-    pub spec_index: usize,
-    /// Index of the workload in the grid's workload list.
-    pub workload_index: usize,
-    /// The run's results, or its failure.
-    pub outcome: Result<RunResult, SimError>,
-    /// The cell's flight-recorder payload when `opts.observe` enabled
-    /// anything; present for failed cells too (the events leading up to
-    /// the violation).
-    pub observations: Option<Box<Observations>>,
-}
-
-/// Fault-isolated variant of [`run_cells`]: each cell runs under
-/// `opts` (audit cadence + watchdog budget) and a failing cell is
-/// returned as an `Err` outcome — it never takes down its worker thread
-/// or the other cells. Workers poll [`GridObserver::should_abort`]
-/// between cells, so an observer can implement fail-fast.
-///
-/// Results are sorted by `(spec_index, workload_index)`; aborted cells
-/// are simply absent.
-///
-/// # Panics
-///
-/// Panics if a cell index is out of range for `specs` / `workloads`.
-pub fn run_cells_checked(
-    specs: &[RunSpec],
-    workloads: &[Workload],
-    cells: &[(usize, usize)],
-    threads: usize,
-    opts: &RunOptions,
-    observer: &dyn GridObserver,
-) -> Vec<CellRun> {
-    for &(s, w) in cells {
-        assert!(s < specs.len(), "spec index {s} out of range");
-        assert!(w < workloads.len(), "workload index {w} out of range");
-    }
-    let total = cells.len();
-    let next = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-    let results: Mutex<Vec<CellRun>> = Mutex::new(Vec::with_capacity(total));
-    let workers = threads.max(1).min(total.max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if aborted.load(Ordering::Relaxed) || observer.should_abort() {
-                    aborted.store(true, Ordering::Relaxed);
-                    break;
-                }
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= total {
-                    break;
-                }
-                let (spec_index, workload_index) = cells[idx];
-                observer.cell_started(spec_index, workload_index);
-                let started = std::time::Instant::now();
-                let (outcome, observations) =
-                    run_one_traced(&specs[spec_index], &workloads[workload_index], opts);
-                match &outcome {
-                    Ok(result) => observer.cell_finished(
-                        spec_index,
-                        workload_index,
-                        result,
-                        started.elapsed(),
-                    ),
-                    Err(error) => {
-                        observer.cell_failed(spec_index, workload_index, error, started.elapsed())
-                    }
-                }
-                results.lock().unwrap().push(CellRun {
-                    spec_index,
-                    workload_index,
-                    outcome,
-                    observations,
-                });
-            });
-        }
-    });
-
-    let mut out = results.into_inner().unwrap();
-    out.sort_by_key(|g| (g.spec_index, g.workload_index));
-    out
-}
-
-/// Runs every `spec × workload` combination, fanning out across OS
-/// threads, and returns the results indexed by `(spec, workload)`.
-///
-/// Deterministic: results are identical regardless of thread count.
-pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Vec<GridResult> {
-    let cells: Vec<(usize, usize)> = (0..specs.len())
-        .flat_map(|s| (0..workloads.len()).map(move |w| (s, w)))
-        .collect();
-    run_cells(specs, workloads, &cells, threads, &NoopObserver)
-}
-
-/// Default worker-thread count for experiment grids.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ziv_workloads::{apps, mixes, ScaleParams};
-
-    fn workloads() -> Vec<Workload> {
-        let sys = SystemConfig::scaled();
-        let sc = ScaleParams::from_system(&sys);
-        vec![
-            mixes::homogeneous(apps::APPS[4], 2, 1_000, 1, sc),
-            mixes::homogeneous(apps::APPS[0], 2, 1_000, 1, sc),
-        ]
-    }
-
-    #[test]
-    fn grid_covers_all_cells_in_order() {
-        let sys = SystemConfig::scaled();
-        let specs = vec![
-            RunSpec::new("I-LRU", sys.clone()),
-            RunSpec::new("NI-LRU", sys).with_mode(LlcMode::NonInclusive),
-        ];
-        let wls = workloads();
-        let grid = run_grid(&specs, &wls, 4);
-        assert_eq!(grid.len(), 4);
-        let cells: Vec<_> = grid
-            .iter()
-            .map(|g| (g.spec_index, g.workload_index))
-            .collect();
-        assert_eq!(cells, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn run_cells_covers_only_requested_cells_and_notifies() {
-        use std::sync::atomic::AtomicUsize;
-        struct Counter {
-            started: AtomicUsize,
-            finished: AtomicUsize,
-        }
-        impl GridObserver for Counter {
-            fn cell_started(&self, _s: usize, _w: usize) {
-                self.started.fetch_add(1, Ordering::Relaxed);
-            }
-            fn cell_finished(
-                &self,
-                _s: usize,
-                _w: usize,
-                result: &RunResult,
-                wall: std::time::Duration,
-            ) {
-                assert!(result.metrics.llc_accesses > 0);
-                assert!(wall > std::time::Duration::ZERO);
-                self.finished.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let sys = SystemConfig::scaled();
-        let specs = vec![
-            RunSpec::new("I-LRU", sys.clone()),
-            RunSpec::new("NI-LRU", sys).with_mode(LlcMode::NonInclusive),
-        ];
-        let wls = workloads();
-        let obs = Counter {
-            started: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-        };
-        let cells = vec![(1, 0), (0, 1)];
-        let out = run_cells(&specs, &wls, &cells, 2, &obs);
-        assert_eq!(obs.started.load(Ordering::Relaxed), 2);
-        assert_eq!(obs.finished.load(Ordering::Relaxed), 2);
-        // Sorted output, exactly the requested cells.
-        let got: Vec<_> = out
-            .iter()
-            .map(|g| (g.spec_index, g.workload_index))
-            .collect();
-        assert_eq!(got, vec![(0, 1), (1, 0)]);
-    }
 
     #[test]
     fn spec_digest_ignores_label_but_not_semantics() {
@@ -461,19 +190,6 @@ mod tests {
         let policies = RunSpec::new("x", sys).with_policy(ziv_replacement::PolicyKind::Srrip);
         for changed in [&modes, &seeds, &policies] {
             assert_ne!(digest(&a), digest(changed));
-        }
-    }
-
-    #[test]
-    fn grid_is_deterministic_across_thread_counts() {
-        let sys = SystemConfig::scaled();
-        let specs = vec![RunSpec::new("I-LRU", sys)];
-        let wls = workloads();
-        let a = run_grid(&specs, &wls, 1);
-        let b = run_grid(&specs, &wls, 8);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.result.metrics.llc_misses, y.result.metrics.llc_misses);
-            assert_eq!(x.result.cores[0].cycles, y.result.cores[0].cycles);
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use ziv_common::config::SystemConfig;
 use ziv_core::{LlcMode, ZivProperty};
-use ziv_sim::{run_one_traced, ObserveConfig, RunOptions, RunSpec};
+use ziv_sim::{run_one_instrumented, ObserveConfig, RunOptions, RunSpec};
 use ziv_workloads::{apps, mixes, ScaleParams, Workload};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         ("ZIV-LikelyDead", LlcMode::Ziv(ZivProperty::LikelyDead)),
     ] {
         let spec = RunSpec::new(label, sys.clone()).with_mode(mode);
-        let (result, obs) = run_one_traced(&spec, &wl, &opts);
+        let (result, obs) = run_one_instrumented(&spec, &wl, &opts, None, None);
         let result = result.expect("run succeeds");
         let obs = obs.expect("observatory on");
         let latency = obs.latency.as_ref().unwrap();

@@ -18,6 +18,13 @@ cargo build --workspace --release
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark crate tests"
+# benchmark/ is a package of its own, outside the workspace, that
+# depends on ziv-sim and ziv-harness by path and calls their run entry
+# points; a change that breaks those calls must fail here. It builds
+# into benchmark/target.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test (release, debug assertions on)"
 # The figure campaigns run in release; keep the invariant-heavy paths
 # (auditor, ZIV guarantee fallback checks) exercised with

@@ -1,42 +1,10 @@
 //! `zivsim` — command-line driver for the ZIV LLC simulator.
 //!
-//! ```text
-//! zivsim list                             # available modes, policies, apps, campaigns
-//! zivsim run  [options]                   # one configuration, one workload
-//! zivsim compare [options]                # every mode on one workload
-//! zivsim export <file> [options]          # write the workload as a ziv-trace file
-//! zivsim campaign <name> [options]        # run a named figure campaign end-to-end
-//! zivsim replay <file>                    # re-run a failure repro record deterministically
-//! zivsim trace [<mode>] [options]         # one traced run; drain the event ring as JSONL
-//! zivsim profile [<mode>] [options]       # one run with the latency observatory + self-
-//!                                         # profiler on; print the attribution tables
-//! zivsim blame [<mode>] [options]         # one run with the forensics observatory on;
-//!                                         # print the top causal chains (instigator
-//!                                         # access → eviction → victimized cores →
-//!                                         # refetch cost) and the instigator × victim
-//!                                         # blame matrix, conservation-checked against
-//!                                         # the metrics + latency observatories
-//!                                         # (--out <FILE> also writes blame.csv)
-//! zivsim attack [<scenario>] [options]    # one attack co-schedule (primeprobe | hammer)
-//!                                         # under --mode with the leakage observatory on;
-//!                                         # print the attacker-observable signal summary
-//!                                         # (--sets <N> targeted LLC sets, default 8)
-//! zivsim sample [<mode>] [options]        # paired interval-sampled run: the mode (default
-//!                                         # ziv-likelydead) and an inclusive baseline
-//!                                         # sample the same trace; report per-interval IPC
-//!                                         # and whether the IPC delta's CI excludes zero
-//! zivsim soak [options]                   # deterministic chaos-soak drill: run the soak
-//!                                         # grid fault-free, re-run it with five seeded
-//!                                         # injected faults under full supervision, audit
-//!                                         # that every fault was isolated and every healthy
-//!                                         # cell stayed byte-identical, then tear the
-//!                                         # ledger mid-record and prove --resume recovery
-//! zivsim watch <results-dir> [options]    # attach to a running campaign's live telemetry
-//!                                         # segment (<dir>/telemetry.shm) and render a
-//!                                         # refreshing progress view; exits 0 once the
-//!                                         # campaign publishes its final state, 4 if the
-//!                                         # writer dies without finishing
+//! Every subcommand declares the flags it reads in `COMMANDS`; any other
+//! flag is a usage error. `zivsim help` prints the commands, their flags
+//! and what each flag does, from the same tables.
 //!
+//! ```text
 //! exit codes:
 //!   0  clean run, nothing failed
 //!   1  command-specific failure (replay non-repro, conservation mismatch, ...)
@@ -45,119 +13,147 @@
 //!      campaign completed; for `soak`, the expected chaos outcome)
 //!   4  internal error: panic, ledger corruption, infrastructure I/O
 //!      failure, or a violated supervision guarantee in `soak`
-//!
-//! observability options (trace + profile + campaign):
-//!   --epoch <N>                           (snapshot counter deltas every N accesses;
-//!                                          campaigns export them as timeseries.csv)
-//!   --events <all | k1,k2,...>            (event kinds to retain: fill, eviction,
-//!                                          back-invalidation, relocation,
-//!                                          directory-victim, audit-violation)
-//!   --last <K>                            (event ring capacity; default 256)
-//!   --heatmap                             (accumulate per-(bank, set) occupancy grids;
-//!                                          campaigns export them as heatmap.csv)
-//!   --latency                             (latency attribution observatory: per-core ×
-//!                                          per-class component cycles + percentile
-//!                                          histograms; campaigns export latency.csv)
-//!   --profile                             (wall-clock self-profiler: per-subsystem
-//!                                          simulator time; campaigns export profile.json)
-//!   --leakage                             (leakage observatory: attacker-observable
-//!                                          signal counters on attack workloads; campaigns
-//!                                          export leakage.csv — forced on for the
-//!                                          attack-eval campaign and `zivsim attack`)
-//!   --forensics                           (causal forensics observatory: per-line fill
-//!                                          provenance + back-invalidation causal chains
-//!                                          + the instigator × victim blame matrix;
-//!                                          campaigns export blame.csv — forced on for
-//!                                          `zivsim blame` and by --perfetto)
-//!   --perfetto                            (export a Chrome trace-event JSON document —
-//!                                          profiler spans, epoch counter tracks, ring
-//!                                          events, and causal chains as flow events —
-//!                                          viewable at ui.perfetto.dev; campaigns write
-//!                                          trace.json, `trace --perfetto` replaces the
-//!                                          JSONL output; implies --forensics; honors
-//!                                          --events as an event filter)
-//!   trace always records events (default --events all) and writes them
-//!   as JSONL to stdout, or to --out <FILE>. Observability never changes
-//!   results: ledgers and grid CSVs stay byte-identical with it on.
-//!
-//! campaign options:
-//!   --resume                              (reuse the ledger: skip completed cells)
-//!   --results-dir <D>                     (default results/<name>)
-//!   --threads <N>                         (default: available parallelism)
-//!   --strict                              (stop claiming new cells after the first failure)
-//!   --inject-fault <S:W:KIND:AT>          (testing aid: arm a deliberate fault in spec S,
-//!                                          KIND = corrupt-directory|skip-back-invalidation|
-//!                                          stall-core|hang-core|panic-core, at access AT;
-//!                                          W is informational)
-//!
-//! robustness options (run + campaign):
-//!   --audit <off|sampled|sampled:N|every-access>    (default off; invariant audit cadence)
-//!   --cell-budget <CYCLES>                (per-core watchdog budget; default derived
-//!                                          from the workload size)
-//!
-//! sampling options (campaign + sample):
-//!   --sampling <spec>                     (interval-sampling plan: `auto`, `off`, or
-//!                                          `interval=N,gap=N[,warmup=PCT][,confidence=
-//!                                          90|95|99][,max=N]`; each period simulates
-//!                                          `interval` timed accesses, fast-forwards the
-//!                                          gap functionally, and re-warms timing state
-//!                                          over the gap's last PCT%. Campaign estimates
-//!                                          export as sampling.csv and never touch the
-//!                                          result ledger)
-//!   --validate                            (campaign only, requires --sampling: run the
-//!                                          full campaign too and export validation.csv —
-//!                                          per-cell IPC error, CI coverage, and the
-//!                                          wall-clock speedup of the sampled pass)
-//!
-//! live telemetry options (campaign + sample + soak):
-//!   --telemetry <off|on>                  (publish <results-dir>/telemetry.shm — the
-//!                                          seqlock shared-memory segment `zivsim watch`
-//!                                          attaches to; default off, and provably free
-//!                                          when off: no thread, no mmap, no hot-path work)
-//!   --progress <live|jsonl>               (live: the usual human progress lines, default;
-//!                                          jsonl: one machine-readable heartbeat JSON line
-//!                                          per ticker tick on stderr, for CI log scraping)
-//!
-//! watch options:
-//!   --json                                (emit one JSONL snapshot per refresh instead of
-//!                                          the live table)
-//!   --once                                (exit 0 after the first consistent snapshot)
-//!   --refresh <MS>                        (poll cadence; default 500)
-//!   --stale-after <MS>                    (heartbeat-staleness window; a stale heartbeat
-//!                                          whose writer PID is gone exits 4; default 5000)
-//!
-//! supervision options (campaign + soak):
-//!   --retries <N>                         (re-attempt transiently failing cells up to N
-//!                                          times with deterministic seeded backoff;
-//!                                          default 0)
-//!   --cell-timeout <MS>                   (wall-clock budget per cell attempt; the
-//!                                          watchdog cancels and ledgers overruns as
-//!                                          timeouts; default off for campaigns, 60000
-//!                                          for soak)
-//!   --stall-window <MS>                   (cancel a cell once it makes no forward
-//!                                          progress for MS milliseconds; default off for
-//!                                          campaigns, 750 for soak)
-//!
-//! options:
-//!   --mode <inclusive|noninclusive|qbs|sharp|charonbase|
-//!           ziv-notinprc|ziv-lrunotinprc|ziv-likelydead|
-//!           ziv-mrnotinprc|ziv-mrlikelydead>        (default inclusive)
-//!   --policy <lru|srrip|drrip|ship|hawkeye|min>     (default lru)
-//!   --l2 <256|512|768|1024>                         (default 256, KB class)
-//!   --workload <homo:APP | hetero:N | mt:NAME | file:PATH>  (default hetero:0)
-//!   --accesses <N per core>                         (default 50000)
-//!   --cores <N>                                     (default 8)
-//!   --seed <N>                                      (default 2026)
-//!   --prefetch                                      (enable stride prefetching)
-//!   --paper-scale                                   (full Table I sizes)
 //! ```
 
 use std::process::ExitCode;
 use ziv::prelude::*;
+use ziv::sim::{CellBudget, RunOptions};
+
+/// One subcommand: its name, its optional positional argument, what it
+/// does, and every flag it reads. A flag belongs to a command when
+/// changing it can change the command's output or exit code.
+struct Command {
+    name: &'static str,
+    positional: Option<&'static str>,
+    about: &'static str,
+    flags: &'static [&'static [&'static str]],
+}
+
+impl Command {
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags.iter().any(|group| group.contains(&flag))
+    }
+}
+
+/// The workload a single-cell command builds (the system size scales
+/// its footprint).
+const WORKLOAD: &[&str] = &[
+    "--workload",
+    "--accesses",
+    "--cores",
+    "--seed",
+    "--l2",
+    "--paper-scale",
+];
+/// The configuration a single-cell command runs.
+const SPEC: &[&str] = &["--mode", "--policy", "--prefetch"];
+/// The invariant auditor and the cycle watchdog.
+const CHECKS: &[&str] = &["--audit", "--cell-budget"];
+/// The worker pool's supervision.
+const SUPERVISION: &[&str] = &["--threads", "--retries", "--cell-timeout", "--stall-window"];
+/// The live telemetry bus.
+const LIVE: &[&str] = &["--telemetry", "--progress"];
+
+/// Every subcommand, in `zivsim help` order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "list", positional: None, flags: &[],
+              about: "available modes, policies, apps and campaigns" },
+    Command { name: "run", positional: None, flags: &[SPEC, WORKLOAD, CHECKS, &["--forensics"]],
+              about: "one configuration on one workload, with its speedup over I-LRU" },
+    Command { name: "compare", positional: None, flags: &[&["--policy", "--prefetch"], WORKLOAD],
+              about: "every LLC mode on one workload" },
+    Command { name: "export", positional: Some("<file>"), flags: &[WORKLOAD],
+              about: "write the workload as a ziv-trace file" },
+    Command { name: "campaign", positional: Some("<name>"),
+              about: "run a named figure campaign end to end (cached, resumable)",
+              flags: &[&["--cores", "--seed", "--results-dir", "--resume", "--strict"],
+                       &["--inject-fault"], CHECKS, SUPERVISION,
+                       &["--epoch", "--events", "--last", "--heatmap", "--latency", "--profile"],
+                       &["--leakage", "--forensics", "--perfetto"],
+                       LIVE, &["--sampling", "--validate"]] },
+    Command { name: "replay", positional: Some("<file>"), flags: &[],
+              about: "re-run a failure repro record deterministically" },
+    Command { name: "trace", positional: Some("[<mode>]"),
+              about: "one traced run; drain the event ring as JSONL (stdout or --out)",
+              flags: &[SPEC, WORKLOAD, CHECKS,
+                       &["--epoch", "--events", "--last", "--profile", "--perfetto", "--out"]] },
+    Command { name: "profile", positional: Some("[<mode>]"),
+              about: "one run with latency attribution and the self-profiler; print both",
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]] },
+    Command { name: "blame", positional: Some("[<mode>]"),
+              about: "one run with causal forensics; print the top chains and the blame matrix",
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]] },
+    Command { name: "attack", positional: Some("[<scenario>]"),
+              about: "one attack co-schedule (primeprobe | hammer) with the leakage observatory",
+              flags: &[SPEC, &["--accesses", "--cores", "--seed", "--l2", "--paper-scale"],
+                       &["--sets"], CHECKS] },
+    Command { name: "sample", positional: Some("[<mode>]"),
+              about: "paired interval-sampled run: the mode (default ziv-likelydead) vs inclusive",
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--sampling", "--results-dir"], LIVE] },
+    Command { name: "soak", positional: None,
+              about: "chaos-soak drill: seeded faults under supervision, then a torn-ledger resume",
+              flags: &[&["--cores", "--seed", "--results-dir"], SUPERVISION, LIVE] },
+    Command { name: "watch", positional: Some("<results-dir>"),
+              about: "follow a running campaign's live telemetry segment",
+              flags: &[&["--json", "--once", "--refresh", "--stale-after"]] },
+    Command { name: "help", positional: None, flags: &[], about: "this text" },
+];
+
+/// Every flag: its name, its value (empty for a switch), and what it
+/// does.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, &str)] = &[
+    ("--mode", "<mode>", "LLC mode (default inclusive; `zivsim list` names them)"),
+    ("--policy", "<policy>", "lru|srrip|drrip|ship|hawkeye|min (default lru)"),
+    ("--prefetch", "", "enable stride prefetching"),
+    ("--workload", "<w>", "homo:APP | hetero:N | mt:NAME | file:PATH (default hetero:0)"),
+    ("--accesses", "<n>", "accesses per core (default 50000)"),
+    ("--cores", "<n>", "cores (default 8)"),
+    ("--seed", "<n>", "seed (default 2026; campaigns default to their own)"),
+    ("--l2", "<kb>", "L2 size class: 128|256|512|768|1024 (default 256)"),
+    ("--paper-scale", "", "full Table I sizes"),
+    ("--audit", "<cadence>", "invariant audit: off|sampled|sampled:N|every-access (default off)"),
+    ("--cell-budget", "<cycles>", "per-core watchdog budget (default derived from the workload)"),
+    ("--results-dir", "<dir>", "results directory (default results/<campaign or command>)"),
+    ("--resume", "", "reuse the ledger: skip completed cells"),
+    ("--strict", "", "stop claiming new cells after the first failure"),
+    ("--inject-fault", "<s:w:kind:at>", "arm a fault in spec S at access AT (W is informational); \
+        KIND is corrupt-directory, skip-back-invalidation, stall-core, hang-core or panic-core"),
+    ("--threads", "<n>", "worker threads (default: available parallelism)"),
+    ("--retries", "<n>", "re-attempt transiently failing cells up to N times (default 0)"),
+    ("--cell-timeout", "<ms>", "wall-clock budget per cell attempt (default off; soak 60000)"),
+    ("--stall-window", "<ms>", "cancel a cell making no progress for MS (default off; soak 750)"),
+    ("--epoch", "<n>", "snapshot counter deltas every N accesses (timeseries.csv)"),
+    ("--events", "<all|k1,k2,..>", "event kinds to record: fill, eviction, back-invalidation, \
+        relocation, directory-victim, audit-violation (trace records all by default)"),
+    ("--last", "<k>", "event ring capacity (default 256)"),
+    ("--heatmap", "", "per-(bank, set) occupancy grids (heatmap.csv)"),
+    ("--latency", "", "latency attribution observatory (latency.csv)"),
+    ("--profile", "", "wall-clock self-profiler (profile.json)"),
+    ("--leakage", "", "leakage observatory on attack workloads (leakage.csv)"),
+    ("--forensics", "", "causal chains and the blame matrix (blame.csv)"),
+    ("--perfetto", "", "Chrome trace-event JSON for ui.perfetto.dev (trace.json); \
+        implies --forensics"),
+    ("--out", "<file>", "also write the command's report to FILE"),
+    ("--sets", "<n>", "targeted LLC sets (default 8)"),
+    ("--sampling", "<plan>", "auto | off | interval=N,gap=N[,KEY=N...] with optional keys warmup \
+        (percent of the gap warmed), window, head, confidence (90|95|99) and max; campaign \
+        estimates go to sampling.csv"),
+    ("--validate", "", "also run the full campaign and write validation.csv"),
+    ("--telemetry", "<off|on>", "publish <results-dir>/telemetry.shm for `zivsim watch`"),
+    ("--progress", "<live|jsonl>", "human progress lines (default) or JSONL heartbeats"),
+    ("--json", "", "one JSONL snapshot per refresh instead of the table"),
+    ("--once", "", "exit after the first consistent snapshot"),
+    ("--refresh", "<ms>", "poll cadence (default 500)"),
+    ("--stale-after", "<ms>", "heartbeat staleness window (default 5000)"),
+];
 
 #[derive(Debug, Clone)]
 struct Options {
     command: String,
+    /// The command's positional argument (campaign name, file, mode...).
+    positional: Option<String>,
     mode: LlcMode,
     mode_explicit: bool,
     policy: PolicyKind,
@@ -204,6 +200,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             command: "help".into(),
+            positional: None,
             mode: LlcMode::Inclusive,
             mode_explicit: false,
             policy: PolicyKind::Lru,
@@ -285,6 +282,41 @@ impl Options {
             forensics: self.forensics || self.perfetto || blaming,
         })
     }
+
+    /// The run options the flags describe: audit cadence, cycle budget
+    /// and the command's observation.
+    fn run_options(&self) -> Result<RunOptions, String> {
+        Ok(RunOptions {
+            audit: self.audit,
+            budget: self.cell_budget.map(CellBudget::Cycles),
+            observe: self.observe_config()?,
+        })
+    }
+
+    /// The spec the flags describe under `mode`: labelled
+    /// `<mode>-<policy>`, with the flags' policy, seed and prefetcher.
+    fn spec(&self, mode: LlcMode) -> RunSpec {
+        let label = format!("{}-{}", mode.label(), self.policy.label());
+        let spec = RunSpec::new(label, system_for(self))
+            .with_mode(mode)
+            .with_policy(self.policy)
+            .with_seed(self.seed);
+        if self.prefetch {
+            spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default())
+        } else {
+            spec
+        }
+    }
+
+    /// The mode a mode-taking command runs (`zivsim trace
+    /// ziv-likelydead`): its positional, else `--mode`, else `default`.
+    fn command_mode(&self, default: LlcMode) -> Result<LlcMode, String> {
+        match &self.positional {
+            Some(mode) => parse_mode(mode),
+            None if self.mode_explicit => Ok(self.mode),
+            None => Ok(default),
+        }
+    }
 }
 
 /// A command failure routed to the documented exit-code contract (see
@@ -320,8 +352,7 @@ impl CliError {
         match self {
             CliError::Other(m) => eprintln!("error: {m}"),
             CliError::Usage(m) => {
-                eprintln!("error: {m}");
-                usage();
+                eprintln!("error: {m} (`zivsim help` lists every command's flags)")
             }
             CliError::Cells(m) => eprintln!("{m}"),
             CliError::Internal(m) => eprintln!("internal error: {m}"),
@@ -402,18 +433,27 @@ fn parse_l2(s: &str) -> Result<L2Size, String> {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
-    opts.command = it.next().cloned().unwrap_or_else(|| "help".into());
-    let mut positionals_allowed: usize = match opts.command.as_str() {
-        "export" | "campaign" | "replay" | "trace" | "profile" | "blame" | "attack" | "sample"
-        | "watch" => 1,
-        _ => 0,
-    };
+    if let Some(name) = it.next().filter(|n| !matches!(n.as_str(), "--help" | "-h")) {
+        opts.command = name.clone();
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == opts.command)
+        .ok_or_else(|| format!("unknown command '{}'", opts.command))?;
     while let Some(flag) = it.next() {
-        if positionals_allowed > 0 && !flag.starts_with("--") {
-            // The export file path / campaign name / results dir
-            // (consumed from raw args by the command handlers).
-            positionals_allowed -= 1;
+        if !flag.starts_with("--") {
+            if command.positional.is_none() || opts.positional.is_some() {
+                return Err(format!("unexpected argument '{flag}'"));
+            }
+            opts.positional = Some(flag.clone());
             continue;
+        }
+        if !command.accepts(flag) {
+            return Err(if FLAGS.iter().any(|(known, ..)| known == flag) {
+                format!("`zivsim {}` does not take {flag}", command.name)
+            } else {
+                format!("unknown flag '{flag}'")
+            });
         }
         let mut value = || {
             it.next()
@@ -428,60 +468,26 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--policy" => opts.policy = parse_policy(&value()?)?,
             "--l2" => opts.l2 = parse_l2(&value()?)?,
             "--workload" => opts.workload = value()?,
-            "--accesses" => {
-                opts.accesses = value()?.parse().map_err(|e| format!("--accesses: {e}"))?
-            }
-            "--cores" => opts.cores = value()?.parse().map_err(|e| format!("--cores: {e}"))?,
+            "--accesses" => opts.accesses = number(flag, &value()?)?,
+            "--cores" => opts.cores = number(flag, &value()?)?,
             "--seed" => {
-                opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?;
+                opts.seed = number(flag, &value()?)?;
                 opts.seed_explicit = true;
             }
             "--paper-scale" => opts.paper_scale = true,
             "--prefetch" => opts.prefetch = true,
             "--resume" => opts.resume = true,
             "--results-dir" => opts.results_dir = Some(value()?),
-            "--threads" => {
-                opts.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
-            }
+            "--threads" => opts.threads = Some(number(flag, &value()?)?),
             "--audit" => opts.audit = ziv::core::AuditCadence::parse(&value()?)?,
             "--strict" => opts.strict = true,
-            "--cell-budget" => {
-                opts.cell_budget = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| format!("--cell-budget: {e}"))?,
-                )
-            }
+            "--cell-budget" => opts.cell_budget = Some(number(flag, &value()?)?),
             "--inject-fault" => opts.inject_fault = Some(parse_inject_fault(&value()?)?),
-            "--retries" => {
-                opts.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
-            }
-            "--cell-timeout" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--cell-timeout: {e}"))?;
-                if ms == 0 {
-                    return Err("--cell-timeout must be at least 1 millisecond".into());
-                }
-                opts.cell_timeout_ms = Some(ms);
-            }
-            "--stall-window" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--stall-window: {e}"))?;
-                if ms == 0 {
-                    return Err("--stall-window must be at least 1 millisecond".into());
-                }
-                opts.stall_window_ms = Some(ms);
-            }
+            "--retries" => opts.retries = number(flag, &value()?)?,
+            "--cell-timeout" => opts.cell_timeout_ms = Some(positive(flag, &value()?)?),
+            "--stall-window" => opts.stall_window_ms = Some(positive(flag, &value()?)?),
             "--out" => opts.out = Some(value()?),
-            "--epoch" => {
-                let n: u64 = value()?.parse().map_err(|e| format!("--epoch: {e}"))?;
-                if n == 0 {
-                    return Err("--epoch must be at least 1".into());
-                }
-                opts.epoch = Some(n);
-            }
+            "--epoch" => opts.epoch = Some(positive(flag, &value()?)?),
             "--events" => {
                 let spec = value()?;
                 // Reject bad filters up front, naming the offending token.
@@ -489,10 +495,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.events = Some(spec);
             }
             "--last" => {
-                let k: usize = value()?.parse().map_err(|e| format!("--last: {e}"))?;
-                if k == 0 {
-                    return Err("--last must be at least 1".into());
-                }
+                let k: usize = positive(flag, &value()?)?;
                 let cap = ziv::core::observe::MAX_EVENT_CAPACITY;
                 opts.last = Some(if k > cap {
                     eprintln!(
@@ -509,60 +512,52 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--leakage" => opts.leakage = true,
             "--forensics" => opts.forensics = true,
             "--perfetto" => opts.perfetto = true,
-            "--sets" => {
-                let n: u32 = value()?.parse().map_err(|e| format!("--sets: {e}"))?;
-                if n == 0 {
-                    return Err("--sets must be at least 1".into());
-                }
-                opts.sets = n;
-            }
+            "--sets" => opts.sets = positive(flag, &value()?)?,
             "--sampling" => {
                 opts.sampling =
                     ziv::sim::SamplingPlan::parse(&value()?).map_err(|e| e.to_string())?
             }
             "--validate" => opts.validate = true,
-            "--telemetry" => {
-                opts.telemetry = match value()?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(format!("--telemetry must be 'off' or 'on', not '{other}'"))
-                    }
-                }
-            }
-            "--progress" => {
-                opts.progress_jsonl = match value()?.as_str() {
-                    "jsonl" => true,
-                    "live" => false,
-                    other => {
-                        return Err(format!(
-                            "--progress must be 'live' or 'jsonl', not '{other}'"
-                        ))
-                    }
-                }
-            }
+            "--telemetry" => opts.telemetry = switch(flag, &value()?, "off", "on")?,
+            "--progress" => opts.progress_jsonl = switch(flag, &value()?, "live", "jsonl")?,
             "--json" => opts.json = true,
             "--once" => opts.once = true,
-            "--refresh" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("--refresh: {e}"))?;
-                if ms == 0 {
-                    return Err("--refresh must be at least 1 millisecond".into());
-                }
-                opts.refresh_ms = ms;
-            }
-            "--stale-after" => {
-                let ms: u64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--stale-after: {e}"))?;
-                if ms == 0 {
-                    return Err("--stale-after must be at least 1 millisecond".into());
-                }
-                opts.stale_after_ms = ms;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--refresh" => opts.refresh_ms = positive(flag, &value()?)?,
+            "--stale-after" => opts.stale_after_ms = positive(flag, &value()?)?,
+            other => unreachable!("{other} is in a command's table but has no parser"),
         }
     }
     Ok(opts)
+}
+
+/// `flag`'s numeric value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// `flag`'s numeric value, which must be at least 1.
+fn positive<T>(flag: &str, value: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let n: T = number(flag, value)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// `flag`'s two-way value: `yes` is true, `no` is false.
+fn switch(flag: &str, value: &str, no: &str, yes: &str) -> Result<bool, String> {
+    match value {
+        v if v == yes => Ok(true),
+        v if v == no => Ok(false),
+        other => Err(format!("{flag} must be '{no}' or '{yes}', not '{other}'")),
+    }
 }
 
 fn system_for(opts: &Options) -> SystemConfig {
@@ -609,39 +604,17 @@ fn build_workload(opts: &Options) -> Result<Workload, String> {
                 std::fs::File::open(arg).map_err(|e| format!("cannot open trace '{arg}': {e}"))?;
             ziv::workloads::trace_io::read_trace(f).map_err(|e| e.to_string())
         }
-        "mt" => match arg {
-            "canneal" => Ok(multithreaded::canneal(
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            )),
-            "facesim" => Ok(multithreaded::facesim(
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            )),
-            "vips" => Ok(multithreaded::vips(
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            )),
-            "applu" => Ok(multithreaded::applu(
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            )),
-            "tpce" => Ok(multithreaded::tpce(
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            )),
-            other => Err(format!("unknown multithreaded workload '{other}'")),
-        },
+        "mt" => {
+            let generate = match arg {
+                "canneal" => multithreaded::canneal,
+                "facesim" => multithreaded::facesim,
+                "vips" => multithreaded::vips,
+                "applu" => multithreaded::applu,
+                "tpce" => multithreaded::tpce,
+                other => return Err(format!("unknown multithreaded workload '{other}'")),
+            };
+            Ok(generate(opts.cores, opts.accesses, opts.seed, scale))
+        }
         other => Err(format!("unknown workload kind '{other}'")),
     }
 }
@@ -714,18 +687,15 @@ fn cmd_list() {
     }
 }
 
-fn cmd_campaign(args: &[String], opts: &Options) -> Result<(), CliError> {
+fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
     use ziv::harness::{campaigns, run_campaign, CampaignParams, RunnerConfig, StderrProgress};
-    let name = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| {
-            let list: Vec<&str> = campaigns::names().iter().map(|(n, _)| *n).collect();
-            CliError::Usage(format!(
-                "campaign needs a name (one of: {})",
-                list.join(", ")
-            ))
-        })?;
+    let name = opts.positional.as_deref().ok_or_else(|| {
+        let list: Vec<&str> = campaigns::names().iter().map(|(n, _)| *n).collect();
+        CliError::Usage(format!(
+            "campaign needs a name (one of: {})",
+            list.join(", ")
+        ))
+    })?;
     let mut params = CampaignParams::from_env();
     if opts.seed_explicit {
         params.seed = opts.seed;
@@ -790,27 +760,19 @@ fn cmd_campaign(args: &[String], opts: &Options) -> Result<(), CliError> {
     let rows =
         ziv::sim::speedup_summary(&outcome.grid, campaign.specs.len(), campaign.baseline_spec);
     println!("{}", rows.to_table("speedup"));
-    println!("wrote {}", outcome.grid_csv.display());
-    println!("wrote {}", outcome.summary_csv.display());
-    if let Some(path) = &outcome.timeseries_csv {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.heatmap_csv {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.latency_csv {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.leakage_csv {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.profile_json {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.blame_csv {
-        println!("wrote {}", path.display());
-    }
-    if let Some(path) = &outcome.trace_json {
+    let exports = [
+        &outcome.timeseries_csv,
+        &outcome.heatmap_csv,
+        &outcome.latency_csv,
+        &outcome.leakage_csv,
+        &outcome.profile_json,
+        &outcome.blame_csv,
+        &outcome.trace_json,
+    ];
+    let written = [&outcome.grid_csv, &outcome.summary_csv]
+        .into_iter()
+        .chain(exports.into_iter().flatten());
+    for path in written {
         println!("wrote {}", path.display());
     }
     println!("ledger {}", outcome.ledger_path.display());
@@ -964,34 +926,14 @@ impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
 /// the run reports whether the ZIV-vs-inclusive IPC delta resolved —
 /// its confidence interval excludes zero — before the interval budget
 /// ran out.
-fn cmd_sample(args: &[String], opts: &Options) -> Result<(), String> {
-    // Optional positional mode spec: `zivsim sample ziv-likelydead ...`;
-    // the default target is the paper's headline ZIV configuration.
-    let mut opts = opts.clone();
-    match args.get(1).filter(|a| !a.starts_with("--")) {
-        Some(mode) => opts.mode = parse_mode(mode)?,
-        None if !opts.mode_explicit => opts.mode = LlcMode::Ziv(ZivProperty::LikelyDead),
-        None => {}
-    }
-    let wl = build_workload(&opts)?;
-    let sys = system_for(&opts);
-    let baseline = RunSpec::new(format!("I-{}", opts.policy.label()), sys.clone())
-        .with_policy(opts.policy)
-        .with_seed(opts.seed);
-    let target = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
+fn cmd_sample(opts: &Options) -> Result<(), String> {
+    // The default target is the paper's headline ZIV configuration.
+    let mode = opts.command_mode(LlcMode::Ziv(ZivProperty::LikelyDead))?;
+    let wl = build_workload(opts)?;
+    let baseline = opts.spec(LlcMode::Inclusive);
+    let target = opts.spec(mode);
     let plan = opts.sampling.unwrap_or_else(ziv::sim::SamplingPlan::auto);
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: ziv::sim::ObserveConfig::disabled(),
-        sampling: Some(plan),
-    };
+    let run_opts = opts.run_options()?;
     // The paired session publishes like a two-cell campaign (spec 0 =
     // baseline, 1 = target) so `zivsim watch` can follow it.
     let results_dir = std::path::PathBuf::from(
@@ -1013,7 +955,7 @@ fn cmd_sample(args: &[String], opts: &Options) -> Result<(), String> {
     let probe: Option<&dyn ziv::sim::TelemetryProbe> =
         paired.as_ref().map(|p| p as &dyn ziv::sim::TelemetryProbe);
     let report =
-        ziv::sim::run_paired_sampled_instrumented(&baseline, &target, &wl, &run_opts, probe)
+        ziv::sim::run_paired_sampled_instrumented(&baseline, &target, &wl, &run_opts, plan, probe)
             .map_err(|e| e.to_string())?;
     drop(paired);
     if let Some(b) = bus {
@@ -1295,19 +1237,16 @@ fn render_snapshot(s: &ziv::telemetry::Snapshot, deltas: &[u64]) {
 ///   writer PID is gone (the campaign died without finishing), or the
 ///   heartbeat stays wedged for 10× the staleness window with the
 ///   process still alive.
-fn cmd_watch(args: &[String], opts: &Options) -> Result<(), CliError> {
+fn cmd_watch(opts: &Options) -> Result<(), CliError> {
     use std::time::{Duration, Instant};
     use ziv::telemetry::{TelemetryReader, SEGMENT_FILE};
-    let dir = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| {
-            CliError::Usage(
-                "watch needs the campaign's results directory \
+    let dir = opts.positional.as_deref().ok_or_else(|| {
+        CliError::Usage(
+            "watch needs the campaign's results directory \
              (the --results-dir of a run started with --telemetry on)"
-                    .into(),
-            )
-        })?;
+                .into(),
+        )
+    })?;
     let segment = std::path::Path::new(dir).join(SEGMENT_FILE);
     let refresh = Duration::from_millis(opts.refresh_ms);
     let stale_after = Duration::from_millis(opts.stale_after_ms);
@@ -1392,32 +1331,12 @@ fn cmd_watch(args: &[String], opts: &Options) -> Result<(), CliError> {
 /// — counts per retained event kind, total recorded, the epoch count
 /// when `--epoch` sliced, and per-bank directory occupancy — to stderr
 /// so the JSONL stream stays clean.
-fn cmd_trace(args: &[String], opts: &Options) -> Result<(), String> {
+fn cmd_trace(opts: &Options) -> Result<(), String> {
     use std::io::Write as _;
-    // Optional positional mode spec: `zivsim trace ziv-likelydead ...`.
-    let mut opts = opts.clone();
-    if let Some(mode) = args.get(1).filter(|a| !a.starts_with("--")) {
-        opts.mode = parse_mode(mode)?;
-    }
-    let wl = build_workload(&opts)?;
-    let sys = system_for(&opts);
-    let mut spec = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
-    if opts.prefetch {
-        spec = spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default());
-    }
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: opts.observe_config()?,
-        sampling: None,
-    };
-    let (outcome, observations) = ziv::sim::run_one_traced(&spec, &wl, &run_opts);
+    let wl = build_workload(opts)?;
+    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
+    let (outcome, observations) =
+        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
     let obs = observations.ok_or("trace produced no observations (recorder disabled?)")?;
 
     // With --perfetto the export is one Chrome trace-event document
@@ -1493,32 +1412,12 @@ fn cmd_trace(args: &[String], opts: &Options) -> Result<(), String> {
 /// share, tail percentiles), per-component cycle totals, the
 /// inclusion-victim refetch cost, and per-subsystem simulator wall time.
 /// `--out <FILE>` additionally writes the profiler report as JSON.
-fn cmd_profile(args: &[String], opts: &Options) -> Result<(), String> {
+fn cmd_profile(opts: &Options) -> Result<(), String> {
     use ziv::sim::{AccessClass, LatencyComponent, ProfileSection};
-    // Optional positional mode spec: `zivsim profile ziv-likelydead ...`.
-    let mut opts = opts.clone();
-    if let Some(mode) = args.get(1).filter(|a| !a.starts_with("--")) {
-        opts.mode = parse_mode(mode)?;
-    }
-    let wl = build_workload(&opts)?;
-    let sys = system_for(&opts);
-    let mut spec = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
-    if opts.prefetch {
-        spec = spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default());
-    }
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: opts.observe_config()?,
-        sampling: None,
-    };
-    let (outcome, observations) = ziv::sim::run_one_traced(&spec, &wl, &run_opts);
+    let wl = build_workload(opts)?;
+    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
+    let (outcome, observations) =
+        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
     let result = outcome.map_err(|e| e.to_string())?;
     let obs = observations.ok_or("profile produced no observations (observatory disabled?)")?;
     let report = obs
@@ -1617,31 +1516,11 @@ fn cmd_profile(args: &[String], opts: &Options) -> Result<(), String> {
 /// `Metrics::inclusion_victims`, refetch cycles vs the latency
 /// observatory). `--out <FILE>` additionally writes the matrix as
 /// blame.csv.
-fn cmd_blame(args: &[String], opts: &Options) -> Result<(), String> {
-    // Optional positional mode spec: `zivsim blame inclusive ...`.
-    let mut opts = opts.clone();
-    if let Some(mode) = args.get(1).filter(|a| !a.starts_with("--")) {
-        opts.mode = parse_mode(mode)?;
-    }
-    let wl = build_workload(&opts)?;
-    let sys = system_for(&opts);
-    let mut spec = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
-    if opts.prefetch {
-        spec = spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default());
-    }
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: opts.observe_config()?,
-        sampling: None,
-    };
-    let (outcome, observations) = ziv::sim::run_one_traced(&spec, &wl, &run_opts);
+fn cmd_blame(opts: &Options) -> Result<(), String> {
+    let wl = build_workload(opts)?;
+    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
+    let (outcome, observations) =
+        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
     let result = outcome.map_err(|e| e.to_string())?;
     let obs = observations.ok_or("blame produced no observations (observatory disabled?)")?;
     let report = obs
@@ -1761,9 +1640,9 @@ fn cmd_blame(args: &[String], opts: &Options) -> Result<(), String> {
 /// as usual), runs it, and prints the attacker-observable signal
 /// summary — the per-defense numbers `zivsim campaign attack-eval`
 /// sweeps into leakage.csv.
-fn cmd_attack(args: &[String], opts: &Options) -> Result<(), String> {
+fn cmd_attack(opts: &Options) -> Result<(), String> {
     use ziv::workloads::attack::{self, AttackRecipe, AttackScenario};
-    let scenario = match args.get(1).filter(|a| !a.starts_with("--")) {
+    let scenario = match &opts.positional {
         Some(name) => AttackScenario::by_name(name).ok_or_else(|| {
             let list: Vec<&str> = AttackScenario::ALL.iter().map(|s| s.name()).collect();
             format!(
@@ -1780,20 +1659,9 @@ fn cmd_attack(args: &[String], opts: &Options) -> Result<(), String> {
     let sys = system_for(opts);
     let scale = ScaleParams::from_system(&sys);
     let wl = attack::generate(recipe, opts.cores, opts.accesses, opts.seed, scale);
-    let spec = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: opts.observe_config()?,
-        sampling: None,
-    };
-    let (outcome, observations) = ziv::sim::run_one_traced(&spec, &wl, &run_opts);
+    let spec = opts.spec(opts.mode);
+    let (outcome, observations) =
+        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
     let result = outcome.map_err(|e| e.to_string())?;
     let report = observations
         .and_then(|o| o.leakage)
@@ -1828,11 +1696,11 @@ fn cmd_attack(args: &[String], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
+fn cmd_replay(opts: &Options) -> Result<(), String> {
     use ziv::harness::{replay, FailureRecord};
-    let path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
+    let path = opts
+        .positional
+        .as_deref()
         .ok_or("replay needs a repro-record file (results/<name>/failures/<digest>.json)")?;
     let record = FailureRecord::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     println!(
@@ -1867,31 +1735,16 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let wl = build_workload(opts)?;
-    let sys = system_for(opts);
-    let baseline_spec = RunSpec::new("I-LRU (baseline)", sys.clone());
-    let mut spec = RunSpec::new(
-        format!("{}-{}", opts.mode.label(), opts.policy.label()),
-        sys,
-    )
-    .with_mode(opts.mode)
-    .with_policy(opts.policy)
-    .with_seed(opts.seed);
-    if opts.prefetch {
-        spec = spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default());
-    }
-    let run_opts = ziv::sim::RunOptions {
-        audit: opts.audit,
-        budget: opts.cell_budget.map(ziv::sim::CellBudget::Cycles),
-        observe: opts.observe_config()?,
-        sampling: None,
-    };
-    let baseline_opts = ziv::sim::RunOptions {
+    let baseline_spec = RunSpec::new("I-LRU (baseline)", system_for(opts));
+    let spec = opts.spec(opts.mode);
+    let run_opts = opts.run_options()?;
+    let baseline_opts = RunOptions {
         observe: ziv::sim::ObserveConfig::disabled(),
         ..run_opts
     };
     let baseline = ziv::sim::run_one_checked(&baseline_spec, &wl, &baseline_opts)
         .map_err(|e| format!("baseline run: {e}"))?;
-    let (outcome, observations) = ziv::sim::run_one_traced(&spec, &wl, &run_opts);
+    let (outcome, observations) = ziv::sim::run_one_instrumented(&spec, &wl, &run_opts, None, None);
     let result = outcome.map_err(|e| format!("run: {e}"))?;
     print_result(&result, Some(&baseline));
     if let Some(f) = observations.as_ref().and_then(|o| o.forensics.as_ref()) {
@@ -1908,7 +1761,6 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
 
 fn cmd_compare(opts: &Options) -> Result<(), String> {
     let wl = build_workload(opts)?;
-    let sys = system_for(opts);
     let modes: Vec<LlcMode> = if opts.policy.is_rrpv_based() {
         vec![
             LlcMode::Inclusive,
@@ -1932,15 +1784,9 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     };
     let specs: Vec<RunSpec> = modes
         .into_iter()
-        .map(|m| {
-            let mut s = RunSpec::new(m.label(), sys.clone())
-                .with_mode(m)
-                .with_policy(opts.policy)
-                .with_seed(opts.seed);
-            if opts.prefetch {
-                s = s.with_prefetch(ziv::core::prefetch::PrefetchConfig::default());
-            }
-            s
+        .map(|m| RunSpec {
+            label: m.label(),
+            ..opts.spec(m)
         })
         .collect();
     let grid = run_grid(
@@ -1967,10 +1813,10 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(args: &[String], opts: &Options) -> Result<(), String> {
-    let path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
+fn cmd_export(opts: &Options) -> Result<(), String> {
+    let path = opts
+        .positional
+        .as_deref()
         .ok_or("export needs a file path")?;
     let wl = build_workload(opts)?;
     let f = std::fs::File::create(path).map_err(|e| format!("cannot create '{path}': {e}"))?;
@@ -1984,16 +1830,41 @@ fn cmd_export(args: &[String], opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// The help text, generated from `COMMANDS` and `FLAGS`.
 fn usage() {
-    println!(
-        "usage: zivsim <list|run|compare|export|campaign|replay|trace|profile|blame|attack|\
-         sample|soak|watch> \
-         [options]   (see --help text in the source header; exit codes: \
-         0 clean, 1 command failure, 2 usage, 3 isolated cell failures, 4 internal)"
-    );
+    println!("usage: zivsim <command> [options]\n\ncommands:");
+    for c in COMMANDS {
+        let head = format!("  {} {}", c.name, c.positional.unwrap_or(""));
+        print_wrapped(25, head.trim_end(), c.about);
+        let flags: Vec<&str> = c.flags.iter().flat_map(|g| g.iter().copied()).collect();
+        if !flags.is_empty() {
+            print_wrapped(25, "", &flags.join(" "));
+        }
+    }
+    println!("\nflags:");
+    for (flag, value, help) in FLAGS {
+        print_wrapped(33, &format!("  {flag} {value}"), help);
+    }
+    println!("\nexit codes: 0 clean, 1 command failure, 2 usage, 3 isolated cell failures,");
+    println!("            4 internal");
 }
 
-fn dispatch(args: &[String], opts: &Options) -> Result<(), CliError> {
+/// Prints `lead` padded to `indent` columns, then `text` filled to 80
+/// columns with continuation lines indented by `indent`.
+fn print_wrapped(indent: usize, lead: &str, text: &str) {
+    let mut line = format!("{lead:<indent$}");
+    for word in text.split_whitespace() {
+        if line.len() > indent && line.len() + word.len() > 80 {
+            println!("{}", line.trim_end());
+            line = " ".repeat(indent);
+        }
+        line.push_str(word);
+        line.push(' ');
+    }
+    println!("{}", line.trim_end());
+}
+
+fn dispatch(opts: &Options) -> Result<(), CliError> {
     match opts.command.as_str() {
         "list" => {
             cmd_list();
@@ -2001,21 +1872,21 @@ fn dispatch(args: &[String], opts: &Options) -> Result<(), CliError> {
         }
         "run" => cmd_run(opts).map_err(CliError::Other),
         "compare" => cmd_compare(opts).map_err(CliError::Other),
-        "export" => cmd_export(args, opts).map_err(CliError::Other),
-        "campaign" => cmd_campaign(args, opts),
+        "export" => cmd_export(opts).map_err(CliError::Other),
+        "campaign" => cmd_campaign(opts),
         "soak" => cmd_soak(opts),
-        "watch" => cmd_watch(args, opts),
-        "replay" => cmd_replay(args).map_err(CliError::Other),
-        "trace" => cmd_trace(args, opts).map_err(CliError::Other),
-        "profile" => cmd_profile(args, opts).map_err(CliError::Other),
-        "blame" => cmd_blame(args, opts).map_err(CliError::Other),
-        "attack" => cmd_attack(args, opts).map_err(CliError::Other),
-        "sample" => cmd_sample(args, opts).map_err(CliError::Other),
-        "help" | "--help" | "-h" => {
+        "watch" => cmd_watch(opts),
+        "replay" => cmd_replay(opts).map_err(CliError::Other),
+        "trace" => cmd_trace(opts).map_err(CliError::Other),
+        "profile" => cmd_profile(opts).map_err(CliError::Other),
+        "blame" => cmd_blame(opts).map_err(CliError::Other),
+        "attack" => cmd_attack(opts).map_err(CliError::Other),
+        "sample" => cmd_sample(opts).map_err(CliError::Other),
+        "help" => {
             usage();
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
+        other => unreachable!("command {other} is in COMMANDS but has no handler"),
     }
 }
 
@@ -2028,7 +1899,7 @@ fn real_main(args: &[String]) -> ExitCode {
             return e.exit_code();
         }
     };
-    match dispatch(args, &opts) {
+    match dispatch(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             e.report();
@@ -2431,6 +2302,33 @@ mod tests {
                 .unwrap()
                 .mode_explicit
         );
+    }
+
+    #[test]
+    fn every_command_rejects_the_flags_it_does_not_read() {
+        for command in COMMANDS {
+            for (flag, ..) in FLAGS {
+                if command.accepts(flag) {
+                    continue;
+                }
+                let err = parse_args(&args(&format!("{} {flag} 1", command.name))).unwrap_err();
+                let want = format!("`zivsim {}` does not take {flag}", command.name);
+                assert_eq!(err, want);
+            }
+            for flag in command.flags.iter().flat_map(|group| group.iter()) {
+                assert!(
+                    FLAGS.iter().any(|(known, ..)| known == flag),
+                    "{} reads {flag}, which FLAGS does not describe",
+                    command.name
+                );
+            }
+        }
+        for (flag, ..) in FLAGS {
+            assert!(
+                COMMANDS.iter().any(|c| c.accepts(flag)),
+                "no command reads {flag}"
+            );
+        }
     }
 
     #[test]

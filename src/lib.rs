@@ -25,9 +25,11 @@
 //!   (inclusive, non-inclusive, QBS, SHARP, CHARonBase, and ZIV with
 //!   its five relocation-set properties).
 //! - [`workloads`] — synthetic SPEC / PARSEC / TPC-E stand-ins.
-//! - [`sim`] — the trace driver, parallel experiment grids, reporting.
-//! - [`harness`] — resumable experiment campaigns with a
-//!   content-addressed result cache and run telemetry.
+//! - [`sim`] — runs one cell: the trace driver, interval sampling,
+//!   reporting.
+//! - [`harness`] — runs many cells through one worker pool: experiment
+//!   grids and resumable campaigns with a content-addressed result
+//!   cache and run telemetry.
 //! - [`telemetry`] — the live telemetry bus: a seqlock shared-memory
 //!   segment written by running campaigns and tailed by
 //!   `zivsim watch`.
@@ -74,7 +76,8 @@ pub mod prelude {
     pub use ziv_common::{Addr, CoreId, LineAddr};
     pub use ziv_core::{Access, CacheHierarchy, HierarchyConfig, LlcMode, ZivProperty};
     pub use ziv_directory::DirectoryMode;
+    pub use ziv_harness::run_grid;
     pub use ziv_replacement::PolicyKind;
-    pub use ziv_sim::{run_grid, run_one, Effort, RunSpec};
+    pub use ziv_sim::{run_one, Effort, RunSpec};
     pub use ziv_workloads::{apps, mixes, multithreaded, ScaleParams, Workload};
 }

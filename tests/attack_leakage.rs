@@ -7,7 +7,9 @@
 
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
-use ziv::sim::{run_one, run_one_traced, LeakageReport, ObserveConfig, RunOptions, RunResult};
+use ziv::sim::{
+    run_one, run_one_instrumented, LeakageReport, ObserveConfig, RunOptions, RunResult,
+};
 use ziv::workloads::attack::{self, AttackRecipe};
 
 fn attack_workload(recipe: AttackRecipe, cores: usize, accesses: usize, seed: u64) -> Workload {
@@ -29,7 +31,7 @@ fn leakage_run(spec: &RunSpec, wl: &Workload) -> (RunResult, LeakageReport) {
         },
         ..RunOptions::default()
     };
-    let (result, obs) = run_one_traced(spec, wl, &opts);
+    let (result, obs) = run_one_instrumented(spec, wl, &opts, None, None);
     let result = result.expect("attack run completes");
     let report = obs
         .expect("observatory was on")

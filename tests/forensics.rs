@@ -10,7 +10,7 @@ use std::fs;
 use std::path::PathBuf;
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
-use ziv::sim::{run_one_traced, ForensicsReport, ObserveConfig, RunOptions};
+use ziv::sim::{run_one_instrumented, ForensicsReport, ObserveConfig, RunOptions};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -125,7 +125,7 @@ fn blame_matrix_conserves_exactly_for_every_mode() {
             .with_mode(mode)
             .with_policy(policy)
             .with_seed(9);
-        let (result, obs) = run_one_traced(&spec, &wl, &opts);
+        let (result, obs) = run_one_instrumented(&spec, &wl, &opts, None, None);
         let result = result.unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
         let obs = obs.expect("observatory was on");
         let latency = obs.latency.as_ref().expect("latency observatory on");
@@ -157,7 +157,7 @@ fn inclusive_chains_account_for_every_victim_and_refetch_cycle() {
     let sys = SystemConfig::scaled();
     let wl = victim_heavy_workload(&sys);
     let spec = RunSpec::new("I-LRU", sys);
-    let (result, obs) = run_one_traced(&spec, &wl, &forensics_opts());
+    let (result, obs) = run_one_instrumented(&spec, &wl, &forensics_opts(), None, None);
     let result = result.unwrap();
     let obs = obs.expect("observatory on");
     let latency = obs.latency.as_ref().unwrap();
@@ -206,7 +206,7 @@ fn ziv_reports_zero_chains_on_the_victim_heavy_mix() {
     let wl = victim_heavy_workload(&sys);
     for property in [ZivProperty::NotInPrC, ZivProperty::LikelyDead] {
         let spec = RunSpec::new("ZIV", sys.clone()).with_mode(LlcMode::Ziv(property));
-        let (result, obs) = run_one_traced(&spec, &wl, &forensics_opts());
+        let (result, obs) = run_one_instrumented(&spec, &wl, &forensics_opts(), None, None);
         let result = result.unwrap();
         let obs = obs.expect("observatory on");
         let report = obs.forensics.as_ref().unwrap();
@@ -230,7 +230,7 @@ fn forensics_never_perturbs_results_and_replays_deterministically() {
     let spec = RunSpec::new("I-LRU", sys);
 
     let plain = ziv::sim::run_one(&spec, &wl);
-    let (observed, obs) = run_one_traced(&spec, &wl, &forensics_opts());
+    let (observed, obs) = run_one_instrumented(&spec, &wl, &forensics_opts(), None, None);
     let observed = observed.unwrap();
     assert_eq!(
         plain, observed,
@@ -240,7 +240,7 @@ fn forensics_never_perturbs_results_and_replays_deterministically() {
     // Same spec, same trace → bit-identical forensics. The observatory
     // hangs off the (deterministic) hierarchy, so this is the single-
     // run half of the cross-thread determinism guarantee.
-    let (_, obs2) = run_one_traced(&spec, &wl, &forensics_opts());
+    let (_, obs2) = run_one_instrumented(&spec, &wl, &forensics_opts(), None, None);
     assert_eq!(
         obs.expect("observatory on").forensics,
         obs2.expect("observatory on").forensics,

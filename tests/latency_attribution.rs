@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use ziv::core::AuditCadence;
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
-use ziv::sim::{run_one_traced, AccessClass, LatencyReport, ObserveConfig, RunOptions};
+use ziv::sim::{run_one_instrumented, AccessClass, LatencyReport, ObserveConfig, RunOptions};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -100,7 +100,7 @@ fn attribution_conserves_exactly_for_every_mode_under_audit() {
             .with_mode(mode)
             .with_policy(policy)
             .with_seed(9);
-        let (result, obs) = run_one_traced(&spec, &wl, &opts);
+        let (result, obs) = run_one_instrumented(&spec, &wl, &opts, None, None);
         let result = result.unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
         let report = obs
             .and_then(|o| o.latency)
@@ -150,7 +150,7 @@ fn ziv_reports_zero_inclusion_victim_refetch_cost() {
     let opts = latency_opts(AuditCadence::Off);
 
     let ziv = RunSpec::new("ZIV", sys.clone()).with_mode(LlcMode::Ziv(ZivProperty::NotInPrC));
-    let (rz, oz) = run_one_traced(&ziv, &wl, &opts);
+    let (rz, oz) = run_one_instrumented(&ziv, &wl, &opts, None, None);
     let rz = rz.unwrap();
     let report_z = oz.and_then(|o| o.latency).expect("observatory on");
     assert_eq!(rz.metrics.inclusion_victims, 0);
@@ -163,7 +163,7 @@ fn ziv_reports_zero_inclusion_victim_refetch_cost() {
     assert_eq!(report_z.inclusion_victim_refetch_cycles(), 0);
 
     let incl = RunSpec::new("I", sys);
-    let (ri, oi) = run_one_traced(&incl, &wl, &opts);
+    let (ri, oi) = run_one_instrumented(&incl, &wl, &opts, None, None);
     let ri = ri.unwrap();
     let report_i = oi.and_then(|o| o.latency).expect("observatory on");
     assert!(

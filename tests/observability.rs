@@ -11,7 +11,8 @@ use ziv::harness::{
 };
 use ziv::prelude::*;
 use ziv::sim::{
-    run_one, run_one_traced, EventKind, EventTraceConfig, Observations, ObserveConfig, RunOptions,
+    run_one, run_one_instrumented, EventKind, EventTraceConfig, Observations, ObserveConfig,
+    RunOptions,
 };
 
 fn workload_of(cores: usize, accesses: usize) -> Workload {
@@ -78,7 +79,7 @@ fn epoch_boundary_exactly_at_end_of_trace() {
         epoch: Some(250),
         ..ObserveConfig::disabled()
     });
-    let (result, obs) = run_one_traced(&ziv_spec("Z"), &wl, &opts);
+    let (result, obs) = run_one_instrumented(&ziv_spec("Z"), &wl, &opts, None, None);
     let result = result.unwrap();
     let obs = obs.expect("epoch slicing was on");
 
@@ -111,7 +112,7 @@ fn epoch_longer_than_the_trace_yields_one_closing_sample() {
         epoch: Some(10_000_000),
         ..ObserveConfig::disabled()
     });
-    let (result, obs) = run_one_traced(&ziv_spec("Z"), &wl, &opts);
+    let (result, obs) = run_one_instrumented(&ziv_spec("Z"), &wl, &opts, None, None);
     let result = result.unwrap();
     let obs = obs.expect("epoch slicing was on");
     assert_eq!(
@@ -137,7 +138,7 @@ fn epoch_deltas_survive_multicore_lap_rewind() {
         epoch: Some(128),
         ..ObserveConfig::disabled()
     });
-    let (result, obs) = run_one_traced(&ziv_spec("Z"), &wl, &opts);
+    let (result, obs) = run_one_instrumented(&ziv_spec("Z"), &wl, &opts, None, None);
     let result = result.unwrap();
     let obs = obs.expect("epoch slicing was on");
     assert!(obs.epochs.len() > 4);
@@ -155,7 +156,7 @@ fn recorder_does_not_perturb_results_and_heatmaps_match_metrics() {
         heatmap: true,
         ..ObserveConfig::disabled()
     });
-    let (traced, obs) = run_one_traced(&spec, &wl, &opts);
+    let (traced, obs) = run_one_instrumented(&spec, &wl, &opts, None, None);
     let traced = traced.unwrap();
     assert_eq!(
         traced.metrics, untraced.metrics,
@@ -413,7 +414,7 @@ fn event_ring_overflow_keeps_exactly_the_last_k_events() {
             }),
             ..ObserveConfig::disabled()
         });
-        let (result, obs) = run_one_traced(&spec, &wl, &opts);
+        let (result, obs) = run_one_instrumented(&spec, &wl, &opts, None, None);
         result.unwrap();
         obs.expect("recorder on").events
     };

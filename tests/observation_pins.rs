@@ -1,6 +1,6 @@
 //! Byte-level pins of every observation export.
 //!
-//! Each cell below runs once through `run_one_traced` with every
+//! Each cell below runs once through `run_one_instrumented` with every
 //! deterministic capture on — epoch slicing, an event ring large enough
 //! to keep every event, heatmaps, latency attribution, leakage and
 //! forensics (the wall-clock profiler stays off) — and writes its
@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use ziv::common::digest::Fnv1a;
 use ziv::prelude::*;
 use ziv::sim::{
-    run_one_traced, write_blame_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv,
+    run_one_instrumented, write_blame_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv,
     write_perfetto_json, write_timeseries_csv, EventFilter, EventTraceConfig, Observations,
     ObserveConfig, ObservedCell, RunOptions,
 };
@@ -212,7 +212,7 @@ fn observation_exports_match_their_pins() {
             observe: cell.observe,
             ..RunOptions::default()
         };
-        let (result, obs) = run_one_traced(&cell.spec, &cell.workload, &opts);
+        let (result, obs) = run_one_instrumented(&cell.spec, &cell.workload, &opts, None, None);
         let result = result.unwrap_or_else(|e| panic!("{}: {e}", cell.label));
         let obs = obs.expect("observation was on");
         assert_eq!(

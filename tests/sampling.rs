@@ -2,11 +2,13 @@
 //! §"Statistical sampling"): functional warmup is provably
 //! timing-metric-silent, a sampled campaign pass leaves the full
 //! campaign's ledger and CSVs byte-identical, the sampled IPC
-//! estimates track the full-run values on the smoke grid, and the
-//! `zivsim sample` command reports a paired verdict end-to-end.
+//! estimates track the full-run values on the smoke grid, a panicking
+//! cell in a sampled pass is isolated like one in a full campaign, and
+//! the `zivsim sample` command reports a paired verdict end-to-end.
 
 use std::fs;
 use std::path::PathBuf;
+use ziv::core::FaultInjection;
 use ziv::harness::{
     campaigns, run_campaign, run_campaign_sampled, CampaignParams, NullSink, RunnerConfig,
 };
@@ -50,11 +52,8 @@ fn functional_warmup_is_timing_metric_silent() {
     let wl = mixes::homogeneous(apps::APPS[4], 2, 6_000, 3, ScaleParams::from_system(&sys));
     let spec = RunSpec::new("I-LRU", sys);
     for warm_pm in [0u16, 500, 1000] {
-        let opts = RunOptions {
-            sampling: Some(plan(64, 448, warm_pm)),
-            ..RunOptions::default()
-        };
-        let run = run_one_sampled(&spec, &wl, &opts).expect("sampled run");
+        let run = run_one_sampled(&spec, &wl, &RunOptions::default(), plan(64, 448, warm_pm))
+            .expect("sampled run");
         let p = &run.profile;
         assert_eq!(
             p.timed_accesses + p.warm_accesses + p.skipped_accesses,
@@ -187,6 +186,67 @@ fn sampled_campaign_leaves_full_artifacts_identical_and_tracks_ipc() {
     fs::remove_dir_all(&base).ok();
 }
 
+/// A panic deep in one sampled cell is contained: the pass completes,
+/// the faulted spec's cells come back as `internal` failures, the
+/// healthy cells' estimates still reach `sampling.csv`, and the CLI
+/// classifies the run as isolated cell failures (exit 3).
+#[test]
+fn panicking_sampled_cell_is_isolated() {
+    let base = temp_dir("sampled-panic");
+    let params = CampaignParams::tiny();
+    let mut campaign = campaigns::by_name("smoke", &params).expect("smoke exists");
+    campaign.specs[0] = campaign.specs[0]
+        .clone()
+        .with_fault(FaultInjection::PanicCore { at_access: 50 });
+    let cfg = RunnerConfig::new(base.join("lib"));
+    let outcome = run_campaign_sampled(&campaign, &cfg, SamplingPlan::auto(), false, &NullSink)
+        .expect("a panicking cell does not abort the sampled pass");
+
+    let recipes = campaign.recipes.len();
+    assert_eq!(
+        outcome.failures.len(),
+        recipes,
+        "one failure per faulted cell"
+    );
+    for f in &outcome.failures {
+        assert_eq!(f.spec_index, 0, "only the faulted spec fails");
+        assert_eq!(f.error.kind_tag(), "internal", "{}", f.error);
+    }
+    assert_eq!(outcome.cells.len(), campaign.total_cells() - recipes);
+    let sampling = String::from_utf8(read(&outcome.sampling_csv)).unwrap();
+    let rows: usize = outcome
+        .cells
+        .iter()
+        .map(|c| c.sampled.intervals.len())
+        .sum();
+    assert!(rows > 0, "healthy cells keep their estimates");
+    assert_eq!(sampling.lines().count() - 1, rows);
+    for cell in &outcome.cells {
+        assert_ne!(cell.spec_index, 0);
+        let prefix = format!("{},{},", cell.label, cell.workload);
+        assert!(
+            sampling.lines().any(|l| l.starts_with(&prefix)),
+            "no sampling.csv row for {prefix}"
+        );
+    }
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zivsim"))
+        .args(["campaign", "smoke", "--cores", "2", "--threads", "1"])
+        .args(["--sampling", "auto", "--inject-fault", "0:0:panic-core:50"])
+        .arg("--results-dir")
+        .arg(base.join("cli"))
+        .env("ZIV_FAST", "1")
+        .output()
+        .expect("spawn zivsim");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    fs::remove_dir_all(&base).ok();
+}
+
 /// In the sampling regime proper — a trace several LLC warm horizons
 /// long — the auto plan must genuinely skip (that is the speedup) while
 /// the estimate still tracks a full run of the same cell, because each
@@ -205,11 +265,8 @@ fn in_regime_sampling_skips_and_tracks_the_full_run() {
         );
         let spec = RunSpec::new("I-LRU", sys.clone());
         let full = ziv::sim::run_one(&spec, &wl);
-        let opts = RunOptions {
-            sampling: Some(SamplingPlan::auto()),
-            ..RunOptions::default()
-        };
-        let run = run_one_sampled(&spec, &wl, &opts).expect("sampled run");
+        let run = run_one_sampled(&spec, &wl, &RunOptions::default(), SamplingPlan::auto())
+            .expect("sampled run");
         let p = &run.profile;
         assert!(p.skipped_accesses > 0, "{app}: in-regime plans skip");
         assert!(
