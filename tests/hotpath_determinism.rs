@@ -8,10 +8,17 @@
 //!    per-core stats, everything `PartialEq` covers);
 //! 2. the smoke campaign, run twice from scratch, writes byte-identical
 //!    ledgers and grid CSVs — the cell digests and serialized metrics
-//!    the resumable runner trusts for caching.
+//!    the resumable runner trusts for caching;
+//! 3. every mode, plus the (mode, policy) pairs that route victim
+//!    selection through each replacement policy, reproduces a pinned
+//!    digest of its [`ziv::sim::RunResult`] — so a rewrite is checked
+//!    against the results the code produced before it, not only
+//!    against a second run of itself.
 
 use std::fs;
 use std::path::PathBuf;
+use ziv::common::config::LlcConfig;
+use ziv::common::digest::Fnv1a;
 use ziv::core::AuditCadence;
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
@@ -109,5 +116,118 @@ fn smoke_campaign_ledger_is_byte_identical_across_runs() {
             "{} × {} metrics diverged",
             a.result.label, a.result.workload
         );
+    }
+}
+
+/// The machine the pinned cells run on: the Fig 14 configuration at
+/// 1/64 scale (16 KB L2s next to a 256 KB LLC, so privately cached
+/// blocks are a large share of the LLC), with the LLC regrouped into two
+/// 128-set banks so every property vector spans two 64-bit words.
+fn pin_system() -> SystemConfig {
+    let mut sys = SystemConfig::big_llc(64);
+    sys.llc = LlcConfig::from_total_capacity(sys.llc.total_capacity_bytes(), 16, 2);
+    sys
+}
+
+/// Two cores whose hot sets live in their L2s while two streaming cores
+/// push the LLC copies of those sets to the eviction end: inclusive
+/// cells back-invalidate them, ZIV cells relocate them.
+fn hot_vs_stream(sys: &SystemConfig) -> Workload {
+    let sc = ScaleParams::from_system(sys);
+    let hot = mixes::homogeneous(apps::app_by_name("hotl2").unwrap(), 2, 4_000, 3, sc);
+    let stream = mixes::homogeneous(apps::app_by_name("stream").unwrap(), 4, 4_000, 5, sc);
+    let mut traces = hot.traces;
+    traces.extend(stream.traces.into_iter().skip(2));
+    Workload {
+        name: "hot-vs-stream".into(),
+        traces,
+        attack: None,
+    }
+}
+
+/// [`all_modes`] plus the pairs that send victim selection and the
+/// graded property bit through every other replacement policy.
+fn pinned_pairs() -> Vec<(LlcMode, PolicyKind)> {
+    use ZivProperty::*;
+    let mut pairs = all_modes();
+    pairs.extend([
+        (LlcMode::Ziv(LikelyDead), PolicyKind::Hawkeye),
+        (LlcMode::Ziv(LruNotInPrC), PolicyKind::Nru),
+        (LlcMode::Ziv(NotInPrC), PolicyKind::Min),
+        (LlcMode::Ziv(MaxRrpvNotInPrC), PolicyKind::Drrip),
+        (LlcMode::Ziv(MaxRrpvNotInPrC), PolicyKind::Ship),
+        (LlcMode::QbsBounded(2), PolicyKind::Lru),
+        (LlcMode::Inclusive, PolicyKind::Hawkeye),
+    ]);
+    pairs
+}
+
+/// FNV-1a of a result's `Debug` rendering (the benchmark's result
+/// digest).
+fn result_digest(r: &ziv::sim::RunResult) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_str(&format!("{r:?}"));
+    h.finish()
+}
+
+#[rustfmt::skip]
+const PINS: &[(&str, u64)] = &[
+    ("I-LRU", 0x7781cc46f465096b),
+    ("NI-LRU", 0x47c50796b5fc411b),
+    ("QBS-LRU", 0x7572d708be928b65),
+    ("SHARP-LRU", 0x4c64a5fb7b6fb3d1),
+    ("CHARonBase-LRU", 0x661d6f0630077e7a),
+    ("TLH/8-LRU", 0x681b6ce8076421c4),
+    ("ECI-LRU", 0x2cdcaba76d32c4e8),
+    ("RIC-LRU", 0xb0465990fa704980),
+    ("WayPart-LRU", 0x040ae5934970aac6),
+    ("ZIV-NotInPrC-LRU", 0xab799364476afbee),
+    ("ZIV-LRUNotInPrC-LRU", 0x212b44e53e7d5a32),
+    ("ZIV-LikelyDead-LRU", 0x0e18845cb234cb91),
+    ("ZIV-MRNotInPrC-SRRIP", 0x00c9d2aa920eec8f),
+    ("ZIV-MRLikelyDead-Hawkeye", 0x044091bce8439be7),
+    ("ZIV-LikelyDead-Hawkeye", 0xd8f7be846b3f33f3),
+    ("ZIV-LRUNotInPrC-NRU", 0x1cd8fa2d60cdc9b0),
+    ("ZIV-NotInPrC-MIN", 0xa25ea16ccf77ca54),
+    ("ZIV-MRNotInPrC-DRRIP", 0xb6bd8040de385206),
+    ("ZIV-MRNotInPrC-SHiP", 0xaa58716b915c25f1),
+    ("QBS2-LRU", 0x64d25737c8c01a53),
+    ("I-Hawkeye", 0x52b36454fe92f6a4),
+];
+
+#[test]
+fn every_mode_matches_its_pinned_digest() {
+    let sys = pin_system();
+    let wl = hot_vs_stream(&sys);
+    let mut computed = Vec::new();
+    for (mode, policy) in pinned_pairs() {
+        let label = format!("{}-{}", mode.label(), policy.label());
+        let spec = RunSpec::new(&label, sys.clone())
+            .with_mode(mode)
+            .with_policy(policy);
+        let r = run_one_checked(&spec, &wl, &RunOptions::default())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        // No pin may pass vacuously: inclusive cells must back-invalidate
+        // and ZIV cells must relocate.
+        if mode == LlcMode::Inclusive {
+            assert!(r.metrics.inclusion_victims > 0, "{label}: no victims");
+        }
+        if mode.is_ziv() {
+            assert!(r.metrics.relocations > 0, "{label}: no relocations");
+        }
+        computed.push((label, result_digest(&r)));
+    }
+    let table: String = computed
+        .iter()
+        .map(|(label, d)| format!("    (\"{label}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        computed.len(),
+        PINS.len(),
+        "pin table out of date; computed:\n{table}"
+    );
+    for ((label, got), (pin_label, want)) in computed.iter().zip(PINS) {
+        assert_eq!(label, pin_label, "cell order changed; computed:\n{table}");
+        assert_eq!(got, want, "{label}: result changed; computed:\n{table}");
     }
 }
