@@ -54,9 +54,18 @@ impl SharerSet {
         self.0.count_ones()
     }
 
-    /// Iterates over the cores in the set, lowest index first.
+    /// Iterates over the cores in the set, lowest index first. Visits
+    /// only the set bits: each step takes the lowest one and clears it.
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        (0..128).filter(|&i| self.0 >> i & 1 == 1).map(CoreId::new)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let core = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(CoreId::new(core))
+        })
     }
 
     /// Whether `core` is the *only* sharer.
