@@ -242,7 +242,6 @@ impl CacheHierarchy {
         let llc = SharedLlc::new(
             sys.llc,
             cfg.mode,
-            policy_kind,
             |b| {
                 policy_kind.build_with_future(
                     sys.llc.bank_geometry,

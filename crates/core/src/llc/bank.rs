@@ -1,5 +1,6 @@
 //! One LLC bank: the tag/data array with ZIV block state, its
-//! replacement policy, its property vectors, and its relocation FIFO.
+//! replacement policy, its property vectors (ZIV banks only), and its
+//! relocation FIFO.
 
 use crate::llc::{GradedKind, ZivProperty};
 use ziv_cache::{PropertyVector, RelocationFifo, SetAssocArray};
@@ -66,116 +67,137 @@ pub struct LlcBank {
     pub array: SetAssocArray<LlcState>,
     /// The bank's replacement policy (baseline LLC policy).
     pub policy: Box<dyn ReplacementPolicy>,
-    /// `Invalid` property vector.
-    pub pv_invalid: PropertyVector,
-    /// `NotInPrC` property vector.
-    pub pv_not_in_prc: PropertyVector,
-    /// Graded property vector (`LRUNotInPrC` or `MaxRRPVNotInPrC`).
-    pub pv_graded: PropertyVector,
-    /// `LikelyDeadNotInPrC` property vector.
-    pub pv_likely_dead: PropertyVector,
+    /// The ZIV relocation-set property vectors; `None` in every non-ZIV
+    /// mode, where nothing reads them.
+    pub pvs: Option<PropertyVectors>,
     /// The eight-entry relocation buffer (Section III-D1).
     pub fifo: RelocationFifo,
     /// Cycle of the last relocation in this bank (Fig 18 intervals).
     pub last_relocation: Option<Cycle>,
     /// Histogram of relocation intervals (log2 cycles) — Fig 18.
     pub relocation_intervals: Log2Histogram,
-    graded_kind: GradedKind,
     rank_buf: Vec<WayIdx>,
 }
 
-impl LlcBank {
-    /// Creates a bank with the given geometry, policy, and graded-PV
-    /// flavor.
-    pub fn new(
-        geom: CacheGeometry,
-        policy: Box<dyn ReplacementPolicy>,
-        graded_kind: GradedKind,
-    ) -> Self {
-        LlcBank {
-            array: SetAssocArray::new(geom),
-            policy,
-            pv_invalid: full_pv(geom.sets),
-            pv_not_in_prc: PropertyVector::new(geom.sets),
-            pv_graded: PropertyVector::new(geom.sets),
-            pv_likely_dead: PropertyVector::new(geom.sets),
-            fifo: RelocationFifo::new(),
-            last_relocation: None,
-            relocation_intervals: Log2Histogram::new(),
+/// The four property vectors of a ZIV bank (Section III-D1) and the
+/// flavor of its graded one.
+#[derive(Debug)]
+pub struct PropertyVectors {
+    /// `Invalid` property vector.
+    pub invalid: PropertyVector,
+    /// `NotInPrC` property vector.
+    pub not_in_prc: PropertyVector,
+    /// Graded property vector (`LRUNotInPrC` or `MaxRRPVNotInPrC`).
+    pub graded: PropertyVector,
+    /// `LikelyDeadNotInPrC` property vector.
+    pub likely_dead: PropertyVector,
+    graded_kind: GradedKind,
+}
+
+impl PropertyVectors {
+    /// The vectors of an empty bank of `sets` sets: every set has an
+    /// invalid way, and no set has any other property.
+    fn new(sets: u32, graded_kind: GradedKind) -> Self {
+        let mut invalid = PropertyVector::new(sets);
+        for s in 0..sets {
+            invalid.set(s, true);
+        }
+        PropertyVectors {
+            invalid,
+            not_in_prc: PropertyVector::new(sets),
+            graded: PropertyVector::new(sets),
+            likely_dead: PropertyVector::new(sets),
             graded_kind,
-            rank_buf: Vec::new(),
         }
-    }
-
-    /// Recomputes every property bit of `set` from block and policy
-    /// state. Called after any mutation of the set. O(ways).
-    pub fn refresh_set(&mut self, set: SetIdx) {
-        // One walk derives the Invalid, NotInPrC, and LikelyDeadNotInPrC
-        // bits together (an invalid way exists iff fewer than `ways`
-        // slots are valid) — this runs after every set mutation, so the
-        // fused scan matters.
-        let mut valid_ways = 0usize;
-        let mut any_nip = false;
-        let mut any_dead_nip = false;
-        for w in self.array.iter_set(set) {
-            valid_ways += 1;
-            if !w.state.relocated && w.state.not_in_prc {
-                any_nip = true;
-                if w.state.likely_dead {
-                    any_dead_nip = true;
-                }
-            }
-        }
-        self.pv_invalid
-            .set(set, valid_ways < self.array.geometry().ways as usize);
-        self.pv_not_in_prc.set(set, any_nip);
-        self.pv_likely_dead.set(set, any_dead_nip);
-
-        let graded = match self.graded_kind {
-            GradedKind::LruPos => {
-                // The block entering the LRU (first-ranked) position has
-                // NotInPrC set (Section III-D4).
-                let ctx = neutral_ctx();
-                self.policy.rank(set, &ctx, &mut self.rank_buf);
-                self.rank_buf.first().copied().is_some_and(|w| {
-                    self.array.is_valid(set, w) && {
-                        let s = self.array.state(set, w);
-                        !s.relocated && s.not_in_prc
-                    }
-                })
-            }
-            GradedKind::MaxRrpv => {
-                // The set has a cache-averse (RRPV = 7) block that is not
-                // privately cached (Section III-D5).
-                self.array.iter_set(set).any(|w| {
-                    !w.state.relocated
-                        && w.state.not_in_prc
-                        && self.policy.rrpv(set, w.way) == Some(RRPV_MAX)
-                })
-            }
-        };
-        self.pv_graded.set(set, graded);
     }
 
     /// Whether `set` satisfies the property at `level` (used for the
     /// "check the original set first" rule of Sections III-D4..7).
     pub fn set_satisfies(&self, set: SetIdx, level: PropertyLevel) -> bool {
         match level {
-            PropertyLevel::Invalid => self.pv_invalid.get(set),
-            PropertyLevel::Graded => self.pv_graded.get(set),
-            PropertyLevel::LikelyDead => self.pv_likely_dead.get(set),
-            PropertyLevel::NotInPrC => self.pv_not_in_prc.get(set),
+            PropertyLevel::Invalid => self.invalid.get(set),
+            PropertyLevel::Graded => self.graded.get(set),
+            PropertyLevel::LikelyDead => self.likely_dead.get(set),
+            PropertyLevel::NotInPrC => self.not_in_prc.get(set),
         }
     }
 
     /// The PV for `level`.
     pub fn pv_mut(&mut self, level: PropertyLevel) -> &mut PropertyVector {
         match level {
-            PropertyLevel::Invalid => &mut self.pv_invalid,
-            PropertyLevel::Graded => &mut self.pv_graded,
-            PropertyLevel::LikelyDead => &mut self.pv_likely_dead,
-            PropertyLevel::NotInPrC => &mut self.pv_not_in_prc,
+            PropertyLevel::Invalid => &mut self.invalid,
+            PropertyLevel::Graded => &mut self.graded,
+            PropertyLevel::LikelyDead => &mut self.likely_dead,
+            PropertyLevel::NotInPrC => &mut self.not_in_prc,
         }
+    }
+}
+
+impl LlcBank {
+    /// Creates a bank with the given geometry and policy. A ZIV bank
+    /// passes its graded-PV flavor and gets property vectors; every
+    /// other bank passes `None` and has none.
+    pub fn new(
+        geom: CacheGeometry,
+        policy: Box<dyn ReplacementPolicy>,
+        graded_kind: Option<GradedKind>,
+    ) -> Self {
+        LlcBank {
+            array: SetAssocArray::new(geom),
+            policy,
+            pvs: graded_kind.map(|kind| PropertyVectors::new(geom.sets, kind)),
+            fifo: RelocationFifo::new(),
+            last_relocation: None,
+            relocation_intervals: Log2Histogram::new(),
+            rank_buf: Vec::new(),
+        }
+    }
+
+    /// Recomputes every property bit of `set` from block and policy
+    /// state. Called after any mutation of the set; does nothing on a
+    /// bank without property vectors. One O(ways) walk, no sort.
+    pub fn refresh_set(&mut self, set: SetIdx) {
+        let Some(pvs) = self.pvs.as_mut() else {
+            return;
+        };
+        // One walk derives the Invalid, NotInPrC, LikelyDeadNotInPrC and
+        // MaxRRPVNotInPrC bits together (an invalid way exists iff fewer
+        // than `ways` slots are valid).
+        let averse_graded = pvs.graded_kind == GradedKind::MaxRrpv;
+        let mut valid_ways = 0usize;
+        let mut any_nip = false;
+        let mut any_dead_nip = false;
+        let mut any_averse_nip = false;
+        for w in self.array.iter_set(set) {
+            valid_ways += 1;
+            if !w.state.relocated && w.state.not_in_prc {
+                any_nip = true;
+                any_dead_nip |= w.state.likely_dead;
+                // A cache-averse (RRPV = 7) block that is not privately
+                // cached (Section III-D5).
+                if averse_graded && !any_averse_nip {
+                    any_averse_nip = self.policy.rrpv(set, w.way) == Some(RRPV_MAX);
+                }
+            }
+        }
+        let graded = match pvs.graded_kind {
+            GradedKind::LruPos => {
+                // The block in the LRU position — the policy's victim,
+                // which the trait contract makes its first-ranked way —
+                // has NotInPrC set (Section III-D4).
+                let w = self.policy.victim(set, &neutral_ctx());
+                self.array.is_valid(set, w) && {
+                    let s = self.array.state(set, w);
+                    !s.relocated && s.not_in_prc
+                }
+            }
+            GradedKind::MaxRrpv => any_averse_nip,
+        };
+        pvs.invalid
+            .set(set, valid_ways < self.array.geometry().ways as usize);
+        pvs.not_in_prc.set(set, any_nip);
+        pvs.likely_dead.set(set, any_dead_nip);
+        pvs.graded.set(set, graded);
     }
 
     /// Selects the victim within a relocation set, following the
@@ -241,16 +263,6 @@ pub(crate) fn neutral_ctx() -> AccessCtx {
     AccessCtx::demand(LineAddr::new(0), 0, ziv_common::CoreId::new(0), 0, u64::MAX)
 }
 
-/// A PV that starts with every bit set (all sets of an empty bank have
-/// invalid ways).
-fn full_pv(sets: u32) -> PropertyVector {
-    let mut pv = PropertyVector::new(sets);
-    for s in 0..sets {
-        pv.set(s, true);
-    }
-    pv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,12 +270,16 @@ mod tests {
 
     fn bank_lru() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Lru::new(geom)), GradedKind::LruPos)
+        LlcBank::new(geom, Box::new(Lru::new(geom)), Some(GradedKind::LruPos))
     }
 
     fn bank_rrpv() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Srrip::new(geom)), GradedKind::MaxRrpv)
+        LlcBank::new(geom, Box::new(Srrip::new(geom)), Some(GradedKind::MaxRrpv))
+    }
+
+    fn pvs(bank: &LlcBank) -> &PropertyVectors {
+        bank.pvs.as_ref().expect("a ZIV bank has property vectors")
     }
 
     fn fill(bank: &mut LlcBank, set: SetIdx, way: WayIdx, line: u64, nip: bool) {
@@ -289,8 +305,16 @@ mod tests {
     #[test]
     fn empty_bank_has_all_invalid_bits() {
         let b = bank_lru();
-        assert_eq!(b.pv_invalid.count_ones(), 8);
-        assert!(b.pv_not_in_prc.is_empty());
+        assert_eq!(pvs(&b).invalid.count_ones(), 8);
+        assert!(pvs(&b).not_in_prc.is_empty());
+    }
+
+    #[test]
+    fn non_ziv_bank_has_no_property_vectors() {
+        let geom = CacheGeometry::new(8, 4);
+        let mut b = LlcBank::new(geom, Box::new(Lru::new(geom)), None);
+        fill(&mut b, 0, 0, 10, true);
+        assert!(b.pvs.is_none());
     }
 
     #[test]
@@ -299,18 +323,18 @@ mod tests {
         for w in 0..4 {
             fill(&mut b, 2, w, 100 + w as u64, false);
         }
-        assert!(!b.pv_invalid.get(2));
-        assert!(b.pv_invalid.get(3));
+        assert!(!pvs(&b).invalid.get(2));
+        assert!(pvs(&b).invalid.get(3));
     }
 
     #[test]
     fn not_in_prc_pv_tracks_state() {
         let mut b = bank_lru();
         fill(&mut b, 1, 0, 50, true);
-        assert!(b.pv_not_in_prc.get(1));
+        assert!(pvs(&b).not_in_prc.get(1));
         b.array.state_mut(1, 0).not_in_prc = false;
         b.refresh_set(1);
-        assert!(!b.pv_not_in_prc.get(1));
+        assert!(!pvs(&b).not_in_prc.get(1));
     }
 
     #[test]
@@ -319,7 +343,7 @@ mod tests {
         fill(&mut b, 1, 0, 50, true);
         b.array.state_mut(1, 0).relocated = true;
         b.refresh_set(1);
-        assert!(!b.pv_not_in_prc.get(1));
+        assert!(!pvs(&b).not_in_prc.get(1));
     }
 
     #[test]
@@ -331,12 +355,12 @@ mod tests {
         // Way 0 is LRU; mark way 3 (MRU) NotInPrC -> graded bit off.
         b.array.state_mut(0, 3).not_in_prc = true;
         b.refresh_set(0);
-        assert!(!b.pv_graded.get(0));
-        assert!(b.pv_not_in_prc.get(0));
+        assert!(!pvs(&b).graded.get(0));
+        assert!(pvs(&b).not_in_prc.get(0));
         // Mark way 0 (LRU) NotInPrC -> graded bit on.
         b.array.state_mut(0, 0).not_in_prc = true;
         b.refresh_set(0);
-        assert!(b.pv_graded.get(0));
+        assert!(pvs(&b).graded.get(0));
     }
 
     #[test]
@@ -346,11 +370,11 @@ mod tests {
             fill(&mut b, 0, w, 10 + w as u64, true);
         }
         // SRRIP fills at RRPV_MAX-1: no averse block yet.
-        assert!(!b.pv_graded.get(0));
+        assert!(!pvs(&b).graded.get(0));
         b.policy.on_evict(0, 2); // forces way 2 to RRPV_MAX
         b.array.state_mut(0, 2).not_in_prc = true;
         b.refresh_set(0);
-        assert!(b.pv_graded.get(0));
+        assert!(pvs(&b).graded.get(0));
     }
 
     #[test]

@@ -5,14 +5,14 @@
 
 mod bank;
 
-pub use bank::{EvictedBlock, LlcBank, LlcState, PropertyLevel};
+pub use bank::{EvictedBlock, LlcBank, LlcState, PropertyLevel, PropertyVectors};
 
 use bank::neutral_ctx;
 use ziv_common::config::LlcConfig;
 use ziv_common::ids::{SetIdx, WayIdx};
 use ziv_common::{BankId, Cycle, LineAddr, SimRng};
 use ziv_directory::{LlcLocation, SparseDirectory};
-use ziv_replacement::{AccessCtx, PolicyKind, ReplacementPolicy};
+use ziv_replacement::{AccessCtx, ReplacementPolicy};
 
 /// The ZIV relocation-set properties of Section III-D, in increasing
 /// implementation complexity. The paper pairs the first three with LRU
@@ -286,17 +286,17 @@ impl SharedLlc {
     pub fn new(
         cfg: LlcConfig,
         mode: LlcMode,
-        policy_kind: PolicyKind,
         mut build_policy: impl FnMut(usize) -> Box<dyn ReplacementPolicy>,
         seed: u64,
     ) -> Self {
+        // Only ZIV banks carry property vectors: `choose_ziv` is their
+        // one reader.
         let graded = match mode {
             LlcMode::Ziv(ZivProperty::MaxRrpvNotInPrC | ZivProperty::MaxRrpvLikelyDead) => {
-                GradedKind::MaxRrpv
+                Some(GradedKind::MaxRrpv)
             }
-            LlcMode::Ziv(_) => GradedKind::LruPos,
-            _ if policy_kind.is_rrpv_based() => GradedKind::MaxRrpv,
-            _ => GradedKind::LruPos,
+            LlcMode::Ziv(_) => Some(GradedKind::LruPos),
+            _ => None,
         };
         let banks = (0..cfg.banks)
             .map(|b| LlcBank::new(cfg.bank_geometry, build_policy(b), graded))
@@ -687,18 +687,16 @@ impl SharedLlc {
         // The baseline victim has privately cached copies: find where to
         // put it (or a better victim in this very set).
         for &level in prop.levels() {
-            if level == PropertyLevel::LikelyDead
-                && !self.banks[bank.index()].set_satisfies(set, level)
-                && self.banks[bank.index()].pv_mut(level).is_empty()
-            {
+            let pvs = self.ziv_pvs(bank.index());
+            let in_set = pvs.set_satisfies(set, level);
+            if level == PropertyLevel::LikelyDead && !in_set && pvs.pv_mut(level).is_empty() {
                 // Record the dead-block starvation for the CHAR
                 // threshold adaptation (Fig 7).
                 outcome.likely_dead_pv_empty = true;
             }
             // Original set first (except Invalid, already known empty
             // because fills consume invalid ways before victimization).
-            if level != PropertyLevel::Invalid && self.banks[bank.index()].set_satisfies(set, level)
-            {
+            if level != PropertyLevel::Invalid && in_set {
                 let w = self.banks[bank.index()]
                     .relocation_victim(set, prop)
                     .expect("set property bit guaranteed a victim");
@@ -707,7 +705,7 @@ impl SharedLlc {
                 return ZivChoice::Evict(w);
             }
             // Then the global PV of this bank.
-            if let Some(rs) = self.banks[bank.index()].pv_mut(level).take_next_rs() {
+            if let Some(rs) = self.ziv_pvs(bank.index()).pv_mut(level).take_next_rs() {
                 if rs != set {
                     return self.relocate(bank, set, baseline, bank, rs, prop, outcome, ctx, now);
                 }
@@ -732,7 +730,7 @@ impl SharedLlc {
         });
         for other in others {
             for &level in prop.levels() {
-                if let Some(rs) = self.banks[other].pv_mut(level).take_next_rs() {
+                if let Some(rs) = self.ziv_pvs(other).pv_mut(level).take_next_rs() {
                     return self.relocate(
                         bank,
                         set,
@@ -754,6 +752,14 @@ impl SharedLlc {
         outcome.ziv_fallback = true;
         outcome.victim_reason = VictimReason::ZivFallback;
         ZivChoice::Evict(baseline)
+    }
+
+    /// The property vectors of bank `bank`, which every ZIV bank has.
+    fn ziv_pvs(&mut self, bank: usize) -> &mut PropertyVectors {
+        self.banks[bank]
+            .pvs
+            .as_mut()
+            .expect("ZIV banks carry property vectors")
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -11,13 +11,7 @@ use ziv_replacement::{AccessCtx, PolicyKind};
 /// 2 banks × 4 sets × 4 ways = 32 blocks.
 fn llc(mode: LlcMode, policy: PolicyKind) -> SharedLlc {
     let cfg = LlcConfig::from_total_capacity(32 * 64, 4, 2);
-    SharedLlc::new(
-        cfg,
-        mode,
-        policy,
-        |b| policy.build(cfg.bank_geometry, b as u64),
-        7,
-    )
+    SharedLlc::new(cfg, mode, |b| policy.build(cfg.bank_geometry, b as u64), 7)
 }
 
 fn dir() -> SparseDirectory {
