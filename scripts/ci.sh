@@ -8,9 +8,13 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
+# benchmark/ is a package of its own, outside the workspace, so the
+# workspace-wide fmt and clippy runs skip it.
+cargo fmt --check --manifest-path benchmark/Cargo.toml
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --workspace --release
