@@ -3,17 +3,22 @@
 //! timing-metric-silent, a sampled campaign pass leaves the full
 //! campaign's ledger and CSVs byte-identical, the sampled IPC
 //! estimates track the full-run values on the smoke grid, a panicking
-//! cell in a sampled pass is isolated like one in a full campaign, and
-//! the `zivsim sample` command reports a paired verdict end-to-end.
+//! cell in a sampled pass is isolated like one in a full campaign, the
+//! `zivsim sample` command reports a paired verdict end-to-end, and
+//! sampled results reproduce pinned digests.
 
 use std::fs;
 use std::path::PathBuf;
-use ziv::core::FaultInjection;
+use ziv::common::digest::Fnv1a;
+use ziv::core::{AuditCadence, FaultInjection};
 use ziv::harness::{
     campaigns, run_campaign, run_campaign_sampled, CampaignParams, NullSink, RunnerConfig,
 };
 use ziv::prelude::*;
-use ziv::sim::{run_one_sampled, Confidence, RunOptions, RunSpec, SamplingPlan};
+use ziv::sim::{
+    run_one_sampled, run_paired_sampled_instrumented, Confidence, RunOptions, RunSpec,
+    SamplingPlan, StopReason,
+};
 use ziv::workloads::{apps, mixes, ScaleParams};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -323,4 +328,176 @@ fn cli_sample_reports_a_paired_verdict() {
         stdout.contains("delta") || stdout.contains("Δ"),
         "missing paired delta:\n{stdout}"
     );
+}
+
+/// FNV-1a of a value's `Debug` rendering (the digest
+/// `tests/hotpath_determinism.rs` pins full-run results with).
+fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_str(&format!("{value:?}"));
+    h.finish()
+}
+
+/// Two cores whose hot sets live in their L2s next to two streaming
+/// cores that push the LLC copies of those sets out: inclusive runs
+/// back-invalidate them, ZIV runs relocate them.
+fn hot_vs_stream(scale: ScaleParams, accesses: usize) -> Workload {
+    let hot = mixes::homogeneous(apps::app_by_name("hotl2").unwrap(), 2, accesses, 3, scale);
+    let stream = mixes::homogeneous(apps::app_by_name("stream").unwrap(), 4, accesses, 5, scale);
+    let mut traces = hot.traces;
+    traces.extend(stream.traces.into_iter().skip(2));
+    Workload {
+        name: "hot-vs-stream".into(),
+        traces,
+        attack: None,
+    }
+}
+
+#[rustfmt::skip]
+const SAMPLED_PINS: &[(&str, u64)] = &[
+    ("auto-in-regime", 0xd94cfdb7ea9f0adc),
+    ("warmup-0", 0x5bf1d91ae7c7ea6f),
+    ("warmup-100", 0x05e1bc08d9eb3781),
+    ("max-intervals", 0x410e4e24d1eab056),
+    ("ziv-relocating", 0xfcdd9c4f79ed4602),
+    ("every-access-audit", 0x4b01264e65aa20d5),
+];
+
+/// The paired `I-LRU` vs `I-Hawkeye` report on a cyclic working set.
+const PAIRED_PIN: u64 = 0xc0ba27f4276f8c6c;
+
+/// `sampling.csv` of the sampled `smoke` pass over `CampaignParams::tiny()`.
+const SAMPLING_CSV_PIN: u64 = 0xf5caccd903362301;
+
+/// Every sampled path reproduces the result it produced when pinned:
+/// the auto plan in regime (skip spans and a head census), explicit
+/// plans at both warmup extremes, an interval cap, a relocating ZIV
+/// mode, the every-access auditor, the paired auto-stop, and a sampled
+/// campaign's `sampling.csv` at one and two threads. Each case first
+/// asserts the path it is meant to exercise, so no pin passes
+/// vacuously.
+#[test]
+fn sampled_runs_match_their_pinned_digests() {
+    let sys = SystemConfig::scaled();
+    let scale = ScaleParams::from_system(&sys);
+    let opts = RunOptions::default();
+    let inclusive = RunSpec::new("I-LRU", sys.clone());
+    let ziv = RunSpec::new("ZIV-LikelyDead-LRU", sys.clone())
+        .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
+    let short = mixes::homogeneous(apps::APPS[4], 2, 3_000, 5, scale);
+    let mut computed = Vec::new();
+
+    // Four warm horizons of stream: the auto plan is in regime.
+    let per_core = 2 * scale.llc_lines as usize + 1_000;
+    let long = mixes::homogeneous(apps::app_by_name("circset").unwrap(), 2, per_core, 7, scale);
+    let run = run_one_sampled(&inclusive, &long, &opts, SamplingPlan::auto()).unwrap();
+    let head = run.profile.plan.head;
+    assert!(run.profile.skipped_accesses > 0, "in-regime plans skip");
+    assert!(head > 0, "in-regime plans census the head");
+    assert!(run.intervals.iter().any(|iv| iv.start_access < head));
+    computed.push(("auto-in-regime", debug_digest(&run)));
+
+    let run = run_one_sampled(&inclusive, &short, &opts, plan(64, 448, 0)).unwrap();
+    assert_eq!(run.profile.warm_accesses, 0);
+    assert!(run.profile.skipped_accesses > 0);
+    computed.push(("warmup-0", debug_digest(&run)));
+
+    let run = run_one_sampled(&inclusive, &short, &opts, plan(64, 448, 1000)).unwrap();
+    assert_eq!(run.profile.skipped_accesses, 0);
+    assert!(run.profile.warm_accesses > 0);
+    computed.push(("warmup-100", debug_digest(&run)));
+
+    let capped = SamplingPlan {
+        max_intervals: 3,
+        ..plan(64, 448, 250)
+    };
+    let run = run_one_sampled(&inclusive, &short, &opts, capped).unwrap();
+    assert_eq!(run.profile.stop, StopReason::MaxIntervals);
+    assert_eq!(run.intervals.len(), 3);
+    computed.push(("max-intervals", debug_digest(&run)));
+
+    // A 256 KB LLC next to 16 KB L2s: privately cached blocks are a
+    // large share of the LLC, so ZIV keeps relocating them.
+    let small = SystemConfig::big_llc(64);
+    let small_inclusive = RunSpec::new("I-LRU", small.clone());
+    let small_ziv = RunSpec::new("ZIV-LikelyDead-LRU", small.clone())
+        .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead));
+    let small_scale = ScaleParams::from_system(&small);
+    let mixed = hot_vs_stream(small_scale, 4_000);
+    let run = run_one_sampled(&small_ziv, &mixed, &opts, plan(128, 384, 500)).unwrap();
+    assert!(
+        run.result.metrics.relocations > 0,
+        "ZIV relocates inside its timed windows"
+    );
+    computed.push(("ziv-relocating", debug_digest(&run)));
+
+    let audited = RunOptions {
+        audit: AuditCadence::EveryAccess,
+        ..RunOptions::default()
+    };
+    let tiny = mixes::homogeneous(apps::APPS[4], 2, 400, 9, scale);
+    let run = run_one_sampled(&ziv, &tiny, &audited, plan(32, 96, 500)).unwrap();
+    assert!(run.profile.timed_accesses > 0);
+    computed.push(("every-access-audit", debug_digest(&run)));
+
+    let table: String = computed
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(computed.len(), SAMPLED_PINS.len(), "computed:\n{table}");
+    for ((name, got), (pin_name, want)) in computed.iter().zip(SAMPLED_PINS) {
+        assert_eq!(name, pin_name, "case order changed; computed:\n{table}");
+        assert_eq!(
+            got, want,
+            "{name}: sampled result changed; computed:\n{table}"
+        );
+    }
+
+    // Hawkeye keeps part of a cyclic working set that LRU thrashes, so
+    // the paired delta resolves well before the trace ends.
+    let hawkeye = RunSpec::new("I-Hawkeye", small).with_policy(PolicyKind::Hawkeye);
+    let cyclic = mixes::homogeneous(
+        apps::app_by_name("circset").unwrap(),
+        2,
+        3_000,
+        3,
+        small_scale,
+    );
+    let report = run_paired_sampled_instrumented(
+        &small_inclusive,
+        &hawkeye,
+        &cyclic,
+        &opts,
+        plan(64, 192, 500),
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.target.profile.stop, StopReason::DeltaResolved);
+    assert_eq!(
+        debug_digest(&report),
+        PAIRED_PIN,
+        "paired report changed: {:#018x}",
+        debug_digest(&report)
+    );
+
+    let campaign = campaigns::by_name("smoke", &CampaignParams::tiny()).expect("smoke exists");
+    let base = temp_dir("sampled-pin");
+    for threads in [1, 2] {
+        let cfg = RunnerConfig {
+            threads,
+            ..RunnerConfig::new(base.join(format!("t{threads}")))
+        };
+        let outcome =
+            run_campaign_sampled(&campaign, &cfg, SamplingPlan::auto(), false, &NullSink).unwrap();
+        assert!(outcome.failures.is_empty());
+        let mut h = Fnv1a::new();
+        h.write_bytes(&read(&outcome.sampling_csv));
+        assert_eq!(
+            h.finish(),
+            SAMPLING_CSV_PIN,
+            "sampling.csv digest at {threads} thread(s) moved: {:#018x}",
+            h.finish()
+        );
+    }
+    fs::remove_dir_all(&base).ok();
 }
