@@ -165,6 +165,12 @@ impl RunResult {
     }
 }
 
+impl AsRef<RunResult> for RunResult {
+    fn as_ref(&self) -> &RunResult {
+        self
+    }
+}
+
 /// Simulates `workload` under `spec` and returns the results.
 ///
 /// # Panics
@@ -198,15 +204,258 @@ pub fn run_one_checked(
     run_one_instrumented(spec, workload, opts, None, None).0
 }
 
-/// Publishes the driver's live per-core instruction/cycle clocks into
-/// the hierarchy's metrics so an epoch sample can report per-epoch IPC.
-/// Safe to do mid-run: nothing in the simulator reads these fields, and
-/// the end-of-run snapshot rewind overwrites them regardless.
-pub(crate) fn publish_core_clocks(h: &mut CacheHierarchy, instructions: &[u64], cycles: &[f64]) {
-    let per_core = &mut h.metrics_mut().per_core;
-    for c in 0..instructions.len() {
-        per_core[c].instructions = instructions[c];
-        per_core[c].cycles = cycles[c] as u64;
+/// The machinery both drivers share: the hierarchy, each core's trace
+/// cursor and clocks, and the per-access step with its checks. The
+/// full driver ([`run_one_instrumented`]) and the sampling engine
+/// ([`run_one_sampled_instrumented`](crate::run_one_sampled_instrumented))
+/// keep only their own schedule on top: which core is eligible, which
+/// stream position an access takes, and what happens between accesses.
+pub(crate) struct Sim<'a> {
+    pub(crate) h: CacheHierarchy,
+    pub(crate) workload: &'a Workload,
+    pub(crate) base_cpi: f64,
+    /// Index of each core's next trace record.
+    pub(crate) cursor: Vec<usize>,
+    /// Each core's clock, in cycles.
+    pub(crate) cycles: Vec<f64>,
+    /// Instructions each core has retired.
+    pub(crate) instructions: Vec<u64>,
+    /// Accesses issued so far, over all cores.
+    pub(crate) issued: u64,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) probe: Option<&'a dyn TelemetryProbe>,
+    auditor: Auditor,
+    budget_cycles: Option<u64>,
+    profiling: bool,
+    /// The core that issued the last access and its clock before it.
+    last: (usize, u64),
+}
+
+impl<'a> Sim<'a> {
+    /// Builds `spec`'s hierarchy for `workload`, with every core at the
+    /// start of its trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload's core count exceeds the system's.
+    pub(crate) fn new(
+        spec: &RunSpec,
+        workload: &'a Workload,
+        opts: &RunOptions,
+        cancel: Option<&'a CancelToken>,
+        probe: Option<&'a dyn TelemetryProbe>,
+    ) -> Self {
+        let ncores = workload.cores();
+        assert!(
+            ncores <= spec.system.cores,
+            "workload has {ncores} cores but the system has {}",
+            spec.system.cores
+        );
+        Sim {
+            h: CacheHierarchy::new(&spec.build_hierarchy_config(workload)),
+            workload,
+            base_cpi: spec.system.base_cpi,
+            cursor: vec![0; ncores],
+            cycles: vec![0.0; ncores],
+            instructions: vec![0; ncores],
+            issued: 0,
+            cancel,
+            probe,
+            auditor: Auditor::new(opts.audit),
+            budget_cycles: opts.budget.map(|b| b.cycles_for(workload)),
+            profiling: opts.observe.profile,
+            last: (0, 0),
+        }
+    }
+
+    /// Polls the cancel token before the next access, and every 256
+    /// accesses reports progress: the count to the token, and a
+    /// [`ProbeSnapshot`] tagged with the sampling `stratum` (0 in a
+    /// full run) to the probe. Fine-grained enough that a supervisor's
+    /// stall detector can tell a slow cell from a wedged one even in
+    /// unoptimized builds.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Timeout`] once the token has fired.
+    #[inline]
+    pub(crate) fn poll(&self, stratum: u64) -> Result<(), SimError> {
+        let issued = self.issued;
+        if let Some(tok) = self.cancel {
+            if let Some(reason) = tok.fired(issued) {
+                return Err(SimError::Timeout {
+                    reason,
+                    access_index: issued,
+                });
+            }
+            if issued & 0xFF == 0 {
+                tok.note_progress(issued);
+            }
+        }
+        if let Some(p) = self.probe {
+            if issued & 0xFF == 0 {
+                let m = self.h.metrics();
+                p.publish_progress(&ProbeSnapshot {
+                    access_index: issued,
+                    instructions: self.instructions.iter().sum(),
+                    cycles: self.window(),
+                    llc_accesses: m.llc_accesses,
+                    llc_misses: m.llc_misses,
+                    inclusion_victims: m.inclusion_victims,
+                    relocations: m.relocations,
+                    stratum,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The lagging core: the one with the smallest clock among those
+    /// `eligible` admits, or `None` when it admits none. Advancing it
+    /// next gives the deterministic smallest-cycle-first interleaving.
+    #[inline]
+    pub(crate) fn lagging(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut core = None;
+        let mut best = f64::INFINITY;
+        for (c, &clock) in self.cycles.iter().enumerate() {
+            if eligible(c) && clock < best {
+                best = clock;
+                core = Some(c);
+            }
+        }
+        core
+    }
+
+    /// Issues `core`'s next trace record to the hierarchy at global
+    /// stream position `seq` and charges the core's clock. Returns
+    /// whether the record was the last of the core's trace; the cursor
+    /// is left past it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Timeout`] when an injected hang wedged the model: it
+    /// parks on wall-clock time — the real hang signature — until the
+    /// cancel token fires, or fails at once without a token rather than
+    /// wedging the caller forever.
+    #[inline]
+    pub(crate) fn issue(&mut self, core: usize, seq: u64) -> Result<bool, SimError> {
+        let trace = &self.workload.traces[core];
+        let rec = trace.records[self.cursor[core]];
+        self.cursor[core] += 1;
+        let a = Access {
+            core: ziv_common::CoreId::new(core),
+            addr: rec.addr,
+            pc: rec.pc,
+            is_write: rec.is_write,
+            is_instr: false,
+        };
+        let now = self.cycles[core] as u64;
+        let t0 = self.profiling.then(std::time::Instant::now);
+        let lat = self.h.access(&a, now, seq);
+        if let Some(t0) = t0 {
+            self.h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
+        }
+        let exposed = lat as f64 * (1.0 - trace.overlap);
+        self.cycles[core] += (1 + rec.gap as u64) as f64 * self.base_cpi + exposed;
+        self.instructions[core] += 1 + rec.gap as u64;
+        self.last = (core, now);
+        self.issued += 1;
+        if self.h.is_hung() {
+            let reason = match self.cancel {
+                Some(tok) => loop {
+                    if let Some(reason) = tok.fired(self.issued) {
+                        break reason;
+                    }
+                    tok.note_progress(self.issued);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                },
+                None => "model hung (hang-core fault) with no supervisor attached".into(),
+            };
+            return Err(SimError::Timeout {
+                reason,
+                access_index: self.issued - 1,
+            });
+        }
+        Ok(self.cursor[core] == trace.records.len())
+    }
+
+    /// Checks the access [`Sim::issue`] made last: the invariant audit,
+    /// when the cadence makes one due, and the issuing core's clock
+    /// against the watchdog budget.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Audit`] for an invariant violation (also noted in
+    /// the flight recorder) and [`SimError::BudgetExceeded`] for a
+    /// clock past the budget.
+    #[inline]
+    pub(crate) fn check(&mut self) -> Result<(), SimError> {
+        let (core, now) = self.last;
+        let access_index = self.issued - 1;
+        if self.auditor.due() {
+            let t0 = self.profiling.then(std::time::Instant::now);
+            let verdict = Auditor::check(&self.h, access_index);
+            if let Some(t0) = t0 {
+                self.h.profile_add(ProfileSection::Audit, t0.elapsed());
+            }
+            if let Err(v) = verdict {
+                self.h.record_audit_violation(&v, now);
+                return Err(SimError::Audit(v));
+            }
+        }
+        if let Some(budget) = self.budget_cycles {
+            let cycles = self.cycles[core] as u64;
+            if cycles > budget {
+                return Err(SimError::BudgetExceeded {
+                    budget_cycles: budget,
+                    core,
+                    cycles,
+                    access_index,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The co-run window: the slowest core's clock.
+    pub(crate) fn window(&self) -> u64 {
+        self.cycles.iter().copied().fold(0f64, f64::max) as u64
+    }
+
+    /// Publishes the per-core instruction/cycle clocks into the
+    /// hierarchy's metrics, so an epoch sample can report per-epoch
+    /// IPC. Safe to do mid-run: nothing in the simulator reads these
+    /// fields.
+    pub(crate) fn publish_core_clocks(&mut self) {
+        let clocks = self.instructions.iter().zip(&self.cycles);
+        for (m, (&instructions, &cycles)) in self.h.metrics_mut().per_core.iter_mut().zip(clocks) {
+            m.instructions = instructions;
+            m.cycles = cycles as u64;
+        }
+    }
+
+    /// Closes the run: publishes the per-core clocks, finalizes the
+    /// hierarchy and returns its results under `label`.
+    pub(crate) fn result(&mut self, label: &str) -> RunResult {
+        self.publish_core_clocks();
+        self.h.finalize();
+        debug_assert!(
+            self.h.verify_invariants().is_ok(),
+            "{:?}",
+            self.h.verify_invariants()
+        );
+        RunResult {
+            label: label.to_string(),
+            workload: self.workload.name.clone(),
+            cores: (0..self.cursor.len())
+                .map(|c| CoreRunStats {
+                    instructions: self.instructions[c],
+                    cycles: self.cycles[c] as u64,
+                    app_name: self.workload.traces[c].app_name,
+                })
+                .collect(),
+            metrics: self.h.metrics().clone(),
+        }
     }
 }
 
@@ -215,7 +464,7 @@ pub(crate) fn publish_core_clocks(h: &mut CacheHierarchy, instructions: &[u64], 
 /// `window_cycles` is the co-run window length (the slowest core's
 /// clock) stamped into the leakage report so its per-Mcycle rate is
 /// well-defined.
-pub(crate) fn collect_observations(
+fn collect_observations(
     h: &mut CacheHierarchy,
     slicer: Option<EpochSlicer>,
     observing: bool,
@@ -241,29 +490,6 @@ pub(crate) fn collect_observations(
         profile,
         dir_slice_occupancy: h.directory().slice_occupancies(),
     }))
-}
-
-/// Build a [`ProbeSnapshot`] from the driver's running state — a few
-/// counter reads, no allocation. Shared with the sampling loop, which
-/// passes its current phase as `stratum`.
-pub(crate) fn probe_snapshot(
-    h: &CacheHierarchy,
-    instructions: &[u64],
-    cycles: &[f64],
-    issued: u64,
-    stratum: u64,
-) -> ProbeSnapshot {
-    let m = h.metrics();
-    ProbeSnapshot {
-        access_index: issued,
-        instructions: instructions.iter().sum(),
-        cycles: cycles.iter().copied().fold(0f64, f64::max) as u64,
-        llc_accesses: m.llc_accesses,
-        llc_misses: m.llc_misses,
-        inclusion_victims: m.inclusion_victims,
-        relocations: m.relocations,
-        stratum,
-    }
 }
 
 /// Simulates `workload` under `spec`: the general full-run entry point
@@ -305,43 +531,8 @@ pub fn run_one_instrumented(
     cancel: Option<&CancelToken>,
     probe: Option<&dyn TelemetryProbe>,
 ) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
-    let hier_cfg = spec.build_hierarchy_config(workload);
-    let mut h = CacheHierarchy::new(&hier_cfg);
+    let mut sim = Sim::new(spec, workload, opts, cancel, probe);
     let ncores = workload.cores();
-    assert!(
-        ncores <= spec.system.cores,
-        "workload has {ncores} cores but the system has {}",
-        spec.system.cores
-    );
-    let base_cpi = spec.system.base_cpi;
-
-    // Per-core progress state. Early-finishing cores restart their
-    // trace and keep running (the paper's protocol), so contention
-    // stays representative until the last core completes its segment;
-    // per-core statistics are snapshotted at each core's *first*
-    // completion.
-    let mut cursor = vec![0usize; ncores];
-    let mut cycles = vec![0f64; ncores];
-    let mut instructions = vec![0u64; ncores];
-    let mut completed = vec![false; ncores];
-    let mut snapshots: Vec<Option<(u64, u64, ziv_core::metrics::CoreMetrics)>> = vec![None; ncores];
-    let mut done = 0usize;
-    // Restarted records get fresh, never-in-the-future sequence numbers
-    // so the MIN oracle treats them as never-reused.
-    let total_seq = workload.total_accesses() * ncores as u64;
-    let mut restart_seq = total_seq;
-    // Bound the restart inflation: a fast private-resident core
-    // co-running with a slow streaming core could otherwise re-run its
-    // trace a hundred times while the slowest finishes. A core parks
-    // after LAP_CAP completed laps; parked cores keep their cache
-    // presence but stop issuing, and the measured window for a fast
-    // core is its LAP_CAP laps of co-run exposure.
-    const LAP_CAP: u32 = 12;
-    let mut laps = vec![0u32; ncores];
-    let mut issued = 0u64;
-    let issue_cap = workload.total_accesses().saturating_mul(32); // backstop
-    let mut auditor = Auditor::new(opts.audit);
-    let budget_cycles = opts.budget.map(|b| b.cycles_for(workload));
     let observing = opts.observe.is_enabled();
     if let Some(mut rec) = FlightRecorder::new(
         &opts.observe,
@@ -363,137 +554,93 @@ pub fn run_one_instrumented(
                 ));
             }
         }
-        h.attach_recorder(rec);
+        sim.h.attach_recorder(rec);
     }
-    let profiling = opts.observe.profile;
-    if profiling {
-        h.attach_profiler(Box::new(SelfProfiler::new()));
+    if opts.observe.profile {
+        sim.h.attach_profiler(Box::new(SelfProfiler::new()));
     }
     let mut slicer = opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores));
-    let mut failure: Option<SimError> = None;
 
-    // Smallest-cycle-first global interleaving.
-    'sim: while done < ncores && issued < issue_cap {
-        if let Some(tok) = cancel {
-            if let Some(reason) = tok.fired(issued) {
-                failure = Some(SimError::Timeout {
-                    reason,
-                    access_index: issued,
-                });
-                break 'sim;
-            }
-            // Fine-grained enough (256 accesses) that a supervisor's
-            // stall detector can tell a slow cell from a wedged one
-            // even in unoptimized builds.
-            if issued & 0xFF == 0 {
-                tok.note_progress(issued);
-            }
+    let outcome = run_laps(&mut sim, slicer.as_mut()).map(|snapshots| {
+        // Rewind each core to its last completed lap.
+        for (c, (instructions, cycles, mut per_core)) in snapshots.into_iter().enumerate() {
+            per_core.instructions = instructions;
+            per_core.cycles = cycles;
+            sim.h.metrics_mut().per_core[c] = per_core;
+            sim.instructions[c] = instructions;
+            sim.cycles[c] = cycles as f64;
         }
-        if let Some(p) = probe {
-            if issued & 0xFF == 0 {
-                p.publish_progress(&probe_snapshot(&h, &instructions, &cycles, issued, 0));
-            }
-        }
-        // Find the lagging unparked core.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        for c in 0..ncores {
-            if laps[c] < LAP_CAP && cycles[c] < best {
-                best = cycles[c];
-                core = c;
-            }
-        }
-        if core == usize::MAX {
+        sim.result(&spec.label)
+    });
+    // Close the epoch series where the run ended: after the lap rewind
+    // and finalize, so the epoch deltas sum exactly to the final
+    // aggregate metrics (its per-core deltas may be negative), or at the
+    // failure point, so partial samples still telescope to the
+    // metrics-at-failure.
+    if let Some(sl) = slicer.as_mut() {
+        sim.publish_core_clocks();
+        sl.finish(sim.issued, sim.h.metrics());
+    }
+    let window = sim.window();
+    (
+        outcome,
+        collect_observations(&mut sim.h, slicer, observing, window),
+    )
+}
+
+/// Per-core statistics at a completed lap: instructions, cycles, and
+/// the core's hierarchy counters.
+type LapSnapshot = (u64, u64, ziv_core::metrics::CoreMetrics);
+
+/// The full driver's schedule: the lagging core issues next until every
+/// core has completed its trace. Early-finishing cores restart their
+/// trace and keep running (the paper's protocol), so contention stays
+/// representative until the last core completes its segment. Returns
+/// each core's statistics at its last completed lap.
+fn run_laps(
+    sim: &mut Sim,
+    mut slicer: Option<&mut EpochSlicer>,
+) -> Result<Vec<LapSnapshot>, SimError> {
+    let ncores = sim.cursor.len();
+    let mut completed = vec![false; ncores];
+    let mut snapshots: Vec<Option<LapSnapshot>> = vec![None; ncores];
+    let mut done = 0usize;
+    // Restarted records get fresh, never-in-the-future sequence numbers
+    // so the MIN oracle treats them as never-reused.
+    let mut restart_seq = sim.workload.total_accesses() * ncores as u64;
+    // Bound the restart inflation: a fast private-resident core
+    // co-running with a slow streaming core could otherwise re-run its
+    // trace a hundred times while the slowest finishes. A core parks
+    // after LAP_CAP completed laps; parked cores keep their cache
+    // presence but stop issuing, and the measured window for a fast
+    // core is its LAP_CAP laps of co-run exposure.
+    const LAP_CAP: u32 = 12;
+    let mut laps = vec![0u32; ncores];
+    let issue_cap = sim.workload.total_accesses().saturating_mul(32); // backstop
+
+    while done < ncores && sim.issued < issue_cap {
+        sim.poll(0)?;
+        let Some(core) = sim.lagging(|c| laps[c] < LAP_CAP) else {
             break; // everyone parked (cannot happen before done == ncores)
-        }
-        let trace = &workload.traces[core];
-        let rec = trace.records[cursor[core]];
+        };
         // The policy-independent global stream position (round-robin by
         // record index), shared with the MIN oracle's future knowledge.
         let seq = if completed[core] {
             restart_seq += 1;
             restart_seq
         } else {
-            (cursor[core] * ncores + core) as u64
+            (sim.cursor[core] * ncores + core) as u64
         };
-        cursor[core] += 1;
-        let finishing = cursor[core] == trace.records.len();
-        if finishing {
-            cursor[core] = 0;
-        }
-
-        let a = Access {
-            core: ziv_common::CoreId::new(core),
-            addr: rec.addr,
-            pc: rec.pc,
-            is_write: rec.is_write,
-            is_instr: false,
-        };
-        let now = cycles[core] as u64;
-        let t0 = profiling.then(std::time::Instant::now);
-        let lat = h.access(&a, now, seq);
-        if let Some(t0) = t0 {
-            h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
-        }
-        let exposed = lat as f64 * (1.0 - trace.overlap);
-        cycles[core] += (1 + rec.gap as u64) as f64 * base_cpi + exposed;
-        instructions[core] += 1 + rec.gap as u64;
-
-        let access_index = issued;
-        issued += 1;
-        if h.is_hung() {
-            // An injected hang wedged the model mid-access: no further
-            // progress is possible. Park on wall-clock time (the real
-            // hang signature) until the supervisor cancels us; without
-            // a supervisor, fail immediately instead of wedging the
-            // caller forever.
-            let reason = match cancel {
-                Some(tok) => loop {
-                    if let Some(reason) = tok.fired(issued) {
-                        break reason;
-                    }
-                    tok.note_progress(issued);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                },
-                None => "model hung (hang-core fault) with no supervisor attached".into(),
-            };
-            failure = Some(SimError::Timeout {
-                reason,
-                access_index,
-            });
-            break 'sim;
-        }
-        if auditor.due() {
-            let t0 = profiling.then(std::time::Instant::now);
-            let verdict = Auditor::check(&h, access_index);
-            if let Some(t0) = t0 {
-                h.profile_add(ProfileSection::Audit, t0.elapsed());
-            }
-            if let Err(v) = verdict {
-                h.record_audit_violation(&v, now);
-                failure = Some(SimError::Audit(v));
-                break 'sim;
-            }
-        }
-        if let Some(budget) = budget_cycles {
-            let c = cycles[core] as u64;
-            if c > budget {
-                failure = Some(SimError::BudgetExceeded {
-                    budget_cycles: budget,
-                    core,
-                    cycles: c,
-                    access_index,
-                });
-                break 'sim;
-            }
-        }
-        if let Some(sl) = slicer.as_mut() {
-            if sl.due(issued) {
-                publish_core_clocks(&mut h, &instructions, &cycles);
-                sl.slice(issued, h.metrics());
+        let finishing = sim.issue(core, seq)?;
+        sim.check()?;
+        if let Some(sl) = slicer.as_deref_mut() {
+            if sl.due(sim.issued) {
+                sim.publish_core_clocks();
+                sl.slice(sim.issued, sim.h.metrics());
             }
         }
         if finishing {
+            sim.cursor[core] = 0;
             laps[core] += 1;
             if !completed[core] {
                 completed[core] = true;
@@ -503,62 +650,27 @@ pub fn run_one_instrumented(
             // covers (nearly) the whole co-run window, so repeated
             // inclusion-victim damage to fast cores is measured.
             snapshots[core] = Some((
-                instructions[core],
-                cycles[core] as u64,
-                h.metrics().per_core[core],
+                sim.instructions[core],
+                sim.cycles[core] as u64,
+                sim.h.metrics().per_core[core],
             ));
         }
     }
-
-    if let Some(err) = failure {
-        // Close the epoch series at the failure point so partial
-        // samples still telescope to the metrics-at-failure.
-        if let Some(sl) = slicer.as_mut() {
-            publish_core_clocks(&mut h, &instructions, &cycles);
-            sl.finish(issued, h.metrics());
-        }
-        let window = cycles.iter().copied().fold(0f64, f64::max) as u64;
-        let obs = collect_observations(&mut h, slicer, observing, window);
-        return (Err(err), obs);
-    }
-
-    for c in 0..ncores {
-        if snapshots[c].is_none() {
-            // Issue cap reached before this core finished: snapshot its
-            // progress so far.
-            snapshots[c] = Some((instructions[c], cycles[c] as u64, h.metrics().per_core[c]));
-        }
-        let (instr, cyc, mut per_core) = snapshots[c].expect("every core snapshotted");
-        per_core.instructions = instr;
-        per_core.cycles = cyc;
-        h.metrics_mut().per_core[c] = per_core;
-        instructions[c] = instr;
-        cycles[c] = cyc as f64;
-    }
-    h.finalize();
-    debug_assert!(h.verify_invariants().is_ok(), "{:?}", h.verify_invariants());
-    // The closing sample is taken *after* the per-core lap rewind and
-    // finalize() above, so the epoch deltas sum exactly to the final
-    // aggregate metrics (its per-core deltas may be negative).
-    if let Some(sl) = slicer.as_mut() {
-        sl.finish(issued, h.metrics());
-    }
-    let window = cycles.iter().copied().fold(0f64, f64::max) as u64;
-    let observations = collect_observations(&mut h, slicer, observing, window);
-
-    let result = RunResult {
-        label: spec.label.clone(),
-        workload: workload.name.clone(),
-        cores: (0..ncores)
-            .map(|c| CoreRunStats {
-                instructions: instructions[c],
-                cycles: cycles[c] as u64,
-                app_name: workload.traces[c].app_name,
+    // A core the issue cap stopped before it finished a lap reports its
+    // progress so far.
+    Ok(snapshots
+        .into_iter()
+        .enumerate()
+        .map(|(c, s)| {
+            s.unwrap_or_else(|| {
+                (
+                    sim.instructions[c],
+                    sim.cycles[c] as u64,
+                    sim.h.metrics().per_core[c],
+                )
             })
-            .collect(),
-        metrics: h.metrics().clone(),
-    };
-    (Ok(result), observations)
+        })
+        .collect())
 }
 
 #[cfg(test)]

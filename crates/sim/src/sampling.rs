@@ -22,7 +22,8 @@
 //!   cursors and instruction/cycle clocks advance (at base CPI, in
 //!   bulk), which is what buys the speedup.
 //! - **Warm** accesses (the tail of each gap) run through the
-//!   hierarchy inside a [`CacheHierarchy::begin_warmup`] scope:
+//!   hierarchy inside a
+//!   [`CacheHierarchy::begin_warmup`](ziv_core::CacheHierarchy::begin_warmup) scope:
 //!   caches, directory, and replacement state are re-warmed after the
 //!   skip, but the timing [`Metrics`] are provably untouched and the
 //!   auditor is silent.
@@ -60,12 +61,12 @@
 //! per-interval IPC delta's confidence interval excludes zero (or its
 //! interval budget is exhausted).
 
-use crate::driver::{probe_snapshot, publish_core_clocks, RunOptions, RunResult};
+use crate::driver::{RunOptions, RunResult, Sim};
 use crate::spec::RunSpec;
 use ziv_common::stats::{Confidence, ConfidenceInterval, RunningMoments};
 use ziv_common::SimError;
 use ziv_core::observe::{SamplingProgress, TelemetryProbe};
-use ziv_core::{Access, Auditor, CacheHierarchy, CancelToken};
+use ziv_core::CancelToken;
 use ziv_workloads::Workload;
 
 /// How to sample a run: the period structure and the statistical
@@ -482,15 +483,6 @@ pub struct SampledRun {
 }
 
 impl SampledRun {
-    /// Running moments of the per-interval IPC population.
-    pub fn ipc_moments(&self) -> RunningMoments {
-        let mut m = RunningMoments::new();
-        for iv in &self.intervals {
-            m.push(iv.ipc);
-        }
-        m
-    }
-
     /// Running moments of the per-interval CPI population over the
     /// **steady** intervals (those past the head census) — the
     /// equal-instruction-weight domain where an interval mean is
@@ -581,20 +573,12 @@ impl SampledRun {
             None
         }
     }
+}
 
-    /// Mean per-interval LLC miss rate; `None` when no interval
-    /// completed.
-    pub fn miss_rate_estimate(&self) -> Option<f64> {
-        let mut m = RunningMoments::new();
-        for iv in &self.intervals {
-            m.push(iv.llc_miss_rate);
-        }
-        m.mean()
-    }
-
-    /// Total inclusion victims observed across timed intervals.
-    pub fn inclusion_victims_sampled(&self) -> u64 {
-        self.intervals.iter().map(|iv| iv.inclusion_victims).sum()
+/// The estimate-grade [`SampledRun::result`].
+impl AsRef<RunResult> for SampledRun {
+    fn as_ref(&self) -> &RunResult {
+        &self.result
     }
 }
 
@@ -732,7 +716,7 @@ pub fn run_one_sampled_instrumented(
     plan: SamplingPlan,
     cancel: Option<&CancelToken>,
     probe: Option<&dyn TelemetryProbe>,
-    mut on_interval: impl FnMut(&IntervalEstimate) -> bool,
+    on_interval: impl FnMut(&IntervalEstimate) -> bool,
 ) -> Result<SampledRun, SimError> {
     if opts.observe.is_enabled() {
         return Err(SimError::Config(
@@ -743,26 +727,31 @@ pub fn run_one_sampled_instrumented(
         ));
     }
     let plan = resolve_plan(spec, workload, plan);
-    let period = plan.period();
-    let hier_cfg = spec.build_hierarchy_config(workload);
-    let mut h = CacheHierarchy::new(&hier_cfg);
-    let ncores = workload.cores();
-    assert!(
-        ncores <= spec.system.cores,
-        "workload has {ncores} cores but the system has {}",
-        spec.system.cores
-    );
-    let base_cpi = spec.system.base_cpi;
+    let mut sim = Sim::new(spec, workload, opts, cancel, probe);
+    let (intervals, profile) = sample_intervals(&mut sim, plan, on_interval)?;
+    if sim.h.is_warming() {
+        sim.h.end_warmup();
+    }
+    Ok(SampledRun {
+        result: sim.result(&spec.label),
+        intervals,
+        profile,
+    })
+}
 
-    let mut cursor = vec![0usize; ncores];
-    let mut cycles = vec![0f64; ncores];
-    let mut instructions = vec![0u64; ncores];
+/// The sampling engine's schedule over `sim`: the head census, then
+/// periods of bulk skip, functional warmup and sliced timed windows
+/// until every core has completed its trace once or a stop rule fires.
+/// Returns the closed intervals and the phase accounting.
+fn sample_intervals(
+    sim: &mut Sim,
+    plan: SamplingPlan,
+    mut on_interval: impl FnMut(&IntervalEstimate) -> bool,
+) -> Result<(Vec<IntervalEstimate>, SamplingProfile), SimError> {
+    let period = plan.period();
+    let ncores = sim.cursor.len();
     let mut completed = vec![false; ncores];
     let mut done = 0usize;
-    let mut issued = 0u64;
-    let mut auditor = Auditor::new(opts.audit);
-    let budget_cycles = opts.budget.map(|b| b.cycles_for(workload));
-
     let mut intervals: Vec<IntervalEstimate> = Vec::new();
     // Running per-interval IPC moments, published to the probe at each
     // interval close so watchers can see CI convergence live. Advisory
@@ -774,46 +763,22 @@ pub fn run_one_sampled_instrumented(
     let mut warm_accesses = 0u64;
     let mut skipped_accesses = 0u64;
     let mut stop = StopReason::TraceEnd;
-    let mut failure: Option<SimError> = None;
-    let window_now = |cycles: &[f64]| cycles.iter().copied().fold(0f64, f64::max) as u64;
 
-    'sim: while done < ncores {
-        if let Some(tok) = cancel {
-            if let Some(reason) = tok.fired(issued) {
-                failure = Some(SimError::Timeout {
-                    reason,
-                    access_index: issued,
-                });
-                break 'sim;
-            }
-            if issued & 0xFF == 0 {
-                tok.note_progress(issued);
-            }
-        }
+    while done < ncores {
         // The head census is timed verbatim; the periodic structure
         // begins after it.
-        let in_head = issued < plan.head;
+        let in_head = sim.issued < plan.head;
         let pos = if in_head {
             0
         } else {
-            (issued - plan.head) % period
+            (sim.issued - plan.head) % period
         };
         let phase = if in_head {
             Phase::Timed
         } else {
             phase_of(pos, &plan)
         };
-        if let Some(p) = probe {
-            if issued & 0xFF == 0 {
-                p.publish_progress(&probe_snapshot(
-                    &h,
-                    &instructions,
-                    &cycles,
-                    issued,
-                    stratum_code(in_head, phase),
-                ));
-            }
-        }
+        sim.poll(stratum_code(in_head, phase))?;
 
         if phase == Phase::Skip {
             // Bulk fast-forward: skipped accesses never touch the
@@ -831,29 +796,29 @@ pub fn run_one_sampled_instrumented(
                     if completed[c] || left == 0 {
                         continue;
                     }
-                    let trace = &workload.traces[c];
-                    let avail = (trace.records.len() - cursor[c]) as u64;
+                    let records = &sim.workload.traces[c].records;
+                    let avail = (records.len() - sim.cursor[c]) as u64;
                     let take = share.min(avail).min(left) as usize;
                     let mut instr = 0u64;
-                    for r in &trace.records[cursor[c]..cursor[c] + take] {
+                    for r in &records[sim.cursor[c]..sim.cursor[c] + take] {
                         instr += 1 + r.gap as u64;
                     }
-                    cursor[c] += take;
-                    instructions[c] += instr;
-                    cycles[c] += instr as f64 * base_cpi;
-                    issued += take as u64;
+                    sim.cursor[c] += take;
+                    sim.instructions[c] += instr;
+                    sim.cycles[c] += instr as f64 * sim.base_cpi;
+                    sim.issued += take as u64;
                     skipped_accesses += take as u64;
                     left -= take as u64;
-                    if cursor[c] == trace.records.len() {
+                    if sim.cursor[c] == records.len() {
                         completed[c] = true;
                         done += 1;
                     }
                 }
             }
-            if let Some(tok) = cancel {
-                tok.note_progress(issued);
+            if let Some(tok) = sim.cancel {
+                tok.note_progress(sim.issued);
             }
-            continue 'sim;
+            continue;
         }
 
         // Phase transitions happen on the global stream, so the scope
@@ -862,102 +827,37 @@ pub fn run_one_sampled_instrumented(
         // boundary, and open the interval estimator on the first timed
         // access.
         if phase == Phase::Timed && open.is_none() {
-            if h.is_warming() {
-                h.end_warmup();
+            if sim.h.is_warming() {
+                sim.h.end_warmup();
             }
-            let m = h.metrics();
+            let m = sim.h.metrics();
             open = Some(IntervalOpen {
-                start_access: issued,
-                instructions: instructions.iter().sum(),
-                window: window_now(&cycles),
+                start_access: sim.issued,
+                instructions: sim.instructions.iter().sum(),
+                window: sim.window(),
                 llc_accesses: m.llc_accesses,
                 llc_misses: m.llc_misses,
                 inclusion_victims: m.inclusion_victims,
             });
         }
-        if phase == Phase::Warm && !h.is_warming() {
-            h.begin_warmup();
+        if phase == Phase::Warm && !sim.h.is_warming() {
+            sim.h.begin_warmup();
         }
 
-        // Lagging unparked core, as in the full driver.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        for c in 0..ncores {
-            if !completed[c] && cycles[c] < best {
-                best = cycles[c];
-                core = c;
-            }
-        }
-        if core == usize::MAX {
+        // A sampled run is single-pass: a core that completed its trace
+        // stops issuing.
+        let Some(core) = sim.lagging(|c| !completed[c]) else {
             break;
+        };
+        let seq = (sim.cursor[core] * ncores + core) as u64;
+        let finishing = sim.issue(core, seq)?;
+        // Fast-forwarded spans are audit-silent by construction.
+        if phase == Phase::Warm {
+            warm_accesses += 1;
+        } else {
+            timed_accesses += 1;
+            sim.check()?;
         }
-        let trace = &workload.traces[core];
-        let rec = trace.records[cursor[core]];
-        let seq = (cursor[core] * ncores + core) as u64;
-        cursor[core] += 1;
-        let finishing = cursor[core] == trace.records.len();
-
-        match phase {
-            Phase::Skip => unreachable!("skip spans fast-forward in bulk above"),
-            Phase::Warm | Phase::Timed => {
-                let a = Access {
-                    core: ziv_common::CoreId::new(core),
-                    addr: rec.addr,
-                    pc: rec.pc,
-                    is_write: rec.is_write,
-                    is_instr: false,
-                };
-                let now = cycles[core] as u64;
-                let lat = h.access(&a, now, seq);
-                let exposed = lat as f64 * (1.0 - trace.overlap);
-                cycles[core] += (1 + rec.gap as u64) as f64 * base_cpi + exposed;
-                instructions[core] += 1 + rec.gap as u64;
-                if phase == Phase::Warm {
-                    warm_accesses += 1;
-                } else {
-                    timed_accesses += 1;
-                }
-                if h.is_hung() {
-                    let reason = match cancel {
-                        Some(tok) => loop {
-                            if let Some(reason) = tok.fired(issued) {
-                                break reason;
-                            }
-                            tok.note_progress(issued);
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        },
-                        None => "model hung (hang-core fault) with no supervisor attached".into(),
-                    };
-                    failure = Some(SimError::Timeout {
-                        reason,
-                        access_index: issued,
-                    });
-                    break 'sim;
-                }
-                if phase == Phase::Timed {
-                    if auditor.due() {
-                        if let Err(v) = Auditor::check(&h, issued) {
-                            failure = Some(SimError::Audit(v));
-                            break 'sim;
-                        }
-                    }
-                    if let Some(budget) = budget_cycles {
-                        let c = cycles[core] as u64;
-                        if c > budget {
-                            failure = Some(SimError::BudgetExceeded {
-                                budget_cycles: budget,
-                                core,
-                                cycles: c,
-                                access_index: issued,
-                            });
-                            break 'sim;
-                        }
-                    }
-                }
-            }
-        }
-
-        issued += 1;
         if finishing {
             completed[core] = true;
             done += 1;
@@ -972,6 +872,7 @@ pub fn run_one_sampled_instrumented(
         // the period, so `pos + 1 - gap` is the count of timed accesses
         // issued this period; `issued` was just incremented, so inside
         // the head it is the count of census accesses issued.
+        let issued = sim.issued;
         let interval_done = phase == Phase::Timed
             && if in_head {
                 issued.is_multiple_of(plan.interval) || issued == plan.head
@@ -983,9 +884,9 @@ pub fn run_one_sampled_instrumented(
             let full_window = interval_done;
             let o = open.take().expect("interval is open");
             if full_window {
-                let m = h.metrics();
-                let instr: u64 = instructions.iter().sum::<u64>() - o.instructions;
-                let window = window_now(&cycles).saturating_sub(o.window);
+                let m = sim.h.metrics();
+                let instr: u64 = sim.instructions.iter().sum::<u64>() - o.instructions;
+                let window = sim.window().saturating_sub(o.window);
                 let llc_acc = m.llc_accesses - o.llc_accesses;
                 let llc_miss = m.llc_misses - o.llc_misses;
                 let iv = IntervalEstimate {
@@ -1007,7 +908,7 @@ pub fn run_one_sampled_instrumented(
                     inclusion_victims: m.inclusion_victims - o.inclusion_victims,
                 };
                 intervals.push(iv);
-                if let Some(p) = probe {
+                if let Some(p) = sim.probe {
                     live_ipc.push(iv.ipc);
                     let half = live_ipc
                         .confidence_interval(plan.confidence)
@@ -1020,39 +921,16 @@ pub fn run_one_sampled_instrumented(
                 }
                 if plan.max_intervals > 0 && intervals.len() as u32 >= plan.max_intervals {
                     stop = StopReason::MaxIntervals;
-                    break 'sim;
+                    break;
                 }
                 if on_interval(&iv) {
                     stop = StopReason::DeltaResolved;
-                    break 'sim;
+                    break;
                 }
             }
         }
     }
 
-    if h.is_warming() {
-        h.end_warmup();
-    }
-    if let Some(err) = failure {
-        return Err(err);
-    }
-
-    publish_core_clocks(&mut h, &instructions, &cycles);
-    h.finalize();
-    debug_assert!(h.verify_invariants().is_ok(), "{:?}", h.verify_invariants());
-
-    let result = RunResult {
-        label: spec.label.clone(),
-        workload: workload.name.clone(),
-        cores: (0..ncores)
-            .map(|c| crate::driver::CoreRunStats {
-                instructions: instructions[c],
-                cycles: cycles[c] as u64,
-                app_name: workload.traces[c].app_name,
-            })
-            .collect(),
-        metrics: h.metrics().clone(),
-    };
     let profile = SamplingProfile {
         plan,
         timed_accesses,
@@ -1061,11 +939,7 @@ pub fn run_one_sampled_instrumented(
         intervals: intervals.len() as u32,
         stop,
     };
-    Ok(SampledRun {
-        result,
-        intervals,
-        profile,
-    })
+    Ok((intervals, profile))
 }
 
 /// Runs `baseline` sampled to completion, then `target` sampled with
