@@ -4,11 +4,13 @@
 //! campaign and the single **ticker thread** that publishes the
 //! heartbeat and campaign records (and, with `--progress jsonl`, one
 //! structured heartbeat line per tick to stderr). Worker threads never
-//! touch those records: each gets its own [`WorkerProbe`] — the
-//! [`TelemetryProbe`] implementation handed through
-//! `run_cells_supervised` into the sim driver — that writes only its
-//! own worker record, preserving the seqlock single-writer-per-record
-//! discipline end to end.
+//! touch those records: each pool worker gets its own [`WorkerProbe`] —
+//! the [`TelemetryProbe`] implementation handed through
+//! `run_cells_supervised` into the sim drivers, full or sampled — that
+//! writes only its own worker record, preserving the seqlock
+//! single-writer-per-record discipline end to end. A single-threaded
+//! session (`zivsim sample`) starts a one-worker bus and uses worker
+//! probe 0.
 //!
 //! The bus is pure observability: it writes only `telemetry.shm` (and
 //! stderr), reads nothing back into the campaign, and is skipped
@@ -206,12 +208,6 @@ impl CampaignBus {
         )
     }
 
-    /// One probe (worker slot 0) for single-threaded drivers — sampled
-    /// campaigns and paired sampling sessions.
-    pub fn solo_probe(&self) -> Option<WorkerProbe> {
-        self.writer.as_ref().map(|w| WorkerProbe::new(w.worker(0)))
-    }
-
     /// A cell started executing on some worker.
     pub fn cell_started(&self) {
         self.shared.counters.running.fetch_add(1, Ordering::Relaxed);
@@ -260,12 +256,6 @@ impl CampaignBus {
             w.publish_campaign(&c);
             w.publish_heartbeat(u64::MAX, true, elapsed_ms);
         }
-    }
-
-    /// Whether the shared-memory segment is being written (as opposed
-    /// to a JSONL-only bus).
-    pub fn segment_on(&self) -> bool {
-        self.writer.is_some()
     }
 }
 
@@ -367,7 +357,6 @@ mod tests {
             ..BusOptions::default()
         };
         let bus = CampaignBus::start(&dir, 2, 6, 1, &opts).unwrap().unwrap();
-        assert!(bus.segment_on());
         let probes = bus.worker_probes().unwrap();
         assert_eq!(probes.len(), 2);
         probes[0].cell_begin(0, 3, 1, 1000, "ZIV", "mix_hot");

@@ -16,7 +16,7 @@ use std::time::Duration;
 use ziv_common::json::{self, JsonValue};
 use ziv_common::{Fnv1a, SimError};
 use ziv_core::{AuditCadence, FaultInjection};
-use ziv_sim::{CellBudget, Effort, RunOptions, TraceEvent};
+use ziv_sim::{run_one_instrumented, CellBudget, Effort, RunOptions, TraceEvent};
 
 /// Wall-clock guard on a replay run. Replaying a `hang-core` record
 /// re-injects the hang; without this budget the replay itself would
@@ -349,7 +349,7 @@ pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
         std::slice::from_ref(&workload),
         &[(0, 0)],
         1,
-        &opts,
+        |spec, workload, cancel, probe| run_one_instrumented(spec, workload, &opts, cancel, probe),
         &sup,
         &NoopSuperviseObserver,
         None,

@@ -1,19 +1,25 @@
-//! The campaign runner: cache partition → parallel execution →
-//! ledger append → CSV export, with per-cell fault isolation.
+//! The campaign runner. [`run_campaign`] takes three steps: **plan**
+//! (recover the ledger and partition the grid into cached and missing
+//! cells), **execute** (the missing cells through the supervised pool,
+//! each settled cell appended to the ledger, a repro record for each
+//! failure) and **export** (`grid.csv`, `summary.csv` and the
+//! observers' exports). [`run_campaign_sampled`] reuses the execute
+//! step for its sampled cells, with no ledger, then writes
+//! `sampling.csv`.
 
 use crate::bus::{BusOptions, CampaignBus};
 use crate::campaign::{Campaign, CampaignParams, CellDigest};
 use crate::failure::FailureRecord;
-use crate::ledger::{Ledger, LedgerWriter};
-use crate::supervise::{contain_panic, run_cells_supervised, SuperviseConfig, SuperviseObserver};
+use crate::ledger::{Ledger, LedgerRecovery, LedgerWriter};
+use crate::supervise::{run_cells_supervised, SuperviseConfig, SuperviseObserver};
 use crate::telemetry::{CellTiming, ProgressSink, Telemetry};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ziv_common::json::JsonValue;
 use ziv_common::{RetryPolicy, SimError};
-use ziv_core::AuditCadence;
+use ziv_core::{AuditCadence, CancelToken};
 use ziv_sim::{
     run_one_instrumented, run_one_sampled_instrumented, speedup_summary, write_blame_csv,
     write_grid_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv, write_perfetto_json,
@@ -181,30 +187,30 @@ pub struct CampaignOutcome {
     pub trace_json: Option<PathBuf>,
 }
 
-/// Forwards supervised-pool completions into the ledger and the
-/// progress sink. Ledger I/O errors are latched (observers cannot
-/// propagate) and re-raised after the grid finishes.
+/// Forwards supervised-pool completions into the ledger (when the pass
+/// has one), the progress sink and the live bus. Ledger I/O errors are
+/// latched (observers cannot propagate) and re-raised after the grid
+/// finishes.
 struct CampaignObserver<'a> {
     campaign: &'a Campaign,
     cfg: &'a RunnerConfig,
-    digests: &'a [Vec<CellDigest>],
-    writer: &'a LedgerWriter,
+    writer: Option<&'a LedgerWriter>,
     sink: &'a dyn ProgressSink,
     bus: Option<&'a CampaignBus>,
     done: AtomicUsize,
     failed: AtomicUsize,
-    total: usize,
     timings: Mutex<Vec<CellTiming>>,
     io_error: Mutex<Option<SimError>>,
 }
 
 impl CampaignObserver<'_> {
-    fn latch(&self, e: SimError) {
+    fn latch(&self, context: &str, e: std::io::Error) {
+        let e = SimError::io(context, self.cfg.results_dir.join("ledger.jsonl"), e);
         self.io_error.lock().unwrap().get_or_insert(e);
     }
 }
 
-impl SuperviseObserver for CampaignObserver<'_> {
+impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
     fn cell_started(&self, _spec_index: usize, _workload_index: usize) {
         if let Some(bus) = self.bus {
             bus.cell_started();
@@ -215,19 +221,16 @@ impl SuperviseObserver for CampaignObserver<'_> {
         &self,
         spec_index: usize,
         workload_index: usize,
-        result: &RunResult,
+        result: &T,
         attempts: u32,
         wall: Duration,
     ) {
-        if let Err(e) =
-            self.writer
-                .append_attempted(self.digests[spec_index][workload_index], result, attempts)
-        {
-            self.latch(SimError::io(
-                "append ledger entry",
-                self.cfg.results_dir.join("ledger.jsonl"),
-                e,
-            ));
+        let result = result.as_ref();
+        if let Some(writer) = self.writer {
+            let digest = self.campaign.cell_digest(spec_index, workload_index);
+            if let Err(e) = writer.append_attempted(digest, result, attempts) {
+                self.latch("append ledger entry", e);
+            }
         }
         let timing = CellTiming {
             spec_index,
@@ -237,7 +240,8 @@ impl SuperviseObserver for CampaignObserver<'_> {
             wall,
         };
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        self.sink.cell_finished(&timing, done, self.total);
+        self.sink
+            .cell_finished(&timing, done, self.campaign.total_cells());
         self.timings.lock().unwrap().push(timing);
         if let Some(bus) = self.bus {
             bus.cell_finished(attempts);
@@ -253,25 +257,20 @@ impl SuperviseObserver for CampaignObserver<'_> {
         _wall: Duration,
     ) {
         self.failed.fetch_add(1, Ordering::Relaxed);
-        let digest = self.digests[spec_index][workload_index];
         let label = &self.campaign.specs[spec_index].label;
         let workload = self.campaign.recipes[workload_index].workload_name();
-        if let Err(e) = self
-            .writer
-            .append_error(digest, label, &workload, error, attempts)
-        {
-            self.latch(SimError::io(
-                "append ledger error entry",
-                self.cfg.results_dir.join("ledger.jsonl"),
-                e,
-            ));
+        if let Some(writer) = self.writer {
+            let digest = self.campaign.cell_digest(spec_index, workload_index);
+            if let Err(e) = writer.append_error(digest, label, &workload, error, attempts) {
+                self.latch("append ledger error entry", e);
+            }
         }
         // Repro records are written after the grid settles (the runner
         // attaches flight-recorder events, which may need a re-run);
         // the streaming ledger error entry above survives a crash.
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         self.sink
-            .cell_failed(label, &workload, error, done, self.total);
+            .cell_failed(label, &workload, error, done, self.campaign.total_cells());
         if let Some(bus) = self.bus {
             bus.cell_failed(attempts);
         }
@@ -313,6 +312,63 @@ pub fn run_campaign(
     cfg: &RunnerConfig,
     sink: &dyn ProgressSink,
 ) -> Result<CampaignOutcome, SimError> {
+    let (ledger_path, recovery, mut grid, missing) = plan(campaign, cfg, sink)?;
+    let cached = grid.len();
+    let pass = execute(
+        campaign,
+        cfg,
+        sink,
+        &missing,
+        cached,
+        Some(&ledger_path),
+        run_one_instrumented,
+    )?;
+    grid.extend(pass.done.into_iter().map(|(s, w, result)| GridResult {
+        spec_index: s,
+        workload_index: w,
+        result,
+    }));
+    grid.sort_by_key(|g| (g.spec_index, g.workload_index));
+    let mut outcome = CampaignOutcome {
+        grid,
+        failures: pass.failures,
+        telemetry: pass.telemetry,
+        grid_csv: cfg.results_dir.join("grid.csv"),
+        summary_csv: cfg.results_dir.join("summary.csv"),
+        ledger_path,
+        recovery,
+        timeseries_csv: None,
+        heatmap_csv: None,
+        latency_csv: None,
+        leakage_csv: None,
+        profile_json: None,
+        blame_csv: None,
+        trace_json: None,
+    };
+    export(campaign, cfg, pass.observed, &mut outcome)?;
+    finish(pass.bus, &outcome.telemetry, sink);
+    Ok(outcome)
+}
+
+/// The plan step's partition of a campaign: the ledger's path, what
+/// loading it repaired, the cached cells, and the cells to simulate.
+type Plan = (
+    PathBuf,
+    LedgerRecovery,
+    Vec<GridResult>,
+    Vec<(usize, usize)>,
+);
+
+/// The plan step: loads (or resets) the ledger and partitions the grid
+/// against it. Cached cells take the campaign's *current* label and
+/// workload name (the digest ignores labels, so a relabel must not leak
+/// stale names into the CSVs). Cells whose latest ledger line is an
+/// error entry are retried.
+fn plan(
+    campaign: &Campaign,
+    cfg: &RunnerConfig,
+    sink: &dyn ProgressSink,
+) -> Result<Plan, SimError> {
     std::fs::create_dir_all(&cfg.results_dir)
         .map_err(|e| SimError::io("create results dir", &cfg.results_dir, e))?;
     let ledger_path = cfg.results_dir.join("ledger.jsonl");
@@ -335,22 +391,10 @@ pub fn run_campaign(
             recovery.dropped_bytes,
         ));
     }
-
-    // Partition the grid against the ledger. Cached results take the
-    // campaign's *current* label and workload name (the digest ignores
-    // labels, so a relabel must not leak stale names into the CSVs).
-    // Cells whose latest ledger line is an error entry are retried.
-    let digests: Vec<Vec<CellDigest>> = (0..campaign.specs.len())
-        .map(|s| {
-            (0..campaign.recipes.len())
-                .map(|w| campaign.cell_digest(s, w))
-                .collect()
-        })
-        .collect();
-    let mut grid: Vec<GridResult> = Vec::with_capacity(campaign.total_cells());
-    let mut missing: Vec<(usize, usize)> = Vec::new();
+    let mut grid = Vec::with_capacity(campaign.total_cells());
+    let mut missing = Vec::new();
     for (s, w) in campaign.cells() {
-        match ledger.get(digests[s][w]) {
+        match ledger.get(campaign.cell_digest(s, w)) {
             Some(cached) => {
                 let mut result = cached.clone();
                 result.label = campaign.specs[s].label.clone();
@@ -364,12 +408,46 @@ pub fn run_campaign(
             None => missing.push((s, w)),
         }
     }
-    let cached_cells = grid.len();
-    sink.campaign_started(&campaign.name, campaign.total_cells(), cached_cells);
+    Ok((ledger_path, recovery, grid, missing))
+}
 
-    // Simulate the missing cells, appending each to the ledger as it
-    // completes. Workloads are only regenerated when something runs.
-    let workers = cfg.threads.max(1).min(missing.len().max(1));
+/// What one pass of cells through the pool produced.
+struct Pass<T> {
+    /// The live bus, to finish once every artifact is on disk.
+    bus: Option<CampaignBus>,
+    telemetry: Telemetry,
+    /// Each successful cell as `(spec, workload, result)`, sorted.
+    done: Vec<(usize, usize, T)>,
+    /// Failed cells, sorted.
+    failures: Vec<CellFailure>,
+    /// Non-empty observation payloads, sorted.
+    observed: Vec<(usize, usize, Box<Observations>)>,
+}
+
+/// The execute step: runs `cells` through the pool under `cfg`'s
+/// threads, watchdog, retries and strictness, each attempt one call of
+/// `run`, reporting to `sink` and the live bus. With a `ledger`, every
+/// settled cell is appended to it and each failure gets a repro record
+/// when `cfg.params` is set; without one, the pass writes neither.
+/// `cached` counts the campaign's cells already done.
+fn execute<T: AsRef<RunResult> + Send>(
+    campaign: &Campaign,
+    cfg: &RunnerConfig,
+    sink: &dyn ProgressSink,
+    cells: &[(usize, usize)],
+    cached: usize,
+    ledger: Option<&Path>,
+    run: impl Fn(
+            &RunSpec,
+            &Workload,
+            &RunOptions,
+            Option<&CancelToken>,
+            Option<&dyn TelemetryProbe>,
+        ) -> (Result<T, SimError>, Option<Box<Observations>>)
+        + Sync,
+) -> Result<Pass<T>, SimError> {
+    sink.campaign_started(&campaign.name, campaign.total_cells(), cached);
+    let workers = cfg.threads.max(1).min(cells.len().max(1));
     // The live bus starts even when every cell is cached, so a watcher
     // attached to an instant resume still sees a finished segment
     // instead of nothing.
@@ -377,7 +455,7 @@ pub fn run_campaign(
         &cfg.results_dir,
         workers,
         campaign.total_cells(),
-        cached_cells,
+        cached,
         &BusOptions {
             telemetry: cfg.telemetry,
             progress_jsonl: cfg.progress_jsonl,
@@ -385,35 +463,38 @@ pub fn run_campaign(
         },
     )?;
     let started = Instant::now();
+    let mut done = Vec::new();
+    let mut failures = Vec::new();
+    let mut observed = Vec::new();
     let mut timings = Vec::new();
-    let mut failures: Vec<CellFailure> = Vec::new();
-    let mut observed: Vec<(usize, usize, Box<Observations>)> = Vec::new();
-    let mut executed_cells = 0;
-    if !missing.is_empty() {
+    if !cells.is_empty() {
+        // Workloads are only regenerated when something runs.
         let workloads: Vec<Workload> = campaign.recipes.iter().map(|r| r.build()).collect();
         let budget = match cfg.cell_budget {
             Some(cycles) => CellBudget::Cycles(cycles),
             None => CellBudget::Derived,
         };
-        let budgets: Vec<u64> = workloads.iter().map(|w| budget.cycles_for(w)).collect();
         let opts = RunOptions {
             audit: cfg.audit,
             budget: Some(budget),
             observe: cfg.observe,
         };
-        let writer = LedgerWriter::append_to(&ledger_path)
-            .map_err(|e| SimError::io("open ledger for append", &ledger_path, e))?;
+        let writer = match ledger {
+            Some(path) => Some(
+                LedgerWriter::append_to(path)
+                    .map_err(|e| SimError::io("open ledger for append", path, e))?,
+            ),
+            None => None,
+        };
         let observer = CampaignObserver {
             campaign,
             cfg,
-            digests: &digests,
-            writer: &writer,
+            writer: writer.as_ref(),
             sink,
             bus: bus.as_ref(),
-            done: AtomicUsize::new(cached_cells),
+            done: AtomicUsize::new(cached),
             failed: AtomicUsize::new(0),
-            total: campaign.total_cells(),
-            timings: Mutex::new(Vec::with_capacity(missing.len())),
+            timings: Mutex::new(Vec::with_capacity(cells.len())),
             io_error: Mutex::new(None),
         };
         let sup = SuperviseConfig {
@@ -426,9 +507,9 @@ pub fn run_campaign(
         let runs = run_cells_supervised(
             &campaign.specs,
             &workloads,
-            &missing,
+            cells,
             cfg.threads,
-            &opts,
+            |spec, workload, cancel, probe| run(spec, workload, &opts, cancel, probe),
             &sup,
             &observer,
             probes.as_deref(),
@@ -438,37 +519,23 @@ pub fn run_campaign(
         }
         timings = observer.timings.into_inner().unwrap();
         for run in runs {
-            let mut observations = run.observations;
+            let (s, w) = (run.spec_index, run.workload_index);
             match run.outcome {
-                Ok(result) => {
-                    executed_cells += 1;
-                    grid.push(GridResult {
-                        spec_index: run.spec_index,
-                        workload_index: run.workload_index,
-                        result,
-                    });
-                }
+                Ok(result) => done.push((s, w, result)),
                 Err(error) => {
-                    let record_path = match cfg.params {
-                        Some(params) => {
-                            let spec = &campaign.specs[run.spec_index];
-                            let events = failure_events(
-                                observations.as_deref(),
-                                spec,
-                                &workloads[run.workload_index],
-                                &opts,
-                                &error,
-                            );
+                    let record_path = match (ledger, cfg.params) {
+                        (Some(_), Some(params)) => {
+                            let spec = &campaign.specs[s];
                             let record = FailureRecord {
                                 campaign: campaign.name.clone(),
                                 params,
-                                spec_index: run.spec_index,
-                                workload_index: run.workload_index,
-                                digest: digests[run.spec_index][run.workload_index],
+                                spec_index: s,
+                                workload_index: w,
+                                digest: campaign.cell_digest(s, w),
                                 label: spec.label.clone(),
-                                workload: campaign.recipes[run.workload_index].workload_name(),
+                                workload: campaign.recipes[w].workload_name(),
                                 audit: cfg.audit.label(),
-                                budget_cycles: budgets[run.workload_index],
+                                budget_cycles: budget.cycles_for(&workloads[w]),
                                 error_kind: error.kind_tag().to_string(),
                                 error_message: error.to_string(),
                                 violation: error
@@ -477,127 +544,47 @@ pub fn run_campaign(
                                 fault: spec
                                     .fault
                                     .map(|f| (f.kind_str().to_string(), f.at_access())),
-                                events,
+                                events: failure_events(
+                                    run.observations.as_deref(),
+                                    spec,
+                                    &workloads[w],
+                                    &opts,
+                                    &error,
+                                ),
                             };
                             Some(record.save(&cfg.results_dir.join("failures"))?)
                         }
-                        None => None,
+                        _ => None,
                     };
                     failures.push(CellFailure {
-                        spec_index: run.spec_index,
-                        workload_index: run.workload_index,
-                        digest: digests[run.spec_index][run.workload_index],
-                        label: campaign.specs[run.spec_index].label.clone(),
-                        workload: campaign.recipes[run.workload_index].workload_name(),
+                        spec_index: s,
+                        workload_index: w,
+                        digest: campaign.cell_digest(s, w),
+                        label: campaign.specs[s].label.clone(),
+                        workload: campaign.recipes[w].workload_name(),
                         error,
                         attempts: run.attempts,
                         record_path,
                     });
                 }
             }
-            if let Some(obs) = observations.take() {
-                if !obs.is_empty() {
-                    observed.push((run.spec_index, run.workload_index, obs));
-                }
+            if let Some(obs) = run.observations.filter(|o| !o.is_empty()) {
+                observed.push((s, w, obs));
             }
         }
     }
-    let wall = started.elapsed();
-    grid.sort_by_key(|g| (g.spec_index, g.workload_index));
     timings.sort_by_key(|t| (t.spec_index, t.workload_index));
-    failures.sort_by_key(|f| (f.spec_index, f.workload_index));
-
     let telemetry = Telemetry {
         campaign: campaign.name.clone(),
         total_cells: campaign.total_cells(),
-        cached_cells,
-        executed_cells,
+        cached_cells: cached,
+        executed_cells: done.len(),
         failed_cells: failures.len(),
-        workers: if missing.is_empty() { 0 } else { workers },
-        wall,
+        workers: if cells.is_empty() { 0 } else { workers },
+        wall: started.elapsed(),
         busy: timings.iter().map(|t| t.wall).sum(),
         cells: timings,
     };
-
-    let grid_csv = cfg.results_dir.join("grid.csv");
-    write_grid_csv(&grid_csv, &grid)?;
-    let summary_csv = cfg.results_dir.join("summary.csv");
-    let rows = speedup_summary(&grid, campaign.specs.len(), campaign.baseline_spec);
-    write_summary_csv(&summary_csv, &rows, "weighted_speedup")?;
-
-    // Flight-recorder exports live next to the grid CSVs. They are
-    // written whenever the corresponding capture was enabled — even
-    // header-only when every cell came from the ledger — so downstream
-    // tooling can rely on the file existing.
-    let mut timeseries_csv = None;
-    let mut heatmap_csv = None;
-    let mut latency_csv = None;
-    let mut leakage_csv = None;
-    let mut profile_json = None;
-    let mut blame_csv = None;
-    let mut trace_json = None;
-    if cfg.observe.is_enabled() {
-        observed.sort_by_key(|(s, w, _)| (*s, *w));
-        let names: Vec<(String, String)> = observed
-            .iter()
-            .map(|(s, w, _)| {
-                (
-                    campaign.specs[*s].label.clone(),
-                    campaign.recipes[*w].workload_name(),
-                )
-            })
-            .collect();
-        let cells: Vec<ObservedCell<'_>> = observed
-            .iter()
-            .zip(&names)
-            .map(|((_, _, obs), (label, workload))| ObservedCell {
-                config: label,
-                workload,
-                observations: obs,
-            })
-            .collect();
-        if cfg.observe.epoch.is_some() {
-            let path = cfg.results_dir.join("timeseries.csv");
-            write_timeseries_csv(&path, &cells)?;
-            timeseries_csv = Some(path);
-        }
-        if cfg.observe.heatmap {
-            let path = cfg.results_dir.join("heatmap.csv");
-            write_heatmap_csv(&path, &cells)?;
-            heatmap_csv = Some(path);
-        }
-        if cfg.observe.latency {
-            let path = cfg.results_dir.join("latency.csv");
-            write_latency_csv(&path, &cells)?;
-            latency_csv = Some(path);
-        }
-        if cfg.observe.leakage {
-            let path = cfg.results_dir.join("leakage.csv");
-            write_leakage_csv(&path, &cells)?;
-            leakage_csv = Some(path);
-        }
-        if cfg.observe.profile {
-            let path = cfg.results_dir.join("profile.json");
-            write_profile_json(&path, &cells)?;
-            profile_json = Some(path);
-        }
-        if cfg.observe.forensics {
-            let path = cfg.results_dir.join("blame.csv");
-            write_blame_csv(&path, &cells)?;
-            blame_csv = Some(path);
-        }
-        if cfg.perfetto {
-            let filter = cfg
-                .observe
-                .events
-                .map(|e| e.filter)
-                .unwrap_or_else(EventFilter::all);
-            let path = cfg.results_dir.join("trace.json");
-            write_perfetto_json(&path, &cells, filter)?;
-            trace_json = Some(path);
-        }
-    }
-
     if telemetry.is_overcommitted() {
         sink.warning(&format!(
             "per-cell timers sum to {:.2}s busy but the pool had only {:.2}s × {} workers \
@@ -607,28 +594,93 @@ pub fn run_campaign(
             telemetry.workers,
         ));
     }
-    // Final state goes out only after every artifact is on disk, so a
-    // watcher exiting on the finished flag can trust the CSVs.
+    Ok(Pass {
+        bus,
+        telemetry,
+        done,
+        failures,
+        observed,
+    })
+}
+
+/// The export step: writes `grid.csv` and `summary.csv` over the
+/// outcome's grid and, for each capture `cfg.observe` enabled, its
+/// export over the `observed` cells, recording the paths in `outcome`.
+/// The observer exports are written even header-only when every cell
+/// came from the ledger, so downstream tooling can rely on the file
+/// existing.
+fn export(
+    campaign: &Campaign,
+    cfg: &RunnerConfig,
+    observed: Vec<(usize, usize, Box<Observations>)>,
+    outcome: &mut CampaignOutcome,
+) -> Result<(), SimError> {
+    write_grid_csv(&outcome.grid_csv, &outcome.grid)?;
+    let rows = speedup_summary(&outcome.grid, campaign.specs.len(), campaign.baseline_spec);
+    write_summary_csv(&outcome.summary_csv, &rows, "weighted_speedup")?;
+    let observe = cfg.observe;
+    if !observe.is_enabled() {
+        return Ok(());
+    }
+    let names: Vec<(String, String)> = observed
+        .iter()
+        .map(|(s, w, _)| {
+            (
+                campaign.specs[*s].label.clone(),
+                campaign.recipes[*w].workload_name(),
+            )
+        })
+        .collect();
+    let cells: Vec<ObservedCell<'_>> = observed
+        .iter()
+        .zip(&names)
+        .map(|((_, _, obs), (label, workload))| ObservedCell {
+            config: label,
+            workload,
+            observations: obs,
+        })
+        .collect();
+    let cells = &cells[..];
+    let write = |on: bool, name: &str, f: &dyn Fn(&Path) -> Result<(), SimError>| {
+        let path = cfg.results_dir.join(name);
+        on.then(|| f(&path).map(|()| path)).transpose()
+    };
+    outcome.timeseries_csv = write(observe.epoch.is_some(), "timeseries.csv", &|p| {
+        write_timeseries_csv(p, cells)
+    })?;
+    outcome.heatmap_csv = write(observe.heatmap, "heatmap.csv", &|p| {
+        write_heatmap_csv(p, cells)
+    })?;
+    outcome.latency_csv = write(observe.latency, "latency.csv", &|p| {
+        write_latency_csv(p, cells)
+    })?;
+    outcome.leakage_csv = write(observe.leakage, "leakage.csv", &|p| {
+        write_leakage_csv(p, cells)
+    })?;
+    outcome.profile_json = write(observe.profile, "profile.json", &|p| {
+        write_profile_json(p, cells)
+    })?;
+    outcome.blame_csv = write(observe.forensics, "blame.csv", &|p| {
+        write_blame_csv(p, cells)
+    })?;
+    let filter = observe
+        .events
+        .map(|e| e.filter)
+        .unwrap_or_else(EventFilter::all);
+    outcome.trace_json = write(cfg.perfetto, "trace.json", &|p| {
+        write_perfetto_json(p, cells, filter)
+    })?;
+    Ok(())
+}
+
+/// Publishes the pass's final state and summary. Call after every
+/// artifact is on disk, so a watcher exiting on the finished flag can
+/// trust them.
+fn finish(bus: Option<CampaignBus>, telemetry: &Telemetry, sink: &dyn ProgressSink) {
     if let Some(bus) = bus {
         bus.finish();
     }
-    sink.campaign_finished(&telemetry);
-    Ok(CampaignOutcome {
-        grid,
-        failures,
-        telemetry,
-        grid_csv,
-        summary_csv,
-        ledger_path,
-        recovery,
-        timeseries_csv,
-        heatmap_csv,
-        latency_csv,
-        leakage_csv,
-        profile_json,
-        blame_csv,
-        trace_json,
-    })
+    sink.campaign_finished(telemetry);
 }
 
 /// One cell of a sampled campaign pass.
@@ -699,11 +751,11 @@ fn aggregate_ipc(r: &RunResult) -> f64 {
 ///
 /// Sampled estimates are **never** written to the result ledger — the
 /// content-addressed cache stores only full-fidelity results — so a
-/// sampled pass cannot poison later full campaigns. The sampled cells
-/// run sequentially, outside the pool (each simulates only a fraction
-/// of its trace; the wall-clock win comes from the fast-forward), but
-/// under the pool's panic containment: a panicking cell is reported
-/// as a [`SimError::Internal`] failure and the other cells still run.
+/// sampled pass cannot poison later full campaigns, and it writes no
+/// repro records. Otherwise the sampled cells run like a full pass's:
+/// through the pool under `cfg`'s threads, watchdog, retries and
+/// strictness, reporting to `sink` and the live bus. Observation is
+/// off for the sampled pass.
 ///
 /// With `validate` set, the full campaign runs first via
 /// [`run_campaign`] — ledgered, supervised, and exporting its standard
@@ -735,96 +787,43 @@ pub fn run_campaign_sampled(
         None
     };
 
-    let workloads: Vec<Workload> = campaign.recipes.iter().map(|r| r.build()).collect();
-    let budget = match cfg.cell_budget {
-        Some(cycles) => CellBudget::Cycles(cycles),
-        None => CellBudget::Derived,
-    };
-    let opts = RunOptions {
-        audit: cfg.audit,
-        budget: Some(budget),
+    // A flight recording of sampled intervals would cover only part of
+    // the trace, so the pass runs with observation off.
+    let sampled_cfg = RunnerConfig {
         observe: ObserveConfig::disabled(),
+        perfetto: false,
+        ..cfg.clone()
     };
-    // Sampled cells run sequentially, so the bus gets one worker slot
-    // and the campaign's solo probe. In validation mode the full pass
-    // above already published (and finished) its own session on the
-    // same segment path; this re-creates it for the sampled pass.
-    let bus = CampaignBus::start(
-        &cfg.results_dir,
-        1,
-        campaign.total_cells(),
+    let all = campaign.cells();
+    let pass = execute(
+        campaign,
+        &sampled_cfg,
+        sink,
+        &all,
         0,
-        &BusOptions {
-            telemetry: cfg.telemetry,
-            progress_jsonl: cfg.progress_jsonl,
-            ..BusOptions::default()
+        None,
+        |spec, workload, opts, cancel, probe| {
+            let sampled =
+                run_one_sampled_instrumented(spec, workload, opts, plan, cancel, probe, |_| false);
+            (sampled, None)
         },
     )?;
-    let solo = bus.as_ref().and_then(|b| b.solo_probe());
-    let probe: Option<&dyn TelemetryProbe> = solo.as_ref().map(|p| p as &dyn TelemetryProbe);
-    let mut cells = Vec::with_capacity(campaign.total_cells());
-    let mut failures = Vec::new();
-    for (s, w) in campaign.cells() {
-        let started = Instant::now();
-        if let Some(b) = &bus {
-            b.cell_started();
-        }
-        if let Some(p) = probe {
-            p.cell_begin(
-                s as u64,
-                w as u64,
-                1,
-                workloads[w].total_accesses(),
-                &campaign.specs[s].label,
-                &campaign.recipes[w].workload_name(),
-            );
-        }
-        let outcome = contain_panic(|| {
-            run_one_sampled_instrumented(
-                &campaign.specs[s],
-                &workloads[w],
-                &opts,
-                plan,
-                None,
-                probe,
-                |_| false,
-            )
+    // Both lists are sorted by cell, and only successful cells are
+    // timed, so they pair up one to one.
+    let cells: Vec<SampledCellResult> = pass
+        .done
+        .into_iter()
+        .zip(&pass.telemetry.cells)
+        .map(|((s, w, sampled), timing)| SampledCellResult {
+            spec_index: s,
+            workload_index: w,
+            label: campaign.specs[s].label.clone(),
+            workload: campaign.recipes[w].workload_name(),
+            sampled,
+            wall: timing.wall,
         })
-        .and_then(|sampled| sampled);
-        if let Some(p) = probe {
-            p.cell_end();
-        }
-        match outcome {
-            Ok(sampled) => {
-                if let Some(b) = &bus {
-                    b.cell_finished(1);
-                }
-                cells.push(SampledCellResult {
-                    spec_index: s,
-                    workload_index: w,
-                    label: campaign.specs[s].label.clone(),
-                    workload: campaign.recipes[w].workload_name(),
-                    sampled,
-                    wall: started.elapsed(),
-                });
-            }
-            Err(error) => {
-                if let Some(b) = &bus {
-                    b.cell_failed(1);
-                }
-                failures.push(CellFailure {
-                    spec_index: s,
-                    workload_index: w,
-                    digest: campaign.cell_digest(s, w),
-                    label: campaign.specs[s].label.clone(),
-                    workload: campaign.recipes[w].workload_name(),
-                    error,
-                    attempts: 1,
-                    record_path: None,
-                });
-            }
-        }
-    }
+        .collect();
+    let failures = pass.failures;
 
     let sampling_csv = cfg.results_dir.join("sampling.csv");
     let export: Vec<SampledCell<'_>> = cells
@@ -883,9 +882,7 @@ pub fn run_campaign_sampled(
         }
     };
 
-    if let Some(bus) = bus {
-        bus.finish();
-    }
+    finish(pass.bus, &pass.telemetry, sink);
     Ok(SampledCampaignOutcome {
         cells,
         failures,

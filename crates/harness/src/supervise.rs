@@ -2,19 +2,22 @@
 //! containment, and bounded deterministic retry.
 //!
 //! [`run_cells_supervised`] is the one pool every grid of cells runs
-//! through: campaigns, [`run_grid`], and `replay`'s single cell. Each
-//! cell is one `ziv_sim::run_one_instrumented` call; a failing cell
-//! comes back as an `Err` outcome and never takes down its worker or
-//! the other cells. On top of that the pool contains the three failure
-//! modes a single run cannot:
+//! through: campaigns' full and sampled passes, [`run_grid`], and
+//! `replay`'s single cell. Each cell is one call of the function the
+//! caller passes — `ziv_sim::run_one_instrumented` for a full cell,
+//! `ziv_sim::run_one_sampled_instrumented` for a sampled one; a failing
+//! cell comes back as an `Err` outcome and never takes down its worker
+//! or the other cells. On top of that the pool contains the three
+//! failure modes a single run cannot:
 //!
 //! - **Hangs.** Each attempt runs under a [`CancelToken`] registered in
 //!   a per-worker watch slot; a single watchdog thread scans the slots
 //!   and cancels any cell past its wall-clock budget
-//!   ([`SuperviseConfig::cell_timeout`]). The driver's access loop
-//!   polls the token cooperatively, so a cancelled cell stops at the
-//!   next access — even one wedged by an injected `hang-core` fault —
-//!   and is ledgered as [`SimError::Timeout`].
+//!   ([`SuperviseConfig::cell_timeout`]) or making no progress for
+//!   [`SuperviseConfig::stall_window`]. Both sim drivers poll the token
+//!   cooperatively, so a cancelled cell stops at the next access — even
+//!   one wedged by an injected `hang-core` fault — and is reported as
+//!   [`SimError::Timeout`].
 //! - **Panics.** Every attempt runs inside `catch_unwind`: a panic deep
 //!   in the model becomes one [`SimError::Internal`] failure for that
 //!   cell instead of a dead worker and a wedged campaign.
@@ -23,9 +26,8 @@
 //!   deterministic [`RetryPolicy`] backoff schedule; the attempt count
 //!   is reported to the observer so the ledger records it.
 //!
-//! With no timeout and no retries ([`SuperviseConfig::unsupervised`])
-//! cells run without a cancellation token and no watchdog thread
-//! starts; cell results are deterministic and independent of thread
+//! With neither budget set ([`SuperviseConfig::unsupervised`]) cells
+//! run without a cancellation token and no watchdog thread starts; cell results are deterministic and independent of thread
 //! count and claiming order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,11 +72,6 @@ impl SuperviseConfig {
         }
     }
 
-    /// Whether any supervision feature is armed.
-    pub fn is_active(&self) -> bool {
-        self.watched() || self.retry.max_attempts > 1
-    }
-
     /// Whether cells need a cancellation token and a watchdog thread.
     fn watched(&self) -> bool {
         self.cell_timeout.is_some() || self.stall_window.is_some()
@@ -114,11 +111,11 @@ pub fn default_stall_window(base: Duration, workers: usize) -> Duration {
     base * oversubscription_factor(workers)
 }
 
-/// Observer of cell execution in the pool, called from worker threads.
-/// The campaign runner hooks it to append finished cells to its ledger
-/// and drive progress telemetry; [`run_grid`] uses the no-op
-/// [`NoopSuperviseObserver`].
-pub trait SuperviseObserver: Sync {
+/// Observer of cell execution in the pool, called from worker threads;
+/// `T` is what a cell produces. The campaign runner hooks it to append
+/// finished cells to its ledger and drive progress telemetry;
+/// [`run_grid`] uses the no-op [`NoopSuperviseObserver`].
+pub trait SuperviseObserver<T = RunResult>: Sync {
     /// A worker picked up cell `(spec_index, workload_index)`.
     fn cell_started(&self, spec_index: usize, workload_index: usize) {
         let _ = (spec_index, workload_index);
@@ -129,7 +126,7 @@ pub trait SuperviseObserver: Sync {
         &self,
         spec_index: usize,
         workload_index: usize,
-        result: &RunResult,
+        result: &T,
         attempts: u32,
         wall: Duration,
     ) {
@@ -160,17 +157,17 @@ pub trait SuperviseObserver: Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSuperviseObserver;
 
-impl SuperviseObserver for NoopSuperviseObserver {}
+impl<T> SuperviseObserver<T> for NoopSuperviseObserver {}
 
 /// One cell's outcome under the supervised pool.
 #[derive(Debug)]
-pub struct SupervisedRun {
+pub struct SupervisedRun<T = RunResult> {
     /// Index of the spec in the grid's spec list.
     pub spec_index: usize,
     /// Index of the workload in the grid's workload list.
     pub workload_index: usize,
     /// The run's results, or the error of its final attempt.
-    pub outcome: Result<RunResult, SimError>,
+    pub outcome: Result<T, SimError>,
     /// Flight-recorder payload of the final attempt, when observing.
     pub observations: Option<Box<Observations>>,
     /// Attempts made (1 = no retries were needed).
@@ -276,42 +273,43 @@ pub fn execute_with_retry<T>(
     )
 }
 
-/// Runs `f`, turning a panic into one [`SimError::Internal`] carrying
-/// the panic message: the containment every cell runs under, in the
-/// pool and in the runner's sampled pass.
-pub(crate) fn contain_panic<T>(f: impl FnOnce() -> T) -> Result<T, SimError> {
-    catch_unwind(AssertUnwindSafe(f))
-        .map_err(|payload| SimError::Internal(panic_message(payload.as_ref())))
-}
+/// What one cell attempt returns: the outcome and, when the run
+/// observed, its flight-recorder payload.
+type CellOutcome<T> = (Result<T, SimError>, Option<Box<Observations>>);
 
-/// One guarded attempt: panic containment always; a watchdog token
+/// One guarded attempt of `run`: a panic becomes one
+/// [`SimError::Internal`] carrying the panic message; a watchdog token is
 /// registered in the given slot when `watch` is provided (the inner
 /// `Option<Duration>` is the attempt's wall-clock budget).
-fn run_attempt(
-    spec: &RunSpec,
-    workload: &Workload,
-    opts: &RunOptions,
+fn run_attempt<T>(
+    run: impl FnOnce(Option<&CancelToken>) -> CellOutcome<T>,
     watch: Option<(&Mutex<Option<Watch>>, Option<Duration>)>,
-    probe: Option<&dyn TelemetryProbe>,
-) -> (Result<RunResult, SimError>, Option<Box<Observations>>) {
+) -> CellOutcome<T> {
     let token = watch.map(|(slot, timeout)| {
         let token = CancelToken::new();
         *slot.lock().unwrap() = Some(Watch::new(token.clone(), timeout));
         token
     });
-    let outcome =
-        contain_panic(|| run_one_instrumented(spec, workload, opts, token.as_ref(), probe));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run(token.as_ref())));
     if let Some((slot, _)) = watch {
         *slot.lock().unwrap() = None;
     }
-    outcome.unwrap_or_else(|e| (Err(e), None))
+    outcome.unwrap_or_else(|payload| {
+        (
+            Err(SimError::Internal(panic_message(payload.as_ref()))),
+            None,
+        )
+    })
 }
 
 /// The worker pool. Runs the listed `(spec_index, workload_index)`
-/// cells across `threads` workers, each attempt guarded by panic
-/// containment, the optional watchdog, and the retry policy (see the
-/// module docs). Results are sorted by `(spec_index, workload_index)`;
-/// cells skipped by [`SuperviseObserver::should_abort`] are absent.
+/// cells across `threads` workers, each attempt a call of
+/// `run(spec, workload, cancel, probe)` guarded by panic containment,
+/// the optional watchdog, and the retry policy (see the module docs).
+/// `run` must poll `cancel` as the sim drivers do, or the watchdog
+/// cannot stop it. Results are sorted by `(spec_index,
+/// workload_index)`; cells skipped by
+/// [`SuperviseObserver::should_abort`] are absent.
 ///
 /// With `probes`, worker slot `i` uses `probes[i]` for every cell it
 /// claims, bracketing each retry attempt with `cell_begin`/`cell_end`
@@ -324,16 +322,17 @@ fn run_attempt(
 /// Panics if a cell index is out of range for `specs` / `workloads`,
 /// or if fewer probes are supplied than worker slots.
 #[allow(clippy::too_many_arguments)]
-pub fn run_cells_supervised(
+pub fn run_cells_supervised<T: Send>(
     specs: &[RunSpec],
     workloads: &[Workload],
     cells: &[(usize, usize)],
     threads: usize,
-    opts: &RunOptions,
+    run: impl Fn(&RunSpec, &Workload, Option<&CancelToken>, Option<&dyn TelemetryProbe>) -> CellOutcome<T>
+        + Sync,
     sup: &SuperviseConfig,
-    observer: &dyn SuperviseObserver,
+    observer: &dyn SuperviseObserver<T>,
     probes: Option<&[Box<dyn TelemetryProbe>]>,
-) -> Vec<SupervisedRun> {
+) -> Vec<SupervisedRun<T>> {
     for &(s, w) in cells {
         assert!(s < specs.len(), "spec index {s} out of range");
         assert!(w < workloads.len(), "workload index {w} out of range");
@@ -341,7 +340,7 @@ pub fn run_cells_supervised(
     let total = cells.len();
     let next = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
-    let results: Mutex<Vec<SupervisedRun>> = Mutex::new(Vec::with_capacity(total));
+    let results: Mutex<Vec<SupervisedRun<T>>> = Mutex::new(Vec::with_capacity(total));
     let workers = threads.max(1).min(total.max(1));
     if let Some(p) = probes {
         assert!(
@@ -403,11 +402,15 @@ pub fn run_cells_supervised(
                             );
                         }
                         let (outcome, obs) = run_attempt(
-                            &specs[spec_index],
-                            &workloads[workload_index],
-                            opts,
+                            |cancel| {
+                                run(
+                                    &specs[spec_index],
+                                    &workloads[workload_index],
+                                    cancel,
+                                    probe,
+                                )
+                            },
                             sup.watched().then_some((slot, sup.cell_timeout)),
-                            probe,
                         );
                         if let Some(p) = probe {
                             p.cell_end();
@@ -467,7 +470,9 @@ pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Ve
         workloads,
         &cells,
         threads,
-        &RunOptions::default(),
+        |spec, workload, cancel, probe| {
+            run_one_instrumented(spec, workload, &RunOptions::default(), cancel, probe)
+        },
         &SuperviseConfig::unsupervised(),
         &NoopSuperviseObserver,
         None,
@@ -555,7 +560,9 @@ mod tests {
             &workloads(),
             &[(1, 0), (0, 1)],
             2,
-            &RunOptions::default(),
+            |spec, workload, cancel, probe| {
+                run_one_instrumented(spec, workload, &RunOptions::default(), cancel, probe)
+            },
             &SuperviseConfig::unsupervised(),
             &obs,
             None,

@@ -878,12 +878,12 @@ fn cmd_campaign_sampled(
 }
 
 /// The `zivsim sample` telemetry probe: forwards everything to the
-/// bus's solo worker record and mirrors each `cell_begin`/`cell_end`
+/// bus's one worker record and mirrors each `cell_begin`/`cell_end`
 /// pair into the campaign-level counters, so the paired session reads
 /// as a two-cell campaign.
 struct PairedSampleProbe<'a> {
     bus: &'a ziv::harness::CampaignBus,
-    inner: ziv::harness::WorkerProbe,
+    inner: Box<dyn ziv::sim::TelemetryProbe>,
 }
 
 impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
@@ -949,8 +949,8 @@ fn cmd_sample(opts: &Options) -> Result<(), String> {
     let bus = ziv::harness::CampaignBus::start(&results_dir, 1, 2, 0, &bus_opts)
         .map_err(|e| e.to_string())?;
     let paired = bus.as_ref().and_then(|b| {
-        b.solo_probe()
-            .map(|inner| PairedSampleProbe { bus: b, inner })
+        let inner = b.worker_probes()?.into_iter().next()?;
+        Some(PairedSampleProbe { bus: b, inner })
     });
     let probe: Option<&dyn ziv::sim::TelemetryProbe> =
         paired.as_ref().map(|p| p as &dyn ziv::sim::TelemetryProbe);

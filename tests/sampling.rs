@@ -252,6 +252,92 @@ fn panicking_sampled_cell_is_isolated() {
     fs::remove_dir_all(&base).ok();
 }
 
+/// The smoke campaign over `CampaignParams::tiny()` with `fault` armed
+/// in spec 0, so both of spec 0's cells fail and the other two run.
+fn faulted_smoke(fault: FaultInjection) -> ziv::harness::Campaign {
+    let mut campaign = campaigns::by_name("smoke", &CampaignParams::tiny()).expect("smoke exists");
+    campaign.specs[0] = campaign.specs[0].clone().with_fault(fault);
+    campaign
+}
+
+/// Sampled cells run under the pool's watchdog: a hung cell is
+/// cancelled by the stall detector and reported as a timeout, instead
+/// of failing at once for want of a supervisor.
+#[test]
+fn hung_sampled_cell_is_cancelled_by_the_watchdog() {
+    let base = temp_dir("sampled-hang");
+    let campaign = faulted_smoke(FaultInjection::HangCore { at_access: 100 });
+    let cfg = RunnerConfig {
+        stall_window: Some(std::time::Duration::from_millis(750)),
+        ..RunnerConfig::new(base.join("lib"))
+    };
+    let outcome = run_campaign_sampled(&campaign, &cfg, SamplingPlan::auto(), false, &NullSink)
+        .expect("a hung cell does not abort the sampled pass");
+    assert_eq!(outcome.failures.len(), campaign.recipes.len());
+    for f in &outcome.failures {
+        assert_eq!(f.spec_index, 0);
+        assert_eq!(f.error.kind_tag(), "timeout", "{}", f.error);
+        assert!(
+            f.error.to_string().contains("no forward progress"),
+            "the watchdog's stall detector cancelled it: {}",
+            f.error
+        );
+    }
+    assert_eq!(
+        outcome.cells.len(),
+        campaign.total_cells() - campaign.recipes.len()
+    );
+
+    // The same through the CLI, with every supervision flag given.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zivsim"))
+        .args(["campaign", "smoke", "--sampling", "auto"])
+        .args([
+            "--inject-fault",
+            "0:0:hang-core:100",
+            "--cell-timeout",
+            "60000",
+        ])
+        .args(["--stall-window", "750", "--retries", "2", "--strict"])
+        .args(["--threads", "2", "--results-dir"])
+        .arg(base.join("cli"))
+        .env("ZIV_FAST", "1")
+        .output()
+        .expect("spawn zivsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(
+        stderr.contains("no forward progress"),
+        "the watchdog's timeout is reported: {stderr}"
+    );
+    assert!(!stderr.contains("no supervisor attached"), "{stderr}");
+    fs::remove_dir_all(&base).ok();
+}
+
+/// `strict` stops a sampled pass claiming cells after the first
+/// failure, as it does a full pass.
+#[test]
+fn strict_sampled_pass_stops_after_the_first_failure() {
+    let base = temp_dir("sampled-strict");
+    let campaign = faulted_smoke(FaultInjection::PanicCore { at_access: 50 });
+    let cfg = RunnerConfig {
+        strict: true,
+        threads: 1,
+        ..RunnerConfig::new(base.clone())
+    };
+    let outcome =
+        run_campaign_sampled(&campaign, &cfg, SamplingPlan::auto(), false, &NullSink).unwrap();
+    assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+    assert_eq!(
+        (
+            outcome.failures[0].spec_index,
+            outcome.failures[0].workload_index
+        ),
+        (0, 0)
+    );
+    assert!(outcome.cells.is_empty(), "no cell is claimed after it");
+    fs::remove_dir_all(&base).ok();
+}
+
 /// In the sampling regime proper — a trace several LLC warm horizons
 /// long — the auto plan must genuinely skip (that is the speedup) while
 /// the estimate still tracks a full run of the same cell, because each

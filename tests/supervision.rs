@@ -223,7 +223,7 @@ fn oversubscribed_but_progressing_pool_is_not_cancelled() {
     use ziv::harness::{
         default_stall_window, run_cells_supervised, NoopSuperviseObserver, SuperviseConfig,
     };
-    use ziv::sim::{RunOptions, RunSpec};
+    use ziv::sim::{run_one_instrumented, RunOptions, RunSpec};
     use ziv::workloads::{apps, mixes, ScaleParams};
 
     let sys = ziv::common::config::SystemConfig::scaled();
@@ -243,7 +243,9 @@ fn oversubscribed_but_progressing_pool_is_not_cancelled() {
         &workloads,
         &cells,
         workers,
-        &RunOptions::default(),
+        |spec, workload, cancel, probe| {
+            run_one_instrumented(spec, workload, &RunOptions::default(), cancel, probe)
+        },
         &sup,
         &NoopSuperviseObserver,
         None,
