@@ -58,17 +58,6 @@ impl Access {
             is_instr: false,
         }
     }
-
-    /// An instruction fetch.
-    pub fn ifetch(core: CoreId, addr: Addr, pc: u64) -> Self {
-        Access {
-            core,
-            addr,
-            pc,
-            is_write: false,
-            is_instr: true,
-        }
-    }
 }
 
 /// Configuration for building a [`CacheHierarchy`].

@@ -7,7 +7,6 @@ mod bank;
 
 pub use bank::{EvictedBlock, LlcBank, LlcState, PropertyLevel, PropertyVectors};
 
-use bank::neutral_ctx;
 use ziv_common::config::LlcConfig;
 use ziv_common::ids::{SetIdx, WayIdx};
 use ziv_common::{BankId, Cycle, LineAddr, SimRng};
@@ -330,11 +329,6 @@ impl SharedLlc {
     /// Read access to a bank (stats, tests).
     pub fn bank(&self, bank: BankId) -> &LlcBank {
         &self.banks[bank.index()]
-    }
-
-    /// Mutable access to a bank (the hierarchy records FIFO timing).
-    pub fn bank_mut(&mut self, bank: BankId) -> &mut LlcBank {
-        &mut self.banks[bank.index()]
     }
 
     /// Number of banks.
@@ -880,14 +874,6 @@ impl SharedLlc {
             }
         }
         out
-    }
-
-    /// Rank order of a set under the bank's policy (diagnostics). The
-    /// order is written into the caller-provided `out` buffer so repeated
-    /// queries reuse one allocation.
-    pub fn rank_of_set(&mut self, bank: BankId, set: SetIdx, out: &mut Vec<WayIdx>) {
-        let ctx = neutral_ctx();
-        self.banks[bank.index()].policy.rank(set, &ctx, out);
     }
 }
 

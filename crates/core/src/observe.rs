@@ -122,12 +122,6 @@ impl EpochSample {
             row[instr_col] as f64 / cycles as f64
         }
     }
-
-    /// Delta of a named global counter; `None` for an unknown name.
-    pub fn global_delta(&self, name: &str) -> Option<i64> {
-        let i = METRICS_COLUMNS.iter().position(|&c| c == name)?;
-        self.global.get(i).copied()
-    }
 }
 
 /// Accumulates [`EpochSample`]s from successive metric snapshots.
