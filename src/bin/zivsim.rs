@@ -53,6 +53,18 @@ const CHECKS: &[&str] = &["--audit", "--cell-budget"];
 const SUPERVISION: &[&str] = &["--threads", "--retries", "--cell-timeout", "--stall-window"];
 /// The live telemetry bus.
 const LIVE: &[&str] = &["--telemetry", "--progress"];
+/// A campaign's observers.
+const OBSERVERS: &[&str] = &[
+    "--epoch",
+    "--events",
+    "--last",
+    "--heatmap",
+    "--latency",
+    "--profile",
+    "--leakage",
+    "--forensics",
+    "--perfetto",
+];
 
 /// Every subcommand, in `zivsim help` order.
 #[rustfmt::skip]
@@ -68,9 +80,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "campaign", positional: Some("<name>"),
               about: "run a named figure campaign end to end (cached, resumable)",
               flags: &[&["--cores", "--seed", "--results-dir", "--resume", "--strict"],
-                       &["--inject-fault"], CHECKS, SUPERVISION,
-                       &["--epoch", "--events", "--last", "--heatmap", "--latency", "--profile"],
-                       &["--leakage", "--forensics", "--perfetto"],
+                       &["--inject-fault"], CHECKS, SUPERVISION, OBSERVERS,
                        LIVE, &["--sampling", "--validate"]] },
     Command { name: "replay", positional: Some("<file>"), flags: &[],
               about: "re-run a failure repro record deterministically" },
@@ -140,7 +150,8 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("--sampling", "<plan>", "auto | off | interval=N,gap=N[,KEY=N...] with optional keys warmup \
         (percent of the gap warmed), window, head, confidence (90|95|99) and max; campaign \
         estimates go to sampling.csv"),
-    ("--validate", "", "also run the full campaign and write validation.csv"),
+    ("--validate", "", "also run the full campaign and write validation.csv; with --sampling, \
+        observer flags need it and observe that full pass"),
     ("--telemetry", "<off|on>", "publish <results-dir>/telemetry.shm for `zivsim watch`"),
     ("--progress", "<live|jsonl>", "human progress lines (default) or JSONL heartbeats"),
     ("--json", "", "one JSONL snapshot per refresh instead of the table"),
@@ -440,6 +451,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         .iter()
         .find(|c| c.name == opts.command)
         .ok_or_else(|| format!("unknown command '{}'", opts.command))?;
+    let mut observer = None;
     while let Some(flag) = it.next() {
         if !flag.starts_with("--") {
             if command.positional.is_none() || opts.positional.is_some() {
@@ -455,6 +467,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 format!("unknown flag '{flag}'")
             });
         }
+        if OBSERVERS.contains(&flag.as_str()) {
+            observer.get_or_insert(flag);
+        }
         let mut value = || {
             it.next()
                 .cloned()
@@ -467,7 +482,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--policy" => opts.policy = parse_policy(&value()?)?,
             "--l2" => opts.l2 = parse_l2(&value()?)?,
-            "--workload" => opts.workload = value()?,
+            "--workload" => {
+                let spec = value()?;
+                // Resolve names up front: an unknown one is a usage error.
+                workload_source(&spec)?;
+                opts.workload = spec;
+            }
             "--accesses" => opts.accesses = number(flag, &value()?)?,
             "--cores" => opts.cores = number(flag, &value()?)?,
             "--seed" => {
@@ -527,6 +547,24 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => unreachable!("{other} is in a command's table but has no parser"),
         }
     }
+    // Sampled campaign cells run with observation off: an observer flag
+    // covers only the full pass --validate adds.
+    if let Some(flag) = observer.filter(|_| opts.sampling.is_some() && !opts.validate) {
+        return Err(format!(
+            "{flag} observes full runs; with --sampling it needs --validate"
+        ));
+    }
+    // A mode or scenario given as the positional is resolved here too,
+    // so an unknown name is a usage error however it is given.
+    match (command.positional, &opts.positional) {
+        (Some("[<mode>]"), Some(mode)) => {
+            parse_mode(mode)?;
+        }
+        (Some("[<scenario>]"), Some(name)) => {
+            parse_scenario(name)?;
+        }
+        _ => {}
+    }
     Ok(opts)
 }
 
@@ -568,55 +606,61 @@ fn system_for(opts: &Options) -> SystemConfig {
     }
 }
 
-fn build_workload(opts: &Options) -> Result<Workload, String> {
-    let sys = system_for(opts);
-    let scale = ScaleParams::from_system(&sys);
-    let (kind, arg) = opts.workload.split_once(':').ok_or_else(|| {
-        format!(
-            "workload '{}' must look like homo:APP / hetero:N / mt:NAME",
-            opts.workload
-        )
+/// What a `--workload` value names.
+enum WorkloadSource {
+    Homo(apps::AppSpec),
+    Hetero(usize),
+    Mt(fn(usize, usize, u64, ScaleParams) -> Workload),
+    File(String),
+}
+
+/// Resolves a `--workload` value's names.
+fn workload_source(spec: &str) -> Result<WorkloadSource, String> {
+    let (kind, arg) = spec.split_once(':').ok_or_else(|| {
+        format!("workload '{spec}' must look like homo:APP / hetero:N / mt:NAME / file:PATH")
     })?;
-    match kind {
-        "homo" => {
-            let app = apps::app_by_name(arg)
-                .ok_or_else(|| format!("unknown app '{arg}' (see `zivsim list`)"))?;
-            Ok(mixes::homogeneous(
-                app,
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            ))
+    Ok(match kind {
+        "homo" => WorkloadSource::Homo(
+            apps::app_by_name(arg)
+                .ok_or_else(|| format!("unknown app '{arg}' (see `zivsim list`)"))?,
+        ),
+        "hetero" => WorkloadSource::Hetero(arg.parse().map_err(|e| format!("hetero index: {e}"))?),
+        "mt" => WorkloadSource::Mt(match arg {
+            "canneal" => multithreaded::canneal,
+            "facesim" => multithreaded::facesim,
+            "vips" => multithreaded::vips,
+            "applu" => multithreaded::applu,
+            "tpce" => multithreaded::tpce,
+            other => return Err(format!("unknown multithreaded workload '{other}'")),
+        }),
+        "file" => WorkloadSource::File(arg.into()),
+        other => return Err(format!("unknown workload kind '{other}'")),
+    })
+}
+
+fn build_workload(opts: &Options) -> Result<Workload, String> {
+    let scale = ScaleParams::from_system(&system_for(opts));
+    let (cores, accesses, seed) = (opts.cores, opts.accesses, opts.seed);
+    Ok(match workload_source(&opts.workload)? {
+        WorkloadSource::Homo(app) => mixes::homogeneous(app, cores, accesses, seed, scale),
+        WorkloadSource::Hetero(index) => mixes::heterogeneous(index, cores, accesses, seed, scale),
+        WorkloadSource::Mt(generate) => generate(cores, accesses, seed, scale),
+        WorkloadSource::File(path) => {
+            ziv::workloads::trace_io::read_trace_file(path.as_ref()).map_err(|e| e.to_string())?
         }
-        "hetero" => {
-            let idx: usize = arg.parse().map_err(|e| format!("hetero index: {e}"))?;
-            Ok(mixes::heterogeneous(
-                idx,
-                opts.cores,
-                opts.accesses,
-                opts.seed,
-                scale,
-            ))
-        }
-        "file" => {
-            let f =
-                std::fs::File::open(arg).map_err(|e| format!("cannot open trace '{arg}': {e}"))?;
-            ziv::workloads::trace_io::read_trace(f).map_err(|e| e.to_string())
-        }
-        "mt" => {
-            let generate = match arg {
-                "canneal" => multithreaded::canneal,
-                "facesim" => multithreaded::facesim,
-                "vips" => multithreaded::vips,
-                "applu" => multithreaded::applu,
-                "tpce" => multithreaded::tpce,
-                other => return Err(format!("unknown multithreaded workload '{other}'")),
-            };
-            Ok(generate(opts.cores, opts.accesses, opts.seed, scale))
-        }
-        other => Err(format!("unknown workload kind '{other}'")),
-    }
+    })
+}
+
+/// Resolves an attack scenario's name.
+fn parse_scenario(name: &str) -> Result<ziv::workloads::attack::AttackScenario, String> {
+    use ziv::workloads::attack::AttackScenario;
+    AttackScenario::by_name(name).ok_or_else(|| {
+        let list: Vec<&str> = AttackScenario::ALL.iter().map(|s| s.name()).collect();
+        format!(
+            "unknown attack scenario '{name}' (one of: {})",
+            list.join(", ")
+        )
+    })
 }
 
 fn print_result(r: &ziv::sim::RunResult, baseline: Option<&ziv::sim::RunResult>) {
@@ -1643,13 +1687,7 @@ fn cmd_blame(opts: &Options) -> Result<(), String> {
 fn cmd_attack(opts: &Options) -> Result<(), String> {
     use ziv::workloads::attack::{self, AttackRecipe, AttackScenario};
     let scenario = match &opts.positional {
-        Some(name) => AttackScenario::by_name(name).ok_or_else(|| {
-            let list: Vec<&str> = AttackScenario::ALL.iter().map(|s| s.name()).collect();
-            format!(
-                "unknown attack scenario '{name}' (one of: {})",
-                list.join(", ")
-            )
-        })?,
+        Some(name) => parse_scenario(name)?,
         None => AttackScenario::PrimeProbe,
     };
     let recipe = AttackRecipe {
@@ -1819,9 +1857,7 @@ fn cmd_export(opts: &Options) -> Result<(), String> {
         .as_deref()
         .ok_or("export needs a file path")?;
     let wl = build_workload(opts)?;
-    let f = std::fs::File::create(path).map_err(|e| format!("cannot create '{path}': {e}"))?;
-    ziv::workloads::trace_io::write_trace(&wl, std::io::BufWriter::new(f))
-        .map_err(|e| e.to_string())?;
+    ziv::workloads::trace_io::write_trace_file(path.as_ref(), &wl).map_err(|e| e.to_string())?;
     println!(
         "wrote {} accesses ({} cores) to {path}",
         wl.total_accesses(),

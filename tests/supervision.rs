@@ -3,7 +3,7 @@
 //! within its budget and ledgered as a timeout, an injected panic is
 //! contained per-worker, a ledger torn mid-append is recovered with a
 //! warning (and `--resume` re-runs exactly the lost cell), and the CLI
-//! classifies every outcome as 0 / 2 / 3 / 4.
+//! classifies every outcome as 0 / 1 / 2 / 3 / 4.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -293,6 +293,11 @@ fn cli_exit_code_2_for_usage_errors() {
         vec!["campaign", "smoke", "--inject-fault", "0:0:nope:5"],
         // A known flag the subcommand does not read.
         vec!["campaign", "smoke", "--accesses", "10"],
+        // An unknown name, wherever it is given.
+        vec!["trace", "bogusmode"],
+        vec!["run", "--workload", "homo:nope"],
+        vec!["run", "--workload", "bogus"],
+        vec!["attack", "nope"],
     ] {
         let out = zivsim(&bad);
         assert_eq!(
@@ -302,6 +307,81 @@ fn cli_exit_code_2_for_usage_errors() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+#[test]
+fn cli_sampled_campaign_rejects_observer_flags_without_validate() {
+    for (flag, value) in [
+        ("--epoch", Some("500")),
+        ("--events", Some("all")),
+        ("--last", Some("8")),
+        ("--heatmap", None),
+        ("--latency", None),
+        ("--profile", None),
+        ("--leakage", None),
+        ("--forensics", None),
+        ("--perfetto", None),
+    ] {
+        let mut args = vec!["campaign", "smoke", "--sampling", "auto", flag];
+        args.extend(value);
+        let out = zivsim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "the error names {flag}: {stderr}");
+    }
+}
+
+/// A failed write of the trace file is an error, not a silent success.
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_export_reports_a_failed_write() {
+    let out = zivsim(&[
+        "export",
+        "/dev/full",
+        "--workload",
+        "homo:circset",
+        "--accesses",
+        "20",
+        "--cores",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("/dev/full"),
+        "the error names the path: {stderr}"
+    );
+}
+
+/// An exported trace runs exactly like the workload it was made from.
+#[test]
+fn cli_export_round_trips_through_a_file_workload() {
+    let dir = temp_dir("cli-export");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("circset.trace");
+    let workload = [
+        "--workload",
+        "homo:circset",
+        "--accesses",
+        "300",
+        "--cores",
+        "2",
+    ];
+    let mut export = vec!["export", path.to_str().unwrap()];
+    export.extend(workload);
+    assert_eq!(zivsim(&export).status.code(), Some(0));
+    let file = format!("file:{}", path.display());
+    let from_file = zivsim(&["run", "--workload", &file]);
+    let mut generated = vec!["run"];
+    generated.extend(workload);
+    let generated = zivsim(&generated);
+    assert_eq!(from_file.status.code(), Some(0));
+    assert_eq!(generated.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&from_file.stdout),
+        String::from_utf8_lossy(&generated.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
