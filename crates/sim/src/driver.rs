@@ -12,7 +12,9 @@ use ziv_core::observe::{
     EpochSlicer, FlightRecorder, Observations, ObserveConfig, ProbeSnapshot, TelemetryProbe,
 };
 use ziv_core::profile::{ProfileSection, SelfProfiler};
-use ziv_core::{Access, AuditCadence, Auditor, CacheHierarchy, CancelToken, Metrics};
+use ziv_core::{
+    Access, AuditCadence, Auditor, CacheHierarchy, CancelToken, LeakageReport, Metrics,
+};
 use ziv_workloads::Workload;
 
 /// Per-cell cycle budget for the watchdog.
@@ -459,39 +461,6 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Drains the slicer and the hierarchy's recorder into the run's
-/// observation payload; `None` when observability was disabled.
-/// `window_cycles` is the co-run window length (the slowest core's
-/// clock) stamped into the leakage report so its per-Mcycle rate is
-/// well-defined.
-fn collect_observations(
-    h: &mut CacheHierarchy,
-    slicer: Option<EpochSlicer>,
-    observing: bool,
-    window_cycles: u64,
-) -> Option<Box<Observations>> {
-    if !observing {
-        return None;
-    }
-    let rec = h.take_recorder().map(|r| r.finish()).unwrap_or_default();
-    let leakage = rec.leakage.map(|mut l| {
-        l.cycles = window_cycles;
-        l
-    });
-    let profile = h.take_profiler().map(|p| p.report());
-    Some(Box::new(Observations {
-        epochs: slicer.map_or_else(Vec::new, EpochSlicer::into_samples),
-        events: rec.events,
-        events_recorded: rec.events_recorded,
-        heatmap: rec.heatmap,
-        latency: rec.latency,
-        leakage,
-        forensics: rec.forensics,
-        profile,
-        dir_slice_occupancy: h.directory().slice_occupancies(),
-    }))
-}
-
 /// Simulates `workload` under `spec`: the general full-run entry point
 /// behind [`run_one`] and [`run_one_checked`].
 ///
@@ -561,17 +530,7 @@ pub fn run_one_instrumented(
     }
     let mut slicer = opts.observe.epoch.map(|n| EpochSlicer::new(n, ncores));
 
-    let outcome = run_laps(&mut sim, slicer.as_mut()).map(|snapshots| {
-        // Rewind each core to its last completed lap.
-        for (c, (instructions, cycles, mut per_core)) in snapshots.into_iter().enumerate() {
-            per_core.instructions = instructions;
-            per_core.cycles = cycles;
-            sim.h.metrics_mut().per_core[c] = per_core;
-            sim.instructions[c] = instructions;
-            sim.cycles[c] = cycles as f64;
-        }
-        sim.result(&spec.label)
-    });
+    let outcome = run_laps(&mut sim, slicer.as_mut()).map(|()| sim.result(&spec.label));
     // Close the epoch series where the run ended: after the lap rewind
     // and finalize, so the epoch deltas sum exactly to the final
     // aggregate metrics (its per-core deltas may be negative), or at the
@@ -581,29 +540,39 @@ pub fn run_one_instrumented(
         sim.publish_core_clocks();
         sl.finish(sim.issued, sim.h.metrics());
     }
+    // Drain the slicer and the recorder into the observation payload.
+    // The leakage report is stamped with the co-run window so its
+    // per-Mcycle rate is well-defined.
     let window = sim.window();
-    (
-        outcome,
-        collect_observations(&mut sim.h, slicer, observing, window),
-    )
+    let observations = observing.then(|| {
+        let h = &mut sim.h;
+        let rec = h.take_recorder().map(|r| r.finish()).unwrap_or_default();
+        Box::new(Observations {
+            epochs: slicer.map_or_else(Vec::new, EpochSlicer::into_samples),
+            events: rec.events,
+            events_recorded: rec.events_recorded,
+            heatmap: rec.heatmap,
+            latency: rec.latency,
+            leakage: rec.leakage.map(|l| LeakageReport {
+                cycles: window,
+                ..l
+            }),
+            forensics: rec.forensics,
+            profile: h.take_profiler().map(|p| p.report()),
+            dir_slice_occupancy: h.directory().slice_occupancies(),
+        })
+    });
+    (outcome, observations)
 }
-
-/// Per-core statistics at a completed lap: instructions, cycles, and
-/// the core's hierarchy counters.
-type LapSnapshot = (u64, u64, ziv_core::metrics::CoreMetrics);
 
 /// The full driver's schedule: the lagging core issues next until every
 /// core has completed its trace. Early-finishing cores restart their
 /// trace and keep running (the paper's protocol), so contention stays
-/// representative until the last core completes its segment. Returns
-/// each core's statistics at its last completed lap.
-fn run_laps(
-    sim: &mut Sim,
-    mut slicer: Option<&mut EpochSlicer>,
-) -> Result<Vec<LapSnapshot>, SimError> {
+/// representative until the last core completes its segment; each core
+/// is then rewound to its last completed lap.
+fn run_laps(sim: &mut Sim, mut slicer: Option<&mut EpochSlicer>) -> Result<(), SimError> {
     let ncores = sim.cursor.len();
-    let mut completed = vec![false; ncores];
-    let mut snapshots: Vec<Option<LapSnapshot>> = vec![None; ncores];
+    let mut snapshots = vec![None; ncores];
     let mut done = 0usize;
     // Restarted records get fresh, never-in-the-future sequence numbers
     // so the MIN oracle treats them as never-reused.
@@ -625,7 +594,7 @@ fn run_laps(
         };
         // The policy-independent global stream position (round-robin by
         // record index), shared with the MIN oracle's future knowledge.
-        let seq = if completed[core] {
+        let seq = if laps[core] > 0 {
             restart_seq += 1;
             restart_seq
         } else {
@@ -641,36 +610,30 @@ fn run_laps(
         }
         if finishing {
             sim.cursor[core] = 0;
-            laps[core] += 1;
-            if !completed[core] {
-                completed[core] = true;
+            if laps[core] == 0 {
                 done += 1;
             }
+            laps[core] += 1;
             // Snapshot at every completed lap: the reported IPC then
             // covers (nearly) the whole co-run window, so repeated
             // inclusion-victim damage to fast cores is measured.
             snapshots[core] = Some((
                 sim.instructions[core],
-                sim.cycles[core] as u64,
+                sim.cycles[core],
                 sim.h.metrics().per_core[core],
             ));
         }
     }
-    // A core the issue cap stopped before it finished a lap reports its
+    // A core the issue cap stopped before it finished a lap keeps its
     // progress so far.
-    Ok(snapshots
-        .into_iter()
-        .enumerate()
-        .map(|(c, s)| {
-            s.unwrap_or_else(|| {
-                (
-                    sim.instructions[c],
-                    sim.cycles[c] as u64,
-                    sim.h.metrics().per_core[c],
-                )
-            })
-        })
-        .collect())
+    for (c, snapshot) in snapshots.into_iter().enumerate() {
+        if let Some((instructions, cycles, per_core)) = snapshot {
+            sim.instructions[c] = instructions;
+            sim.cycles[c] = cycles;
+            sim.h.metrics_mut().per_core[c] = per_core;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
