@@ -9,7 +9,7 @@
 //! * a bounded, direct-mapped **provenance table** stamps each LLC line
 //!   at fill time with its allocating access (access index, cycle, core,
 //!   home location, and the replacement policy's
-//!   [`VictimReason`](crate::llc::VictimReason));
+//!   [`VictimReason`]);
 //! * every [`TearOut`] event — an inclusive back-invalidation or an ECI
 //!   early invalidation, each victimizing at least one private copy —
 //!   becomes one **causal chain**: instigator access → eviction

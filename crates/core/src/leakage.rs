@@ -48,7 +48,7 @@ pub struct CoreLeakage {
 }
 
 /// Counts attacker-observable events during a run. Constructed from an
-/// attack workload's [`AttackPlan`]-equivalent role lists by the
+/// attack workload's `AttackPlan`-equivalent role lists by the
 /// driver; the flight recorder feeds it from the hierarchy's event
 /// stream, like the event ring and the latency observatory.
 #[derive(Debug)]

@@ -15,10 +15,10 @@
 //! | [`LlcMode::Sharp`] | SHARP, Yan et al. ISCA 2017 |
 //! | [`LlcMode::CharOnBase`] | the CHARonBase comparison point (Section V-A) |
 //! | [`LlcMode::Ric`] | Relaxed Inclusion Caches, Kayaalp et al. DAC 2017 |
-//! | [`LlcMode::WayPartitioned`] | way-partitioned isolation ([26]/[31]-class) |
+//! | [`LlcMode::WayPartitioned`] | way-partitioned isolation (\[26\]/\[31\]-class) |
 //! | [`LlcMode::Ziv`] | **the Zero Inclusion Victim LLC** (Section III), with all five relocation-set properties |
 //!
-//! plus an optional per-core stride [`prefetch`]er (the reference-[1]
+//! plus an optional per-core stride [`prefetch`]er (the reference-\[1\]
 //! interplay study).
 //!
 //! The central artifact is [`CacheHierarchy`]: feed it a stream of

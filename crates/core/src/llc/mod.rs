@@ -102,7 +102,7 @@ pub enum LlcMode {
     /// back-invalidation (no protection for read/write shared data).
     Ric,
     /// Way-partitioned inclusive LLC (DAWG/CATalyst-class isolation,
-    /// the paper's references [26], [31]): victim selection is confined
+    /// the paper's references \[26\], \[31\]): victim selection is confined
     /// to the requesting core's way partition, eliminating *cross-core*
     /// evictions (and their inclusion victims) at a capacity cost.
     WayPartitioned,

@@ -3,7 +3,7 @@
 //!
 //! The paper's evaluation is temporal — inclusion-victim pressure, ZIV
 //! relocations, and directory back-invalidations all vary across program
-//! phases — but [`Metrics`](crate::Metrics) only reports end-of-run
+//! phases — but [`Metrics`] only reports end-of-run
 //! aggregates. This module adds the missing interval-resolved layer:
 //!
 //! * [`EpochSlicer`] — snapshots *delta* counters every N accesses into

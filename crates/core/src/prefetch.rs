@@ -1,7 +1,7 @@
 //! A per-core PC-indexed stride prefetcher.
 //!
 //! Table I's machine has no prefetcher, but the paper's related work
-//! (Backes & Jimenez, MEMSYS 2019 — reference [1]) studies the joint
+//! (Backes & Jimenez, MEMSYS 2019 — reference \[1\]) studies the joint
 //! influence of inclusion policies and prefetching, and CHAR's group
 //! classification (Section III-D6, attribute (i)) distinguishes blocks
 //! "brought to the private caches through a prefetch or a demand

@@ -390,7 +390,7 @@ pub mod campaigns {
         pub fault: FaultInjection,
     }
 
-    /// Builds the chaos variant of the [`soak`] grid: the same campaign
+    /// Builds the chaos variant of the `soak` grid: the same campaign
     /// with one deliberate fault armed on each of five specs, plus the
     /// plan of what went where. Deterministic per `params.seed` — the
     /// scheduler draws every trigger access and the fault→spec

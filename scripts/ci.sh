@@ -16,6 +16,11 @@ echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings)"
+# Every intra-doc link must resolve, so deleting or renaming an item
+# cannot leave a stale link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo build --release"
 cargo build --workspace --release
 

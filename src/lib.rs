@@ -33,7 +33,7 @@
 //! - [`telemetry`] — the live telemetry bus: a seqlock shared-memory
 //!   segment written by running campaigns and tailed by
 //!   `zivsim watch`.
-//! - [`bench`] — figure-regeneration plumbing for the per-figure
+//! - [`bench`](mod@bench) — figure-regeneration plumbing for the per-figure
 //!   bench targets.
 //!
 //! # Quick start
