@@ -821,24 +821,7 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
     }
     println!("ledger {}", outcome.ledger_path.display());
     if !outcome.failures.is_empty() {
-        eprintln!("\n{} cell(s) FAILED:", outcome.failures.len());
-        for f in &outcome.failures {
-            let attempts = if f.attempts > 1 {
-                format!(" after {} attempts", f.attempts)
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "  {} × {} [{}]: {}{attempts}",
-                f.label,
-                f.workload,
-                f.digest.hex(),
-                f.error
-            );
-            if let Some(path) = &f.record_path {
-                eprintln!("    repro: zivsim replay {}", path.display());
-            }
-        }
+        print_failures("cell(s)", &outcome.failures);
         return Err(CliError::Cells(format!(
             "{} of {} cells failed, all isolated (ledger keeps them marked for \
              --resume; repro records under {}/failures/)",
@@ -848,6 +831,29 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+/// Lists a campaign pass's failed `cells` on stderr, each with its
+/// attempts and repro record when it has them.
+fn print_failures(cells: &str, failures: &[ziv::harness::CellFailure]) {
+    eprintln!("\n{} {cells} FAILED:", failures.len());
+    for f in failures {
+        let attempts = if f.attempts > 1 {
+            format!(" after {} attempts", f.attempts)
+        } else {
+            String::new()
+        };
+        eprintln!(
+            "  {} × {} [{}]: {}{attempts}",
+            f.label,
+            f.workload,
+            f.digest.hex(),
+            f.error
+        );
+        if let Some(path) = &f.record_path {
+            eprintln!("    repro: zivsim replay {}", path.display());
+        }
+    }
 }
 
 /// The sampled flavor of `zivsim campaign`: every cell runs under the
@@ -901,16 +907,7 @@ fn cmd_campaign_sampled(
         println!("wrote {}", v.validation_csv.display());
     }
     if !outcome.failures.is_empty() {
-        eprintln!("\n{} sampled cell(s) FAILED:", outcome.failures.len());
-        for f in &outcome.failures {
-            eprintln!(
-                "  {} × {} [{}]: {}",
-                f.label,
-                f.workload,
-                f.digest.hex(),
-                f.error
-            );
-        }
+        print_failures("sampled cell(s)", &outcome.failures);
         return Err(CliError::Cells(format!(
             "{} of {} sampled cells failed (results under {})",
             outcome.failures.len(),
