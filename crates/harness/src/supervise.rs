@@ -27,8 +27,9 @@
 //!   is reported to the observer so the ledger records it.
 //!
 //! With neither budget set ([`SuperviseConfig::unsupervised`]) cells
-//! run without a cancellation token and no watchdog thread starts; cell results are deterministic and independent of thread
-//! count and claiming order.
+//! run without a cancellation token and no watchdog thread starts;
+//! cell results are deterministic and independent of thread count and
+//! claiming order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
