@@ -228,6 +228,8 @@ pub(crate) struct Sim<'a> {
     pub(crate) probe: Option<&'a dyn TelemetryProbe>,
     auditor: Auditor,
     budget_cycles: Option<u64>,
+    /// Whether the audit walk is timed into the attached profiler (the
+    /// hierarchy times its own accesses).
     profiling: bool,
     /// The core that issued the last access and its clock before it.
     last: (usize, u64),
@@ -356,11 +358,7 @@ impl<'a> Sim<'a> {
             is_instr: false,
         };
         let now = self.cycles[core] as u64;
-        let t0 = self.profiling.then(std::time::Instant::now);
         let lat = self.h.access(&a, now, seq);
-        if let Some(t0) = t0 {
-            self.h.profile_add(ProfileSection::Hierarchy, t0.elapsed());
-        }
         let exposed = lat as f64 * (1.0 - trace.overlap);
         self.cycles[core] += (1 + rec.gap as u64) as f64 * self.base_cpi + exposed;
         self.instructions[core] += 1 + rec.gap as u64;

@@ -140,7 +140,8 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("--last", "<k>", "event ring capacity (default 256)"),
     ("--heatmap", "", "per-(bank, set) occupancy grids (heatmap.csv)"),
     ("--latency", "", "latency attribution observatory (latency.csv)"),
-    ("--profile", "", "wall-clock self-profiler (profile.json)"),
+    ("--profile", "", "wall-clock self-profiler: every span counted, time estimated from a \
+        sample of the accesses (profile.json)"),
     ("--leakage", "", "leakage observatory on attack workloads (leakage.csv)"),
     ("--forensics", "", "causal chains and the blame matrix (blame.csv)"),
     ("--perfetto", "", "Chrome trace-event JSON for ui.perfetto.dev (trace.json); \
@@ -1525,7 +1526,11 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
     let profile = obs
         .profile
         .ok_or("profile produced no self-profiler report")?;
-    println!("simulator wall time by subsystem (hierarchy is inclusive of the rest):");
+    println!(
+        "simulator wall time by subsystem, estimated from 1 access in {} \
+         (hierarchy is inclusive of the rest; audit is measured):",
+        ziv::core::profile::SAMPLE_PERIOD
+    );
     for section in ProfileSection::ALL {
         println!(
             "  {:<12} {:>10.3} ms  ({} call(s))",

@@ -3,11 +3,14 @@
 //! against the aggregate `access_latency_cycles` for every LLC mode,
 //! the inclusion-victim refetch account (exactly zero under ZIV),
 //! byte-identity of campaign artifacts with the observatory and the
-//! self-profiler on, and strict `--events` validation at the CLI.
+//! self-profiler on, the sampled self-profiler's counts and estimates,
+//! and strict `--events` validation at the CLI.
 
 use std::fs;
 use std::path::PathBuf;
-use ziv::core::AuditCadence;
+use ziv::common::json::JsonValue;
+use ziv::core::profile::SAMPLE_PERIOD;
+use ziv::core::{AuditCadence, ProfileReport, ProfileSection, SelfProfiler};
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
 use ziv::sim::{run_one_instrumented, AccessClass, LatencyReport, ObserveConfig, RunOptions};
@@ -250,9 +253,139 @@ fn campaign_artifacts_are_byte_identical_with_the_observatory_on() {
     let profile_json = observed.profile_json.as_deref().expect("profile.json");
     let profile = String::from_utf8(read(profile_json)).unwrap();
     let doc = ziv::common::json::parse(&profile).expect("profile.json parses");
-    assert!(doc.get("total").is_some());
-    assert!(doc.get("cells").is_some());
+    let cells = doc
+        .get("cells")
+        .and_then(JsonValue::as_array)
+        .expect("profile.json has cells");
+    assert!(!cells.is_empty());
+    for cell in cells {
+        assert_profile_json_sections(cell.get("sections").expect("cell sections"));
+    }
+    assert_profile_json_sections(doc.get("total").expect("profile.json has a total"));
     fs::remove_dir_all(&base).ok();
+}
+
+/// A `profile.json` sections object: `hierarchy` counted and timed, and
+/// no less than the three access-path sections nested in it.
+fn assert_profile_json_sections(sections: &JsonValue) {
+    let field = |section: &str, key: &str| {
+        sections
+            .get(section)
+            .and_then(|s| s.get(key))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("profile.json lacks {section}.{key}: {sections}"))
+    };
+    assert!(field("hierarchy", "calls") > 0, "{sections}");
+    assert!(field("hierarchy", "nanos") > 0, "{sections}");
+    let nested: u64 = ["replacement", "directory", "dram"]
+        .iter()
+        .map(|s| field(s, "nanos"))
+        .sum();
+    assert!(field("hierarchy", "nanos") >= nested, "{sections}");
+}
+
+/// The report's `hierarchy` estimate is timed and inclusive of the
+/// three access-path sections nested in it.
+fn assert_hierarchy_inclusive(p: &ProfileReport, label: &str) {
+    let nested = p.nanos(ProfileSection::Replacement)
+        + p.nanos(ProfileSection::Directory)
+        + p.nanos(ProfileSection::Dram);
+    assert!(p.nanos(ProfileSection::Hierarchy) > 0, "{label}: {p:?}");
+    assert!(
+        p.nanos(ProfileSection::Hierarchy) >= nested,
+        "{label}: hierarchy {} ns < nested {nested} ns",
+        p.nanos(ProfileSection::Hierarchy)
+    );
+}
+
+fn profile_opts(epoch: Option<u64>) -> RunOptions {
+    RunOptions {
+        observe: ObserveConfig {
+            profile: true,
+            epoch,
+            ..ObserveConfig::disabled()
+        },
+        ..RunOptions::default()
+    }
+}
+
+#[test]
+fn profiler_counts_every_issued_access_and_stays_inclusive() {
+    let sys = SystemConfig::scaled();
+    let scale = ScaleParams::from_system(&sys);
+    // Four cores of different speeds: the fast ones restart their traces
+    // while the slowest finishes, so the run issues more accesses than
+    // the traces hold.
+    let wl = mixes::heterogeneous(0, 4, 3_000, 0x2026, scale);
+    let mut merged = ProfileReport::default();
+    for (mode, policy) in [
+        (LlcMode::Inclusive, PolicyKind::Lru),
+        (LlcMode::Ziv(ZivProperty::LikelyDead), PolicyKind::Lru),
+    ] {
+        let spec = RunSpec::new(mode.label(), sys.clone())
+            .with_mode(mode)
+            .with_policy(policy);
+        let (result, obs) = run_one_instrumented(&spec, &wl, &profile_opts(Some(500)), None, None);
+        result.unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
+        let obs = obs.expect("observations were on");
+        let issued = obs.epochs.last().expect("epoch samples").end_access;
+        assert!(
+            issued > wl.total_accesses(),
+            "{}: no trace restarted ({issued} issued)",
+            mode.label()
+        );
+        let p = obs.profile.expect("profiler was on");
+        assert_eq!(
+            p.calls(ProfileSection::Hierarchy),
+            issued,
+            "{}",
+            mode.label()
+        );
+        assert!(p.calls(ProfileSection::Replacement) > 0, "{}", mode.label());
+        assert_hierarchy_inclusive(&p, &mode.label());
+        merged.merge(&p);
+    }
+    assert_hierarchy_inclusive(&merged, "merged");
+}
+
+#[test]
+fn a_profiled_run_shorter_than_the_sample_period_reports_time() {
+    let sys = SystemConfig::scaled();
+    let accesses = SAMPLE_PERIOD as usize / 2;
+    let wl = mixes::heterogeneous(0, 1, accesses, 7, ScaleParams::from_system(&sys));
+    let spec = RunSpec::new("I-LRU", sys);
+    let (result, obs) = run_one_instrumented(&spec, &wl, &profile_opts(None), None, None);
+    result.expect("run");
+    let p = obs.and_then(|o| o.profile).expect("profiler was on");
+    assert_eq!(p.calls(ProfileSection::Hierarchy), accesses as u64);
+    assert_hierarchy_inclusive(&p, "short run");
+}
+
+/// The benchmark's per-spec fill cost drives `CacheHierarchy::access`
+/// directly, with a profiler attached and no driver: the hierarchy
+/// itself must pick the timed accesses.
+#[test]
+fn a_direct_access_loop_with_a_profiler_times_its_fills() {
+    let sys = SystemConfig::scaled();
+    let wl = mixes::heterogeneous(0, 2, 2_000, 3, ScaleParams::from_system(&sys));
+    let spec = RunSpec::new("ZIV-LikelyDead", sys)
+        .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead))
+        .with_policy(PolicyKind::Lru);
+    let mut h = CacheHierarchy::new(&spec.build_hierarchy_config(&wl));
+    h.attach_profiler(Box::new(SelfProfiler::new()));
+    let mut seq = 0;
+    for (c, trace) in wl.traces.iter().enumerate() {
+        for r in &trace.records {
+            let a = Access::read(CoreId::new(c), r.addr, r.pc);
+            h.access(&a, seq * 4, seq);
+            seq += 1;
+        }
+    }
+    let p = h.take_profiler().expect("attached above").report();
+    assert_eq!(p.calls(ProfileSection::Hierarchy), seq);
+    assert!(p.calls(ProfileSection::Replacement) > 0);
+    assert!(p.nanos(ProfileSection::Replacement) > 0, "{p:?}");
+    assert_hierarchy_inclusive(&p, "direct loop");
 }
 
 #[test]
