@@ -87,17 +87,18 @@ pub struct PropertyVectors {
     pub invalid: PropertyVector,
     /// `NotInPrC` property vector.
     pub not_in_prc: PropertyVector,
-    /// Graded property vector (`LRUNotInPrC` or `MaxRRPVNotInPrC`).
+    /// Graded property vector (`LRUNotInPrC` or `MaxRRPVNotInPrC`);
+    /// all clear when the bank's property reads none.
     pub graded: PropertyVector,
     /// `LikelyDeadNotInPrC` property vector.
     pub likely_dead: PropertyVector,
-    graded_kind: GradedKind,
+    graded_kind: Option<GradedKind>,
 }
 
 impl PropertyVectors {
     /// The vectors of an empty bank of `sets` sets: every set has an
     /// invalid way, and no set has any other property.
-    fn new(sets: u32, graded_kind: GradedKind) -> Self {
+    fn new(sets: u32, graded_kind: Option<GradedKind>) -> Self {
         let mut invalid = PropertyVector::new(sets);
         for s in 0..sets {
             invalid.set(s, true);
@@ -135,17 +136,17 @@ impl PropertyVectors {
 
 impl LlcBank {
     /// Creates a bank with the given geometry and policy. A ZIV bank
-    /// passes its graded-PV flavor and gets property vectors; every
-    /// other bank passes `None` and has none.
+    /// passes its property and gets property vectors; every other bank
+    /// passes `None` and has none.
     pub fn new(
         geom: CacheGeometry,
         policy: Box<dyn ReplacementPolicy>,
-        graded_kind: Option<GradedKind>,
+        property: Option<ZivProperty>,
     ) -> Self {
         LlcBank {
             array: SetAssocArray::new(geom),
             policy,
-            pvs: graded_kind.map(|kind| PropertyVectors::new(geom.sets, kind)),
+            pvs: property.map(|p| PropertyVectors::new(geom.sets, p.graded())),
             fifo: RelocationFifo::new(),
             last_relocation: None,
             relocation_intervals: Log2Histogram::new(),
@@ -163,7 +164,7 @@ impl LlcBank {
         // One walk derives the Invalid, NotInPrC, LikelyDeadNotInPrC and
         // MaxRRPVNotInPrC bits together (an invalid way exists iff fewer
         // than `ways` slots are valid).
-        let averse_graded = pvs.graded_kind == GradedKind::MaxRrpv;
+        let averse_graded = pvs.graded_kind == Some(GradedKind::MaxRrpv);
         let mut valid_ways = 0usize;
         let mut any_nip = false;
         let mut any_dead_nip = false;
@@ -181,7 +182,7 @@ impl LlcBank {
             }
         }
         let graded = match pvs.graded_kind {
-            GradedKind::LruPos => {
+            Some(GradedKind::LruPos) => {
                 // The block in the LRU position — the policy's victim,
                 // which the trait contract makes its first-ranked way —
                 // has NotInPrC set (Section III-D4).
@@ -191,7 +192,8 @@ impl LlcBank {
                     !s.relocated && s.not_in_prc
                 }
             }
-            GradedKind::MaxRrpv => any_averse_nip,
+            Some(GradedKind::MaxRrpv) => any_averse_nip,
+            None => false,
         };
         pvs.invalid
             .set(set, valid_ways < self.array.geometry().ways as usize);
@@ -270,12 +272,20 @@ mod tests {
 
     fn bank_lru() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Lru::new(geom)), Some(GradedKind::LruPos))
+        LlcBank::new(
+            geom,
+            Box::new(Lru::new(geom)),
+            Some(ZivProperty::LruNotInPrC),
+        )
     }
 
     fn bank_rrpv() -> LlcBank {
         let geom = CacheGeometry::new(8, 4);
-        LlcBank::new(geom, Box::new(Srrip::new(geom)), Some(GradedKind::MaxRrpv))
+        LlcBank::new(
+            geom,
+            Box::new(Srrip::new(geom)),
+            Some(ZivProperty::MaxRrpvNotInPrC),
+        )
     }
 
     fn pvs(bank: &LlcBank) -> &PropertyVectors {
@@ -361,6 +371,32 @@ mod tests {
         b.array.state_mut(0, 0).not_in_prc = true;
         b.refresh_set(0);
         assert!(pvs(&b).graded.get(0));
+    }
+
+    #[test]
+    fn graded_bit_is_kept_only_for_properties_that_read_it() {
+        use ZivProperty::*;
+        for p in [
+            NotInPrC,
+            LruNotInPrC,
+            MaxRrpvNotInPrC,
+            LikelyDead,
+            MaxRrpvLikelyDead,
+        ] {
+            assert_eq!(
+                p.graded().is_some(),
+                p.levels().contains(&PropertyLevel::Graded),
+                "{}",
+                p.label()
+            );
+        }
+        let geom = CacheGeometry::new(8, 4);
+        let mut b = LlcBank::new(geom, Box::new(Lru::new(geom)), Some(LikelyDead));
+        for w in 0..4 {
+            fill(&mut b, 0, w, 10 + w as u64, true);
+        }
+        assert!(pvs(&b).not_in_prc.get(0));
+        assert!(pvs(&b).graded.is_empty(), "the LRU way is NotInPrC");
     }
 
     #[test]

@@ -46,6 +46,19 @@ impl ZivProperty {
         }
     }
 
+    /// The flavor of graded PV the search reads, or `None` when no level
+    /// of [`ZivProperty::levels`] is `Graded`: such banks keep the bit
+    /// clear instead of computing it on every set refresh.
+    pub fn graded(self) -> Option<GradedKind> {
+        match self {
+            ZivProperty::LruNotInPrC => Some(GradedKind::LruPos),
+            ZivProperty::MaxRrpvNotInPrC | ZivProperty::MaxRrpvLikelyDead => {
+                Some(GradedKind::MaxRrpv)
+            }
+            ZivProperty::NotInPrC | ZivProperty::LikelyDead => None,
+        }
+    }
+
     /// Whether the property consumes CHAR dead-block inference.
     pub fn uses_char(self) -> bool {
         matches!(
@@ -290,15 +303,12 @@ impl SharedLlc {
     ) -> Self {
         // Only ZIV banks carry property vectors: `choose_ziv` is their
         // one reader.
-        let graded = match mode {
-            LlcMode::Ziv(ZivProperty::MaxRrpvNotInPrC | ZivProperty::MaxRrpvLikelyDead) => {
-                Some(GradedKind::MaxRrpv)
-            }
-            LlcMode::Ziv(_) => Some(GradedKind::LruPos),
+        let property = match mode {
+            LlcMode::Ziv(p) => Some(p),
             _ => None,
         };
         let banks = (0..cfg.banks)
-            .map(|b| LlcBank::new(cfg.bank_geometry, build_policy(b), graded))
+            .map(|b| LlcBank::new(cfg.bank_geometry, build_policy(b), property))
             .collect();
         SharedLlc {
             cfg,
