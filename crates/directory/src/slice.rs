@@ -3,7 +3,7 @@
 //! whose home is that bank.
 
 use crate::entry::DirEntryState;
-use ziv_cache::SetAssocArray;
+use ziv_cache::{ProbeOutcome, SetAssocArray};
 use ziv_common::ids::{SetIdx, WayIdx};
 use ziv_common::{CacheGeometry, LineAddr};
 use ziv_replacement::{AccessCtx, Nru, ReplacementPolicy};
@@ -71,6 +71,14 @@ impl DirectorySlice {
         self.array.lookup(set, self.tag_of(line)).map(|w| (set, w))
     }
 
+    /// One walk of `line`'s set: its set, the way of the entry tracking
+    /// it (if any), and the set's first invalid way (if any) — for
+    /// [`DirectorySlice::install`] when it is not tracked.
+    pub(crate) fn probe_or_invalid(&self, line: LineAddr) -> (SetIdx, ProbeOutcome) {
+        let set = self.set_of(line);
+        (set, self.array.lookup_or_invalid(set, self.tag_of(line)))
+    }
+
     /// Looks up `line` and touches the entry's NRU bit (a demand lookup).
     pub fn lookup(&mut self, line: LineAddr) -> Option<(SetIdx, WayIdx)> {
         let hit = self.probe(line);
@@ -108,16 +116,29 @@ impl DirectorySlice {
         state: DirEntryState,
         bank_index: u64,
     ) -> (SetIdx, WayIdx, Option<(LineAddr, DirEntryState)>) {
-        let set = self.set_of(line);
-        let tag = self.tag_of(line);
         // Fused walk: the duplicate-entry check and the invalid-way scan
         // share one O(ways) pass over the set.
-        let probe = self.array.lookup_or_invalid(set, tag);
+        let (set, probe) = self.probe_or_invalid(line);
         assert!(
             probe.hit.is_none(),
             "allocate() on a line that already has a directory entry"
         );
-        if let Some(way) = probe.invalid {
+        self.install(line, set, probe.invalid, state, bank_index)
+    }
+
+    /// Installs an entry for the untracked `line` in its `set`, as
+    /// [`DirectorySlice::allocate`] does, given the set's first invalid
+    /// way from [`DirectorySlice::probe_or_invalid`].
+    pub(crate) fn install(
+        &mut self,
+        line: LineAddr,
+        set: SetIdx,
+        invalid: Option<WayIdx>,
+        state: DirEntryState,
+        bank_index: u64,
+    ) -> (SetIdx, WayIdx, Option<(LineAddr, DirEntryState)>) {
+        let tag = self.tag_of(line);
+        if let Some(way) = invalid {
             self.array.fill(set, way, tag, state);
             self.nru.on_fill(set, way, &nru_ctx());
             return (set, way, None);

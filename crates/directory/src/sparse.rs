@@ -136,27 +136,25 @@ impl SparseDirectory {
     /// Records a fill of `line` into `core`'s private caches: adds the
     /// sharer to an existing entry, or allocates a new one. A new
     /// allocation may evict another entry (MESI mode), which the caller
-    /// must back-invalidate.
+    /// must back-invalidate. One walk of the line's slice set answers
+    /// both the lookup and where a new entry goes.
     pub fn record_fill(&mut self, line: LineAddr, core: CoreId) -> Option<EvictedEntry> {
-        if let Some(state) = self.probe_mut(line) {
+        let bank = self.bank_of(line);
+        let slice = &mut self.slices[bank.index()];
+        let (set, probe) = slice.probe_or_invalid(line);
+        if let Some(way) = probe.hit {
+            slice.state_mut(set, way).sharers.insert(core);
+            return None;
+        }
+        if let Some(state) = self.spill.get_mut(&line) {
             state.sharers.insert(core);
             return None;
         }
-        self.allocate(line, core)
-    }
-
-    /// Allocates a fresh entry for `line` filled by `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line` is already tracked (use
-    /// [`SparseDirectory::record_fill`] for the general path).
-    pub fn allocate(&mut self, line: LineAddr, core: CoreId) -> Option<EvictedEntry> {
-        assert!(self.probe(line).is_none(), "allocate() on a tracked line");
-        let bank = self.bank_of(line);
         self.stats.allocations += 1;
-        let (_, _, evicted) = self.slices[bank.index()].allocate(
+        let (_, _, evicted) = slice.install(
             line,
+            set,
+            probe.invalid,
             DirEntryState::for_fill(core),
             bank.index() as u64,
         );
@@ -175,6 +173,17 @@ impl SparseDirectory {
                 None
             }
         }
+    }
+
+    /// Allocates a fresh entry for `line` filled by `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is already tracked (use
+    /// [`SparseDirectory::record_fill`] for the general path).
+    pub fn allocate(&mut self, line: LineAddr, core: CoreId) -> Option<EvictedEntry> {
+        assert!(self.probe(line).is_none(), "allocate() on a tracked line");
+        self.record_fill(line, core)
     }
 
     /// Removes `core` from `line`'s sharer set (a private-cache eviction
