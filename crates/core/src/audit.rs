@@ -11,7 +11,7 @@
 //! - **Directory ↔ LLC ↔ private consistency**: sharer bitvectors match
 //!   actual private contents in both directions, relocation pointers are
 //!   never dangling (either direction), dirty owners are sharers, and
-//!   `NotInPrC` hints agree with the directory.
+//!   `NotInPrC` hints agree with the directory in both directions.
 //! - **The zero-inclusion-victim guarantee**: in ZIV mode an inclusion
 //!   victim may exist only if the defensive relocation-set-exhaustion
 //!   fallback fired (and was counted).
@@ -268,12 +268,22 @@ impl Auditor {
                     ),
                 ));
             }
-            if st.not_in_prc && dir.is_privately_cached(st.line) {
+            let cached = dir.is_privately_cached(st.line);
+            if st.not_in_prc && cached {
                 return Err(violation(
                     ViolationKind::NotInPrcMismatch,
                     st.line,
                     "LLC block is marked NotInPrC but the directory says it is privately \
                      cached"
+                        .into(),
+                ));
+            }
+            if !st.not_in_prc && !cached && !st.relocated {
+                return Err(violation(
+                    ViolationKind::NotInPrcMismatch,
+                    st.line,
+                    "LLC block is not marked NotInPrC but the directory says no private \
+                     cache holds it"
                         .into(),
                 ));
             }
@@ -463,6 +473,48 @@ mod tests {
         let mut sampled = Auditor::new(AuditCadence::Sampled { one_in: 4 });
         let fired = (0..100).filter(|_| sampled.due()).count();
         assert_eq!(fired, 25);
+    }
+
+    /// A scaled inclusive hierarchy after core 0 streamed through more
+    /// lines than its private caches hold: the early lines are in the
+    /// LLC only (NotInPrC), the late ones privately cached as well.
+    fn streamed() -> CacheHierarchy {
+        let cfg = crate::HierarchyConfig::new(ziv_common::config::SystemConfig::scaled());
+        let mut h = CacheHierarchy::new(&cfg);
+        let core = CoreId::new(0);
+        for (seq, line) in (0..2_000u64).enumerate() {
+            let a = crate::Access::read(core, ziv_common::Addr::new(line * 64), 0x400);
+            h.access(&a, seq as u64 * 10, seq as u64);
+        }
+        Auditor::check_structure(&h, 0).expect("a healthy hierarchy passes");
+        h
+    }
+
+    /// Flips the NotInPrC bit of the first non-relocated LLC block whose
+    /// bit is `from`, and returns the audit verdict.
+    fn audit_after_flipping(from: bool) -> AuditViolation {
+        let mut h = streamed();
+        let (loc, _) = h
+            .llc()
+            .resident_blocks()
+            .into_iter()
+            .find(|(_, st)| !st.relocated && st.not_in_prc == from)
+            .expect("the stream leaves blocks of both kinds");
+        h.llc_mut().update_state(loc, |s| s.not_in_prc = !from);
+        Auditor::check_structure(&h, 7).expect_err("the flipped bit is caught")
+    }
+
+    #[test]
+    fn not_in_prc_on_a_privately_cached_block_is_a_mismatch() {
+        let v = audit_after_flipping(false);
+        assert_eq!(v.kind, ViolationKind::NotInPrcMismatch, "{v}");
+        assert_eq!(v.access_index, 7);
+    }
+
+    #[test]
+    fn clear_not_in_prc_on_a_block_no_core_holds_is_a_mismatch() {
+        let v = audit_after_flipping(true);
+        assert_eq!(v.kind, ViolationKind::NotInPrcMismatch, "{v}");
     }
 
     #[test]
