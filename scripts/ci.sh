@@ -104,6 +104,29 @@ diff "$SMOKE_DIR/ledger.jsonl" "$PROFILED_DIR/ledger.jsonl"
 diff "$SMOKE_DIR/grid.csv"     "$PROFILED_DIR/grid.csv"
 test -s "$PROFILED_DIR/latency.csv"
 test -s "$PROFILED_DIR/profile.json"
+# The profiler counts every span and times a sample of the accesses:
+# every cell and the total must count and time `hierarchy`, and the
+# whole access must hold the replacement, directory and DRAM spans
+# nested in it (their estimates share one scale factor per cell).
+python3 - "$PROFILED_DIR/profile.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+entries = [(c["config"] + " x " + c["workload"], c["sections"]) for c in doc["cells"]]
+if not entries:
+    sys.exit("FAIL profile.json has no cells")
+entries.append(("total", doc["total"]))
+bad = False
+for name, s in entries:
+    h = s["hierarchy"]
+    nested = sum(s[k]["nanos"] for k in ("replacement", "directory", "dram"))
+    if h["calls"] <= 0 or h["nanos"] <= 0:
+        print(f"FAIL {name}: hierarchy not counted and timed: {h}")
+        bad = True
+    if h["nanos"] < nested:
+        print(f"FAIL {name}: hierarchy {h['nanos']} ns < nested sections {nested} ns")
+        bad = True
+sys.exit(1 if bad else 0)
+PY
 
 echo "== forensics smoke campaign (blame conservation + perfetto validity)"
 # The same campaign with the forensics observatory and the Perfetto
