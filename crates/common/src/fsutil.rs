@@ -1,6 +1,7 @@
 //! Small filesystem helpers shared by the CLI and the harness.
 
 use crate::error::SimError;
+use std::io::Write;
 use std::path::Path;
 
 /// Creates every missing parent directory of `path`, so a subsequent
@@ -31,6 +32,40 @@ pub fn create_parent_dirs(path: impl AsRef<Path>) -> Result<(), SimError> {
     Ok(())
 }
 
+/// Writes the file `path` in one buffered pass: creates its missing
+/// parent directories, hands `write` a buffered writer over the new
+/// file, and flushes it. `what` names the file in errors, so a failure
+/// reads "create grid CSV", "write grid CSV" or "flush grid CSV" next
+/// to the path.
+///
+/// # Errors
+///
+/// Returns [`SimError::Io`] naming `path` and the failing step.
+///
+/// # Examples
+///
+/// ```
+/// use std::io::Write;
+/// use ziv_common::fsutil::write_file;
+/// let path = std::env::temp_dir().join("ziv-fsutil-doc").join("hello.txt");
+/// write_file(&path, "greeting", |w| writeln!(w, "hello")).unwrap();
+/// assert_eq!(std::fs::read_to_string(&path).unwrap(), "hello\n");
+/// ```
+pub fn write_file(
+    path: impl AsRef<Path>,
+    what: &str,
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), SimError> {
+    let path = path.as_ref();
+    create_parent_dirs(path)?;
+    let file =
+        std::fs::File::create(path).map_err(|e| SimError::io(format!("create {what}"), path, e))?;
+    let mut w = std::io::BufWriter::new(file);
+    write(&mut w).map_err(|e| SimError::io(format!("write {what}"), path, e))?;
+    w.flush()
+        .map_err(|e| SimError::io(format!("flush {what}"), path, e))
+}
+
 /// Writes `contents` to `path` atomically: the bytes go to a sibling
 /// temporary file, are fsynced, and the temp file is renamed over the
 /// target. Readers either see the old file or the complete new one —
@@ -43,7 +78,6 @@ pub fn create_parent_dirs(path: impl AsRef<Path>) -> Result<(), SimError> {
 /// Returns [`SimError::Io`] when any step (create, write, sync, rename)
 /// fails; a failed rename leaves the old target untouched.
 pub fn atomic_write(path: impl AsRef<Path>, contents: &[u8]) -> Result<(), SimError> {
-    use std::io::Write;
     let path = path.as_ref();
     create_parent_dirs(path)?;
     let tmp = path.with_extension("tmp");
@@ -91,6 +125,24 @@ mod tests {
     #[test]
     fn bare_filename_is_noop() {
         create_parent_dirs("just_a_name.json").unwrap();
+    }
+
+    #[test]
+    fn write_file_creates_parents_and_names_the_failing_step() {
+        let dir = std::env::temp_dir().join(format!("ziv_fsutil_wf_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let target = dir.join("a/b/grid.csv");
+        write_file(&target, "grid CSV", |w| w.write_all(b"x,y\n")).unwrap();
+        assert_eq!(std::fs::read(&target).unwrap(), b"x,y\n");
+        let err = write_file(&target, "grid CSV", |_| Err(std::io::Error::other("boom")));
+        let msg = err.unwrap_err().to_string();
+        assert!(msg.contains("write grid CSV"), "{msg}");
+        assert!(msg.contains("grid.csv"), "{msg}");
+        // A file where a parent directory should be fails at the
+        // directory step.
+        let blocked = target.join("under-a-file.csv");
+        assert!(write_file(&blocked, "grid CSV", |_| Ok(())).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -434,16 +434,23 @@ impl FaultInjection {
         }
     }
 
+    /// Every kind of fault, armed at `at_access`, in
+    /// [`FaultInjection::kind_str`] order.
+    pub fn all(at_access: u64) -> [FaultInjection; 5] {
+        [
+            FaultInjection::CorruptDirectory { at_access },
+            FaultInjection::SkipBackInvalidation { at_access },
+            FaultInjection::StallCore { at_access },
+            FaultInjection::HangCore { at_access },
+            FaultInjection::PanicCore { at_access },
+        ]
+    }
+
     /// Rebuilds a fault from its `(kind_str, at_access)` serialized form.
     pub fn from_parts(kind: &str, at_access: u64) -> Option<Self> {
-        Some(match kind {
-            "corrupt-directory" => FaultInjection::CorruptDirectory { at_access },
-            "skip-back-invalidation" => FaultInjection::SkipBackInvalidation { at_access },
-            "stall-core" => FaultInjection::StallCore { at_access },
-            "hang-core" => FaultInjection::HangCore { at_access },
-            "panic-core" => FaultInjection::PanicCore { at_access },
-            _ => return None,
-        })
+        Self::all(at_access)
+            .into_iter()
+            .find(|f| f.kind_str() == kind)
     }
 }
 

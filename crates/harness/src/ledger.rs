@@ -31,7 +31,7 @@ use ziv_common::json::{self, JsonValue};
 use ziv_common::SimError;
 use ziv_core::Metrics;
 use ziv_sim::{CoreRunStats, RunResult};
-use ziv_workloads::apps;
+use ziv_workloads::{apps, MtApp};
 
 /// Maps an application name from a ledger line back to the `'static`
 /// string [`CoreRunStats`] carries. Known generator names resolve to
@@ -41,9 +41,8 @@ fn intern_app_name(name: &str) -> &'static str {
     if let Some(a) = apps::app_by_name(name) {
         return a.name;
     }
-    const MT_NAMES: [&str; 5] = ["canneal", "facesim", "vips", "applu", "tpce"];
-    if let Some(&s) = MT_NAMES.iter().find(|&&s| s == name) {
-        return s;
+    if let Some(app) = MtApp::by_name(name) {
+        return app.name();
     }
     static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut table = INTERNED.lock().unwrap();

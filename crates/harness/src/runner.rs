@@ -13,20 +13,22 @@ use crate::failure::FailureRecord;
 use crate::ledger::{Ledger, LedgerRecovery, LedgerWriter};
 use crate::supervise::{run_cells_supervised, SuperviseConfig, SuperviseObserver};
 use crate::telemetry::{CellTiming, ProgressSink, Telemetry};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use ziv_common::fsutil::write_file;
 use ziv_common::json::JsonValue;
 use ziv_common::{RetryPolicy, SimError};
 use ziv_core::{AuditCadence, CancelToken};
 use ziv_sim::{
-    run_one_instrumented, run_one_sampled_instrumented, speedup_summary, write_blame_csv,
-    write_grid_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv, write_perfetto_json,
-    write_sampling_csv, write_summary_csv, write_timeseries_csv, write_validation_csv, CellBudget,
-    EventFilter, EventTraceConfig, GridResult, Observations, ObserveConfig, ObservedCell,
-    ProfileReport, RunOptions, RunResult, RunSpec, SampledCell, SampledRun, SamplingPlan,
-    TelemetryProbe, TraceEvent, ValidationRow,
+    blame_to_csv, grid_to_csv, heatmap_to_csv, latency_to_csv, leakage_to_csv, perfetto_to_json,
+    run_one_instrumented, run_one_sampled_instrumented, sampling_to_csv, speedup_summary,
+    summary_to_csv, timeseries_to_csv, validation_to_csv, CellBudget, EventFilter,
+    EventTraceConfig, GridResult, Observations, ObserveConfig, ObservedCell, ProfileReport,
+    RunOptions, RunResult, RunSpec, SampledCell, SampledRun, SamplingPlan, TelemetryProbe,
+    TraceEvent, ValidationRow,
 };
 use ziv_workloads::Workload;
 
@@ -615,9 +617,13 @@ fn export(
     observed: Vec<(usize, usize, Box<Observations>)>,
     outcome: &mut CampaignOutcome,
 ) -> Result<(), SimError> {
-    write_grid_csv(&outcome.grid_csv, &outcome.grid)?;
+    write_file(&outcome.grid_csv, "grid CSV", |w| {
+        grid_to_csv(&outcome.grid, w)
+    })?;
     let rows = speedup_summary(&outcome.grid, campaign.specs.len(), campaign.baseline_spec);
-    write_summary_csv(&outcome.summary_csv, &rows, "weighted_speedup")?;
+    write_file(&outcome.summary_csv, "summary CSV", |w| {
+        summary_to_csv(&rows, "weighted_speedup", w)
+    })?;
     let observe = cfg.observe;
     if !observe.is_enabled() {
         return Ok(());
@@ -641,34 +647,38 @@ fn export(
         })
         .collect();
     let cells = &cells[..];
-    let write = |on: bool, name: &str, f: &dyn Fn(&Path) -> Result<(), SimError>| {
+    let write = |on: bool, name: &str, what: &str, f: &dyn Fn(&mut dyn Write) -> io::Result<()>| {
         let path = cfg.results_dir.join(name);
-        on.then(|| f(&path).map(|()| path)).transpose()
+        on.then(|| write_file(&path, what, f).map(|()| path))
+            .transpose()
     };
-    outcome.timeseries_csv = write(observe.epoch.is_some(), "timeseries.csv", &|p| {
-        write_timeseries_csv(p, cells)
+    outcome.timeseries_csv = write(
+        observe.epoch.is_some(),
+        "timeseries.csv",
+        "timeseries CSV",
+        &|w| timeseries_to_csv(cells, w),
+    )?;
+    outcome.heatmap_csv = write(observe.heatmap, "heatmap.csv", "heatmap CSV", &|w| {
+        heatmap_to_csv(cells, w)
     })?;
-    outcome.heatmap_csv = write(observe.heatmap, "heatmap.csv", &|p| {
-        write_heatmap_csv(p, cells)
+    outcome.latency_csv = write(observe.latency, "latency.csv", "latency CSV", &|w| {
+        latency_to_csv(cells, w)
     })?;
-    outcome.latency_csv = write(observe.latency, "latency.csv", &|p| {
-        write_latency_csv(p, cells)
+    outcome.leakage_csv = write(observe.leakage, "leakage.csv", "leakage CSV", &|w| {
+        leakage_to_csv(cells, w)
     })?;
-    outcome.leakage_csv = write(observe.leakage, "leakage.csv", &|p| {
-        write_leakage_csv(p, cells)
+    outcome.profile_json = write(observe.profile, "profile.json", "profile report", &|w| {
+        writeln!(w, "{}", profile_json(cells))
     })?;
-    outcome.profile_json = write(observe.profile, "profile.json", &|p| {
-        write_profile_json(p, cells)
-    })?;
-    outcome.blame_csv = write(observe.forensics, "blame.csv", &|p| {
-        write_blame_csv(p, cells)
+    outcome.blame_csv = write(observe.forensics, "blame.csv", "blame CSV", &|w| {
+        blame_to_csv(cells, w)
     })?;
     let filter = observe
         .events
         .map(|e| e.filter)
         .unwrap_or_else(EventFilter::all);
-    outcome.trace_json = write(cfg.perfetto, "trace.json", &|p| {
-        write_perfetto_json(p, cells, filter)
+    outcome.trace_json = write(cfg.perfetto, "trace.json", "perfetto trace", &|w| {
+        writeln!(w, "{}", perfetto_to_json(cells, filter))
     })?;
     Ok(())
 }
@@ -834,7 +844,9 @@ pub fn run_campaign_sampled(
             sampled: &c.sampled,
         })
         .collect();
-    write_sampling_csv(&sampling_csv, &export)?;
+    write_file(&sampling_csv, "sampling CSV", |w| {
+        sampling_to_csv(&export, w)
+    })?;
 
     let validation = match full {
         None => None,
@@ -863,7 +875,9 @@ pub fn run_campaign_sampled(
                 });
             }
             let validation_csv = cfg.results_dir.join("validation.csv");
-            write_validation_csv(&validation_csv, &rows)?;
+            write_file(&validation_csv, "validation CSV", |w| {
+                validation_to_csv(&rows, w)
+            })?;
             let (full_ms, sampled_ms) = rows
                 .iter()
                 .filter(|r| r.full_ms > 0.0 && r.sampled_ms > 0.0)
@@ -891,11 +905,11 @@ pub fn run_campaign_sampled(
     })
 }
 
-/// Writes the campaign's self-profiler report: one entry per executed
-/// cell plus a `total` aggregate, each a per-section `{nanos, calls}`
-/// map. Wall-clock data — the one intentionally nondeterministic
-/// artifact, kept out of the ledger and the CSVs it feeds.
-fn write_profile_json(path: &std::path::Path, cells: &[ObservedCell<'_>]) -> Result<(), SimError> {
+/// The campaign's self-profiler report: one entry per executed cell
+/// plus a `total` aggregate, each a per-section `{nanos, calls}` map.
+/// Wall-clock data — the one intentionally nondeterministic artifact,
+/// kept out of the ledger and the CSVs it feeds.
+fn profile_json(cells: &[ObservedCell<'_>]) -> JsonValue {
     let mut total = ProfileReport::default();
     let mut cell_entries = Vec::new();
     for cell in cells {
@@ -909,13 +923,10 @@ fn write_profile_json(path: &std::path::Path, cells: &[ObservedCell<'_>]) -> Res
             ("sections".into(), report.to_json()),
         ]));
     }
-    let doc = JsonValue::Obj(vec![
+    JsonValue::Obj(vec![
         ("cells".into(), JsonValue::Arr(cell_entries)),
         ("total".into(), total.to_json()),
-    ]);
-    ziv_common::fsutil::create_parent_dirs(path)?;
-    std::fs::write(path, format!("{doc}\n"))
-        .map_err(|e| SimError::io("write profile report", path, e))
+    ])
 }
 
 /// Events to attach to a failure record: the failing run's own trailing

@@ -27,11 +27,7 @@
 //! visualization scale, not wall time.
 
 use crate::csv::ObservedCell;
-use std::io::Write;
-use std::path::Path;
-use ziv_common::fsutil::create_parent_dirs;
 use ziv_common::json::JsonValue;
-use ziv_common::SimError;
 use ziv_core::forensics::CausalChain;
 use ziv_core::observe::{EventFilter, METRICS_COLUMNS};
 use ziv_core::ProfileSection;
@@ -250,27 +246,6 @@ pub fn perfetto_to_json(cells: &[ObservedCell<'_>], filter: EventFilter) -> Json
     ])
 }
 
-/// Writes the Perfetto trace JSON to `path`, creating missing parent
-/// directories first.
-///
-/// # Errors
-///
-/// Returns [`SimError::Io`] naming `path` and the failing operation.
-pub fn write_perfetto_json(
-    path: &Path,
-    cells: &[ObservedCell<'_>],
-    filter: EventFilter,
-) -> Result<(), SimError> {
-    create_parent_dirs(path)?;
-    let doc = perfetto_to_json(cells, filter);
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create perfetto trace", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    writeln!(w, "{doc}").map_err(|e| SimError::io("write perfetto trace", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush perfetto trace", path, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,7 +363,8 @@ mod tests {
         }];
         let dir = std::env::temp_dir().join(format!("ziv-perfetto-{}", std::process::id()));
         let path = dir.join("trace.json");
-        write_perfetto_json(&path, &cells, EventFilter::all()).unwrap();
+        let doc = perfetto_to_json(&cells, EventFilter::all());
+        ziv_common::fsutil::write_file(&path, "perfetto trace", |w| writeln!(w, "{doc}")).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         json::parse(&text).expect("file is valid JSON");
         std::fs::remove_dir_all(&dir).ok();

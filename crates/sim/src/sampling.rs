@@ -76,7 +76,7 @@ use ziv_workloads::Workload;
 pub struct SamplingPlan {
     /// Timed accesses per interval (global stream count). `0` means
     /// **auto**: the driver sizes the period from the workload (see
-    /// [`SamplingPlan::resolve_for`]).
+    /// [`SamplingPlan::resolve_for_stream`]).
     pub interval: u64,
     /// Fast-forwarded accesses between timed windows (skip + warm).
     pub gap: u64,
@@ -122,15 +122,6 @@ impl SamplingPlan {
         self.interval == 0
     }
 
-    /// [`SamplingPlan::resolve_for_stream`] without a warm horizon or a
-    /// phase period: the capacity-blind shape (8 periods, each 1/8
-    /// timed, warm span = one interval). Kept for callers that have no
-    /// system configuration at hand; the driver always resolves through
-    /// [`SamplingPlan::resolve_for_stream`].
-    pub fn resolve_for(&self, total_accesses: u64) -> SamplingPlan {
-        self.resolve_for_stream(total_accesses, None, 0)
-    }
-
     /// Resolves an auto plan against the stream it will sample.
     /// Explicit (non-auto) plans pass through unchanged.
     ///
@@ -156,8 +147,6 @@ impl SamplingPlan {
     ///   re-warmed honestly, so every fast-forwarded access is warmed
     ///   instead (`warmup = 100%` of the gap) — estimates stay exact
     ///   and the speedup degrades toward 1×.
-    /// - `warm_target == 0`: the capacity-blind shape (8 periods, warm
-    ///   span = one interval, no head census).
     ///
     /// The result is then de-aliased against the workload's phase
     /// period ([`Workload::phase_period`]): when the sampled period
@@ -166,6 +155,10 @@ impl SamplingPlan {
     /// that slice of the program's behavior. Stretching the gap by a
     /// quarter phase makes consecutive windows rotate through phase
     /// offsets instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm_target` is 0: every system has an LLC to warm.
     pub fn resolve_for_stream(
         &self,
         total_accesses: u64,
@@ -175,9 +168,12 @@ impl SamplingPlan {
         if !self.is_auto() {
             return *self;
         }
+        assert!(
+            warm_target > 0,
+            "the warm horizon must be at least one access"
+        );
         let total = total_accesses.max(64);
-        let in_regime = warm_target > 0 && total / (4 * warm_target) > 0;
-        let mut plan = if warm_target > 0 && !in_regime {
+        let mut plan = if total / (4 * warm_target) == 0 {
             // Out of regime: warm everything between timed windows.
             let period = (total / 8).max(64);
             let interval = (period / 8).max(8);
@@ -185,18 +181,6 @@ impl SamplingPlan {
                 interval,
                 gap: period - interval,
                 warmup_per_mille: 1000,
-                window: 1,
-                ..*self
-            }
-        } else if warm_target == 0 {
-            let period = (total / 8).max(64);
-            let interval = (period / 8).max(8);
-            let gap = period - interval;
-            let warm = interval.min(gap);
-            SamplingPlan {
-                interval,
-                gap,
-                warmup_per_mille: (((warm * 100) / gap.max(1)).min(100) * 10) as u16,
                 window: 1,
                 ..*self
             }
@@ -1064,16 +1048,19 @@ mod tests {
         }
     }
 
+    /// The scaled system's LLC lines: the warm horizon the driver passes.
+    const LLC_LINES: u64 = 16_384;
+
     #[test]
     fn auto_plan_resolves_to_sane_periods() {
-        let p = SamplingPlan::auto().resolve_for(12_000);
+        let p = SamplingPlan::auto().resolve_for_stream(12_000, None, LLC_LINES);
         assert!(!p.is_auto());
         assert_eq!(p.period(), 1500);
         assert!(p.interval >= 8);
         assert!(p.warm_len() > 0);
         assert!(p.warm_len() <= p.gap);
         // Tiny workloads still get a usable period.
-        let tiny = SamplingPlan::auto().resolve_for(100);
+        let tiny = SamplingPlan::auto().resolve_for_stream(100, None, LLC_LINES);
         assert!(tiny.interval >= 8);
         assert!(tiny.period() >= 64);
         // Explicit plans pass through untouched.
@@ -1086,7 +1073,10 @@ mod tests {
             confidence: Confidence::P90,
             max_intervals: 2,
         };
-        assert_eq!(explicit.resolve_for(1_000_000), explicit);
+        assert_eq!(
+            explicit.resolve_for_stream(1_000_000, Some(100), LLC_LINES),
+            explicit
+        );
     }
 
     #[test]
@@ -1130,34 +1120,35 @@ mod tests {
 
     #[test]
     fn auto_plans_dealias_against_phase_periods() {
-        let plain = SamplingPlan::auto().resolve_for(12_000); // period 1500
-        let aliased = SamplingPlan::auto().resolve_for_stream(12_000, Some(750), 0);
+        let resolve = |phase| SamplingPlan::auto().resolve_for_stream(12_000, phase, LLC_LINES);
+        let plain = resolve(None); // period 1500
+        let aliased = resolve(Some(750));
         assert_ne!(aliased.period() % 750, 0);
         assert_eq!(aliased.interval, plain.interval, "only the gap stretches");
-        // Non-divisor phases and phase-free workloads pass through.
-        assert_eq!(
-            SamplingPlan::auto().resolve_for_stream(12_000, Some(700), 0),
-            plain
-        );
-        assert_eq!(
-            SamplingPlan::auto().resolve_for_stream(12_000, None, 0),
-            plain
-        );
-        // Tiny phases still de-alias (the max(1) nudge).
-        assert_ne!(
-            SamplingPlan::auto()
-                .resolve_for_stream(12_000, Some(2), 0)
-                .period()
-                % 2,
-            0
-        );
+        // Non-divisor phases pass through.
+        assert_eq!(resolve(Some(700)), plain);
+        // Tiny phases still de-alias (the max(1) nudge): 1500 is a
+        // multiple of 2, 3 and 4.
+        for p in [2, 3, 4] {
+            assert_eq!(plain.period() % p, 0);
+            assert_ne!(resolve(Some(p)).period() % p, 0, "phase {p}");
+        }
+        // In regime too: the nudge applies after the capacity sizing.
+        let long = SamplingPlan::auto().resolve_for_stream(160_000, None, LLC_LINES);
+        let phase = long.period() / 2;
+        let nudged = SamplingPlan::auto().resolve_for_stream(160_000, Some(phase), LLC_LINES);
+        assert_ne!(nudged.period() % phase, 0);
+        assert_eq!(nudged.interval, long.interval);
         // Explicit plans are authoritative even when aliased.
         let explicit = SamplingPlan {
             interval: 10,
             gap: 90,
             ..SamplingPlan::auto()
         };
-        assert_eq!(explicit.resolve_for_stream(12_000, Some(100), 0), explicit);
+        assert_eq!(
+            explicit.resolve_for_stream(12_000, Some(100), LLC_LINES),
+            explicit
+        );
     }
 
     #[test]
@@ -1169,8 +1160,10 @@ mod tests {
         let phase = workload.phase_period(scale).expect("scanphase is phased");
         assert_eq!(phase, 6_000);
         // 48k global accesses → auto period 6000, an exact phase
-        // multiple: the plain resolver aliases, the run must not.
-        assert_eq!(SamplingPlan::auto().resolve_for(48_000).period() % phase, 0);
+        // multiple: the phase-blind resolution aliases, the run must not.
+        let llc_lines = scale.llc_lines;
+        let blind = SamplingPlan::auto().resolve_for_stream(48_000, None, llc_lines);
+        assert_eq!(blind.period() % phase, 0);
         let run = run_one_sampled(
             &RunSpec::new("I-LRU", sys),
             &workload,

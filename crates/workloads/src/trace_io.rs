@@ -217,19 +217,14 @@ pub fn read_trace_file(path: &Path) -> Result<Workload, SimError> {
     read_trace(file).map_err(|e| SimError::parse(Some(path), e.line, e.message))
 }
 
-/// Writes a workload to a trace file at `path`, attaching the file path
-/// to any failure.
+/// Writes a workload to a trace file at `path`, creating missing parent
+/// directories first and attaching the file path to any failure.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::Io`] naming `path` and the failing operation.
 pub fn write_trace_file(path: &Path, workload: &Workload) -> Result<(), SimError> {
-    let file =
-        std::fs::File::create(path).map_err(|e| SimError::io("create trace file", path, e))?;
-    let mut w = std::io::BufWriter::new(file);
-    write_trace(workload, &mut w).map_err(|e| SimError::io("write trace file", path, e))?;
-    w.flush()
-        .map_err(|e| SimError::io("flush trace file", path, e))
+    ziv_common::fsutil::write_file(path, "trace file", |w| write_trace(workload, w))
 }
 
 #[cfg(test)]

@@ -213,14 +213,21 @@ echo "== sampled smoke campaign (sampling gate: accuracy, speedup, byte-identity
 # holds the paper-reproduction bar: every sampled IPC estimate lands
 # inside its own reported 95% confidence interval of the full-run
 # value, and the sampled pass is at least 3x faster in aggregate.
-# Estimates are deterministic; only the wall-clock ratio varies.
+# Estimates are deterministic; only the wall-clock ratio varies, and a
+# cell runs only 30-230 ms, so one slow host phase can sink a single
+# pass: the validated campaign runs three times, every row of every
+# pass must pass the accuracy checks, and the speedup is taken over all
+# rows of all three passes.
 SAMP_DIR="$(mktemp -d)"
 SAMP_PLAIN="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN"' EXIT
-ZIV_FULL=1 ./target/release/zivsim campaign smoke \
-    --sampling auto --validate --threads 1 --results-dir "$SAMP_DIR"
+for pass in 1 2 3; do
+    ZIV_FULL=1 ./target/release/zivsim campaign smoke \
+        --sampling auto --validate --threads 1 --results-dir "$SAMP_DIR/$pass"
+    test -s "$SAMP_DIR/$pass/sampling.csv"
+done
 awk -F, '
-    NR == 1 {
+    FNR == 1 {
         for (i = 1; i <= NF; i++) {
             if ($i == "within_ci")  wc = i
             if ($i == "rel_error")  re = i
@@ -230,27 +237,28 @@ awk -F, '
         next
     }
     {
-        cells++
+        rows++
         full += $fm; sampled += $sm
-        if ($wc + 0 != 1) { print "FAIL full-run IPC outside the sampled CI: " $0; bad = 1 }
-        if ($re + 0 >= 0.10) { print "FAIL sampled estimate off by >=10%: " $0; bad = 1 }
+        if ($wc + 0 != 1) { print "FAIL full-run IPC outside the sampled CI: " FILENAME ": " $0; bad = 1 }
+        if ($re + 0 >= 0.10) { print "FAIL sampled estimate off by >=10%: " FILENAME ": " $0; bad = 1 }
     }
     END {
         if (!wc || !re || !fm || !sm) { print "FAIL validation.csv missing gate columns"; exit 1 }
-        if (cells < 4) { print "FAIL validation.csv has only " cells " cells"; exit 1 }
-        printf "sampling gate: %d cells, aggregate speedup %.2fx\n", cells, full / sampled
-        if (full < 3 * sampled) { print "FAIL sampled pass fewer than 3x faster"; exit 1 }
+        if (rows < 12) { print "FAIL three validation.csv passes hold only " rows " rows"; exit 1 }
+        printf "sampling gate: %d rows over 3 passes, aggregate speedup %.2fx\n", rows, full / sampled
+        if (full < 3 * sampled) { print "FAIL sampled passes fewer than 3x faster"; exit 1 }
         if (bad) exit 1
-    }' "$SAMP_DIR/validation.csv"
-test -s "$SAMP_DIR/sampling.csv"
-# Sampling must be a pure rider: the full-fidelity artifacts the
-# validated pass produced are byte-identical to a plain campaign's —
-# no sampled estimate ever reaches the ledger or the CSVs.
+    }' "$SAMP_DIR"/1/validation.csv "$SAMP_DIR"/2/validation.csv "$SAMP_DIR"/3/validation.csv
+# Sampling must be a pure rider: the full-fidelity artifacts every
+# validated pass produced are byte-identical to a plain campaign's — no
+# sampled estimate ever reaches the ledger or the CSVs.
 ZIV_FULL=1 ./target/release/zivsim campaign smoke \
     --threads 1 --results-dir "$SAMP_PLAIN"
-diff "$SAMP_PLAIN/ledger.jsonl" "$SAMP_DIR/ledger.jsonl"
-diff "$SAMP_PLAIN/grid.csv"     "$SAMP_DIR/grid.csv"
-diff "$SAMP_PLAIN/summary.csv"  "$SAMP_DIR/summary.csv"
+for pass in 1 2 3; do
+    diff "$SAMP_PLAIN/ledger.jsonl" "$SAMP_DIR/$pass/ledger.jsonl"
+    diff "$SAMP_PLAIN/grid.csv"     "$SAMP_DIR/$pass/grid.csv"
+    diff "$SAMP_PLAIN/summary.csv"  "$SAMP_DIR/$pass/summary.csv"
+done
 
 echo "== live-telemetry smoke campaign (watch gate: mid-run snapshot + byte-identity)"
 # The live telemetry bus through the release binary: the plain smoke

@@ -15,18 +15,36 @@
 //!      failure, or a violated supervision guarantee in `soak`
 //! ```
 
+use std::num::ParseIntError;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use ziv::common::fsutil::write_file;
+use ziv::common::SimError;
+use ziv::core::{AuditCadence, FaultInjection};
 use ziv::prelude::*;
-use ziv::sim::{CellBudget, RunOptions};
+use ziv::sim::{
+    CellBudget, EventFilter, EventTraceConfig, Observations, ObserveConfig, RunOptions, RunResult,
+    SamplingPlan,
+};
+use ziv::workloads::{AttackRecipe, AttackScenario, MtApp, Recipe, RecipeKind};
+
+/// How a flag's or a positional's value lands in [`Options`].
+type Parse = fn(&mut Options, Value<'_>) -> Result<(), String>;
 
 /// One subcommand: its name, its optional positional argument, what it
-/// does, and every flag it reads. A flag belongs to a command when
-/// changing it can change the command's output or exit code.
+/// does, every flag it reads, the flags it always runs with (as if
+/// given before its own: the observers it forces on), and its handler.
+/// A flag belongs to a command when changing it can change the
+/// command's output or exit code.
+#[derive(Debug)]
 struct Command {
     name: &'static str,
-    positional: Option<&'static str>,
+    positional: Option<(&'static str, Parse)>,
     about: &'static str,
     flags: &'static [&'static [&'static str]],
+    forces: &'static [(&'static str, &'static str)],
+    run: fn(&Options) -> Result<(), CliError>,
 }
 
 impl Command {
@@ -37,14 +55,8 @@ impl Command {
 
 /// The workload a single-cell command builds (the system size scales
 /// its footprint).
-const WORKLOAD: &[&str] = &[
-    "--workload",
-    "--accesses",
-    "--cores",
-    "--seed",
-    "--l2",
-    "--paper-scale",
-];
+#[rustfmt::skip]
+const WORKLOAD: &[&str] = &["--workload", "--accesses", "--cores", "--seed", "--l2", "--paper-scale"];
 /// The configuration a single-cell command runs.
 const SPEC: &[&str] = &["--mode", "--policy", "--prefetch"];
 /// The invariant auditor and the cycle watchdog.
@@ -54,151 +66,394 @@ const SUPERVISION: &[&str] = &["--threads", "--retries", "--cell-timeout", "--st
 /// The live telemetry bus.
 const LIVE: &[&str] = &["--telemetry", "--progress"];
 /// A campaign's observers.
-const OBSERVERS: &[&str] = &[
-    "--epoch",
-    "--events",
-    "--last",
-    "--heatmap",
-    "--latency",
-    "--profile",
-    "--leakage",
-    "--forensics",
-    "--perfetto",
-];
+#[rustfmt::skip]
+const OBSERVERS: &[&str] = &["--epoch", "--events", "--last", "--heatmap", "--latency", "--profile",
+                             "--leakage", "--forensics", "--perfetto"];
+
+/// A positional naming a campaign, a file or a directory: kept as given.
+const TEXT: Parse = |o, v| {
+    o.positional = Some(v.text.into());
+    Ok(())
+};
+/// A positional mode (`zivsim trace ziv-likelydead`); it wins over
+/// `--mode`.
+const MODE: Parse = |o, v| lookup_mode(v.text).map(|m| o.positional_mode = Some(m));
+/// A positional attack scenario.
+const SCENARIO: Parse = |o, v| {
+    let names = AttackScenario::ALL.map(AttackScenario::name).join(", ");
+    let unknown = || format!("unknown attack scenario '{}' (one of: {names})", v.text);
+    o.attack.scenario = AttackScenario::by_name(v.text).ok_or_else(unknown)?;
+    Ok(())
+};
 
 /// Every subcommand, in `zivsim help` order.
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
-    Command { name: "list", positional: None, flags: &[],
+    Command { name: "list", run: cmd_list, positional: None, forces: &[], flags: &[],
               about: "available modes, policies, apps and campaigns" },
-    Command { name: "run", positional: None, flags: &[SPEC, WORKLOAD, CHECKS, &["--forensics"]],
+    Command { name: "run", run: cmd_run, positional: None, forces: &[],
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--forensics"]],
               about: "one configuration on one workload, with its speedup over I-LRU" },
-    Command { name: "compare", positional: None, flags: &[&["--policy", "--prefetch"], WORKLOAD],
+    Command { name: "compare", run: cmd_compare, positional: None, forces: &[],
+              flags: &[&["--policy", "--prefetch"], WORKLOAD],
               about: "every LLC mode on one workload" },
-    Command { name: "export", positional: Some("<file>"), flags: &[WORKLOAD],
-              about: "write the workload as a ziv-trace file" },
-    Command { name: "campaign", positional: Some("<name>"),
-              about: "run a named figure campaign end to end (cached, resumable)",
+    Command { name: "export", run: cmd_export, positional: Some(("<file>", TEXT)), forces: &[],
+              flags: &[WORKLOAD], about: "write the workload as a ziv-trace file" },
+    Command { name: "campaign", run: cmd_campaign, positional: Some(("<name>", TEXT)), forces: &[],
               flags: &[&["--cores", "--seed", "--results-dir", "--resume", "--strict"],
                        &["--inject-fault"], CHECKS, SUPERVISION, OBSERVERS,
-                       LIVE, &["--sampling", "--validate"]] },
-    Command { name: "replay", positional: Some("<file>"), flags: &[],
-              about: "re-run a failure repro record deterministically" },
-    Command { name: "trace", positional: Some("[<mode>]"),
-              about: "one traced run; drain the event ring as JSONL (stdout or --out)",
+                       LIVE, &["--sampling", "--validate"]],
+              about: "run a named figure campaign end to end (cached, resumable)" },
+    Command { name: "replay", run: cmd_replay, positional: Some(("<file>", TEXT)), forces: &[],
+              flags: &[], about: "re-run a failure repro record deterministically" },
+    Command { name: "trace", run: cmd_trace, positional: Some(("[<mode>]", MODE)),
+              forces: &[("--events", "all")],
               flags: &[SPEC, WORKLOAD, CHECKS,
-                       &["--epoch", "--events", "--last", "--profile", "--perfetto", "--out"]] },
-    Command { name: "profile", positional: Some("[<mode>]"),
-              about: "one run with latency attribution and the self-profiler; print both",
-              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]] },
-    Command { name: "blame", positional: Some("[<mode>]"),
-              about: "one run with causal forensics; print the top chains and the blame matrix",
-              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]] },
-    Command { name: "attack", positional: Some("[<scenario>]"),
-              about: "one attack co-schedule (primeprobe | hammer) with the leakage observatory",
+                       &["--epoch", "--events", "--last", "--profile", "--perfetto", "--out"]],
+              about: "one traced run; drain the event ring as JSONL (stdout or --out)" },
+    Command { name: "profile", run: cmd_profile, positional: Some(("[<mode>]", MODE)),
+              forces: &[("--latency", ""), ("--profile", "")],
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]],
+              about: "one run with latency attribution and the self-profiler; print both" },
+    // Latency too, for the refetch-cycle conservation check.
+    Command { name: "blame", run: cmd_blame, positional: Some(("[<mode>]", MODE)),
+              forces: &[("--latency", ""), ("--forensics", "")],
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--out"]],
+              about: "one run with causal forensics; print the top chains and the blame matrix" },
+    Command { name: "attack", run: cmd_attack, positional: Some(("[<scenario>]", SCENARIO)),
+              forces: &[("--leakage", "")],
               flags: &[SPEC, &["--accesses", "--cores", "--seed", "--l2", "--paper-scale"],
-                       &["--sets"], CHECKS] },
-    Command { name: "sample", positional: Some("[<mode>]"),
-              about: "paired interval-sampled run: the mode (default ziv-likelydead) vs inclusive",
-              flags: &[SPEC, WORKLOAD, CHECKS, &["--sampling", "--results-dir"], LIVE] },
-    Command { name: "soak", positional: None,
-              about: "chaos-soak drill: seeded faults under supervision, then a torn-ledger resume",
-              flags: &[&["--cores", "--seed", "--results-dir"], SUPERVISION, LIVE] },
-    Command { name: "watch", positional: Some("<results-dir>"),
-              about: "follow a running campaign's live telemetry segment",
-              flags: &[&["--json", "--once", "--refresh", "--stale-after"]] },
-    Command { name: "help", positional: None, flags: &[], about: "this text" },
+                       &["--sets"], CHECKS],
+              about: "one attack co-schedule (primeprobe | hammer) with the leakage observatory" },
+    Command { name: "sample", run: cmd_sample, positional: Some(("[<mode>]", MODE)), forces: &[],
+              flags: &[SPEC, WORKLOAD, CHECKS, &["--sampling", "--results-dir"], LIVE],
+              about: "paired interval-sampled run: the mode (default ziv-likelydead) vs inclusive" },
+    Command { name: "soak", run: cmd_soak, positional: None, forces: &[],
+              flags: &[&["--cores", "--seed", "--results-dir"], SUPERVISION, LIVE],
+              about: "chaos-soak drill: seeded faults under supervision, then a torn-ledger resume" },
+    Command { name: "watch", run: cmd_watch, positional: Some(("<results-dir>", TEXT)), forces: &[],
+              flags: &[&["--json", "--once", "--refresh", "--stale-after"]],
+              about: "follow a running campaign's live telemetry segment" },
+    Command { name: "help", run: cmd_help, positional: None, forces: &[], flags: &[],
+              about: "this text" },
 ];
 
-/// Every flag: its name, its value (empty for a switch), and what it
-/// does.
+/// One flag: its name, its value (empty for a switch), what it does
+/// (`{policies}`, `{l2}` and `{faults}` stand for those name sets), and
+/// how its value lands in [`Options`].
+type Flag = (&'static str, &'static str, &'static str, Parse);
+
+/// Every flag, in `zivsim help` order.
 #[rustfmt::skip]
-const FLAGS: &[(&str, &str, &str)] = &[
-    ("--mode", "<mode>", "LLC mode (default inclusive; `zivsim list` names them)"),
-    ("--policy", "<policy>", "lru|srrip|drrip|ship|hawkeye|min (default lru)"),
-    ("--prefetch", "", "enable stride prefetching"),
-    ("--workload", "<w>", "homo:APP | hetero:N | mt:NAME | file:PATH (default hetero:0)"),
-    ("--accesses", "<n>", "accesses per core (default 50000)"),
-    ("--cores", "<n>", "cores (default 8)"),
-    ("--seed", "<n>", "seed (default 2026; campaigns default to their own)"),
-    ("--l2", "<kb>", "L2 size class: 128|256|512|768|1024 (default 256)"),
-    ("--paper-scale", "", "full Table I sizes"),
-    ("--audit", "<cadence>", "invariant audit: off|sampled|sampled:N|every-access (default off)"),
-    ("--cell-budget", "<cycles>", "per-core watchdog budget (default derived from the workload)"),
-    ("--results-dir", "<dir>", "results directory (default results/<campaign or command>)"),
-    ("--resume", "", "reuse the ledger: skip completed cells"),
-    ("--strict", "", "stop claiming new cells after the first failure"),
+const FLAGS: &[Flag] = &[
+    ("--mode", "<mode>", "LLC mode (default inclusive; `zivsim list` names them)",
+     |o, v| lookup_mode(v.text).map(|m| o.mode = Some(m))),
+    ("--policy", "<policy>", "{policies} (default lru)",
+     |o, v| lookup_policy(v.text).map(|p| o.policy = p)),
+    ("--prefetch", "", "enable stride prefetching", |o, _| { o.prefetch = true; Ok(()) }),
+    ("--workload", "<w>", "homo:APP | hetero:N | mt:NAME | file:PATH (default hetero:0)",
+     |o, v| lookup_workload(v.text).map(|w| o.workload = w)),
+    ("--accesses", "<n>", "accesses per core (default 50000)",
+     |o, v| v.positive().map(|n| o.accesses = n)),
+    ("--cores", "<n>", "cores (default 8)", |o, v| v.at_most(max_cores()).map(|n| o.cores = n)),
+    ("--seed", "<n>", "seed (default 2026; campaigns default to their own)",
+     |o, v| v.number().map(|n| o.seed = Some(n))),
+    ("--l2", "<kb>", "L2 size class: {l2} (default 256)",
+     |o, v| lookup_l2(v.text).map(|l2| o.l2 = l2)),
+    ("--paper-scale", "", "full Table I sizes", |o, _| { o.paper_scale = true; Ok(()) }),
+    ("--audit", "<cadence>", "invariant audit: off|sampled|sampled:N|every-access (default off)",
+     |o, v| AuditCadence::parse(v.text).map(|a| o.audit = a)),
+    ("--cell-budget", "<cycles>", "per-core watchdog budget (default derived from the workload)",
+     |o, v| v.number().map(|n| o.cell_budget = Some(n))),
+    ("--results-dir", "<dir>", "results directory (default results/<campaign or command>)",
+     |o, v| { o.results_dir = Some(v.text.into()); Ok(()) }),
+    ("--resume", "", "reuse the ledger: skip completed cells", |o, _| { o.resume = true; Ok(()) }),
+    ("--strict", "", "stop claiming new cells after the first failure",
+     |o, _| { o.strict = true; Ok(()) }),
     ("--inject-fault", "<s:w:kind:at>", "arm a fault in spec S at access AT (W is informational); \
-        KIND is corrupt-directory, skip-back-invalidation, stall-core, hang-core or panic-core"),
-    ("--threads", "<n>", "worker threads (default: available parallelism)"),
-    ("--retries", "<n>", "re-attempt transiently failing cells up to N times (default 0)"),
-    ("--cell-timeout", "<ms>", "wall-clock budget per cell attempt (default off; soak 60000)"),
-    ("--stall-window", "<ms>", "cancel a cell making no progress for MS (default off; soak 750)"),
-    ("--epoch", "<n>", "snapshot counter deltas every N accesses (timeseries.csv)"),
+        KIND is {faults}",
+     |o, v| parse_inject_fault(v).map(|f| o.inject_fault = Some(f))),
+    ("--threads", "<n>", "worker threads (default: available parallelism)",
+     |o, v| v.number().map(|n| o.threads = Some(n))),
+    ("--retries", "<n>", "re-attempt transiently failing cells up to N times (default 0)",
+     |o, v| v.number().map(|n| o.retries = n)),
+    ("--cell-timeout", "<ms>", "wall-clock budget per cell attempt (default off; soak 60000)",
+     |o, v| v.positive().map(|n| o.cell_timeout_ms = Some(n))),
+    ("--stall-window", "<ms>", "cancel a cell making no progress for MS (default off; soak 750)",
+     |o, v| v.positive().map(|n| o.stall_window_ms = Some(n))),
+    ("--epoch", "<n>", "snapshot counter deltas every N accesses (timeseries.csv)",
+     |o, v| v.positive().map(|n| o.observe.epoch = Some(n))),
     ("--events", "<all|k1,k2,..>", "event kinds to record: fill, eviction, back-invalidation, \
-        relocation, directory-victim, audit-violation (trace records all by default)"),
-    ("--last", "<k>", "event ring capacity (default 256)"),
-    ("--heatmap", "", "per-(bank, set) occupancy grids (heatmap.csv)"),
-    ("--latency", "", "latency attribution observatory (latency.csv)"),
+        relocation, directory-victim, audit-violation (trace records all by default)",
+     |o, v| {
+         let ring = o.observe.events.get_or_insert_with(EventTraceConfig::default);
+         ring.filter = EventFilter::parse(v.text).map_err(|e| e.to_string())?;
+         Ok(())
+     }),
+    ("--last", "<k>", "event ring capacity (default 256)",
+     |o, v| {
+         let k: usize = v.positive()?;
+         let cap = ziv::core::observe::MAX_EVENT_CAPACITY;
+         if k > cap {
+             eprintln!("warning: {} {k} exceeds the event-ring limit; clamping to {cap}", v.flag);
+         }
+         o.observe.events.get_or_insert_with(EventTraceConfig::default).capacity = k.min(cap);
+         Ok(())
+     }),
+    ("--heatmap", "", "per-(bank, set) occupancy grids (heatmap.csv)",
+     |o, _| { o.observe.heatmap = true; Ok(()) }),
+    ("--latency", "", "latency attribution observatory (latency.csv)",
+     |o, _| { o.observe.latency = true; Ok(()) }),
     ("--profile", "", "wall-clock self-profiler: every span counted, time estimated from a \
-        sample of the accesses (profile.json)"),
-    ("--leakage", "", "leakage observatory on attack workloads (leakage.csv)"),
-    ("--forensics", "", "causal chains and the blame matrix (blame.csv)"),
+        sample of the accesses (profile.json)",
+     |o, _| { o.observe.profile = true; Ok(()) }),
+    ("--leakage", "", "leakage observatory on attack workloads (leakage.csv)",
+     |o, _| { o.observe.leakage = true; Ok(()) }),
+    ("--forensics", "", "causal chains and the blame matrix (blame.csv)",
+     |o, _| { o.observe.forensics = true; Ok(()) }),
+    // A Perfetto export without chains would be blind to the paper's
+    // causal story, so --perfetto arms forensics too.
     ("--perfetto", "", "Chrome trace-event JSON for ui.perfetto.dev (trace.json); \
-        implies --forensics"),
-    ("--out", "<file>", "also write the command's report to FILE"),
-    ("--sets", "<n>", "targeted LLC sets (default 8)"),
+        implies --forensics",
+     |o, _| { o.perfetto = true; o.observe.forensics = true; Ok(()) }),
+    ("--out", "<file>", "also write the command's report to FILE",
+     |o, v| { o.out = Some(v.text.into()); Ok(()) }),
+    ("--sets", "<n>", "targeted LLC sets (default 8)",
+     |o, v| v.positive().map(|n| o.attack.target_sets = n)),
     ("--sampling", "<plan>", "auto | off | interval=N,gap=N[,KEY=N...] with optional keys warmup \
         (percent of the gap warmed), window, head, confidence (90|95|99) and max; campaign \
-        estimates go to sampling.csv"),
+        estimates go to sampling.csv",
+     |o, v| SamplingPlan::parse(v.text).map(|p| o.sampling = Some(p)).map_err(|e| e.to_string())),
     ("--validate", "", "also run the full campaign and write validation.csv; with --sampling, \
-        observer flags need it and observe that full pass"),
-    ("--telemetry", "<off|on>", "publish <results-dir>/telemetry.shm for `zivsim watch`"),
-    ("--progress", "<live|jsonl>", "human progress lines (default) or JSONL heartbeats"),
-    ("--json", "", "one JSONL snapshot per refresh instead of the table"),
-    ("--once", "", "exit after the first consistent snapshot"),
-    ("--refresh", "<ms>", "poll cadence (default 500)"),
-    ("--stale-after", "<ms>", "heartbeat staleness window (default 5000)"),
+        observer flags need it and observe that full pass",
+     |o, _| { o.validate = true; Ok(()) }),
+    ("--telemetry", "<off|on>", "publish <results-dir>/telemetry.shm for `zivsim watch`",
+     |o, v| v.switch("off", "on").map(|on| o.telemetry = on)),
+    ("--progress", "<live|jsonl>", "human progress lines (default) or JSONL heartbeats",
+     |o, v| v.switch("live", "jsonl").map(|jsonl| o.progress_jsonl = jsonl)),
+    ("--json", "", "one JSONL snapshot per refresh instead of the table",
+     |o, _| { o.json = true; Ok(()) }),
+    ("--once", "", "exit after the first consistent snapshot", |o, _| { o.once = true; Ok(()) }),
+    ("--refresh", "<ms>", "poll cadence (default 500)",
+     |o, v| v.positive().map(|n| o.refresh_ms = n)),
+    ("--stale-after", "<ms>", "heartbeat staleness window (default 5000)",
+     |o, v| v.positive().map(|n| o.stale_after_ms = n)),
 ];
 
-#[derive(Debug, Clone)]
+/// Every LLC mode the CLI names, in `zivsim list` order. A row may give
+/// several names separated by `|`; the first is the listed one.
+#[rustfmt::skip]
+const MODES: &[(&str, LlcMode)] = &[
+    ("inclusive|i", LlcMode::Inclusive),
+    ("noninclusive|ni", LlcMode::NonInclusive),
+    ("qbs", LlcMode::Qbs),
+    ("sharp", LlcMode::Sharp),
+    ("charonbase", LlcMode::CharOnBase),
+    ("tlh", LlcMode::Tlh { hint_one_in: 8 }),
+    ("eci", LlcMode::Eci),
+    ("ric", LlcMode::Ric),
+    ("waypart", LlcMode::WayPartitioned),
+    ("ziv-notinprc", LlcMode::Ziv(ZivProperty::NotInPrC)),
+    ("ziv-lrunotinprc", LlcMode::Ziv(ZivProperty::LruNotInPrC)),
+    ("ziv-likelydead", LlcMode::Ziv(ZivProperty::LikelyDead)),
+    ("ziv-mrnotinprc", LlcMode::Ziv(ZivProperty::MaxRrpvNotInPrC)),
+    ("ziv-mrlikelydead", LlcMode::Ziv(ZivProperty::MaxRrpvLikelyDead)),
+];
+
+/// Every L2 size class, named by its capacity in KB.
+#[rustfmt::skip]
+const L2_SIZES: &[(&str, L2Size)] = &[("128", L2Size::K128), ("256", L2Size::K256),
+    ("512", L2Size::K512), ("768", L2Size::K768), ("1024|1m", L2Size::M1)];
+
+/// Every LLC replacement policy; its CLI name is its label, lowercased.
+#[rustfmt::skip]
+const POLICIES: [PolicyKind; 6] = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Drrip,
+    PolicyKind::Ship, PolicyKind::Hawkeye, PolicyKind::Min];
+
+/// The value `table` gives `name`, matched case-insensitively against
+/// each row's `|`-separated names.
+fn lookup<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
+    table
+        .iter()
+        .find(|(names, _)| names.split('|').any(|n| n.eq_ignore_ascii_case(name)))
+        .map(|&(_, value)| value)
+}
+
+/// Each row's listed name.
+fn listed<T>(table: &[(&'static str, T)]) -> Vec<&'static str> {
+    table
+        .iter()
+        .filter_map(|(names, _)| names.split('|').next())
+        .collect()
+}
+
+fn policy_names() -> [String; 6] {
+    POLICIES.map(|p| p.label().to_ascii_lowercase())
+}
+
+fn lookup_mode(name: &str) -> Result<LlcMode, String> {
+    lookup(MODES, name).ok_or_else(|| format!("unknown mode '{}'", name.to_ascii_lowercase()))
+}
+
+fn lookup_policy(name: &str) -> Result<PolicyKind, String> {
+    let policy = POLICIES
+        .into_iter()
+        .find(|p| p.label().eq_ignore_ascii_case(name));
+    policy.ok_or_else(|| format!("unknown policy '{}'", name.to_ascii_lowercase()))
+}
+
+fn lookup_l2(name: &str) -> Result<L2Size, String> {
+    let sizes = listed(L2_SIZES).join("/");
+    lookup(L2_SIZES, name).ok_or_else(|| format!("unknown L2 size '{name}' (use {sizes})"))
+}
+
+/// Every fault kind, as prose: `a, b{or}c`.
+fn fault_kinds(or: &str) -> String {
+    let kinds = FaultInjection::all(0).map(|f| f.kind_str());
+    let (last, rest) = kinds.split_last().expect("there are fault kinds");
+    format!("{}{or}{last}", rest.join(", "))
+}
+
+/// `help` with the name sets it stands for filled in.
+fn fill_names(help: &str) -> String {
+    help.replace("{policies}", &policy_names().join("|"))
+        .replace("{l2}", &listed(L2_SIZES).join("|"))
+        .replace("{faults}", &fault_kinds(" or "))
+}
+
+/// What a `--workload` value names: a generator, or a trace file.
+#[derive(Debug, PartialEq)]
+enum WorkloadArg {
+    Generated(RecipeKind),
+    File(PathBuf),
+}
+
+/// Resolves a `--workload` value's names.
+fn lookup_workload(spec: &str) -> Result<WorkloadArg, String> {
+    let (kind, arg) = spec.split_once(':').ok_or_else(|| {
+        format!("workload '{spec}' must look like homo:APP / hetero:N / mt:NAME / file:PATH")
+    })?;
+    Ok(WorkloadArg::Generated(match kind {
+        "homo" => RecipeKind::Homogeneous {
+            app: apps::app_by_name(arg)
+                .ok_or_else(|| format!("unknown app '{arg}' (see `zivsim list`)"))?
+                .name,
+        },
+        "hetero" => RecipeKind::Heterogeneous {
+            mix_index: arg.parse().map_err(|e| format!("hetero index: {e}"))?,
+        },
+        "mt" => RecipeKind::Multithreaded {
+            app: MtApp::by_name(arg)
+                .ok_or_else(|| format!("unknown multithreaded workload '{arg}'"))?,
+        },
+        "file" => return Ok(WorkloadArg::File(arg.into())),
+        other => return Err(format!("unknown workload kind '{other}'")),
+    }))
+}
+
+/// Parses `--inject-fault S:W:KIND:AT` (spec index, workload index,
+/// fault kind, trigger access).
+fn parse_inject_fault(v: Value<'_>) -> Result<(usize, usize, FaultInjection), String> {
+    let parts: Vec<&str> = v.text.split(':').collect();
+    let [spec, workload, kind, at] = parts.as_slice() else {
+        let (flag, text) = (v.flag, v.text);
+        return Err(format!(
+            "{flag} '{text}' must look like SPEC:WORKLOAD:KIND:AT_ACCESS"
+        ));
+    };
+    let spec: usize = spec.parse().map_err(|e| format!("fault spec index: {e}"))?;
+    let workload: usize = workload
+        .parse()
+        .map_err(|e| format!("fault workload index: {e}"))?;
+    let at: u64 = at.parse().map_err(|e| format!("fault access index: {e}"))?;
+    let fault = FaultInjection::from_parts(kind, at)
+        .ok_or_else(|| format!("unknown fault kind '{kind}' ({})", fault_kinds(", or ")))?;
+    Ok((spec, workload, fault))
+}
+
+/// The most cores both the scaled and the paper system have.
+fn max_cores() -> usize {
+    SystemConfig::scaled()
+        .cores
+        .min(SystemConfig::paper().cores)
+}
+
+/// A flag's or a positional's value, with the flag's name for errors.
+#[derive(Clone, Copy)]
+struct Value<'a> {
+    flag: &'a str,
+    text: &'a str,
+}
+
+impl Value<'_> {
+    fn number<T: FromStr<Err = ParseIntError>>(self) -> Result<T, String> {
+        self.text.parse().map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    /// The value as a number of at least 1.
+    fn positive<T: FromStr<Err = ParseIntError> + Default + PartialEq>(self) -> Result<T, String> {
+        let n: T = self.number()?;
+        if n == T::default() {
+            return Err(format!("{} must be at least 1", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// The value as a number in `1..=max`.
+    fn at_most(self, max: usize) -> Result<usize, String> {
+        let n = self.positive()?;
+        if n > max {
+            return Err(format!("{} must be at most {max}", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// The value of a two-way flag: `yes` is true, `no` is false.
+    fn switch(self, no: &str, yes: &str) -> Result<bool, String> {
+        if self.text != yes && self.text != no {
+            let (flag, text) = (self.flag, self.text);
+            return Err(format!("{flag} must be '{no}' or '{yes}', not '{text}'"));
+        }
+        Ok(self.text == yes)
+    }
+}
+
+/// Every flag's value, each parsed once, for the command being run.
+#[derive(Debug)]
 struct Options {
-    command: String,
-    /// The command's positional argument (campaign name, file, mode...).
+    command: &'static Command,
+    /// The positional of a command that takes a name, a file or a
+    /// directory.
     positional: Option<String>,
-    mode: LlcMode,
-    mode_explicit: bool,
+    /// A mode given as the positional.
+    positional_mode: Option<LlcMode>,
+    mode: Option<LlcMode>,
     policy: PolicyKind,
     l2: L2Size,
-    workload: String,
+    workload: WorkloadArg,
     accesses: usize,
     cores: usize,
-    seed: u64,
-    seed_explicit: bool,
+    seed: Option<u64>,
     paper_scale: bool,
     prefetch: bool,
     resume: bool,
     results_dir: Option<String>,
     threads: Option<usize>,
-    audit: ziv::core::AuditCadence,
+    audit: AuditCadence,
     strict: bool,
     cell_budget: Option<u64>,
-    inject_fault: Option<(usize, usize, ziv::core::FaultInjection)>,
+    inject_fault: Option<(usize, usize, FaultInjection)>,
     retries: u32,
     cell_timeout_ms: Option<u64>,
     stall_window_ms: Option<u64>,
     out: Option<String>,
-    epoch: Option<u64>,
-    events: Option<String>,
-    last: Option<usize>,
-    heatmap: bool,
-    latency: bool,
-    profile: bool,
-    leakage: bool,
-    forensics: bool,
+    /// The observers the flags and the command's forced flags ask for.
+    observe: ObserveConfig,
     perfetto: bool,
-    sets: u32,
-    sampling: Option<ziv::sim::SamplingPlan>,
+    /// The `attack` command's scenario and `--sets`.
+    attack: AttackRecipe,
+    /// `--sampling`: `Some(None)` when it says `off`.
+    sampling: Option<Option<SamplingPlan>>,
     validate: bool,
     telemetry: bool,
     progress_jsonl: bool,
@@ -208,26 +463,26 @@ struct Options {
     stale_after_ms: u64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
+impl Options {
+    /// `command` with every flag at its default.
+    fn new(command: &'static Command) -> Self {
         Options {
-            command: "help".into(),
+            command,
             positional: None,
-            mode: LlcMode::Inclusive,
-            mode_explicit: false,
+            positional_mode: None,
+            mode: None,
             policy: PolicyKind::Lru,
             l2: L2Size::K256,
-            workload: "hetero:0".into(),
+            workload: WorkloadArg::Generated(RecipeKind::Heterogeneous { mix_index: 0 }),
             accesses: 50_000,
             cores: 8,
-            seed: 2026,
-            seed_explicit: false,
+            seed: None,
             paper_scale: false,
             prefetch: false,
             resume: false,
             results_dir: None,
             threads: None,
-            audit: ziv::core::AuditCadence::Off,
+            audit: AuditCadence::Off,
             strict: false,
             cell_budget: None,
             inject_fault: None,
@@ -235,16 +490,12 @@ impl Default for Options {
             cell_timeout_ms: None,
             stall_window_ms: None,
             out: None,
-            epoch: None,
-            events: None,
-            last: None,
-            heatmap: false,
-            latency: false,
-            profile: false,
-            leakage: false,
-            forensics: false,
+            observe: ObserveConfig::disabled(),
             perfetto: false,
-            sets: 8,
+            attack: AttackRecipe {
+                scenario: AttackScenario::PrimeProbe,
+                target_sets: 8,
+            },
             sampling: None,
             validate: false,
             telemetry: false,
@@ -255,64 +506,53 @@ impl Default for Options {
             stale_after_ms: 5000,
         }
     }
-}
-
-impl Options {
-    /// The flight-recorder configuration the flags describe. `trace`
-    /// always records events (defaulting to `all`); `profile` always
-    /// runs the latency observatory and the self-profiler; elsewhere
-    /// the recorder stays off unless the flags ask for it.
-    fn observe_config(&self) -> Result<ziv::sim::ObserveConfig, String> {
-        let events = if self.events.is_some() || self.last.is_some() || self.command == "trace" {
-            let filter = match &self.events {
-                Some(spec) => ziv::sim::EventFilter::parse(spec).map_err(|e| e.to_string())?,
-                None => ziv::sim::EventFilter::all(),
-            };
-            let mut cfg = ziv::sim::EventTraceConfig {
-                filter,
-                ..Default::default()
-            };
-            if let Some(last) = self.last {
-                cfg.capacity = last;
-            }
-            Some(cfg)
-        } else {
-            None
-        };
-        let profiling = self.command == "profile";
-        let attacking = self.command == "attack";
-        let blaming = self.command == "blame";
-        Ok(ziv::sim::ObserveConfig {
-            epoch: self.epoch,
-            events,
-            heatmap: self.heatmap,
-            latency: self.latency || profiling || blaming,
-            profile: self.profile || profiling,
-            leakage: self.leakage || attacking,
-            // A Perfetto export without chains would be blind to the
-            // paper's causal story, so --perfetto arms forensics too.
-            forensics: self.forensics || self.perfetto || blaming,
-        })
-    }
 
     /// The run options the flags describe: audit cadence, cycle budget
     /// and the command's observation.
-    fn run_options(&self) -> Result<RunOptions, String> {
-        Ok(RunOptions {
+    fn run_options(&self) -> RunOptions {
+        RunOptions {
             audit: self.audit,
             budget: self.cell_budget.map(CellBudget::Cycles),
-            observe: self.observe_config()?,
-        })
+            observe: self.observe,
+        }
+    }
+
+    /// `--seed`, else the single-cell commands' default.
+    fn seed(&self) -> u64 {
+        self.seed.unwrap_or(2026)
+    }
+
+    fn system(&self) -> SystemConfig {
+        if self.paper_scale {
+            SystemConfig::paper_with_l2(self.l2)
+        } else {
+            SystemConfig::scaled_with_l2(self.l2)
+        }
+    }
+
+    /// The environment's campaign parameters, with the flags' seed and
+    /// cores.
+    fn campaign_params(&self) -> ziv::harness::CampaignParams {
+        let mut params = ziv::harness::CampaignParams::from_env();
+        params.seed = self.seed.unwrap_or(params.seed);
+        params.cores = self.cores;
+        params
+    }
+
+    /// The mode a single-cell command runs: its positional, else
+    /// `--mode`, else `default`.
+    fn mode_or(&self, default: LlcMode) -> LlcMode {
+        self.positional_mode.or(self.mode).unwrap_or(default)
     }
 
     /// The spec the flags describe under `mode`: labelled
     /// `<mode>-<policy>`, with the flags' policy, seed and prefetcher.
     fn spec(&self, mode: LlcMode) -> RunSpec {
         let label = format!("{}-{}", mode.label(), self.policy.label());
-        let spec = RunSpec::new(label, system_for(self))
+        let spec = RunSpec::new(label, self.system())
             .with_mode(mode)
             .with_policy(self.policy)
-            .with_seed(self.seed);
+            .with_seed(self.seed());
         if self.prefetch {
             spec.with_prefetch(ziv::core::prefetch::PrefetchConfig::default())
         } else {
@@ -320,14 +560,53 @@ impl Options {
         }
     }
 
-    /// The mode a mode-taking command runs (`zivsim trace
-    /// ziv-likelydead`): its positional, else `--mode`, else `default`.
-    fn command_mode(&self, default: LlcMode) -> Result<LlcMode, String> {
-        match &self.positional {
-            Some(mode) => parse_mode(mode),
-            None if self.mode_explicit => Ok(self.mode),
-            None => Ok(default),
+    /// The recipe the flags give `kind`: `--cores` cores of
+    /// `--accesses` accesses each, seeded by `--seed`, with footprints
+    /// scaled to the system.
+    fn recipe(&self, kind: RecipeKind) -> Recipe {
+        Recipe {
+            kind,
+            cores: self.cores,
+            accesses_per_core: self.accesses,
+            seed: self.seed(),
+            scale: ScaleParams::from_system(&self.system()),
         }
+    }
+
+    /// The workload `--workload` names. A trace file must fit the
+    /// system.
+    fn workload(&self) -> Result<Workload, String> {
+        let path = match &self.workload {
+            WorkloadArg::Generated(kind) => return Ok(self.recipe(*kind).build()),
+            WorkloadArg::File(path) => path,
+        };
+        let wl = ziv::workloads::trace_io::read_trace_file(path).map_err(|e| e.to_string())?;
+        let (file, cores) = (path.display(), self.system().cores);
+        if wl.cores() > cores {
+            let n = wl.cores();
+            return Err(format!(
+                "trace file {file} drives {n} cores but the system has {cores}"
+            ));
+        }
+        Ok(wl)
+    }
+
+    /// Runs `wl` once under the command's mode (`default` when neither
+    /// the positional nor `--mode` names one), with the command's
+    /// observers: the opening every single-cell command shares.
+    fn run_cell(
+        &self,
+        wl: &Workload,
+        default: LlcMode,
+    ) -> (
+        RunSpec,
+        Result<RunResult, SimError>,
+        Option<Box<Observations>>,
+    ) {
+        let spec = self.spec(self.mode_or(default));
+        let (result, observations) =
+            ziv::sim::run_one_instrumented(&spec, wl, &self.run_options(), None, None);
+        (spec, result, observations)
     }
 }
 
@@ -372,296 +651,73 @@ impl CliError {
     }
 }
 
-/// Parses `--inject-fault S:W:KIND:AT` (spec index, workload index,
-/// fault kind, trigger access).
-fn parse_inject_fault(s: &str) -> Result<(usize, usize, ziv::core::FaultInjection), String> {
-    let parts: Vec<&str> = s.split(':').collect();
-    let [spec, workload, kind, at] = parts.as_slice() else {
-        return Err(format!(
-            "--inject-fault '{s}' must look like SPEC:WORKLOAD:KIND:AT_ACCESS"
-        ));
-    };
-    let spec: usize = spec.parse().map_err(|e| format!("fault spec index: {e}"))?;
-    let workload: usize = workload
-        .parse()
-        .map_err(|e| format!("fault workload index: {e}"))?;
-    let at: u64 = at.parse().map_err(|e| format!("fault access index: {e}"))?;
-    let fault = ziv::core::FaultInjection::from_parts(kind, at).ok_or_else(|| {
-        format!(
-            "unknown fault kind '{kind}' (corrupt-directory, \
-             skip-back-invalidation, stall-core, hang-core, or panic-core)"
-        )
-    })?;
-    Ok((spec, workload, fault))
+impl From<String> for CliError {
+    fn from(m: String) -> Self {
+        CliError::Other(m)
+    }
 }
 
-fn parse_mode(s: &str) -> Result<LlcMode, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "inclusive" | "i" => LlcMode::Inclusive,
-        "noninclusive" | "ni" => LlcMode::NonInclusive,
-        "qbs" => LlcMode::Qbs,
-        "sharp" => LlcMode::Sharp,
-        "charonbase" => LlcMode::CharOnBase,
-        "tlh" => LlcMode::Tlh { hint_one_in: 8 },
-        "eci" => LlcMode::Eci,
-        "ric" => LlcMode::Ric,
-        "waypart" => LlcMode::WayPartitioned,
-        "ziv-notinprc" => LlcMode::Ziv(ZivProperty::NotInPrC),
-        "ziv-lrunotinprc" => LlcMode::Ziv(ZivProperty::LruNotInPrC),
-        "ziv-likelydead" => LlcMode::Ziv(ZivProperty::LikelyDead),
-        "ziv-mrnotinprc" => LlcMode::Ziv(ZivProperty::MaxRrpvNotInPrC),
-        "ziv-mrlikelydead" => LlcMode::Ziv(ZivProperty::MaxRrpvLikelyDead),
-        other => return Err(format!("unknown mode '{other}'")),
-    })
+impl From<&str> for CliError {
+    fn from(m: &str) -> Self {
+        CliError::Other(m.into())
+    }
 }
 
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "lru" => PolicyKind::Lru,
-        "srrip" => PolicyKind::Srrip,
-        "drrip" => PolicyKind::Drrip,
-        "ship" => PolicyKind::Ship,
-        "hawkeye" => PolicyKind::Hawkeye,
-        "min" => PolicyKind::Min,
-        other => return Err(format!("unknown policy '{other}'")),
-    })
+impl From<SimError> for CliError {
+    fn from(e: SimError) -> Self {
+        CliError::Other(e.to_string())
+    }
 }
 
-fn parse_l2(s: &str) -> Result<L2Size, String> {
-    Ok(match s {
-        "128" => L2Size::K128,
-        "256" => L2Size::K256,
-        "512" => L2Size::K512,
-        "768" => L2Size::K768,
-        "1024" | "1m" | "1M" => L2Size::M1,
-        other => {
-            return Err(format!(
-                "unknown L2 size '{other}' (use 128/256/512/768/1024)"
-            ))
-        }
-    })
+fn flag_named(name: &str) -> Option<&'static Flag> {
+    FLAGS.iter().find(|(flag, ..)| *flag == name)
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
     let mut it = args.iter();
-    if let Some(name) = it.next().filter(|n| !matches!(n.as_str(), "--help" | "-h")) {
-        opts.command = name.clone();
+    let name = it.next().filter(|n| !matches!(n.as_str(), "--help" | "-h"));
+    let name = name.map_or("help", String::as_str);
+    let command = COMMANDS.iter().find(|c| c.name == name);
+    let command = command.ok_or_else(|| format!("unknown command '{name}'"))?;
+    let mut opts = Options::new(command);
+    for &(flag, text) in command.forces {
+        let (.., parse) = flag_named(flag).expect("a command forces a known flag");
+        parse(&mut opts, Value { flag, text })?;
     }
-    let command = COMMANDS
-        .iter()
-        .find(|c| c.name == opts.command)
-        .ok_or_else(|| format!("unknown command '{}'", opts.command))?;
+    let mut positional = command.positional;
     let mut observer = None;
-    while let Some(flag) = it.next() {
-        if !flag.starts_with("--") {
-            if command.positional.is_none() || opts.positional.is_some() {
-                return Err(format!("unexpected argument '{flag}'"));
-            }
-            opts.positional = Some(flag.clone());
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            let (flag, parse) = positional
+                .take()
+                .ok_or_else(|| format!("unexpected argument '{arg}'"))?;
+            parse(&mut opts, Value { flag, text: arg })?;
             continue;
         }
+        let &(flag, value, _, parse) =
+            flag_named(arg).ok_or_else(|| format!("unknown flag '{arg}'"))?;
         if !command.accepts(flag) {
-            return Err(if FLAGS.iter().any(|(known, ..)| known == flag) {
-                format!("`zivsim {}` does not take {flag}", command.name)
-            } else {
-                format!("unknown flag '{flag}'")
-            });
+            return Err(format!("`zivsim {}` does not take {flag}", command.name));
         }
-        if OBSERVERS.contains(&flag.as_str()) {
+        if OBSERVERS.contains(&flag) {
             observer.get_or_insert(flag);
         }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
+        let text = match value {
+            "" => "",
+            _ => it
+                .next()
+                .ok_or_else(|| format!("flag {flag} needs a value"))?,
         };
-        match flag.as_str() {
-            "--mode" => {
-                opts.mode = parse_mode(&value()?)?;
-                opts.mode_explicit = true;
-            }
-            "--policy" => opts.policy = parse_policy(&value()?)?,
-            "--l2" => opts.l2 = parse_l2(&value()?)?,
-            "--workload" => {
-                let spec = value()?;
-                // Resolve names up front: an unknown one is a usage error.
-                workload_source(&spec)?;
-                opts.workload = spec;
-            }
-            "--accesses" => opts.accesses = number(flag, &value()?)?,
-            "--cores" => opts.cores = number(flag, &value()?)?,
-            "--seed" => {
-                opts.seed = number(flag, &value()?)?;
-                opts.seed_explicit = true;
-            }
-            "--paper-scale" => opts.paper_scale = true,
-            "--prefetch" => opts.prefetch = true,
-            "--resume" => opts.resume = true,
-            "--results-dir" => opts.results_dir = Some(value()?),
-            "--threads" => opts.threads = Some(number(flag, &value()?)?),
-            "--audit" => opts.audit = ziv::core::AuditCadence::parse(&value()?)?,
-            "--strict" => opts.strict = true,
-            "--cell-budget" => opts.cell_budget = Some(number(flag, &value()?)?),
-            "--inject-fault" => opts.inject_fault = Some(parse_inject_fault(&value()?)?),
-            "--retries" => opts.retries = number(flag, &value()?)?,
-            "--cell-timeout" => opts.cell_timeout_ms = Some(positive(flag, &value()?)?),
-            "--stall-window" => opts.stall_window_ms = Some(positive(flag, &value()?)?),
-            "--out" => opts.out = Some(value()?),
-            "--epoch" => opts.epoch = Some(positive(flag, &value()?)?),
-            "--events" => {
-                let spec = value()?;
-                // Reject bad filters up front, naming the offending token.
-                ziv::sim::EventFilter::parse(&spec).map_err(|e| e.to_string())?;
-                opts.events = Some(spec);
-            }
-            "--last" => {
-                let k: usize = positive(flag, &value()?)?;
-                let cap = ziv::core::observe::MAX_EVENT_CAPACITY;
-                opts.last = Some(if k > cap {
-                    eprintln!(
-                        "warning: --last {k} exceeds the event-ring limit; clamping to {cap}"
-                    );
-                    cap
-                } else {
-                    k
-                });
-            }
-            "--heatmap" => opts.heatmap = true,
-            "--latency" => opts.latency = true,
-            "--profile" => opts.profile = true,
-            "--leakage" => opts.leakage = true,
-            "--forensics" => opts.forensics = true,
-            "--perfetto" => opts.perfetto = true,
-            "--sets" => opts.sets = positive(flag, &value()?)?,
-            "--sampling" => {
-                opts.sampling =
-                    ziv::sim::SamplingPlan::parse(&value()?).map_err(|e| e.to_string())?
-            }
-            "--validate" => opts.validate = true,
-            "--telemetry" => opts.telemetry = switch(flag, &value()?, "off", "on")?,
-            "--progress" => opts.progress_jsonl = switch(flag, &value()?, "live", "jsonl")?,
-            "--json" => opts.json = true,
-            "--once" => opts.once = true,
-            "--refresh" => opts.refresh_ms = positive(flag, &value()?)?,
-            "--stale-after" => opts.stale_after_ms = positive(flag, &value()?)?,
-            other => unreachable!("{other} is in a command's table but has no parser"),
-        }
+        parse(&mut opts, Value { flag, text })?;
     }
     // Sampled campaign cells run with observation off: an observer flag
     // covers only the full pass --validate adds.
-    if let Some(flag) = observer.filter(|_| opts.sampling.is_some() && !opts.validate) {
+    if let Some(flag) = observer.filter(|_| opts.sampling.flatten().is_some() && !opts.validate) {
         return Err(format!(
             "{flag} observes full runs; with --sampling it needs --validate"
         ));
     }
-    // A mode or scenario given as the positional is resolved here too,
-    // so an unknown name is a usage error however it is given.
-    match (command.positional, &opts.positional) {
-        (Some("[<mode>]"), Some(mode)) => {
-            parse_mode(mode)?;
-        }
-        (Some("[<scenario>]"), Some(name)) => {
-            parse_scenario(name)?;
-        }
-        _ => {}
-    }
     Ok(opts)
-}
-
-/// `flag`'s numeric value.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
-/// `flag`'s numeric value, which must be at least 1.
-fn positive<T>(flag: &str, value: &str) -> Result<T, String>
-where
-    T: std::str::FromStr + Default + PartialEq,
-    T::Err: std::fmt::Display,
-{
-    let n: T = number(flag, value)?;
-    if n == T::default() {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(n)
-}
-
-/// `flag`'s two-way value: `yes` is true, `no` is false.
-fn switch(flag: &str, value: &str, no: &str, yes: &str) -> Result<bool, String> {
-    match value {
-        v if v == yes => Ok(true),
-        v if v == no => Ok(false),
-        other => Err(format!("{flag} must be '{no}' or '{yes}', not '{other}'")),
-    }
-}
-
-fn system_for(opts: &Options) -> SystemConfig {
-    if opts.paper_scale {
-        SystemConfig::paper_with_l2(opts.l2)
-    } else {
-        SystemConfig::scaled_with_l2(opts.l2)
-    }
-}
-
-/// What a `--workload` value names.
-enum WorkloadSource {
-    Homo(apps::AppSpec),
-    Hetero(usize),
-    Mt(fn(usize, usize, u64, ScaleParams) -> Workload),
-    File(String),
-}
-
-/// Resolves a `--workload` value's names.
-fn workload_source(spec: &str) -> Result<WorkloadSource, String> {
-    let (kind, arg) = spec.split_once(':').ok_or_else(|| {
-        format!("workload '{spec}' must look like homo:APP / hetero:N / mt:NAME / file:PATH")
-    })?;
-    Ok(match kind {
-        "homo" => WorkloadSource::Homo(
-            apps::app_by_name(arg)
-                .ok_or_else(|| format!("unknown app '{arg}' (see `zivsim list`)"))?,
-        ),
-        "hetero" => WorkloadSource::Hetero(arg.parse().map_err(|e| format!("hetero index: {e}"))?),
-        "mt" => WorkloadSource::Mt(match arg {
-            "canneal" => multithreaded::canneal,
-            "facesim" => multithreaded::facesim,
-            "vips" => multithreaded::vips,
-            "applu" => multithreaded::applu,
-            "tpce" => multithreaded::tpce,
-            other => return Err(format!("unknown multithreaded workload '{other}'")),
-        }),
-        "file" => WorkloadSource::File(arg.into()),
-        other => return Err(format!("unknown workload kind '{other}'")),
-    })
-}
-
-fn build_workload(opts: &Options) -> Result<Workload, String> {
-    let scale = ScaleParams::from_system(&system_for(opts));
-    let (cores, accesses, seed) = (opts.cores, opts.accesses, opts.seed);
-    Ok(match workload_source(&opts.workload)? {
-        WorkloadSource::Homo(app) => mixes::homogeneous(app, cores, accesses, seed, scale),
-        WorkloadSource::Hetero(index) => mixes::heterogeneous(index, cores, accesses, seed, scale),
-        WorkloadSource::Mt(generate) => generate(cores, accesses, seed, scale),
-        WorkloadSource::File(path) => {
-            ziv::workloads::trace_io::read_trace_file(path.as_ref()).map_err(|e| e.to_string())?
-        }
-    })
-}
-
-/// Resolves an attack scenario's name.
-fn parse_scenario(name: &str) -> Result<ziv::workloads::attack::AttackScenario, String> {
-    use ziv::workloads::attack::AttackScenario;
-    AttackScenario::by_name(name).ok_or_else(|| {
-        let list: Vec<&str> = AttackScenario::ALL.iter().map(|s| s.name()).collect();
-        format!(
-            "unknown attack scenario '{name}' (one of: {})",
-            list.join(", ")
-        )
-    })
 }
 
 fn print_result(r: &ziv::sim::RunResult, baseline: Option<&ziv::sim::RunResult>) {
@@ -700,60 +756,41 @@ fn print_result(r: &ziv::sim::RunResult, baseline: Option<&ziv::sim::RunResult>)
     println!("per-core IPC: [{}]", ipc.join(", "));
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Options) -> Result<(), CliError> {
     println!("modes:");
-    for m in [
-        "inclusive",
-        "noninclusive",
-        "qbs",
-        "sharp",
-        "charonbase",
-        "tlh",
-        "eci",
-        "ric",
-        "waypart",
-        "ziv-notinprc",
-        "ziv-lrunotinprc",
-        "ziv-likelydead",
-        "ziv-mrnotinprc",
-        "ziv-mrlikelydead",
-    ] {
-        println!("  {m}");
+    for name in listed(MODES) {
+        println!("  {name}");
     }
-    println!("policies: lru srrip drrip ship hawkeye min");
+    println!("policies: {}", policy_names().join(" "));
     println!("applications (homo:<name>):");
     for a in apps::APPS {
         println!("  {:<12} {:?}", a.name, a.class);
     }
-    println!("multithreaded (mt:<name>): canneal facesim vips applu tpce");
+    println!(
+        "multithreaded (mt:<name>): {}",
+        MtApp::ALL.map(MtApp::name).join(" ")
+    );
     println!("campaigns (zivsim campaign <name>):");
     for (name, desc) in ziv::harness::campaigns::names() {
         println!("  {name:<24} {desc}");
     }
+    Ok(())
 }
 
 fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
-    use ziv::harness::{campaigns, run_campaign, CampaignParams, RunnerConfig, StderrProgress};
-    let name = opts.positional.as_deref().ok_or_else(|| {
+    use ziv::harness::{campaigns, run_campaign, RunnerConfig, StderrProgress};
+    let names = || {
         let list: Vec<&str> = campaigns::names().iter().map(|(n, _)| *n).collect();
-        CliError::Usage(format!(
-            "campaign needs a name (one of: {})",
-            list.join(", ")
-        ))
+        list.join(", ")
+    };
+    let name = opts
+        .positional
+        .as_deref()
+        .ok_or_else(|| CliError::Usage(format!("campaign needs a name (one of: {})", names())))?;
+    let params = opts.campaign_params();
+    let mut campaign = campaigns::by_name(name, &params).ok_or_else(|| {
+        CliError::Usage(format!("unknown campaign '{name}' (one of: {})", names()))
     })?;
-    let mut params = CampaignParams::from_env();
-    if opts.seed_explicit {
-        params.seed = opts.seed;
-    }
-    params.cores = opts.cores;
-    let campaign = campaigns::by_name(name, &params).ok_or_else(|| {
-        let list: Vec<&str> = campaigns::names().iter().map(|(n, _)| *n).collect();
-        CliError::Usage(format!(
-            "unknown campaign '{name}' (one of: {})",
-            list.join(", ")
-        ))
-    })?;
-    let mut campaign = campaign;
     if let Some((spec_index, _workload_index, fault)) = opts.inject_fault {
         let spec = campaign.specs.get(spec_index).ok_or_else(|| {
             CliError::Usage(format!(
@@ -762,7 +799,7 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         })?;
         campaign.specs[spec_index] = spec.clone().with_fault(fault);
     }
-    let mut observe = opts.observe_config().map_err(CliError::Usage)?;
+    let mut observe = opts.observe;
     if name == "attack-eval" {
         // The security campaign is pointless blind: always measure
         // leakage. (Still never digested — cells stay byte-compatible
@@ -790,12 +827,13 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         )
     };
     let results_dir = cfg.results_dir.clone();
-    if opts.validate && opts.sampling.is_none() {
+    let sampling = opts.sampling.flatten();
+    if opts.validate && sampling.is_none() {
         return Err(CliError::Usage(
             "--validate compares a sampled pass against the full run; it needs --sampling".into(),
         ));
     }
-    if let Some(plan) = opts.sampling {
+    if let Some(plan) = sampling {
         return cmd_campaign_sampled(&campaign, &cfg, plan, opts.validate, &results_dir);
     }
     // Errors out of the runner itself are infrastructure (results dir,
@@ -968,14 +1006,16 @@ impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
 /// the run reports whether the ZIV-vs-inclusive IPC delta resolved —
 /// its confidence interval excludes zero — before the interval budget
 /// ran out.
-fn cmd_sample(opts: &Options) -> Result<(), String> {
-    // The default target is the paper's headline ZIV configuration.
-    let mode = opts.command_mode(LlcMode::Ziv(ZivProperty::LikelyDead))?;
-    let wl = build_workload(opts)?;
+fn cmd_sample(opts: &Options) -> Result<(), CliError> {
+    let Some(plan) = opts.sampling.unwrap_or(Some(SamplingPlan::auto())) else {
+        let why = "`zivsim sample` always samples; --sampling off leaves it nothing to run";
+        return Err(CliError::Usage(why.into()));
+    };
+    let wl = opts.workload()?;
     let baseline = opts.spec(LlcMode::Inclusive);
-    let target = opts.spec(mode);
-    let plan = opts.sampling.unwrap_or_else(ziv::sim::SamplingPlan::auto);
-    let run_opts = opts.run_options()?;
+    // The default target is the paper's headline ZIV configuration.
+    let target = opts.spec(opts.mode_or(LlcMode::Ziv(ZivProperty::LikelyDead)));
+    let run_opts = opts.run_options();
     // The paired session publishes like a two-cell campaign (spec 0 =
     // baseline, 1 = target) so `zivsim watch` can follow it.
     let results_dir = std::path::PathBuf::from(
@@ -988,8 +1028,7 @@ fn cmd_sample(opts: &Options) -> Result<(), String> {
         progress_jsonl: opts.progress_jsonl,
         ..Default::default()
     };
-    let bus = ziv::harness::CampaignBus::start(&results_dir, 1, 2, 0, &bus_opts)
-        .map_err(|e| e.to_string())?;
+    let bus = ziv::harness::CampaignBus::start(&results_dir, 1, 2, 0, &bus_opts)?;
     let paired = bus.as_ref().and_then(|b| {
         let inner = b.worker_probes()?.into_iter().next()?;
         Some(PairedSampleProbe { bus: b, inner })
@@ -997,8 +1036,7 @@ fn cmd_sample(opts: &Options) -> Result<(), String> {
     let probe: Option<&dyn ziv::sim::TelemetryProbe> =
         paired.as_ref().map(|p| p as &dyn ziv::sim::TelemetryProbe);
     let report =
-        ziv::sim::run_paired_sampled_instrumented(&baseline, &target, &wl, &run_opts, plan, probe)
-            .map_err(|e| e.to_string())?;
+        ziv::sim::run_paired_sampled_instrumented(&baseline, &target, &wl, &run_opts, plan, probe)?;
     drop(paired);
     if let Some(b) = bus {
         b.finish();
@@ -1055,18 +1093,13 @@ fn cmd_sample(opts: &Options) -> Result<(), String> {
 /// outcome — every injected fault isolated; 4 means a supervision
 /// guarantee broke.
 fn cmd_soak(opts: &Options) -> Result<(), CliError> {
-    use ziv::harness::{run_soak, CampaignParams, SoakConfig, StderrProgress};
-    let mut params = CampaignParams::from_env();
-    if opts.seed_explicit {
-        params.seed = opts.seed;
-    }
-    params.cores = opts.cores;
+    use ziv::harness::{run_soak, SoakConfig, StderrProgress};
     let mut cfg = SoakConfig::new(
         opts.results_dir
             .clone()
             .unwrap_or_else(|| "results/soak".into()),
     );
-    cfg.params = params;
+    cfg.params = opts.campaign_params();
     if let Some(threads) = opts.threads {
         cfg.threads = threads;
     }
@@ -1373,22 +1406,18 @@ fn cmd_watch(opts: &Options) -> Result<(), CliError> {
 /// — counts per retained event kind, total recorded, the epoch count
 /// when `--epoch` sliced, and per-bank directory occupancy — to stderr
 /// so the JSONL stream stays clean.
-fn cmd_trace(opts: &Options) -> Result<(), String> {
+fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     use std::io::Write as _;
-    let wl = build_workload(opts)?;
-    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
-    let (outcome, observations) =
-        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
+    let wl = opts.workload()?;
+    let (spec, result, observations) = opts.run_cell(&wl, LlcMode::Inclusive);
     let obs = observations.ok_or("trace produced no observations (recorder disabled?)")?;
+    // `trace` forces the ring on; --events and --last refine it.
+    let ring = opts.observe.events.unwrap_or_default();
 
     // With --perfetto the export is one Chrome trace-event document
     // (load it at ui.perfetto.dev) instead of raw JSONL events; the
     // --events filter applies to both renderings.
     let jsonl = if opts.perfetto {
-        let filter = match &opts.events {
-            Some(spec) => ziv::sim::EventFilter::parse(spec).map_err(|e| e.to_string())?,
-            None => ziv::sim::EventFilter::all(),
-        };
         let cell = ziv::sim::ObservedCell {
             config: &spec.label,
             workload: &wl.name,
@@ -1396,7 +1425,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
         };
         format!(
             "{}\n",
-            ziv::sim::perfetto_to_json(std::slice::from_ref(&cell), filter)
+            ziv::sim::perfetto_to_json(std::slice::from_ref(&cell), ring.filter)
         )
     } else {
         let mut jsonl = String::new();
@@ -1408,8 +1437,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     };
     match &opts.out {
         Some(path) => {
-            ziv::common::fsutil::create_parent_dirs(path).map_err(|e| e.to_string())?;
-            std::fs::write(path, &jsonl).map_err(|e| format!("cannot write '{path}': {e}"))?;
+            write_file(path, "event trace", |w| w.write_all(jsonl.as_bytes()))?;
             eprintln!("wrote {} event(s) to {path}", obs.events.len());
         }
         None => {
@@ -1426,8 +1454,7 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
         wl.name,
         obs.events_recorded,
         obs.events.len(),
-        opts.last
-            .unwrap_or(ziv::core::observe::DEFAULT_EVENT_CAPACITY),
+        ring.capacity,
     );
     for kind in ziv::sim::EventKind::ALL {
         let n = obs.events.iter().filter(|e| e.kind == kind).count();
@@ -1446,7 +1473,8 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     eprintln!("  directory occupancy per bank: [{}]", occupancy.join(", "));
     // A trace of a failing run still drains the ring (that is the whole
     // point of a flight recorder), but the run's failure is the verdict.
-    outcome.map(|_| ()).map_err(|e| e.to_string())
+    result?;
+    Ok(())
 }
 
 /// One run with the latency observatory and the wall-clock self-profiler
@@ -1454,13 +1482,11 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
 /// share, tail percentiles), per-component cycle totals, the
 /// inclusion-victim refetch cost, and per-subsystem simulator wall time.
 /// `--out <FILE>` additionally writes the profiler report as JSON.
-fn cmd_profile(opts: &Options) -> Result<(), String> {
+fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     use ziv::sim::{AccessClass, LatencyComponent, ProfileSection};
-    let wl = build_workload(opts)?;
-    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
-    let (outcome, observations) =
-        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
-    let result = outcome.map_err(|e| e.to_string())?;
+    let wl = opts.workload()?;
+    let (spec, result, observations) = opts.run_cell(&wl, LlcMode::Inclusive);
+    let result = result?;
     let obs = observations.ok_or("profile produced no observations (observatory disabled?)")?;
     let report = obs
         .latency
@@ -1546,9 +1572,7 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
             ("workload".into(), JsonValue::str(&wl.name)),
             ("sections".into(), profile.to_json()),
         ]);
-        ziv::common::fsutil::create_parent_dirs(path).map_err(|e| e.to_string())?;
-        std::fs::write(path, format!("{doc}\n"))
-            .map_err(|e| format!("cannot write '{path}': {e}"))?;
+        write_file(path, "profile report", |w| writeln!(w, "{doc}"))?;
         println!("wrote {path}");
     }
     Ok(())
@@ -1562,12 +1586,10 @@ fn cmd_profile(opts: &Options) -> Result<(), String> {
 /// `Metrics::inclusion_victims`, refetch cycles vs the latency
 /// observatory). `--out <FILE>` additionally writes the matrix as
 /// blame.csv.
-fn cmd_blame(opts: &Options) -> Result<(), String> {
-    let wl = build_workload(opts)?;
-    let spec = opts.spec(opts.command_mode(LlcMode::Inclusive)?);
-    let (outcome, observations) =
-        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
-    let result = outcome.map_err(|e| e.to_string())?;
+fn cmd_blame(opts: &Options) -> Result<(), CliError> {
+    let wl = opts.workload()?;
+    let (spec, result, observations) = opts.run_cell(&wl, LlcMode::Inclusive);
+    let result = result?;
     let obs = observations.ok_or("blame produced no observations (observatory disabled?)")?;
     let report = obs
         .forensics
@@ -1590,20 +1612,20 @@ fn cmd_blame(opts: &Options) -> Result<(), String> {
     // must agree with the latency observatory's independent accounting.
     let victims = report.total_victims();
     if victims != result.metrics.inclusion_victims {
-        return Err(format!(
+        return Err(CliError::Other(format!(
             "conservation violated: blame matrix holds {victims} victim(s) but \
              Metrics::inclusion_victims is {}",
             result.metrics.inclusion_victims
-        ));
+        )));
     }
     let refetch_cycles = report.total_refetch_cycles();
     if let Some(lat) = obs.latency.as_ref() {
         let independent = lat.inclusion_victim_refetch_cycles();
         if refetch_cycles != independent {
-            return Err(format!(
+            return Err(CliError::Other(format!(
                 "conservation violated: blame matrix attributes {refetch_cycles} refetch \
                  cycle(s) but the latency observatory measured {independent}"
-            ));
+            )));
         }
     }
     println!(
@@ -1673,8 +1695,9 @@ fn cmd_blame(opts: &Options) -> Result<(), String> {
             workload: &wl.name,
             observations: &obs,
         };
-        ziv::sim::write_blame_csv(std::path::Path::new(path), std::slice::from_ref(&cell))
-            .map_err(|e| e.to_string())?;
+        write_file(path, "blame CSV", |w| {
+            ziv::sim::blame_to_csv(std::slice::from_ref(&cell), w)
+        })?;
         println!("wrote {path}");
     }
     Ok(())
@@ -1686,23 +1709,20 @@ fn cmd_blame(opts: &Options) -> Result<(), String> {
 /// as usual), runs it, and prints the attacker-observable signal
 /// summary — the per-defense numbers `zivsim campaign attack-eval`
 /// sweeps into leakage.csv.
-fn cmd_attack(opts: &Options) -> Result<(), String> {
-    use ziv::workloads::attack::{self, AttackRecipe, AttackScenario};
-    let scenario = match &opts.positional {
-        Some(name) => parse_scenario(name)?,
-        None => AttackScenario::PrimeProbe,
-    };
-    let recipe = AttackRecipe {
-        scenario,
-        target_sets: opts.sets,
-    };
-    let sys = system_for(opts);
-    let scale = ScaleParams::from_system(&sys);
-    let wl = attack::generate(recipe, opts.cores, opts.accesses, opts.seed, scale);
-    let spec = opts.spec(opts.mode);
-    let (outcome, observations) =
-        ziv::sim::run_one_instrumented(&spec, &wl, &opts.run_options()?, None, None);
-    let result = outcome.map_err(|e| e.to_string())?;
+fn cmd_attack(opts: &Options) -> Result<(), CliError> {
+    if opts.cores < 2 {
+        return Err(CliError::Usage(format!(
+            "an attack needs an attacker and a victim core, not {} core",
+            opts.cores
+        )));
+    }
+    let wl = opts
+        .recipe(RecipeKind::Attack {
+            attack: opts.attack,
+        })
+        .build();
+    let (spec, result, observations) = opts.run_cell(&wl, LlcMode::Inclusive);
+    let result = result?;
     let report = observations
         .and_then(|o| o.leakage)
         .ok_or("attack run produced no leakage report (observatory disabled?)")?;
@@ -1736,13 +1756,13 @@ fn cmd_attack(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(opts: &Options) -> Result<(), String> {
+fn cmd_replay(opts: &Options) -> Result<(), CliError> {
     use ziv::harness::{replay, FailureRecord};
     let path = opts
         .positional
         .as_deref()
         .ok_or("replay needs a repro-record file (results/<name>/failures/<digest>.json)")?;
-    let record = FailureRecord::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let record = FailureRecord::load(std::path::Path::new(path))?;
     println!(
         "replaying {} × {} from campaign '{}' (audit {}, budget {} cycles)",
         record.label, record.workload, record.campaign, record.audit, record.budget_cycles
@@ -1764,7 +1784,7 @@ fn cmd_replay(opts: &Options) -> Result<(), String> {
             println!("  {}", ev.to_json());
         }
     }
-    let report = replay(&record).map_err(|e| e.to_string())?;
+    let report = replay(&record)?;
     println!("{}", report.note);
     if report.reproduced {
         Ok(())
@@ -1773,19 +1793,17 @@ fn cmd_replay(opts: &Options) -> Result<(), String> {
     }
 }
 
-fn cmd_run(opts: &Options) -> Result<(), String> {
-    let wl = build_workload(opts)?;
-    let baseline_spec = RunSpec::new("I-LRU (baseline)", system_for(opts));
-    let spec = opts.spec(opts.mode);
-    let run_opts = opts.run_options()?;
+fn cmd_run(opts: &Options) -> Result<(), CliError> {
+    let wl = opts.workload()?;
+    let baseline_spec = RunSpec::new("I-LRU (baseline)", opts.system());
     let baseline_opts = RunOptions {
-        observe: ziv::sim::ObserveConfig::disabled(),
-        ..run_opts
+        observe: ObserveConfig::disabled(),
+        ..opts.run_options()
     };
     let baseline = ziv::sim::run_one_checked(&baseline_spec, &wl, &baseline_opts)
         .map_err(|e| format!("baseline run: {e}"))?;
-    let (outcome, observations) = ziv::sim::run_one_instrumented(&spec, &wl, &run_opts, None, None);
-    let result = outcome.map_err(|e| format!("run: {e}"))?;
+    let (_, result, observations) = opts.run_cell(&wl, LlcMode::Inclusive);
+    let result = result.map_err(|e| format!("run: {e}"))?;
     print_result(&result, Some(&baseline));
     if let Some(f) = observations.as_ref().and_then(|o| o.forensics.as_ref()) {
         println!(
@@ -1799,8 +1817,8 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(opts: &Options) -> Result<(), String> {
-    let wl = build_workload(opts)?;
+fn cmd_compare(opts: &Options) -> Result<(), CliError> {
+    let wl = opts.workload()?;
     let modes: Vec<LlcMode> = if opts.policy.is_rrpv_based() {
         vec![
             LlcMode::Inclusive,
@@ -1853,13 +1871,13 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(opts: &Options) -> Result<(), String> {
+fn cmd_export(opts: &Options) -> Result<(), CliError> {
     let path = opts
         .positional
         .as_deref()
         .ok_or("export needs a file path")?;
-    let wl = build_workload(opts)?;
-    ziv::workloads::trace_io::write_trace_file(path.as_ref(), &wl).map_err(|e| e.to_string())?;
+    let wl = opts.workload()?;
+    ziv::workloads::trace_io::write_trace_file(path.as_ref(), &wl)?;
     println!(
         "wrote {} accesses ({} cores) to {path}",
         wl.total_accesses(),
@@ -1869,10 +1887,10 @@ fn cmd_export(opts: &Options) -> Result<(), String> {
 }
 
 /// The help text, generated from `COMMANDS` and `FLAGS`.
-fn usage() {
+fn cmd_help(_: &Options) -> Result<(), CliError> {
     println!("usage: zivsim <command> [options]\n\ncommands:");
     for c in COMMANDS {
-        let head = format!("  {} {}", c.name, c.positional.unwrap_or(""));
+        let head = format!("  {} {}", c.name, c.positional.map_or("", |(name, _)| name));
         print_wrapped(25, head.trim_end(), c.about);
         let flags: Vec<&str> = c.flags.iter().flat_map(|g| g.iter().copied()).collect();
         if !flags.is_empty() {
@@ -1880,11 +1898,12 @@ fn usage() {
         }
     }
     println!("\nflags:");
-    for (flag, value, help) in FLAGS {
-        print_wrapped(33, &format!("  {flag} {value}"), help);
+    for (flag, value, help, _) in FLAGS {
+        print_wrapped(33, &format!("  {flag} {value}"), &fill_names(help));
     }
     println!("\nexit codes: 0 clean, 1 command failure, 2 usage, 3 isolated cell failures,");
     println!("            4 internal");
+    Ok(())
 }
 
 /// Prints `lead` padded to `indent` columns, then `text` filled to 80
@@ -1902,32 +1921,6 @@ fn print_wrapped(indent: usize, lead: &str, text: &str) {
     println!("{}", line.trim_end());
 }
 
-fn dispatch(opts: &Options) -> Result<(), CliError> {
-    match opts.command.as_str() {
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "run" => cmd_run(opts).map_err(CliError::Other),
-        "compare" => cmd_compare(opts).map_err(CliError::Other),
-        "export" => cmd_export(opts).map_err(CliError::Other),
-        "campaign" => cmd_campaign(opts),
-        "soak" => cmd_soak(opts),
-        "watch" => cmd_watch(opts),
-        "replay" => cmd_replay(opts).map_err(CliError::Other),
-        "trace" => cmd_trace(opts).map_err(CliError::Other),
-        "profile" => cmd_profile(opts).map_err(CliError::Other),
-        "blame" => cmd_blame(opts).map_err(CliError::Other),
-        "attack" => cmd_attack(opts).map_err(CliError::Other),
-        "sample" => cmd_sample(opts).map_err(CliError::Other),
-        "help" => {
-            usage();
-            Ok(())
-        }
-        other => unreachable!("command {other} is in COMMANDS but has no handler"),
-    }
-}
-
 fn real_main(args: &[String]) -> ExitCode {
     let opts = match parse_args(args) {
         Ok(o) => o,
@@ -1937,7 +1930,7 @@ fn real_main(args: &[String]) -> ExitCode {
             return e.exit_code();
         }
     };
-    match dispatch(&opts) {
+    match (opts.command.run)(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             e.report();
@@ -1981,14 +1974,17 @@ mod tests {
              --workload homo:circset --accesses 1000 --cores 4 --seed 7",
         ))
         .unwrap();
-        assert_eq!(o.command, "run");
-        assert_eq!(o.mode, LlcMode::Ziv(ZivProperty::LikelyDead));
+        assert_eq!(o.command.name, "run");
+        assert_eq!(o.mode, Some(LlcMode::Ziv(ZivProperty::LikelyDead)));
         assert_eq!(o.policy, PolicyKind::Hawkeye);
         assert_eq!(o.l2, L2Size::K512);
-        assert_eq!(o.workload, "homo:circset");
+        assert_eq!(
+            o.workload,
+            WorkloadArg::Generated(RecipeKind::Homogeneous { app: "circset" })
+        );
         assert_eq!(o.accesses, 1000);
         assert_eq!(o.cores, 4);
-        assert_eq!(o.seed, 7);
+        assert_eq!(o.seed, Some(7));
     }
 
     #[test]
@@ -1997,15 +1993,14 @@ mod tests {
             "campaign fig08-lru-perf --resume --results-dir out --threads 3",
         ))
         .unwrap();
-        assert_eq!(o.command, "campaign");
+        assert_eq!(o.command.name, "campaign");
         assert!(o.resume);
         assert_eq!(o.results_dir.as_deref(), Some("out"));
         assert_eq!(o.threads, Some(3));
-        assert!(!o.seed_explicit);
-        assert!(
-            parse_args(&args("campaign smoke --seed 5"))
-                .unwrap()
-                .seed_explicit
+        assert_eq!(o.seed, None);
+        assert_eq!(
+            parse_args(&args("campaign smoke --seed 5")).unwrap().seed,
+            Some(5)
         );
     }
 
@@ -2027,7 +2022,7 @@ mod tests {
             "watch results/smoke --json --once --refresh 50 --stale-after 2000",
         ))
         .unwrap();
-        assert_eq!(o.command, "watch");
+        assert_eq!(o.command.name, "watch");
         assert!(o.json);
         assert!(o.once);
         assert_eq!(o.refresh_ms, 50);
@@ -2109,7 +2104,7 @@ mod tests {
 
         // `replay` takes a positional file path like `export` does.
         let o = parse_args(&args("replay results/smoke/failures/abc.json")).unwrap();
-        assert_eq!(o.command, "replay");
+        assert_eq!(o.command.name, "replay");
     }
 
     #[test]
@@ -2132,9 +2127,9 @@ mod tests {
             "soak --results-dir out --threads 2 --seed 9 --cell-timeout 60000",
         ))
         .unwrap();
-        assert_eq!(o.command, "soak");
+        assert_eq!(o.command.name, "soak");
         assert_eq!(o.results_dir.as_deref(), Some("out"));
-        assert!(o.seed_explicit);
+        assert_eq!(o.seed, Some(9));
 
         assert!(parse_args(&args("campaign smoke --cell-timeout 0")).is_err());
         assert!(parse_args(&args("campaign smoke --stall-window 0")).is_err());
@@ -2179,21 +2174,21 @@ mod tests {
             "attack hammer --mode qbs --sets 4 --cores 4 --accesses 2000",
         ))
         .unwrap();
-        assert_eq!(o.command, "attack");
-        assert_eq!(o.mode, LlcMode::Qbs);
-        assert_eq!(o.sets, 4);
+        assert_eq!(o.command.name, "attack");
+        assert_eq!(o.mode, Some(LlcMode::Qbs));
+        assert_eq!(o.attack.scenario, AttackScenario::Hammer);
+        assert_eq!(o.attack.target_sets, 4);
         assert_eq!(o.cores, 4);
         // The attack command forces the leakage observatory on.
-        assert!(o.observe_config().unwrap().leakage);
-        assert!(!o.leakage, "the flag itself stays off");
+        assert!(o.observe.leakage);
 
         let o = parse_args(&args("attack")).unwrap();
-        assert_eq!(o.sets, 8, "default targeted sets");
+        assert_eq!(o.attack.scenario, AttackScenario::PrimeProbe);
+        assert_eq!(o.attack.target_sets, 8, "default targeted sets");
 
         // `--leakage` arms the observatory for campaigns too.
         let o = parse_args(&args("campaign attack-eval --leakage")).unwrap();
-        assert!(o.leakage);
-        assert!(o.observe_config().unwrap().leakage);
+        assert!(o.observe.leakage);
         assert!(parse_args(&args("attack --sets 0")).is_err());
         assert!(parse_args(&args("attack --sets nope")).is_err());
     }
@@ -2205,15 +2200,16 @@ mod tests {
              --last 64 --heatmap",
         ))
         .unwrap();
-        assert_eq!(o.epoch, Some(500));
-        assert_eq!(o.events.as_deref(), Some("back-invalidation,relocation"));
-        assert_eq!(o.last, Some(64));
-        assert!(o.heatmap);
-        let cfg = o.observe_config().unwrap();
-        assert_eq!(cfg.epoch, Some(500));
-        assert!(cfg.heatmap);
-        let ev = cfg.events.unwrap();
-        assert_eq!(ev.capacity, 64);
+        assert_eq!(o.observe.epoch, Some(500));
+        assert_eq!(
+            o.observe.events,
+            Some(EventTraceConfig {
+                capacity: 64,
+                filter: EventFilter::parse("back-invalidation,relocation").unwrap(),
+            })
+        );
+        assert!(o.observe.heatmap);
+        let ev = o.observe.events.unwrap();
         assert!(ev.filter.contains(ziv::sim::EventKind::Relocation));
         assert!(!ev.filter.contains(ziv::sim::EventKind::Fill));
 
@@ -2224,37 +2220,39 @@ mod tests {
 
         // Flags alone never enable the recorder outside `trace`...
         let o = parse_args(&args("campaign smoke")).unwrap();
-        assert!(!o.observe_config().unwrap().is_enabled());
+        assert!(!o.observe.is_enabled());
         // ...while `trace` records events by default, with an optional
         // positional mode like `export`/`campaign` positionals.
         let o = parse_args(&args("trace ziv-likelydead --workload homo:circset")).unwrap();
-        assert_eq!(o.command, "trace");
-        let cfg = o.observe_config().unwrap();
-        assert_eq!(
-            cfg.events.unwrap().capacity,
-            ziv::core::observe::DEFAULT_EVENT_CAPACITY
-        );
+        assert_eq!(o.command.name, "trace");
+        assert_eq!(o.observe.events, Some(EventTraceConfig::default()));
+        // Its own --events and --last refine the forced ring, in any order.
+        for line in [
+            "trace --last 8 --events fill",
+            "trace --events fill --last 8",
+        ] {
+            let ring = parse_args(&args(line)).unwrap().observe.events.unwrap();
+            assert_eq!(ring.capacity, 8);
+            assert_eq!(ring.filter, EventFilter::parse("fill").unwrap());
+        }
     }
 
     #[test]
     fn parses_latency_and_profile_flags() {
-        let o = parse_args(&args("campaign smoke --latency --profile")).unwrap();
-        assert!(o.latency);
-        assert!(o.profile);
-        let cfg = o.observe_config().unwrap();
+        let cfg = parse_args(&args("campaign smoke --latency --profile"))
+            .unwrap()
+            .observe;
         assert!(cfg.latency);
         assert!(cfg.profile);
         assert!(cfg.is_enabled());
 
         // Off by default everywhere...
         let o = parse_args(&args("campaign smoke")).unwrap();
-        assert!(!o.latency && !o.profile);
-        let cfg = o.observe_config().unwrap();
-        assert!(!cfg.latency && !cfg.profile);
+        assert!(!o.observe.latency && !o.observe.profile);
         // ...except the `profile` command, which forces both on.
         let o = parse_args(&args("profile ziv-likelydead --accesses 100")).unwrap();
-        assert_eq!(o.command, "profile");
-        let cfg = o.observe_config().unwrap();
+        assert_eq!(o.command.name, "profile");
+        let cfg = o.observe;
         assert!(cfg.latency);
         assert!(cfg.profile);
         // Forcing the observatory must not drag the event ring along.
@@ -2263,40 +2261,46 @@ mod tests {
 
     #[test]
     fn parses_forensics_flags() {
-        let o = parse_args(&args("campaign smoke --forensics")).unwrap();
-        assert!(o.forensics);
-        let cfg = o.observe_config().unwrap();
+        let cfg = parse_args(&args("campaign smoke --forensics"))
+            .unwrap()
+            .observe;
         assert!(cfg.forensics);
         assert!(cfg.is_enabled());
 
         // Off by default everywhere...
         let o = parse_args(&args("campaign smoke")).unwrap();
-        assert!(!o.forensics && !o.perfetto);
-        assert!(!o.observe_config().unwrap().forensics);
+        assert!(!o.observe.forensics && !o.perfetto);
         // ...except the `blame` command, which forces forensics AND the
         // latency observatory (for the refetch-cycle conservation check).
         let o = parse_args(&args("blame ziv-likelydead --accesses 100")).unwrap();
-        assert_eq!(o.command, "blame");
-        let cfg = o.observe_config().unwrap();
+        assert_eq!(o.command.name, "blame");
+        let cfg = o.observe;
         assert!(cfg.forensics);
         assert!(cfg.latency);
-        assert!(!o.forensics, "the flag itself stays off");
 
         // --perfetto implies forensics: a trace without causal chains
         // would be blind to the paper's story.
         let o = parse_args(&args("campaign smoke --perfetto")).unwrap();
         assert!(o.perfetto);
-        assert!(!o.forensics);
-        assert!(o.observe_config().unwrap().forensics);
+        assert!(o.observe.forensics);
     }
 
     #[test]
     fn last_clamps_to_the_event_ring_limit() {
         let cap = ziv::core::observe::MAX_EVENT_CAPACITY;
+        let capacity = |o: Options| o.observe.events.map(|e| e.capacity);
         let o = parse_args(&args(&format!("trace --last {}", cap + 1))).unwrap();
-        assert_eq!(o.last, Some(cap), "oversized --last clamps, not errors");
+        assert_eq!(
+            capacity(o),
+            Some(cap),
+            "oversized --last clamps, not errors"
+        );
         let o = parse_args(&args(&format!("trace --last {cap}"))).unwrap();
-        assert_eq!(o.last, Some(cap), "the limit itself is accepted verbatim");
+        assert_eq!(
+            capacity(o),
+            Some(cap),
+            "the limit itself is accepted verbatim"
+        );
     }
 
     #[test]
@@ -2306,7 +2310,7 @@ mod tests {
              --validate",
         ))
         .unwrap();
-        let plan = o.sampling.unwrap();
+        let plan = o.sampling.flatten().unwrap();
         assert_eq!(plan.interval, 64);
         assert_eq!(plan.gap, 448);
         assert_eq!(plan.warmup_per_mille, 250);
@@ -2318,12 +2322,15 @@ mod tests {
         assert!(parse_args(&args("campaign smoke --sampling auto"))
             .unwrap()
             .sampling
+            .flatten()
             .unwrap()
             .is_auto());
-        assert!(parse_args(&args("campaign smoke --sampling off"))
-            .unwrap()
-            .sampling
-            .is_none());
+        assert_eq!(
+            parse_args(&args("campaign smoke --sampling off"))
+                .unwrap()
+                .sampling,
+            Some(None)
+        );
         // Malformed plans are usage errors at parse time.
         assert!(parse_args(&args("campaign smoke --sampling interval=0,gap=10")).is_err());
         assert!(parse_args(&args("campaign smoke --sampling confidence=80")).is_err());
@@ -2332,14 +2339,24 @@ mod tests {
         // `sample` takes a positional mode like `trace` does, and
         // defaults to the paper's headline ZIV configuration —
         // unless --mode was given explicitly.
+        let headline = LlcMode::Ziv(ZivProperty::LikelyDead);
         let o = parse_args(&args("sample ziv-notinprc --accesses 500")).unwrap();
-        assert_eq!(o.command, "sample");
-        assert!(!o.mode_explicit);
-        assert!(
-            parse_args(&args("sample --mode qbs"))
-                .unwrap()
-                .mode_explicit
+        assert_eq!(o.command.name, "sample");
+        assert_eq!(o.mode, None);
+        assert_eq!(o.mode_or(headline), LlcMode::Ziv(ZivProperty::NotInPrC));
+        let o = parse_args(&args("sample --mode qbs")).unwrap();
+        assert_eq!(o.mode_or(headline), LlcMode::Qbs);
+        assert_eq!(
+            parse_args(&args("sample")).unwrap().mode_or(headline),
+            headline
         );
+        // The positional wins over --mode, in either order.
+        for line in ["sample sharp --mode qbs", "sample --mode qbs sharp"] {
+            assert_eq!(
+                parse_args(&args(line)).unwrap().mode_or(headline),
+                LlcMode::Sharp
+            );
+        }
     }
 
     #[test]
@@ -2376,46 +2393,71 @@ mod tests {
         assert!(parse_args(&args("run --l2 333")).is_err());
         assert!(parse_args(&args("run --frobnicate")).is_err());
         assert!(parse_args(&args("run --mode")).is_err());
+        // Values a run cannot honour are usage errors, not panics or
+        // empty simulations.
+        for line in [
+            "run --cores 9",
+            "run --cores 0",
+            "run --accesses 0",
+            "sample --cores 9",
+            "compare --cores 9",
+            "campaign smoke --cores 9",
+            "campaign smoke --cores 0",
+        ] {
+            assert!(parse_args(&args(line)).is_err(), "{line}");
+        }
+        assert_eq!(
+            parse_args(&args("run --cores 9")).unwrap_err(),
+            "--cores must be at most 8"
+        );
+        assert!(parse_args(&args("run --cores 8 --paper-scale")).is_ok());
     }
 
     #[test]
     fn builds_workloads_of_each_kind() {
-        let mut o = Options {
-            accesses: 50,
-            cores: 2,
-            ..Options::default()
+        let build = |w: &str| {
+            parse_args(&args(&format!(
+                "run --workload {w} --cores 2 --accesses 50"
+            )))
+            .and_then(|o| o.workload())
         };
-        o.workload = "homo:stream".into();
-        assert_eq!(build_workload(&o).unwrap().cores(), 2);
-        o.workload = "hetero:3".into();
-        assert_eq!(build_workload(&o).unwrap().cores(), 2);
-        o.workload = "mt:canneal".into();
-        assert_eq!(build_workload(&o).unwrap().cores(), 2);
-        o.workload = "mt:nope".into();
-        assert!(build_workload(&o).is_err());
-        o.workload = "nope".into();
-        assert!(build_workload(&o).is_err());
+        assert_eq!(build("homo:stream").unwrap().cores(), 2);
+        assert_eq!(build("hetero:3").unwrap().cores(), 2);
+        assert_eq!(build("mt:canneal").unwrap().cores(), 2);
+        assert!(build("mt:nope").is_err());
+        assert!(build("nope").is_err());
+        assert!(build("file:/no/such/trace").is_err());
     }
 
     #[test]
     fn every_listed_mode_parses() {
-        for m in [
-            "inclusive",
-            "noninclusive",
-            "qbs",
-            "sharp",
-            "charonbase",
-            "tlh",
-            "eci",
-            "ric",
-            "waypart",
-            "ziv-notinprc",
-            "ziv-lrunotinprc",
-            "ziv-likelydead",
-            "ziv-mrnotinprc",
-            "ziv-mrlikelydead",
-        ] {
-            parse_mode(m).unwrap();
+        for &(names, mode) in MODES {
+            for name in names.split('|') {
+                assert_eq!(lookup_mode(name), Ok(mode));
+                assert_eq!(lookup_mode(&name.to_ascii_uppercase()), Ok(mode));
+            }
+        }
+        assert_eq!(listed(MODES).len(), 14);
+    }
+
+    #[test]
+    fn every_listed_policy_and_l2_size_parses() {
+        for (name, policy) in policy_names().iter().zip(POLICIES) {
+            assert_eq!(lookup_policy(name), Ok(policy));
+        }
+        for &(names, size) in L2_SIZES {
+            for name in names.split('|') {
+                assert_eq!(lookup_l2(name), Ok(size));
+            }
+        }
+        assert_eq!(lookup_l2("1M"), Ok(L2Size::M1));
+        for fault in FaultInjection::all(1) {
+            let line = format!("campaign smoke --inject-fault 0:0:{}:1", fault.kind_str());
+            let o = parse_args(&args(&line)).unwrap();
+            assert_eq!(o.inject_fault, Some((0, 0, fault)));
+        }
+        for (flag, _, help, _) in FLAGS {
+            assert!(!fill_names(help).contains('{'), "{flag}: {help}");
         }
     }
 }

@@ -21,9 +21,11 @@
 //!   2D-mesh interconnect model.
 //! - [`char_engine`] — CHAR dead-block inference with the paper's
 //!   dynamic-threshold adaptation.
-//! - [`core`] — the cache hierarchy with all seven LLC modes
-//!   (inclusive, non-inclusive, QBS, SHARP, CHARonBase, and ZIV with
-//!   its five relocation-set properties).
+//! - [`core`] — the cache hierarchy with every LLC mode `zivsim list`
+//!   names: inclusive, non-inclusive, QBS, SHARP, CHARonBase, TLA's TLH
+//!   and ECI, RIC, way partitioning, and ZIV with its five
+//!   relocation-set properties — fourteen in all — plus the
+//!   query-depth-bounded QBS ablation (`LlcMode::QbsBounded`).
 //! - [`workloads`] — synthetic SPEC / PARSEC / TPC-E stand-ins.
 //! - [`sim`] — runs one cell: the trace driver, interval sampling,
 //!   reporting.

@@ -15,10 +15,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use ziv::common::digest::Fnv1a;
+use ziv::common::fsutil::write_file;
 use ziv::prelude::*;
 use ziv::sim::{
-    run_one_instrumented, write_blame_csv, write_heatmap_csv, write_latency_csv, write_leakage_csv,
-    write_perfetto_json, write_timeseries_csv, EventFilter, EventTraceConfig, Observations,
+    blame_to_csv, heatmap_to_csv, latency_to_csv, leakage_to_csv, perfetto_to_json,
+    run_one_instrumented, timeseries_to_csv, EventFilter, EventTraceConfig, Observations,
     ObserveConfig, ObservedCell, RunOptions,
 };
 use ziv::workloads::attack::{self, AttackRecipe};
@@ -133,12 +134,17 @@ fn export_digests(dir: &Path, config: &str, workload: &str, obs: &Observations) 
         observations: obs,
     }];
     let path = |name: &str| dir.join(name);
-    write_timeseries_csv(&path(FILES[0]), &cells).unwrap();
-    write_heatmap_csv(&path(FILES[1]), &cells).unwrap();
-    write_latency_csv(&path(FILES[2]), &cells).unwrap();
-    write_leakage_csv(&path(FILES[3]), &cells).unwrap();
-    write_blame_csv(&path(FILES[4]), &cells).unwrap();
-    write_perfetto_json(&path(FILES[5]), &cells, EventFilter::all()).unwrap();
+    let cells = &cells[..];
+    write_file(path(FILES[0]), "timeseries CSV", |w| {
+        timeseries_to_csv(cells, w)
+    })
+    .unwrap();
+    write_file(path(FILES[1]), "heatmap CSV", |w| heatmap_to_csv(cells, w)).unwrap();
+    write_file(path(FILES[2]), "latency CSV", |w| latency_to_csv(cells, w)).unwrap();
+    write_file(path(FILES[3]), "leakage CSV", |w| leakage_to_csv(cells, w)).unwrap();
+    write_file(path(FILES[4]), "blame CSV", |w| blame_to_csv(cells, w)).unwrap();
+    let trace = perfetto_to_json(cells, EventFilter::all());
+    write_file(path(FILES[5]), "perfetto trace", |w| writeln!(w, "{trace}")).unwrap();
     FILES.map(|name| digest_file(&path(name)))
 }
 

@@ -298,6 +298,18 @@ fn cli_exit_code_2_for_usage_errors() {
         vec!["run", "--workload", "homo:nope"],
         vec!["run", "--workload", "bogus"],
         vec!["attack", "nope"],
+        // Values a run cannot honour: more cores than the system has,
+        // too few for an attacker and a victim, nothing to simulate, or
+        // a sampled run told not to sample.
+        vec!["run", "--cores", "9"],
+        vec!["sample", "--cores", "9"],
+        vec!["compare", "--cores", "9"],
+        vec!["campaign", "smoke", "--cores", "9"],
+        vec!["attack", "--cores", "1"],
+        vec!["run", "--cores", "0"],
+        vec!["run", "--accesses", "0"],
+        vec!["campaign", "smoke", "--cores", "0"],
+        vec!["sample", "--sampling", "off"],
     ] {
         let out = zivsim(&bad);
         assert_eq!(
@@ -351,6 +363,51 @@ fn cli_export_reports_a_failed_write() {
         stderr.contains("/dev/full"),
         "the error names the path: {stderr}"
     );
+}
+
+/// A trace file wider than the system is an error naming the file, not
+/// a panic.
+#[test]
+fn cli_run_rejects_a_trace_wider_than_the_system() {
+    use ziv::prelude::*;
+    let dir = temp_dir("cli-wide-trace");
+    let path = dir.join("nine-cores.trace");
+    let scale = ScaleParams::from_system(&SystemConfig::scaled());
+    let wide = mixes::heterogeneous(0, 9, 20, 1, scale);
+    ziv::workloads::trace_io::write_trace_file(&path, &wide).unwrap();
+    let out = zivsim(&["run", "--workload", &format!("file:{}", path.display())]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("nine-cores.trace") && !stderr.contains("panic"),
+        "the error names the file: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `export` creates the trace file's missing parent directories, like
+/// every `--out`.
+#[test]
+fn cli_export_creates_parent_dirs() {
+    let dir = temp_dir("cli-export-parents");
+    std::fs::remove_dir_all(&dir).ok();
+    let path = dir.join("new/sub/x.trace");
+    let out = zivsim(&[
+        "export",
+        path.to_str().unwrap(),
+        "--accesses",
+        "20",
+        "--cores",
+        "2",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(std::fs::metadata(&path).unwrap().len() > 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An exported trace runs exactly like the workload it was made from.
