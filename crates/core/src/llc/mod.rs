@@ -285,11 +285,6 @@ pub struct SharedLlc {
     /// Number of way partitions for [`LlcMode::WayPartitioned`]
     /// (normally the core count, capped at the associativity).
     partitions: usize,
-    /// Reusable victim-order buffer for the per-fill `rank()` queries
-    /// (QBS/SHARP/ECI/CHARonBase/WayPartitioned). Taken with
-    /// `std::mem::take` for the duration of a query and put back, so the
-    /// steady-state fill path performs no heap allocation (DESIGN.md §8).
-    rank_scratch: Vec<WayIdx>,
 }
 
 impl SharedLlc {
@@ -316,7 +311,6 @@ impl SharedLlc {
             banks,
             rng: SimRng::seed_from_u64(seed ^ 0x51ac_c0de),
             partitions: 1,
-            rank_scratch: Vec::new(),
         }
     }
 
@@ -464,20 +458,15 @@ impl SharedLlc {
                 self.banks[bank_id.index()].policy.victim(set, ctx)
             }
             LlcMode::Eci => {
-                // Victimize normally, but also surface the next-ranked
-                // candidate for early core invalidation.
-                let mut order = std::mem::take(&mut self.rank_scratch);
-                self.banks[bank_id.index()]
-                    .policy
-                    .rank(set, ctx, &mut order);
-                if let Some(&next) = order.get(1) {
-                    if self.banks[bank_id.index()].array.is_valid(set, next) {
-                        outcome.eci_candidate =
-                            Some(self.banks[bank_id.index()].array.state(set, next).line);
+                // Victimize normally, but also surface the next candidate
+                // for early core invalidation.
+                let b = &self.banks[bank_id.index()];
+                let victim = b.policy.victim(set, ctx);
+                if let Some(next) = b.policy.victim_where(set, ctx, &mut |w| w != victim) {
+                    if b.array.is_valid(set, next) {
+                        outcome.eci_candidate = Some(b.array.state(set, next).line);
                     }
                 }
-                let victim = order[0];
-                self.rank_scratch = order;
                 victim
             }
             LlcMode::WayPartitioned => {
@@ -534,12 +523,12 @@ impl SharedLlc {
         self.banks[bank.index()].array.state(set, way).line
     }
 
-    /// Way-partitioned victim selection: the first way in policy rank
-    /// order that belongs to the requesting core's partition. Partitions
-    /// are contiguous, `ways / cores_sharing` wide (at least one way),
+    /// Way-partitioned victim selection: the policy's victim among the
+    /// ways of the requesting core's partition. Partitions are
+    /// contiguous, `ways / cores_sharing` wide (at least one way),
     /// assigned by core index modulo the partition count.
     fn choose_partitioned(
-        &mut self,
+        &self,
         bank: BankId,
         set: SetIdx,
         ctx: &AccessCtx,
@@ -553,15 +542,10 @@ impl SharedLlc {
         let my_part = core.index() % parts;
         let lo = (my_part * width) as WayIdx;
         let hi = lo + width as WayIdx;
-        let mut order = std::mem::take(&mut self.rank_scratch);
-        self.banks[bank.index()].policy.rank(set, ctx, &mut order);
-        let chosen = order
-            .iter()
-            .copied()
-            .find(|&w| w >= lo && w < hi)
-            .expect("every partition has at least one way");
-        self.rank_scratch = order;
-        chosen
+        self.banks[bank.index()]
+            .policy
+            .victim_where(set, ctx, &mut |w| (lo..hi).contains(&w))
+            .expect("every partition has at least one way")
     }
 
     fn choose_qbs(
@@ -573,31 +557,32 @@ impl SharedLlc {
         max_queries: u8,
         outcome: &mut FillOutcome,
     ) -> WayIdx {
-        let mut order = std::mem::take(&mut self.rank_scratch);
-        self.banks[bank.index()].policy.rank(set, ctx, &mut order);
-        order.truncate(max_queries.max(1) as usize);
-        let fallback = order[0];
-        let mut chosen = None;
-        for &w in &order {
-            let line = self.line_at(bank, set, w);
+        // QBS visits the candidates in the order they had before its
+        // first protect, so each scan skips the ways already visited: a
+        // protect can tie the protected way with unvisited RRPV-0 ways, and
+        // an NRU protect can clear the other ways' reference bits.
+        let mut visited = [false; 1 + WayIdx::MAX as usize];
+        let mut fallback = None;
+        for _ in 0..max_queries.clamp(1, self.cfg.bank_geometry.ways) {
+            let w = self.banks[bank.index()]
+                .policy
+                .victim_where(set, ctx, &mut |w| !visited[w as usize])
+                .expect("QBS queries at most every way once");
+            fallback.get_or_insert(w);
             outcome.qbs_queries += 1;
-            if !dir.is_privately_cached(line) {
-                chosen = Some(w);
-                break;
+            if !dir.is_privately_cached(self.line_at(bank, set, w)) {
+                outcome.victim_reason = VictimReason::QbsClean;
+                return w;
             }
             // "The block is moved to the MRU position within the target
             // LLC set and the next victim candidate is considered."
             self.banks[bank.index()].policy.protect(set, w);
+            visited[w as usize] = true;
         }
-        self.rank_scratch = order;
         // Every block is privately cached: QBS gives up and victimizes
         // the baseline victim, generating inclusion victims.
-        outcome.victim_reason = if chosen.is_some() {
-            VictimReason::QbsClean
-        } else {
-            VictimReason::QbsFallback
-        };
-        chosen.unwrap_or(fallback)
+        outcome.victim_reason = VictimReason::QbsFallback;
+        fallback.expect("QBS makes at least one query")
     }
 
     fn choose_sharp(
@@ -609,25 +594,19 @@ impl SharedLlc {
         core: ziv_common::CoreId,
         outcome: &mut FillOutcome,
     ) -> WayIdx {
-        let mut order = std::mem::take(&mut self.rank_scratch);
-        self.banks[bank.index()].policy.rank(set, ctx, &mut order);
+        let policy = &self.banks[bank.index()].policy;
+        let line = |w| self.line_at(bank, set, w);
         // Step 1: a block not resident in any private cache.
-        let mut chosen = order
-            .iter()
-            .copied()
-            .find(|&w| !dir.is_privately_cached(self.line_at(bank, set, w)));
-        outcome.victim_reason = VictimReason::SharpUnshared;
-        // Step 2: a block resident only in the requesting core's caches.
-        if chosen.is_none() {
-            chosen = order.iter().copied().find(|&w| {
-                let line = self.line_at(bank, set, w);
-                dir.probe(line)
-                    .is_some_and(|s| s.sharers.is_sole_sharer(core))
-            });
-            outcome.victim_reason = VictimReason::SharpSelf;
+        if let Some(w) = policy.victim_where(set, ctx, &mut |w| !dir.is_privately_cached(line(w))) {
+            outcome.victim_reason = VictimReason::SharpUnshared;
+            return w;
         }
-        self.rank_scratch = order;
-        if let Some(w) = chosen {
+        // Step 2: a block resident only in the requesting core's caches.
+        if let Some(w) = policy.victim_where(set, ctx, &mut |w| {
+            dir.probe(line(w))
+                .is_some_and(|s| s.sharers.is_sole_sharer(core))
+        }) {
+            outcome.victim_reason = VictimReason::SharpSelf;
             return w;
         }
         // Step 3: a random block; raise the alarm counter.
@@ -638,30 +617,28 @@ impl SharedLlc {
     }
 
     fn choose_char_on_base(
-        &mut self,
+        &self,
         bank: BankId,
         set: SetIdx,
         ctx: &AccessCtx,
         dir: &SparseDirectory,
         outcome: &mut FillOutcome,
     ) -> WayIdx {
-        let baseline = self.banks[bank.index()].policy.victim(set, ctx);
+        let b = &self.banks[bank.index()];
+        let baseline = b.policy.victim(set, ctx);
         if !dir.is_privately_cached(self.line_at(bank, set, baseline)) {
             return baseline;
         }
-        // Baseline victim is privately cached: prefer a LikelyDead block
-        // (closest to eviction in rank order) from the same set.
-        let mut order = std::mem::take(&mut self.rank_scratch);
-        self.banks[bank.index()].policy.rank(set, ctx, &mut order);
-        let chosen = order.iter().copied().find(|&w| {
-            let st = self.banks[bank.index()].array.state(set, w);
+        // Baseline victim is privately cached: prefer the policy's most
+        // evictable LikelyDead block from the same set.
+        let dead = b.policy.victim_where(set, ctx, &mut |w| {
+            let st = b.array.state(set, w);
             !st.relocated && st.likely_dead && st.not_in_prc
         });
-        self.rank_scratch = order;
-        if chosen.is_some() {
+        if dead.is_some() {
             outcome.victim_reason = VictimReason::CharLikelyDead;
         }
-        chosen.unwrap_or(baseline)
+        dead.unwrap_or(baseline)
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -16,10 +16,6 @@ pub struct DirectorySlice {
     /// Right-shift applied to line addresses before set indexing (the
     /// bank-interleaving bits, which are constant within a slice).
     bank_shift: u32,
-    /// Reusable NRU victim-order buffer for [`DirectorySlice::allocate`]
-    /// (directory allocations happen on every private fill of an
-    /// untracked line, so this is per-access state).
-    rank_buf: Vec<WayIdx>,
 }
 
 /// Neutral context for the NRU hooks (NRU ignores everything but the
@@ -36,7 +32,6 @@ impl DirectorySlice {
             array: SetAssocArray::new(geom),
             nru: Nru::new(geom),
             bank_shift,
-            rank_buf: Vec::new(),
         }
     }
 
@@ -143,17 +138,11 @@ impl DirectorySlice {
             self.nru.on_fill(set, way, &nru_ctx());
             return (set, way, None);
         }
-        // Evict an NRU victim, skipping busy entries. The victim-order
-        // buffer is slice-owned scratch: allocations happen on every
-        // private fill of an untracked line, so no per-call `Vec`.
-        let mut order = std::mem::take(&mut self.rank_buf);
-        self.nru.rank(set, &nru_ctx(), &mut order);
-        let victim = order
-            .iter()
-            .copied()
-            .find(|&w| !self.array.state(set, w).busy)
+        // Evict the NRU victim among the entries that are not busy.
+        let victim = self
+            .nru
+            .victim_where(set, &nru_ctx(), &mut |w| !self.array.state(set, w).busy)
             .expect("all directory ways busy");
-        self.rank_buf = order;
         let evicted_line = self.line_at(set, victim, bank_index);
         let (_, old_state) = self
             .array

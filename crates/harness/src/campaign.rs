@@ -456,7 +456,13 @@ pub mod campaigns {
             LlcMode::Ziv(MaxRrpvNotInPrC),
             LlcMode::Ziv(MaxRrpvLikelyDead),
         ];
-        let mut specs = Vec::new();
+        // The normalization baseline is I-LRU 256KB (spec 0), as in every
+        // paper figure.
+        let mut specs = vec![figure_spec(
+            LlcMode::Inclusive,
+            PolicyKind::Lru,
+            L2Size::K256,
+        )];
         for l2 in L2Size::TABLE1 {
             for mode in modes {
                 specs.push(figure_spec(mode, PolicyKind::Hawkeye, l2));
@@ -485,6 +491,12 @@ mod tests {
             assert!(c.total_cells() > 0, "{name} is empty");
             assert!(c.baseline_spec < c.specs.len());
             assert_eq!(c.cells().len(), c.total_cells());
+            if name.starts_with("fig") {
+                assert_eq!(
+                    c.specs[c.baseline_spec].label, "I-LRU 256KB",
+                    "{name} normalises to the paper's baseline"
+                );
+            }
         }
         assert!(campaigns::by_name("nope", &params).is_none());
     }
@@ -499,8 +511,9 @@ mod tests {
         assert_eq!(fig08.specs.len(), 21); // 7 modes × 3 L2 sizes
         assert_eq!(fig08.specs[0].label, "I-LRU 256KB");
         let fig11 = campaigns::by_name("fig11-hawkeye-perf", &params).unwrap();
-        assert_eq!(fig11.specs.len(), 18); // 6 modes × 3 L2 sizes
-                                           // Same recipes in fig02 and fig08: shared cells share the cache.
+        // The I-LRU 256KB baseline, then 6 modes × 3 L2 sizes.
+        assert_eq!(fig11.specs.len(), 19);
+        // Same recipes in fig02 and fig08: shared cells share the cache.
         assert_eq!(fig02.recipes, fig08.recipes);
         assert_eq!(fig02.cell_digest(0, 0), fig08.cell_digest(0, 0));
     }

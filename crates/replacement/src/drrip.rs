@@ -97,25 +97,14 @@ impl ReplacementPolicy for Drrip {
         self.rrpvs[i] = RRPV_MAX - 1;
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        let mut best: WayIdx = 0;
-        let mut best_r = 0u8;
-        for w in 0..self.ways {
-            let r = self.rrpvs[base + w];
-            if w == 0 || r > best_r {
-                best_r = r;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        out.sort_by(|&a, &b| self.rrpvs[base + b as usize].cmp(&self.rrpvs[base + a as usize]));
+    /// The RRPV.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        u64::from(self.rrpvs[self.idx(set, way)])
     }
 
     fn rrpv(&self, set: SetIdx, way: WayIdx) -> Option<u8> {

@@ -230,31 +230,15 @@ impl ReplacementPolicy for Hawkeye {
         };
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        // Prefer a cache-averse block (RRPV 7); otherwise the oldest
-        // (highest-RRPV) friendly block.
-        let mut best: WayIdx = 0;
-        let mut best_r = 0u8;
-        for w in 0..self.ways {
-            let r = self.state[base + w].rrpv;
-            if w == 0 || r > best_r {
-                best_r = r;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        out.sort_by(|&a, &b| {
-            self.state[base + b as usize]
-                .rrpv
-                .cmp(&self.state[base + a as usize].rrpv)
-        });
+    /// The RRPV: a cache-averse block (RRPV 7) goes first, otherwise the
+    /// oldest (highest-RRPV) friendly block.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        u64::from(self.state[self.idx(set, way)].rrpv)
     }
 
     fn rrpv(&self, set: SetIdx, way: WayIdx) -> Option<u8> {

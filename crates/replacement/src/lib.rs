@@ -9,12 +9,16 @@
 //! the Hawkeye-side ZIV properties. All of these are implemented here
 //! behind one [`ReplacementPolicy`] trait.
 //!
-//! The trait's [`rank`](ReplacementPolicy::rank) hook — an evict-first
-//! ordering of a set's ways — is what makes every proposal in the paper
-//! composable with every baseline policy: QBS walks candidates in rank
-//! order, SHARP's steps search in rank order, and the ZIV relocation-set
-//! replacement picks "the NotInPrC block closest to the LRU position" or
-//! "with as high an RRPV as possible" by scanning the same ordering.
+//! Each policy gives one per-way
+//! [`eviction_key`](ReplacementPolicy::eviction_key): the way with the
+//! highest key is evicted, and ties go to the lower way. That key is what
+//! makes every proposal in the paper composable with every baseline
+//! policy. Each proposal's victim is the policy's most evictable block
+//! that passes the proposal's test, found by one filtered scan
+//! ([`victim_where`](ReplacementPolicy::victim_where)): QBS's candidates
+//! without private copies, SHARP's steps, and the ZIV relocation-set
+//! replacement's "NotInPrC block closest to the LRU position" or "with as
+//! high an RRPV as possible".
 //!
 //! # Examples
 //!
@@ -81,15 +85,44 @@ pub trait ReplacementPolicy: std::fmt::Debug {
         self.on_fill(set, way, ctx);
     }
 
-    /// The way the policy would evict from `set`, assuming all ways are
-    /// valid. (Invalid-way preference is handled by the cache controller,
-    /// which is also where the paper puts it: the `Invalid` property has
-    /// top priority.)
-    fn victim(&self, set: SetIdx, ctx: &AccessCtx) -> WayIdx;
+    /// The associativity of the sets the policy manages.
+    fn ways(&self) -> WayIdx;
+
+    /// How evictable `(set, way)` is, assuming every way is valid: the
+    /// way with the highest key is evicted, and ties go to the lower way
+    /// (e.g. the oldest stamp, or the highest RRPV). Invalid-way
+    /// preference is handled by the cache controller, which is also where
+    /// the paper puts it: the `Invalid` property has top priority.
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, ctx: &AccessCtx) -> u64;
+
+    /// The way the policy would evict from `set`: the first way with the
+    /// highest [`eviction_key`](ReplacementPolicy::eviction_key).
+    fn victim(&self, set: SetIdx, ctx: &AccessCtx) -> WayIdx {
+        first_max(self.ways(), |w| self.eviction_key(set, w, ctx), |_| true)
+            .expect("a set has at least one way")
+    }
+
+    /// The way the policy would evict from `set` among the ways `admit`
+    /// accepts, or `None` if it accepts none. `admit` is asked only about
+    /// a way whose key beats every accepted way before it, so it must not
+    /// have side effects.
+    fn victim_where(
+        &self,
+        set: SetIdx,
+        ctx: &AccessCtx,
+        admit: &mut dyn FnMut(WayIdx) -> bool,
+    ) -> Option<WayIdx> {
+        first_max(self.ways(), |w| self.eviction_key(set, w, ctx), admit)
+    }
 
     /// Writes the ways of `set` into `out` ordered evict-first →
-    /// evict-last (e.g. LRU→MRU, or RRPV descending).
-    fn rank(&self, set: SetIdx, ctx: &AccessCtx, out: &mut Vec<WayIdx>);
+    /// evict-last: a stable sort by key, highest first. The reference the
+    /// scans are tested against; no access path calls it.
+    fn rank(&self, set: SetIdx, ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
+        out.clear();
+        out.extend(0..self.ways());
+        out.sort_by_key(|&w| std::cmp::Reverse(self.eviction_key(set, w, ctx)));
+    }
 
     /// The RRPV of `(set, way)` if this is an RRPV-graded policy
     /// (Section III-D5 keys the `MaxRRPVNotInPrC` property off this).
@@ -103,6 +136,27 @@ pub trait ReplacementPolicy: std::fmt::Debug {
 
     /// Human-readable policy name.
     fn name(&self) -> &'static str;
+}
+
+/// The first way below `ways` with the highest `key` among those `admit`
+/// accepts: the one scan behind [`ReplacementPolicy::victim`] and
+/// [`ReplacementPolicy::victim_where`].
+#[inline(always)]
+fn first_max(
+    ways: WayIdx,
+    key: impl Fn(WayIdx) -> u64,
+    mut admit: impl FnMut(WayIdx) -> bool,
+) -> Option<WayIdx> {
+    let mut best = None;
+    let mut best_key = 0;
+    for way in 0..ways {
+        let k = key(way);
+        if (best.is_none() || k > best_key) && admit(way) {
+            best = Some(way);
+            best_key = k;
+        }
+    }
+    best
 }
 
 /// Asserts the basic contract every policy must satisfy; shared by the

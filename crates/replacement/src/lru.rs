@@ -54,25 +54,14 @@ impl ReplacementPolicy for Lru {
         self.stamps[set as usize * self.ways + way as usize] = 0;
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        let mut best: WayIdx = 0;
-        let mut best_stamp = u64::MAX;
-        for w in 0..self.ways {
-            let s = self.stamps[base + w];
-            if s < best_stamp {
-                best_stamp = s;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        out.sort_by_key(|&w| self.stamps[base + w as usize]);
+    /// The older the stamp, the higher the key.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        !self.stamp(set, way)
     }
 
     fn protect(&mut self, set: SetIdx, way: WayIdx) {

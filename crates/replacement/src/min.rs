@@ -67,29 +67,13 @@ impl ReplacementPolicy for MinOracle {
         self.lines[i] = Some(ctx.line);
     }
 
-    fn victim(&self, set: SetIdx, ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        let mut best: WayIdx = 0;
-        let mut best_key = 0u64;
-        for w in 0..self.ways {
-            let key = self.next_use_key(self.lines[base + w], ctx.seq);
-            if w == 0 || key > best_key {
-                best_key = key;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        out.sort_by(|&a, &b| {
-            let ka = self.next_use_key(self.lines[base + a as usize], ctx.seq);
-            let kb = self.next_use_key(self.lines[base + b as usize], ctx.seq);
-            kb.cmp(&ka)
-        });
+    /// The distance to the next use in the global stream.
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, ctx: &AccessCtx) -> u64 {
+        self.next_use_key(self.lines[self.idx(set, way)], ctx.seq)
     }
 
     fn protect(&mut self, _set: SetIdx, _way: WayIdx) {

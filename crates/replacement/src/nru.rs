@@ -52,24 +52,14 @@ impl ReplacementPolicy for Nru {
         self.ref_bits[set as usize * self.ways + way as usize] = false;
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        for w in 0..self.ways {
-            if !self.ref_bits[base + w] {
-                return w as WayIdx;
-            }
-        }
-        // touch() guarantees at least one clear bit, but a freshly
-        // constructed policy whose bits were set externally could reach
-        // here; fall back to way 0.
-        0
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend((0..self.ways as WayIdx).filter(|&w| !self.ref_bits[base + w as usize]));
-        out.extend((0..self.ways as WayIdx).filter(|&w| self.ref_bits[base + w as usize]));
+    /// A clear reference bit is higher than a set one.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        u64::from(!self.referenced(set, way))
     }
 
     fn protect(&mut self, set: SetIdx, way: WayIdx) {

@@ -119,29 +119,14 @@ impl ReplacementPolicy for Ship {
         };
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        let base = set as usize * self.ways;
-        let mut best: WayIdx = 0;
-        let mut best_r = 0u8;
-        for w in 0..self.ways {
-            let r = self.meta[base + w].rrpv;
-            if w == 0 || r > best_r {
-                best_r = r;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        out.sort_by(|&a, &b| {
-            self.meta[base + b as usize]
-                .rrpv
-                .cmp(&self.meta[base + a as usize].rrpv)
-        });
+    /// The RRPV.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        u64::from(self.meta[self.idx(set, way)].rrpv)
     }
 
     fn rrpv(&self, set: SetIdx, way: WayIdx) -> Option<u8> {

@@ -29,22 +29,6 @@ impl Srrip {
     fn idx(&self, set: SetIdx, way: WayIdx) -> usize {
         set as usize * self.ways + way as usize
     }
-
-    /// Ages the set so that at least one way reaches `RRPV_MAX`.
-    fn age_until_max(&mut self, set: SetIdx) {
-        let base = set as usize * self.ways;
-        loop {
-            if self.rrpvs[base..base + self.ways]
-                .iter()
-                .any(|&r| r >= RRPV_MAX)
-            {
-                return;
-            }
-            for r in &mut self.rrpvs[base..base + self.ways] {
-                *r += 1;
-            }
-        }
-    }
 }
 
 impl ReplacementPolicy for Srrip {
@@ -63,28 +47,14 @@ impl ReplacementPolicy for Srrip {
         self.rrpvs[i] = RRPV_MAX;
     }
 
-    fn victim(&self, set: SetIdx, _ctx: &AccessCtx) -> WayIdx {
-        // Without mutating (victim is a pure query), report the way that
-        // aging would select: the highest RRPV, lowest way index first.
-        let base = set as usize * self.ways;
-        let mut best: WayIdx = 0;
-        let mut best_r = 0u8;
-        for w in 0..self.ways {
-            let r = self.rrpvs[base + w];
-            if w == 0 || r > best_r {
-                best_r = r;
-                best = w as WayIdx;
-            }
-        }
-        best
+    fn ways(&self) -> WayIdx {
+        self.ways as WayIdx
     }
 
-    fn rank(&self, set: SetIdx, _ctx: &AccessCtx, out: &mut Vec<WayIdx>) {
-        let base = set as usize * self.ways;
-        out.clear();
-        out.extend(0..self.ways as WayIdx);
-        // RRPV descending; stable on way index for determinism.
-        out.sort_by(|&a, &b| self.rrpvs[base + b as usize].cmp(&self.rrpvs[base + a as usize]));
+    /// The RRPV.
+    #[inline]
+    fn eviction_key(&self, set: SetIdx, way: WayIdx, _ctx: &AccessCtx) -> u64 {
+        u64::from(self.rrpvs[self.idx(set, way)])
     }
 
     fn rrpv(&self, set: SetIdx, way: WayIdx) -> Option<u8> {
@@ -98,16 +68,6 @@ impl ReplacementPolicy for Srrip {
 
     fn name(&self) -> &'static str {
         "SRRIP"
-    }
-}
-
-impl Srrip {
-    /// Performs the aging step a real SRRIP victim selection would do;
-    /// the cache controller calls this after consuming
-    /// [`ReplacementPolicy::victim`] on a miss so subsequent queries see
-    /// aged state.
-    pub fn age_for_replacement(&mut self, set: SetIdx) {
-        self.age_until_max(set);
     }
 }
 
@@ -150,16 +110,6 @@ mod tests {
         p.on_hit(0, 2, &ctx());
         // ways 1 and 3 at RRPV_MAX-1; lowest index wins.
         assert_eq!(p.victim(0, &ctx()), 1);
-    }
-
-    #[test]
-    fn aging_reaches_max() {
-        let mut p = Srrip::new(CacheGeometry::new(1, 2));
-        p.on_hit(0, 0, &ctx());
-        p.on_hit(0, 1, &ctx());
-        p.age_for_replacement(0);
-        assert_eq!(p.rrpv(0, 0), Some(RRPV_MAX));
-        assert_eq!(p.rrpv(0, 1), Some(RRPV_MAX));
     }
 
     #[test]

@@ -37,33 +37,30 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo test (release, debug assertions on)"
 # The figure campaigns run in release; keep the invariant-heavy paths
 # (auditor, ZIV guarantee fallback checks) exercised with
-# debug_assert!s compiled in at release optimization levels.
+# debug_assert!s compiled in at release optimization levels. This runs
+# every integration test once, among them:
+# - hotpath_determinism: every LLC mode twice under the every-access
+#   auditor, byte-identical campaign ledgers, and the pinned
+#   (mode, policy) result digests, with the fused-probe debug_assert!s
+#   compiled in;
+# - latency_attribution: the observatory's books balance exactly:
+#   per-component cycles sum to the aggregate access_latency_cycles for
+#   every LLC mode under the every-access auditor, and ZIV modes report
+#   exactly zero inclusion-victim refetch cycles;
+# - forensics: the blame matrix accounts for every inclusion victim
+#   exactly, its refetch cycles agree with the latency observatory, ZIV
+#   modes record zero chains, and the blame.csv / trace.json exports are
+#   byte-identical across thread counts;
+# - tear_out_properties: the tear-out path under seeded interleavings:
+#   the sharer fan-out edge cases, plus blame = inclusion_victims =
+#   leakage back-invalidations and forensics refetch cycles = latency
+#   refetch cycles in every back-invalidating mode (the failing seed is
+#   printed on failure);
+# - attack_leakage: the ZIV-zero-leakage gate: the observatory's books
+#   conserve against Metrics::inclusion_victims, the inclusive baseline
+#   leaks, every ZIV mode is exactly silent, and the attack-eval exports
+#   are byte-identical across thread counts.
 RUSTFLAGS="-C debug-assertions" cargo test --workspace -q --release
-
-echo "== hot-path determinism differential (release, debug assertions on)"
-# Explicit run of the hot-path differential: every LLC mode twice under
-# the every-access auditor plus byte-identical campaign ledgers, with
-# the fused-probe/scratch-buffer debug_assert!s compiled in.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test hotpath_determinism
-
-echo "== latency-attribution conservation (release, debug assertions on)"
-# The observatory's books must balance exactly: per-component cycles
-# sum to the aggregate access_latency_cycles for every LLC mode under
-# the every-access auditor, and ZIV modes report exactly zero
-# inclusion-victim refetch cycles.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test latency_attribution
-
-echo "== causal-forensics conservation (release, debug assertions on)"
-# The blame matrix must account for every inclusion victim exactly,
-# its refetch cycles must agree with the latency observatory, ZIV
-# modes must record zero chains, and the blame.csv / trace.json
-# exports must be byte-identical across thread counts.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test forensics
-# The tear-out path under seeded interleavings: the sharer fan-out edge
-# cases, plus blame = inclusion_victims = leakage back-invalidations
-# and forensics refetch cycles = latency refetch cycles in every
-# back-invalidating mode (the failing seed is printed on failure).
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test tear_out_properties
 
 echo "== audit-enabled smoke campaign"
 # End-to-end through the release binary: every cell of the smallest
@@ -291,13 +288,6 @@ grep -q '"type":"progress"' "$TELEM_DIR/progress.jsonl"
 diff "$SAMP_PLAIN/ledger.jsonl" "$TELEM_DIR/results/ledger.jsonl"
 diff "$SAMP_PLAIN/grid.csv"     "$TELEM_DIR/results/grid.csv"
 diff "$SAMP_PLAIN/summary.csv"  "$TELEM_DIR/results/summary.csv"
-
-echo "== attack-leakage invariant tests (release, debug assertions on)"
-# Explicit run of the ZIV-zero-leakage gate: the observatory's books
-# conserve against Metrics::inclusion_victims, the inclusive baseline
-# leaks, every ZIV mode is exactly silent, and the attack-eval exports
-# are byte-identical across thread counts.
-RUSTFLAGS="-C debug-assertions" cargo test -q --release --test attack_leakage
 
 echo "== chaos-soak drill (supervision gate: every injected fault isolated)"
 # The supervised-execution acceptance drill through the release binary:

@@ -164,7 +164,7 @@ const FLAGS: &[Flag] = &[
     ("--audit", "<cadence>", "invariant audit: off|sampled|sampled:N|every-access (default off)",
      |o, v| AuditCadence::parse(v.text).map(|a| o.audit = a)),
     ("--cell-budget", "<cycles>", "per-core watchdog budget (default derived from the workload)",
-     |o, v| v.number().map(|n| o.cell_budget = Some(n))),
+     |o, v| v.positive().map(|n| o.cell_budget = Some(n))),
     ("--results-dir", "<dir>", "results directory (default results/<campaign or command>)",
      |o, v| { o.results_dir = Some(v.text.into()); Ok(()) }),
     ("--resume", "", "reuse the ledger: skip completed cells", |o, _| { o.resume = true; Ok(()) }),

@@ -1,10 +1,11 @@
 //! Seeded checks of the contracts the access path's bookkeeping walks
 //! rest on (DESIGN.md §8). Every failure message names its seed.
 //!
-//! 1. `ReplacementPolicy::victim` is the first way of `rank` for every
-//!    set after every kind of policy update, for every policy the LLC can
-//!    run — `LlcBank::refresh_set` reads the LRU-position block from
-//!    `victim` instead of sorting the set with `rank`.
+//! 1. `ReplacementPolicy::victim` is the first way of `rank`, and
+//!    `victim_where` the first way of `rank` its predicate accepts, for
+//!    every set after every kind of policy update, for every policy the
+//!    LLC can run — every victim chooser scans with them, and no access
+//!    path sorts a set with `rank`.
 //! 2. `SharerSet::iter` yields exactly the cores in the set, ascending,
 //!    as many as `count()` — every coherence fan-out walks it.
 
@@ -86,7 +87,16 @@ fn victim_is_the_first_ranked_way_after_every_update() {
     let neutral = AccessCtx::demand(LineAddr::new(0), 0, CoreId::new(0), 0, u64::MAX);
     let mut order = Vec::new();
     for seed in 0..24u64 {
-        let ops = ops(&mut SimRng::seed_from_u64(seed), 300);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let ops = ops(&mut rng, 300);
+        // Way masks for `victim_where`: none, one way, and two random sets
+        // of ways.
+        let masks = [
+            0,
+            1 << rng.below(u64::from(WAYS)),
+            rng.below(1 << WAYS),
+            rng.below(1 << WAYS),
+        ];
         for mut policy in policies(seed, &ops) {
             let name = policy.name();
             for (step, op) in ops.iter().enumerate() {
@@ -115,6 +125,20 @@ fn victim_is_the_first_ranked_way_after_every_update() {
                             op.way,
                             ctx.seq
                         );
+                        for mask in masks {
+                            let admitted = |w: WayIdx| mask >> w & 1 == 1;
+                            assert_eq!(
+                                policy.victim_where(set, ctx, &mut |w| admitted(w)),
+                                order.iter().copied().find(|&w| admitted(w)),
+                                "seed {seed}, {name}, step {step} ({:?} of set {} way {}), \
+                                 set {set}, seq {}, mask {mask:#06x}: victim_where is not the \
+                                 first ranked way in the mask",
+                                op.update,
+                                op.set,
+                                op.way,
+                                ctx.seq
+                            );
+                        }
                     }
                 }
             }

@@ -310,6 +310,17 @@ fn cli_exit_code_2_for_usage_errors() {
         vec!["run", "--accesses", "0"],
         vec!["campaign", "smoke", "--cores", "0"],
         vec!["sample", "--sampling", "off"],
+        // A watchdog budget no cell can meet.
+        vec!["campaign", "smoke", "--cores", "2", "--cell-budget", "0"],
+        vec![
+            "run",
+            "--cores",
+            "2",
+            "--accesses",
+            "400",
+            "--cell-budget",
+            "0",
+        ],
     ] {
         let out = zivsim(&bad);
         assert_eq!(
