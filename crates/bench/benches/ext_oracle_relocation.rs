@@ -2,7 +2,7 @@
 //! "the optimal relocation victim from among the LLC blocks that are
 //! not resident in the private caches". Pairing the ZIV design with the
 //! offline MIN oracle realizes exactly that: the relocation-set victim
-//! search walks MIN's rank order, so the first NotInPrC candidate is
+//! search scans MIN's eviction keys, so the NotInPrC block it picks is
 //! the not-privately-cached block with the furthest reuse.
 use std::time::Instant;
 use ziv_bench::{assert_ziv_guarantee, banner, footer, mp_suite, spec};
