@@ -39,11 +39,12 @@ fn describe(name: &str, cfg: &SystemConfig) {
 }
 
 fn main() {
-    ziv_bench::banner(
-        "Table I",
-        "baseline simulation environment",
-        "configuration only",
-    );
+    let heading = ziv_harness::Heading {
+        figure: "Table I",
+        title: "baseline simulation environment",
+        expectation: "configuration only",
+    };
+    print!("{heading}");
     for l2 in L2Size::TABLE1 {
         describe(
             &format!("paper scale, {} L2", l2.label()),

@@ -15,8 +15,15 @@
 //! The pieces:
 //!
 //! - [`Campaign`]: a named `(spec list × workload-recipe list)` grid,
-//!   reproducible from `(seed, effort, system config)`. Built-in
-//!   figure campaigns live in [`campaigns`].
+//!   reproducible from `(seed, effort, system config)`.
+//! - [`campaigns`]: the registry, one table of entries
+//!   ([`campaigns::ENTRIES`]). Each entry builds one campaign and lists
+//!   the [`View`]s it prints: one table each, under the [`Heading`] of
+//!   the paper figure, ablation or extension it reproduces. Figures
+//!   that read one grid are views of one entry (Figs 1, 3 and 4 are
+//!   `fig01-incl-vs-nonincl`). [`campaigns::Entry::report`] prints an
+//!   entry for both `zivsim campaign` and the `figures` bench, and
+//!   checks every cell against the exact-zero guarantees.
 //! - [`Ledger`]: the persistent cache — one JSON line per completed
 //!   cell in `<results-dir>/ledger.jsonl`, keyed by [`CellDigest`]
 //!   (a stable FNV-1a digest of the cell's semantic fields; see
@@ -40,7 +47,7 @@
 //!   lines for CI log scraping. Off by default and provably zero-cost
 //!   when off.
 //! - [`run_grid`]: a plain `spec × workload` grid through the same
-//!   pool, for the figure benches and `zivsim compare`.
+//!   pool, for `zivsim compare`.
 //! - [`FailureRecord`] / [`replay`]: the robustness layer — a failing
 //!   cell (invariant-audit violation, watchdog trip) is isolated,
 //!   recorded as a ledger error entry that `--resume` retries, and
@@ -79,6 +86,7 @@ mod runner;
 mod soak;
 mod supervise;
 mod telemetry;
+mod view;
 
 pub use bus::{BusOptions, CampaignBus, WorkerProbe};
 pub use campaign::{campaigns, Campaign, CampaignParams, CellDigest, CELL_SCHEMA_VERSION};
@@ -94,3 +102,4 @@ pub use supervise::{
     run_grid, NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};
+pub use view::{Heading, Metric, Table, View};

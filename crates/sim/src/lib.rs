@@ -57,6 +57,8 @@ pub use sampling::{
     IntervalEstimate, PairedSampleReport, SampledRun, SamplingPlan, SamplingProfile, StopReason,
 };
 pub use spec::{GridResult, RunSpec};
+// The types of `RunSpec`'s CHAR and directory fields.
+pub use ziv_char::CharConfig;
 pub use ziv_common::stats::{Confidence, ConfidenceInterval, RunningMoments};
 pub use ziv_core::observe::{
     EventFilter, EventKind, EventTraceConfig, Observations, ObserveConfig, ProbeSnapshot,
@@ -67,3 +69,4 @@ pub use ziv_core::{
     LatencyBreakdown, LatencyComponent, LatencyReport, LeakageReport, ProfileReport,
     ProfileSection, VictimReason,
 };
+pub use ziv_directory::DirectoryMode;

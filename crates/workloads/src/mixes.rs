@@ -40,18 +40,6 @@ pub fn homogeneous(
     }
 }
 
-/// All homogeneous mixes, one per application.
-pub fn all_homogeneous(
-    cores: usize,
-    accesses_per_core: usize,
-    seed: u64,
-    scale: ScaleParams,
-) -> Vec<Workload> {
-    APPS.iter()
-        .map(|&a| homogeneous(a, cores, accesses_per_core, seed, scale))
-        .collect()
-}
-
 /// A heterogeneous mix: `cores` applications drawn from a rotation that
 /// represents every application equally across consecutive mix indices
 /// (the paper's anti-bias rule).
@@ -91,40 +79,6 @@ pub fn heterogeneous(
         traces,
         attack: None,
     }
-}
-
-/// A batch of heterogeneous mixes.
-pub fn all_heterogeneous(
-    count: usize,
-    cores: usize,
-    accesses_per_core: usize,
-    seed: u64,
-    scale: ScaleParams,
-) -> Vec<Workload> {
-    (0..count)
-        .map(|i| heterogeneous(i, cores, accesses_per_core, seed, scale))
-        .collect()
-}
-
-/// The default experiment suite: all homogeneous mixes plus `hetero`
-/// heterogeneous mixes (the paper uses 36 + 36; we default smaller and
-/// scale with the harness's effort knobs).
-pub fn default_suite(
-    hetero: usize,
-    cores: usize,
-    accesses_per_core: usize,
-    seed: u64,
-    scale: ScaleParams,
-) -> Vec<Workload> {
-    let mut suite = all_homogeneous(cores, accesses_per_core, seed, scale);
-    suite.extend(all_heterogeneous(
-        hetero,
-        cores,
-        accesses_per_core,
-        seed,
-        scale,
-    ));
-    suite
 }
 
 #[cfg(test)]
@@ -196,7 +150,9 @@ mod tests {
     fn rotation_represents_every_app_equally() {
         // Over APPS.len() consecutive 8-core mixes, each app appears the
         // same number of times (8 * 12 / 12 = 8).
-        let mixes = all_heterogeneous(APPS.len(), 8, 10, 5, scale());
+        let mixes: Vec<Workload> = (0..APPS.len())
+            .map(|i| heterogeneous(i, 8, 10, 5, scale()))
+            .collect();
         let mut counts = std::collections::HashMap::new();
         for m in &mixes {
             for t in &m.traces {
@@ -205,11 +161,5 @@ mod tests {
         }
         assert_eq!(counts.len(), APPS.len());
         assert!(counts.values().all(|&c| c == 8), "{counts:?}");
-    }
-
-    #[test]
-    fn default_suite_combines_both() {
-        let suite = default_suite(4, 2, 50, 1, scale());
-        assert_eq!(suite.len(), APPS.len() + 4);
     }
 }

@@ -168,8 +168,9 @@ impl Recipe {
         }
     }
 
-    /// The standard suite of recipes mirroring [`mixes::default_suite`]:
-    /// every homogeneous mix plus `hetero` heterogeneous mixes.
+    /// The standard multiprogrammed suite: every homogeneous mix
+    /// ([`mixes::homogeneous`], one per application) plus `hetero`
+    /// heterogeneous mixes ([`mixes::heterogeneous`]).
     pub fn default_suite(
         hetero: usize,
         cores: usize,
@@ -371,11 +372,21 @@ mod tests {
 
     #[test]
     fn default_suite_mirrors_mixes() {
+        // Every homogeneous mix, one per application, then the
+        // heterogeneous mixes in index order.
         let rs = Recipe::default_suite(3, 2, 50, 9, scale());
-        let wls = mixes::default_suite(3, 2, 50, 9, scale());
+        let wls: Vec<Workload> = apps::APPS
+            .iter()
+            .map(|&a| mixes::homogeneous(a, 2, 50, 9, scale()))
+            .chain((0..3).map(|i| mixes::heterogeneous(i, 2, 50, 9, scale())))
+            .collect();
+        assert_eq!(rs.len(), apps::APPS.len() + 3);
         assert_eq!(rs.len(), wls.len());
         for (r, w) in rs.iter().zip(&wls) {
             assert_eq!(r.workload_name(), w.name);
+            for (a, b) in r.build().traces.iter().zip(&w.traces) {
+                assert_eq!(a.records, b.records);
+            }
         }
     }
 }

@@ -312,4 +312,24 @@ test "$SOAK_EXIT" -eq 3
 grep -q "every guarantee held" "$SOAK_DIR/soak.out"
 grep -q "torn tail detected = true" "$SOAK_DIR/soak.out"
 
+echo "== figures bench (guarantees + cached rerun byte-identity)"
+# The figure-regeneration bench target on one registry entry, twice.
+# The first run simulates every cell and fails on a broken exact-zero
+# guarantee; the rerun must serve every cell from the ledger and leave
+# ledger.jsonl and grid.csv byte-identical.
+FIG_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN" "$TELEM_DIR" "$SOAK_DIR" "$FIG_DIR"' EXIT
+FIG=fig18-reloc-intervals
+for pass in 1 2; do
+    ZIV_FAST=1 ZIV_RESULTS_DIR="$FIG_DIR/results" \
+        cargo bench -q -p ziv-bench --bench figures -- "$FIG" > "$FIG_DIR/$pass.out"
+    cp "$FIG_DIR/results/$FIG/ledger.jsonl" "$FIG_DIR/ledger.$pass"
+    cp "$FIG_DIR/results/$FIG/grid.csv" "$FIG_DIR/grid.$pass"
+done
+cat "$FIG_DIR/2.out"
+grep -q '^\[0 of [0-9]* cells from cache' "$FIG_DIR/1.out"
+grep -Eq '^\[([0-9]+) of \1 cells from cache' "$FIG_DIR/2.out"
+diff "$FIG_DIR/ledger.1" "$FIG_DIR/ledger.2"
+diff "$FIG_DIR/grid.1" "$FIG_DIR/grid.2"
+
 echo "CI OK"

@@ -616,7 +616,8 @@ impl Options {
 #[derive(Debug)]
 enum CliError {
     /// Exit 1 — a command-specific verdict (a replay that did not
-    /// reproduce, a failing single run).
+    /// reproduce, a failing single run, a campaign cell that broke an
+    /// exact-zero guarantee).
     Other(String),
     /// Exit 2 — a configuration or usage error: bad flag, unknown
     /// campaign/mode/workload name, malformed value.
@@ -771,8 +772,8 @@ fn cmd_list(_: &Options) -> Result<(), CliError> {
         MtApp::ALL.map(MtApp::name).join(" ")
     );
     println!("campaigns (zivsim campaign <name>):");
-    for (name, desc) in ziv::harness::campaigns::names() {
-        println!("  {name:<24} {desc}");
+    for entry in ziv::harness::campaigns::ENTRIES {
+        println!("  {:<24} {}", entry.name, entry.description);
     }
     Ok(())
 }
@@ -780,17 +781,18 @@ fn cmd_list(_: &Options) -> Result<(), CliError> {
 fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
     use ziv::harness::{campaigns, run_campaign, RunnerConfig, StderrProgress};
     let names = || {
-        let list: Vec<&str> = campaigns::names().iter().map(|(n, _)| *n).collect();
+        let list: Vec<&str> = campaigns::ENTRIES.iter().map(|e| e.name).collect();
         list.join(", ")
     };
     let name = opts
         .positional
         .as_deref()
         .ok_or_else(|| CliError::Usage(format!("campaign needs a name (one of: {})", names())))?;
-    let params = opts.campaign_params();
-    let mut campaign = campaigns::by_name(name, &params).ok_or_else(|| {
+    let entry = campaigns::entry(name).ok_or_else(|| {
         CliError::Usage(format!("unknown campaign '{name}' (one of: {})", names()))
     })?;
+    let params = opts.campaign_params();
+    let mut campaign = entry.build(&params);
     if let Some((spec_index, _workload_index, fault)) = opts.inject_fault {
         let spec = campaign.specs.get(spec_index).ok_or_else(|| {
             CliError::Usage(format!(
@@ -800,12 +802,13 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         campaign.specs[spec_index] = spec.clone().with_fault(fault);
     }
     let mut observe = opts.observe;
-    if name == "attack-eval" {
-        // The security campaign is pointless blind: always measure
-        // leakage. (Still never digested — cells stay byte-compatible
-        // with an observatory-off run.)
-        observe.leakage = true;
-    }
+    // An attack co-schedule is pointless blind: always measure leakage.
+    // (Still never digested — cells stay byte-compatible with an
+    // observatory-off run.)
+    observe.leakage |= campaign
+        .recipes
+        .iter()
+        .any(|r| matches!(r.kind, RecipeKind::Attack { .. }));
     let cfg = RunnerConfig {
         threads: opts.threads.unwrap_or(params.effort.threads),
         resume: opts.resume,
@@ -840,9 +843,9 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
     // ledger, CSV I/O) — cell failures never surface here.
     let outcome = run_campaign(&campaign, &cfg, &StderrProgress)
         .map_err(|e| CliError::Internal(e.to_string()))?;
-    let rows =
-        ziv::sim::speedup_summary(&outcome.grid, campaign.specs.len(), campaign.baseline_spec);
-    println!("{}", rows.to_table("speedup"));
+    let mut text = String::new();
+    let verdict = entry.report(&campaign, &outcome.grid, &mut text);
+    print!("{text}");
     let exports = [
         &outcome.timeseries_csv,
         &outcome.heatmap_csv,
@@ -861,6 +864,9 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
     println!("ledger {}", outcome.ledger_path.display());
     if !outcome.failures.is_empty() {
         print_failures("cell(s)", &outcome.failures);
+    }
+    verdict.map_err(CliError::Other)?;
+    if !outcome.failures.is_empty() {
         return Err(CliError::Cells(format!(
             "{} of {} cells failed, all isolated (ledger keeps them marked for \
              --resume; repro records under {}/failures/)",

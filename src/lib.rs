@@ -35,8 +35,9 @@
 //! - [`telemetry`] — the live telemetry bus: a seqlock shared-memory
 //!   segment written by running campaigns and tailed by
 //!   `zivsim watch`.
-//! - [`bench`](mod@bench) — figure-regeneration plumbing for the per-figure
-//!   bench targets.
+//! - [`bench`](mod@bench) — where the `figures` bench target, which
+//!   prints every figure entry of the campaign registry, keeps its
+//!   results.
 //!
 //! # Quick start
 //!

@@ -15,7 +15,7 @@ use ziv::common::digest::Fnv1a;
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
     ("help", 0x68932fbae2522bf5),
-    ("list", 0xe397cbcf72fb8146),
+    ("list", 0x7a78e8aff67f1433),
     ("run --cores 2 --accesses 400", 0x0947d9a87d1ca2c8),
     ("run --mode ziv-likelydead --policy hawkeye --l2 512 --workload homo:circset --seed 7 --forensics --cores 2 --accesses 400", 0xcfba85d40da04db9),
     ("run --mode NI --l2 1m --workload mt:facesim --prefetch --audit every-access --cores 2 --accesses 400", 0x49f50382e733fdc4),
