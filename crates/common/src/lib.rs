@@ -41,7 +41,7 @@ pub use config::{CacheGeometry, L2Size, LlcConfig, SystemConfig};
 pub use digest::Fnv1a;
 pub use error::{AuditViolation, SimError, ViolationKind};
 pub use ids::{BankId, CoreId, WayIdx};
-pub use rng::SimRng;
+pub use rng::{Geometric, SimRng};
 
 /// A simulation clock value, in CPU cycles.
 ///

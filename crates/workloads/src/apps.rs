@@ -2,7 +2,7 @@
 //! pattern generators behind the multiprogrammed mixes.
 
 use crate::{CoreTrace, ScaleParams, TraceRecord};
-use ziv_common::{Addr, SimRng};
+use ziv_common::{Addr, Geometric, SimRng};
 
 /// LLC associativity assumed when constructing same-set conflict
 /// patterns (all of the paper's configurations use a 16-way LLC).
@@ -508,16 +508,17 @@ pub fn generate(
 ) -> CoreTrace {
     let mut rng = SimRng::seed_from_u64(seed ^ x_app_seed(spec.name));
     let mut state = build_state(spec.class, scale, &mut rng);
-    let gap_p = 1.0 / (1.0 + spec.gap_mean);
+    let gaps = Geometric::new(1.0 / (1.0 + spec.gap_mean), 255);
+    let pc_base = pc_base(spec.name);
     let mut records = Vec::with_capacity(len);
     for _ in 0..len {
         let (rel, pc_idx) = next_line(&mut state, &mut rng);
         let line = base_line + rel;
         records.push(TraceRecord {
             addr: Addr::new(line << 6),
-            pc: 0x10_0000 + 0x1000 * hash_name(spec.name) + pc_idx * 4,
+            pc: pc_base + pc_idx * 4,
             is_write: rng.chance(spec.write_ratio),
-            gap: rng.geometric(gap_p, 255) as u8,
+            gap: gaps.sample(&mut rng) as u8,
         });
     }
     CoreTrace {
@@ -525,6 +526,12 @@ pub fn generate(
         overlap: spec.overlap,
         app_name: spec.name,
     }
+}
+
+/// The first synthesized PC of `name`'s code region; `generate` adds
+/// four bytes per pattern-site index.
+fn pc_base(name: &str) -> u64 {
+    0x10_0000 + 0x1000 * hash_name(name)
 }
 
 /// Stable per-app hash for PC-space separation.
@@ -572,7 +579,7 @@ mod tests {
         // each access came from — pin the advertised period to the
         // generator's actual alternation over two-plus cycles.
         let t = generate(spec, 2 * period as usize + 500, 0, 1, scale());
-        let base_pc = 0x10_0000 + 0x1000 * hash_name(spec.name);
+        let base_pc = pc_base(spec.name);
         for (i, r) in t.records.iter().enumerate() {
             let in_hot = (i as u64 % period) < PHASED_HOT_ACCESSES as u64;
             let expect = base_pc + if in_hot { 9 * 4 } else { 10 * 4 };

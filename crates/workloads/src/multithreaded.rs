@@ -7,7 +7,7 @@
 //! which are write-shared, and how much LLC reuse each class sees.
 
 use crate::{CoreTrace, ScaleParams, TraceRecord, Workload};
-use ziv_common::{Addr, SimRng};
+use ziv_common::{Addr, Geometric, SimRng};
 
 /// Base line address of the shared heap.
 const SHARED_BASE: u64 = 1 << 36;
@@ -26,6 +26,7 @@ fn record(line: u64, pc: u64, is_write: bool, gap: u8) -> TraceRecord {
 /// sensitivity to inclusion victims but heavy memory traffic.
 pub fn canneal(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParams) -> Workload {
     let graph = (scale.llc_lines * 2).max(256);
+    let gaps = Geometric::new(0.25, 255);
     let traces = (0..cores)
         .map(|c| {
             let mut rng = SimRng::seed_from_u64(seed ^ (c as u64 * 0xCA77EA1));
@@ -36,7 +37,7 @@ pub fn canneal(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePa
                         line,
                         0x20_0000,
                         rng.chance(0.10),
-                        rng.geometric(0.25, 255) as u8,
+                        gaps.sample(&mut rng) as u8,
                     )
                 })
                 .collect();
@@ -60,6 +61,7 @@ pub fn canneal(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePa
 pub fn facesim(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParams) -> Workload {
     let per_core = ((scale.llc_lines as f64 * 0.8 / cores as f64) as u64).max(64);
     let shared = (scale.llc_lines / 8).max(64);
+    let gaps = Geometric::new(0.33, 255);
     let traces = (0..cores)
         .map(|c| {
             let mut rng = SimRng::seed_from_u64(seed ^ (c as u64 * 0xFACE));
@@ -67,7 +69,7 @@ pub fn facesim(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePa
             let mut pos = 0u64;
             let records = (0..accesses_per_core)
                 .map(|_| {
-                    let gap = rng.geometric(0.33, 255) as u8;
+                    let gap = gaps.sample(&mut rng) as u8;
                     if rng.chance(0.15) {
                         // Read-shared model data.
                         record(SHARED_BASE + rng.below(shared), 0x21_0000, false, gap)
@@ -98,6 +100,7 @@ pub fn facesim(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePa
 pub fn vips(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParams) -> Workload {
     let image = (scale.llc_lines * 3 / 5).max(256);
     let band = (image / cores as u64).max(32);
+    let gaps = Geometric::new(0.33, 255);
     let traces = (0..cores)
         .map(|c| {
             let mut rng = SimRng::seed_from_u64(seed ^ (c as u64 * 0x715));
@@ -106,7 +109,7 @@ pub fn vips(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParam
             let mut out_pos = 0u64;
             let records = (0..accesses_per_core)
                 .map(|i| {
-                    let gap = rng.geometric(0.33, 255) as u8;
+                    let gap = gaps.sample(&mut rng) as u8;
                     if i % 3 == 2 {
                         let l = out_base + out_pos;
                         out_pos = (out_pos + 1) % band;
@@ -142,6 +145,7 @@ pub fn applu(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePara
     let grid = (scale.llc_lines * 6 / 5).max(256);
     let part = grid / cores as u64;
     let hot = (scale.l2_lines / 2).max(8);
+    let gaps = Geometric::new(0.33, 255);
     let traces = (0..cores)
         .map(|c| {
             let mut rng = SimRng::seed_from_u64(seed ^ (c as u64 * 0xAB1E));
@@ -149,7 +153,7 @@ pub fn applu(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePara
             let mut pos = 0u64;
             let records = (0..accesses_per_core)
                 .map(|i| {
-                    let gap = rng.geometric(0.33, 255) as u8;
+                    let gap = gaps.sample(&mut rng) as u8;
                     match i % 5 {
                         // Hot per-core coefficients (private-cache
                         // resident: the inclusion-victim victim).
@@ -200,6 +204,7 @@ pub fn applu(cores: usize, accesses_per_core: usize, seed: u64, scale: ScalePara
 pub fn tpce(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParams) -> Workload {
     let db = (scale.llc_lines * 4).max(1024);
     let meta = 64u64;
+    let gaps = Geometric::new(0.2, 255);
     // Zipf CDF over the database pages.
     let n = db as usize;
     let mut cdf = Vec::with_capacity(n);
@@ -215,7 +220,7 @@ pub fn tpce(cores: usize, accesses_per_core: usize, seed: u64, scale: ScaleParam
             let mut log_pos = 0u64;
             let records = (0..accesses_per_core)
                 .map(|_| {
-                    let gap = rng.geometric(0.2, 255) as u8;
+                    let gap = gaps.sample(&mut rng) as u8;
                     let r = rng.next_f64();
                     if r < 0.70 {
                         let u = rng.next_f64() * total;
