@@ -156,6 +156,12 @@ impl DirectorySlice {
     /// Frees the entry tracking `line`; returns its state.
     pub fn free(&mut self, line: LineAddr) -> Option<DirEntryState> {
         let (set, way) = self.probe(line)?;
+        self.free_at(set, way)
+    }
+
+    /// Frees the entry at `(set, way)`, as found by a probe; returns its
+    /// state.
+    pub(crate) fn free_at(&mut self, set: SetIdx, way: WayIdx) -> Option<DirEntryState> {
         self.nru.on_evict(set, way);
         self.array.invalidate(set, way).map(|(_, s)| s)
     }

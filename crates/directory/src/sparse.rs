@@ -191,11 +191,12 @@ impl SparseDirectory {
     /// the last copy leaves, per Section III-C2.
     pub fn remove_sharer(&mut self, line: LineAddr, core: CoreId) -> RemovalOutcome {
         let bank = self.bank_of(line);
-        if let Some((set, way)) = self.slices[bank.index()].probe(line) {
-            let state = self.slices[bank.index()].state_mut(set, way);
+        let slice = &mut self.slices[bank.index()];
+        if let Some((set, way)) = slice.probe(line) {
+            let state = slice.state_mut(set, way);
             if state.remove_core(core) {
                 let final_state = *state;
-                self.slices[bank.index()].free(line);
+                slice.free_at(set, way);
                 self.stats.frees += 1;
                 return RemovalOutcome::LastCopy(final_state);
             }
