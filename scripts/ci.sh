@@ -34,6 +34,15 @@ echo "== benchmark crate tests"
 # into benchmark/target.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark pinned digests (full-size results unchanged)"
+# The benchmark crate's tests check only that every cell has a pin. This
+# stage re-simulates every benchmark cell at full size under both pinned
+# seeds and compares the result digests with benchmark/expected/digests.txt.
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
+diff <(./benchmark/target/release/benchmark pin --seed 0x2026
+       ./benchmark/target/release/benchmark pin --seed 1) \
+     <(grep -v '^#' benchmark/expected/digests.txt)
+
 echo "== cargo test (release, debug assertions on)"
 # The figure campaigns run in release; keep the invariant-heavy paths
 # (auditor, ZIV guarantee fallback checks) exercised with
