@@ -13,12 +13,19 @@
 //!    selection through each replacement policy, reproduces a pinned
 //!    digest of its [`ziv::sim::RunResult`] — so a rewrite is checked
 //!    against the results the code produced before it, not only
-//!    against a second run of itself.
+//!    against a second run of itself. A few more pinned cells move the
+//!    counters those pairs leave at zero, so every `Metrics` counter is
+//!    nonzero in some pinned cell and a change that stopped counting
+//!    one would break a pin.
 
 use std::fs;
 use std::path::PathBuf;
 use ziv::common::config::LlcConfig;
 use ziv::common::digest::Fnv1a;
+use ziv::core::observe::{
+    core_metrics_scalars, metrics_scalars, CORE_METRICS_COLUMNS, METRICS_COLUMNS,
+};
+use ziv::core::prefetch::PrefetchConfig;
 use ziv::core::AuditCadence;
 use ziv::harness::{campaigns, run_campaign, CampaignParams, NullSink, RunnerConfig};
 use ziv::prelude::*;
@@ -172,6 +179,72 @@ fn pinned_pairs() -> Vec<(LlcMode, PolicyKind)> {
     pairs
 }
 
+/// A pinned cell outside [`pinned_pairs`]: its spec, its workload and
+/// the counters it is pinned for, each of which it must move.
+type CounterCell = (RunSpec, Workload, &'static [&'static str]);
+
+/// The cells that move the counters every pair of [`pinned_pairs`]
+/// leaves at zero on the pinned mix:
+///
+/// - stride prefetching moves the three prefetch counters;
+/// - canneal's shared writes invalidate other cores' copies, and a
+///   quarter-size directory evicts entries that still have sharers;
+/// - applu's new sharers hit relocated blocks under ZIV, and its
+///   never-written lines take RIC's relaxed eviction;
+/// - SHARP runs out of unshared and own-core victims next to 1 MB L2s;
+/// - with 1 MB L2s on the 8 MB-class LLC the private caches outgrow the
+///   LLC, so ZIV relocates across banks and, finding no block outside
+///   the private caches, falls back to inclusive evictions. It is the
+///   one cell where the fallback is expected.
+fn counter_cells(sys: &SystemConfig, wl: &Workload) -> Vec<CounterCell> {
+    use ZivProperty::*;
+    let sc = ScaleParams::from_system(sys);
+    let m1 = SystemConfig::scaled_with_l2(L2Size::M1);
+    let m1_sc = ScaleParams::from_system(&m1);
+    let applu = multithreaded::applu(8, 6_000, 7, sc);
+    let spec = |label: &str, sys: &SystemConfig| RunSpec::new(label, sys.clone());
+    vec![
+        (
+            spec("I-LRU prefetch", sys).with_prefetch(PrefetchConfig::default()),
+            wl.clone(),
+            &["prefetches_issued", "prefetch_fills", "prefetch_drops"],
+        ),
+        (
+            spec("I-LRU canneal", sys),
+            multithreaded::canneal(4, 4_000, 7, sc),
+            &["coherence_invalidations"],
+        ),
+        (
+            spec(
+                "I-LRU dir/4",
+                &sys.clone().with_dir_ratio(DirRatio::Quarter),
+            ),
+            wl.clone(),
+            &["directory_back_invalidations"],
+        ),
+        (
+            spec("ZIV-NotInPrC-LRU applu", sys).with_mode(LlcMode::Ziv(NotInPrC)),
+            applu.clone(),
+            &["relocated_hits"],
+        ),
+        (
+            spec("RIC-LRU applu", sys).with_mode(LlcMode::Ric),
+            applu,
+            &["ric_relaxations"],
+        ),
+        (
+            spec("SHARP-LRU 1MB hetero-0", &m1).with_mode(LlcMode::Sharp),
+            mixes::heterogeneous(0, 8, 6_000, 3, m1_sc),
+            &["sharp_alarms"],
+        ),
+        (
+            spec("ZIV-LikelyDead-LRU 1MB vips", &m1).with_mode(LlcMode::Ziv(LikelyDead)),
+            multithreaded::vips(8, 6_000, 7, m1_sc),
+            &["cross_bank_relocations", "ziv_guarantee_fallbacks"],
+        ),
+    ]
+}
+
 /// FNV-1a of a result's `Debug` rendering (the benchmark's result
 /// digest).
 fn result_digest(r: &ziv::sim::RunResult) -> u64 {
@@ -210,6 +283,13 @@ const PINS: &[(&str, u64)] = &[
     ("ECI-Hawkeye", 0xedf6ce9e6273e7b5),
     ("WayPart-Hawkeye", 0xea3e713e12e88b78),
     ("CHARonBase-Hawkeye", 0x3ba2bc6b83cf7223),
+    ("I-LRU prefetch", 0x2375c052ae153b91),
+    ("I-LRU canneal", 0x9e9b3a951f1128f1),
+    ("I-LRU dir/4", 0x03ea63569530461a),
+    ("ZIV-NotInPrC-LRU applu", 0xa8b0168d73f66085),
+    ("RIC-LRU applu", 0x42f4384664e971ae),
+    ("SHARP-LRU 1MB hetero-0", 0x5057be56842dcbc0),
+    ("ZIV-LikelyDead-LRU 1MB vips", 0xbf0983c8131f3d76),
 ];
 
 #[test]
@@ -218,13 +298,43 @@ fn every_mode_matches_its_pinned_digest() {
     let wl = hot_vs_stream(&sys);
     let mut computed = Vec::new();
     let mut inclusive_victims = Vec::new();
-    for (mode, policy) in pinned_pairs() {
+    let mut counters = vec![0u64; METRICS_COLUMNS.len()];
+    let mut core_counters = vec![0u64; CORE_METRICS_COLUMNS.len()];
+    let pairs = pinned_pairs().into_iter().map(|(mode, policy)| {
         let label = format!("{}-{}", mode.label(), policy.label());
         let spec = RunSpec::new(&label, sys.clone())
             .with_mode(mode)
             .with_policy(policy);
-        let r = run_one_checked(&spec, &wl, &RunOptions::default())
+        (spec, wl.clone(), &[][..])
+    });
+    for (spec, cell_wl, moves) in pairs.chain(counter_cells(&sys, &wl)) {
+        let (label, mode, policy) = (spec.label.clone(), spec.mode, spec.policy);
+        let r = run_one_checked(&spec, &cell_wl, &RunOptions::default())
             .unwrap_or_else(|e| panic!("{label}: {e}"));
+        computed.push((label.clone(), result_digest(&r)));
+        let scalars = metrics_scalars(&r.metrics);
+        for (total, v) in counters.iter_mut().zip(&scalars) {
+            *total += v;
+        }
+        for core in &r.metrics.per_core {
+            for (total, v) in core_counters.iter_mut().zip(core_metrics_scalars(core)) {
+                *total += v;
+            }
+        }
+        // ZIV's defensive fallback is taken only where it is pinned.
+        let fallbacks = r.metrics.ziv_guarantee_fallbacks;
+        assert_eq!(
+            fallbacks > 0,
+            moves.contains(&"ziv_guarantee_fallbacks"),
+            "{label}: {fallbacks} ZIV guarantee fallback(s)"
+        );
+        if !moves.is_empty() {
+            for &name in moves {
+                let i = METRICS_COLUMNS.iter().position(|&c| c == name).unwrap();
+                assert!(scalars[i] > 0, "{label}: no {name}");
+            }
+            continue;
+        }
         // No pin may pass vacuously: inclusive cells must back-invalidate
         // and ZIV cells must relocate.
         if mode == LlcMode::Inclusive {
@@ -261,7 +371,6 @@ fn every_mode_matches_its_pinned_digest() {
             }
             _ => {}
         }
-        computed.push((label, result_digest(&r)));
     }
     let table: String = computed
         .iter()
@@ -275,5 +384,13 @@ fn every_mode_matches_its_pinned_digest() {
     for ((label, got), (pin_label, want)) in computed.iter().zip(PINS) {
         assert_eq!(label, pin_label, "cell order changed; computed:\n{table}");
         assert_eq!(got, want, "{label}: result changed; computed:\n{table}");
+    }
+    // Every counter moves in some pinned cell, so no pin passes with a
+    // counter that stopped counting.
+    for (name, total) in METRICS_COLUMNS.iter().zip(&counters) {
+        assert!(*total > 0, "no pinned cell moves `{name}`");
+    }
+    for (name, total) in CORE_METRICS_COLUMNS.iter().zip(&core_counters) {
+        assert!(*total > 0, "no pinned cell moves per-core `{name}`");
     }
 }
