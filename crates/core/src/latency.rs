@@ -223,7 +223,6 @@ impl ClassCells {
 pub struct LatencyObservatory {
     per_core: Vec<[ClassCells; NUM_CLASSES]>,
     histograms: Vec<Log2Histogram>,
-    victims_noted: u64,
 }
 
 impl LatencyObservatory {
@@ -232,13 +231,7 @@ impl LatencyObservatory {
         LatencyObservatory {
             per_core: vec![[ClassCells::default(); NUM_CLASSES]; cores],
             histograms: (0..NUM_CLASSES).map(|_| Log2Histogram::new()).collect(),
-            victims_noted: 0,
         }
-    }
-
-    /// Counts `n` lines torn out into the victim table.
-    pub(crate) fn note_victims(&mut self, n: u64) {
-        self.victims_noted += n;
     }
 
     /// Records one finished access.
@@ -253,7 +246,6 @@ impl LatencyObservatory {
         LatencyReport {
             per_core: self.per_core,
             histograms: self.histograms,
-            victims_noted: self.victims_noted,
         }
     }
 }
@@ -268,9 +260,6 @@ pub struct LatencyReport {
     /// Per-class histograms of total access latency (global across
     /// cores), indexed like [`AccessClass::ALL`].
     pub histograms: Vec<Log2Histogram>,
-    /// Lines torn out into the victim table (table collisions
-    /// overwrite, so this can exceed the re-fetches seen).
-    pub victims_noted: u64,
 }
 
 impl LatencyReport {

@@ -59,7 +59,6 @@ pub struct LeakageObservatory {
     /// Flat `(bank, set)` membership of the probed sets.
     probed: Vec<bool>,
     per_core: Vec<CoreLeakage>,
-    sharp_alarms: u64,
 }
 
 impl LeakageObservatory {
@@ -83,7 +82,6 @@ impl LeakageObservatory {
             victim: vec![false; cores],
             probed: vec![false; sets.count()],
             per_core: vec![CoreLeakage::default(); cores],
-            sharp_alarms: 0,
         };
         for &c in attacker_cores {
             if c < cores {
@@ -136,14 +134,8 @@ impl LeakageObservatory {
         }
     }
 
-    /// Records one SHARP cross-core eviction alarm.
-    #[inline]
-    pub(crate) fn note_sharp_alarm(&mut self) {
-        self.sharp_alarms += 1;
-    }
-
-    /// Drains the observatory into its report; `cycles` is filled in by
-    /// the driver (the co-run window length).
+    /// Drains the observatory into its report; the driver fills in
+    /// `sharp_alarms` and `cycles` (the co-run window length).
     pub(crate) fn finish(self) -> LeakageReport {
         let attacker_cores = flags_to_indices(&self.attacker);
         let victim_cores = flags_to_indices(&self.victim);
@@ -152,7 +144,7 @@ impl LeakageObservatory {
             attacker_cores,
             victim_cores,
             probed_sets: self.probed.iter().filter(|&&p| p).count(),
-            sharp_alarms: self.sharp_alarms,
+            sharp_alarms: 0,
             cycles: 0,
         }
     }
@@ -177,7 +169,7 @@ pub struct LeakageReport {
     pub victim_cores: Vec<usize>,
     /// Number of distinct LLC sets the attacker probed.
     pub probed_sets: usize,
-    /// SHARP cross-core eviction alarms raised during the run.
+    /// The run's SHARP alarms (`Metrics::sharp_alarms`), set by the driver.
     pub sharp_alarms: u64,
     /// Co-run window length in cycles (the slowest core's clock),
     /// filled by the driver after the run completes.
@@ -318,10 +310,8 @@ mod tests {
     fn per_mcycle_uses_the_filled_window() {
         let mut o = obs();
         o.note_back_invalidation(CoreId::new(1), line(1, 1, 4, 2));
-        o.note_sharp_alarm();
         let mut r = o.finish();
         r.cycles = 2_000_000;
         assert!((r.observable_per_mcycle() - 0.5).abs() < 1e-12);
-        assert_eq!(r.sharp_alarms, 1);
     }
 }

@@ -69,7 +69,7 @@ pub use llc::{LlcMode, VictimReason, ZivProperty};
 pub use metrics::Metrics;
 pub use observe::{
     EventFilter, EventKind, EventTraceConfig, FlightRecorder, Heatmap, HierarchyEvent,
-    Observations, ObserveConfig, ProbeSnapshot, Recording, SamplingProgress, TearOut,
-    TelemetryProbe, TraceEvent,
+    Observations, ObserveConfig, ProbeSnapshot, SamplingProgress, TearOut, TelemetryProbe,
+    TraceEvent,
 };
 pub use profile::{ProfileReport, ProfileSection, SelfProfiler};

@@ -245,8 +245,8 @@ pub struct RelocationOutcome {
     pub completed_at: Cycle,
 }
 
-/// Everything a fill did, for the hierarchy to act on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Everything a fill did, for the hierarchy to act on (default: a plain fill).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FillOutcome {
     /// Where the new line was installed.
     pub loc: LlcLocation,
@@ -434,15 +434,7 @@ impl SharedLlc {
                 set,
                 way: 0,
             },
-            evicted: None,
-            relocation: None,
-            qbs_queries: 0,
-            sharp_alarm: false,
-            in_set_alternate: false,
-            ziv_fallback: false,
-            likely_dead_pv_empty: false,
-            eci_candidate: None,
-            victim_reason: VictimReason::Baseline,
+            ..FillOutcome::default()
         };
 
         // Invalid way: every mode's highest-priority choice.

@@ -48,7 +48,6 @@ pub struct StridePrefetcher {
     table: Vec<StrideEntry>,
     degree: usize,
     mask: usize,
-    issued: u64,
 }
 
 impl StridePrefetcher {
@@ -67,16 +66,16 @@ impl StridePrefetcher {
             table: vec![StrideEntry::default(); cfg.table_entries],
             degree: cfg.degree,
             mask: cfg.table_entries - 1,
-            issued: 0,
         }
     }
 
     /// Trains on a demand access (post-L1-miss) and returns the lines to
-    /// prefetch, if the PC has a confident stride.
-    pub fn train(&mut self, pc: u64, line: LineAddr) -> Vec<LineAddr> {
+    /// prefetch: `degree` strides past `line` when the PC has a confident
+    /// stride, none otherwise. Allocates nothing.
+    pub fn train(&mut self, pc: u64, line: LineAddr) -> impl Iterator<Item = LineAddr> {
         let idx = (pc as usize >> 2) & self.mask;
         let e = &mut self.table[idx];
-        let mut out = Vec::new();
+        let mut degree = 0;
         if e.valid && e.pc == pc {
             let new_stride = line.raw() as i64 - e.last_line as i64;
             if new_stride == e.stride && new_stride != 0 {
@@ -89,13 +88,7 @@ impl StridePrefetcher {
             }
             e.last_line = line.raw();
             if e.confidence >= CONFIDENCE_ISSUE && e.stride != 0 {
-                let mut next = line.raw() as i64;
-                for _ in 0..self.degree {
-                    next += e.stride;
-                    if next >= 0 {
-                        out.push(LineAddr::new(next as u64));
-                    }
-                }
+                degree = self.degree as i64;
             }
         } else {
             *e = StrideEntry {
@@ -106,13 +99,11 @@ impl StridePrefetcher {
                 valid: true,
             };
         }
-        self.issued += out.len() as u64;
-        out
-    }
-
-    /// Total prefetches issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
+        let (base, stride) = (line.raw() as i64, e.stride);
+        (1..=degree)
+            .map(move |k| base + k * stride)
+            .filter(|&next| next >= 0)
+            .map(|next| LineAddr::new(next as u64))
     }
 }
 
@@ -124,23 +115,26 @@ mod tests {
         LineAddr::new(n)
     }
 
+    fn train(p: &mut StridePrefetcher, pc: u64, line: LineAddr) -> Vec<LineAddr> {
+        p.train(pc, line).collect()
+    }
+
     #[test]
     fn constant_stride_trains_and_issues() {
         let mut p = StridePrefetcher::new(PrefetchConfig::default());
         let pc = 0x400;
-        assert!(p.train(pc, l(10)).is_empty(), "allocation");
+        assert!(train(&mut p, pc, l(10)).is_empty(), "allocation");
         assert!(
-            p.train(pc, l(12)).is_empty(),
+            train(&mut p, pc, l(12)).is_empty(),
             "stride learned, confidence 0"
         );
-        assert!(p.train(pc, l(14)).is_empty(), "confidence 1");
-        let out = p.train(pc, l(16));
+        assert!(train(&mut p, pc, l(14)).is_empty(), "confidence 1");
+        let out = train(&mut p, pc, l(16));
         assert_eq!(
             out,
             vec![l(18), l(20)],
             "confidence 2: degree-2 prefetch issues"
         );
-        assert!(p.issued() >= 2);
     }
 
     #[test]
@@ -148,10 +142,13 @@ mod tests {
         let mut p = StridePrefetcher::new(PrefetchConfig::default());
         let pc = 0x404;
         for i in 0..6 {
-            p.train(pc, l(10 + i * 2));
+            train(&mut p, pc, l(10 + i * 2));
         }
-        assert!(p.train(pc, l(100)).is_empty(), "broken stride stops issue");
-        assert!(p.train(pc, l(102)).is_empty());
+        assert!(
+            train(&mut p, pc, l(100)).is_empty(),
+            "broken stride stops issue"
+        );
+        assert!(train(&mut p, pc, l(102)).is_empty());
     }
 
     #[test]
@@ -162,9 +159,9 @@ mod tests {
         });
         // PCs 0x10 and 0x20 alias differently; train one steadily.
         for i in 0..8 {
-            p.train(0x10, l(100 + i * 4));
+            train(&mut p, 0x10, l(100 + i * 4));
         }
-        assert_eq!(p.train(0x10, l(132)), vec![l(136)]);
+        assert_eq!(train(&mut p, 0x10, l(132)), vec![l(136)]);
     }
 
     #[test]
@@ -175,10 +172,30 @@ mod tests {
         });
         let pc = 0x800;
         for i in (0..8).rev() {
-            p.train(pc, l(100 + i * 3));
+            train(&mut p, pc, l(100 + i * 3));
         }
-        let out = p.train(pc, l(97));
-        assert_eq!(out, vec![l(94)]);
+        assert_eq!(train(&mut p, pc, l(97)), vec![l(94)]);
+    }
+
+    #[test]
+    fn candidates_below_line_zero_are_skipped() {
+        let mut p = StridePrefetcher::new(PrefetchConfig {
+            table_entries: 64,
+            degree: 3,
+        });
+        for line in [15, 10, 5] {
+            train(&mut p, 0x900, l(line));
+        }
+        assert_eq!(
+            train(&mut p, 0x900, l(0)),
+            vec![],
+            "every stride ahead is negative"
+        );
+        let mut p = StridePrefetcher::new(PrefetchConfig::default());
+        for line in [19, 15, 11] {
+            train(&mut p, 0x900, l(line));
+        }
+        assert_eq!(train(&mut p, 0x900, l(7)), vec![l(3)]);
     }
 
     #[test]

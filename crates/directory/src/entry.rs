@@ -76,7 +76,7 @@ impl SharerSet {
 
 /// The `<bank id, set id, way id>` tuple recording where a relocated
 /// block currently lives in the LLC (Section III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LlcLocation {
     /// Bank holding the relocated block.
     pub bank: BankId,

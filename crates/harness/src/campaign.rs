@@ -142,7 +142,7 @@ impl CampaignParams {
 /// ablations and extensions, plus the smoke, security and soak grids.
 pub mod campaigns {
     use super::*;
-    use crate::view::{guarantee_violations, Heading, Metric, Table, View};
+    use crate::view::{check_guarantees, Heading, Metric, Table, View};
     use ziv_common::config::DirRatio;
     use ziv_core::prefetch::PrefetchConfig;
     use ziv_sim::{CharConfig, DirectoryMode, GridResult};
@@ -190,10 +190,10 @@ pub mod campaigns {
 
         /// Writes every view of the entry over `grid` (the results of
         /// `campaign`'s cells) to `out`, then checks the exact-zero
-        /// guarantees every cell must hold: a ZIV cell has no inclusion
-        /// victim and never takes the defensive fallback, a
-        /// non-inclusive cell has no inclusion victim, and a ZeroDEV
-        /// cell has no directory back-invalidation.
+        /// guarantees every cell must hold ([`check_guarantees`]): a ZIV
+        /// cell has no inclusion victim and never takes the defensive
+        /// fallback, a non-inclusive cell has no inclusion victim, and a
+        /// ZeroDEV cell has no directory back-invalidation.
         ///
         /// # Errors
         ///
@@ -208,16 +208,10 @@ pub mod campaigns {
                 out.push_str(&view.render(campaign, grid));
                 out.push('\n');
             }
-            let broken = guarantee_violations(campaign, grid);
-            if broken.is_empty() {
-                return Ok(());
-            }
-            Err(format!(
-                "campaign '{}': {} exact-zero guarantee(s) broken:\n  {}",
-                campaign.name,
-                broken.len(),
-                broken.join("\n  ")
-            ))
+            let cells = grid
+                .iter()
+                .map(|c| (&campaign.specs[c.spec_index], &c.result));
+            check_guarantees(cells).map_err(|e| format!("campaign '{}': {e}", campaign.name))
         }
     }
 

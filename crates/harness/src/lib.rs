@@ -102,4 +102,4 @@ pub use supervise::{
     run_grid, NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};
-pub use view::{Heading, Metric, Table, View};
+pub use view::{check_guarantees, Heading, Metric, Table, View};

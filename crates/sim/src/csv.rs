@@ -751,7 +751,7 @@ mod tests {
     fn record(
         observe: ziv_core::ObserveConfig,
         events: &[ziv_core::observe::HierarchyEvent],
-    ) -> ziv_core::observe::Recording {
+    ) -> Observations {
         let mut rec = ziv_core::FlightRecorder::new(&observe, 2, 2, 4).expect("recorder on");
         if observe.leakage {
             rec.attach_leakage(ziv_core::LeakageObservatory::new(2, 2, 4, &[0], &[1], &[1]));
@@ -777,14 +777,14 @@ mod tests {
 
     #[test]
     fn leakage_csv_emits_one_row_per_reporting_cell() {
-        use ziv_core::observe::HierarchyEvent;
         let leakage = ziv_core::ObserveConfig {
             leakage: true,
             ..ziv_core::ObserveConfig::disabled()
         };
         // Line 1 homes at (bank 1, set 0) — the probed set.
-        let events = [tear_out(1), HierarchyEvent::SharpAlarm];
+        let events = [tear_out(1)];
         let mut report = record(leakage, &events).leakage.unwrap();
+        report.sharp_alarms = 1;
         report.cycles = 1_000_000;
         let mut with_leak = synthetic_observations();
         with_leak.leakage = Some(report);

@@ -12,6 +12,15 @@ cargo fmt --all --check
 # workspace-wide fmt and clippy runs skip it.
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 
+echo "== one counting site (no Metrics += in the hierarchy)"
+# Every counter moves in Metrics::count, fed by the hierarchy's event
+# stream; a counter bumped straight in hierarchy.rs would be a second
+# account of the same fact.
+if grep -nE 'self\.metrics[^;]*\+=' crates/core/src/hierarchy.rs; then
+    echo "hierarchy.rs bumps a Metrics counter; emit an event that Metrics::count counts" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings

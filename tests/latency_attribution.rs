@@ -157,10 +157,6 @@ fn ziv_reports_zero_inclusion_victim_refetch_cost() {
     let rz = rz.unwrap();
     let report_z = oz.and_then(|o| o.latency).expect("observatory on");
     assert_eq!(rz.metrics.inclusion_victims, 0);
-    assert_eq!(
-        report_z.victims_noted, 0,
-        "ZIV must never note a back-invalidated line"
-    );
     let refetch_z = report_z.class_total(AccessClass::InclusionVictimRefetch);
     assert_eq!((refetch_z.count, refetch_z.cycles), (0, 0));
     assert_eq!(report_z.inclusion_victim_refetch_cycles(), 0);
@@ -173,7 +169,6 @@ fn ziv_reports_zero_inclusion_victim_refetch_cost() {
         ri.metrics.inclusion_victims > 0,
         "the mix must create inclusion victims under inclusion"
     );
-    assert!(report_i.victims_noted > 0);
     let refetch_i = report_i.class_total(AccessClass::InclusionVictimRefetch);
     assert!(
         refetch_i.count > 0 && refetch_i.cycles > 0,

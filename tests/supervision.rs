@@ -396,6 +396,42 @@ fn cli_run_rejects_a_trace_wider_than_the_system() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `run` and `compare` check the exact-zero guarantees the way
+/// `campaign` does: with 1 MB L2s on the 8 MB-class LLC the private
+/// caches hold more lines than the LLC, ZIV falls back to evicting
+/// privately cached blocks, and the broken guarantee names the cell and
+/// exits 1 after the results are printed.
+#[test]
+fn cli_run_and_compare_exit_1_for_a_broken_ziv_guarantee() {
+    let oversubscribed = [
+        "--l2",
+        "1024",
+        "--workload",
+        "mt:vips",
+        "--accesses",
+        "6000",
+    ];
+    let run = [&["run", "--mode", "ziv-likelydead"][..], &oversubscribed].concat();
+    let compare = [&["compare"][..], &oversubscribed].concat();
+    for (args, cell) in [
+        (run, "ZIV-LikelyDead-LRU × vips"),
+        (compare, "ZIV-LikelyDead × vips"),
+    ] {
+        let out = zivsim(&args);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{cell}: 2439 inclusion victim(s) in a ZIV cell"))
+                && stderr.contains(&format!("{cell}: 2439 ZIV guarantee fallback(s)")),
+            "{args:?} names the cell: {stderr}"
+        );
+        assert!(stdout.contains("2439"), "{args:?} prints its results first");
+    }
+}
+
 /// `export` creates the trace file's missing parent directories, like
 /// every `--out`.
 #[test]

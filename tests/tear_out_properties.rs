@@ -10,7 +10,7 @@
 
 use ziv::common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
 use ziv::common::SimRng;
-use ziv::core::observe::{FlightRecorder, ObserveConfig, Recording};
+use ziv::core::observe::{FlightRecorder, Observations, ObserveConfig};
 use ziv::core::LeakageObservatory;
 use ziv::directory::SharerSet;
 use ziv::prelude::*;
@@ -272,8 +272,8 @@ fn refetch_is_found_before_the_fill_reuses_its_slot() {
 
 /// Runs a seeded interleaving of 200–1199 accesses by 3 cores over 400
 /// lines with every observer attached; returns the victim count and
-/// the recording.
-fn run_observed(mode: LlcMode, rng: &mut SimRng) -> (u64, Recording) {
+/// the recorder's observations.
+fn run_observed(mode: LlcMode, rng: &mut SimRng) -> (u64, Observations) {
     let sys = tiny(3);
     let (banks, sets) = (sys.llc.banks, sys.llc.bank_geometry.sets as usize);
     let mut h = CacheHierarchy::new(&HierarchyConfig::new(sys).with_mode(mode));
