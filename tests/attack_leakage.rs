@@ -11,6 +11,7 @@ use ziv::sim::{
     run_one, run_one_instrumented, LeakageReport, ObserveConfig, RunOptions, RunResult,
 };
 use ziv::workloads::attack::{self, AttackRecipe};
+use ziv::workloads::{mixes, AttackPlan};
 
 fn attack_workload(recipe: AttackRecipe, cores: usize, accesses: usize, seed: u64) -> Workload {
     let sys = SystemConfig::scaled();
@@ -181,4 +182,23 @@ fn attack_eval_campaign_is_thread_deterministic_and_gated() {
     assert_eq!(inclusive_rows, 2, "both scenarios ran under I-LRU");
     assert_eq!(ziv_rows, 4, "both scenarios ran under both ZIV modes");
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// The leakage report carries the run's SHARP alarms, which the driver
+/// copies from `Metrics::sharp_alarms`. The attack co-schedules raise
+/// none, so the plan rides on a mix whose 1 MB L2s hold whole LLC sets,
+/// where SHARP has to evict another core's block.
+#[test]
+fn leakage_report_carries_every_sharp_alarm() {
+    let sys = SystemConfig::scaled_with_l2(L2Size::M1);
+    let mut wl = mixes::heterogeneous(0, 8, 6_000, 3, ScaleParams::from_system(&sys));
+    wl.attack = Some(AttackPlan {
+        attacker_cores: vec![0],
+        victim_cores: vec![1],
+        probe_lines: vec![0],
+    });
+    let sharp = RunSpec::new("SHARP-LRU", sys).with_mode(LlcMode::Sharp);
+    let (result, report) = leakage_run(&sharp, &wl);
+    assert!(result.metrics.sharp_alarms > 0, "the cell raises alarms");
+    assert_eq!(report.sharp_alarms, result.metrics.sharp_alarms);
 }
