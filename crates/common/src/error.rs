@@ -227,17 +227,6 @@ impl SimError {
             _ => None,
         }
     }
-
-    /// Whether retrying the same cell could plausibly succeed.
-    ///
-    /// Only I/O errors qualify: a full disk, a transient NFS hiccup, or
-    /// an EINTR-class failure can clear between attempts. Everything
-    /// else — audit violations, budget trips, timeouts, panics, bad
-    /// configs — is deterministic, so the supervisor's retry policy
-    /// must not burn attempts on it.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::Io { .. })
-    }
 }
 
 impl fmt::Display for SimError {
@@ -377,32 +366,5 @@ mod tests {
         let i = SimError::Internal("index out of bounds".into());
         assert_eq!(i.kind_tag(), "internal");
         assert_eq!(i.access_index(), None);
-    }
-
-    #[test]
-    fn only_io_errors_are_transient() {
-        let io = SimError::io(
-            "append ledger",
-            "/tmp/ledger.jsonl",
-            std::io::Error::new(std::io::ErrorKind::Interrupted, "EINTR"),
-        );
-        assert!(io.is_transient());
-        for err in [
-            SimError::Config("x".into()),
-            SimError::parse(None, 0, "bad"),
-            SimError::Timeout {
-                reason: "deadline".into(),
-                access_index: 0,
-            },
-            SimError::Internal("boom".into()),
-            SimError::BudgetExceeded {
-                budget_cycles: 1,
-                core: 0,
-                cycles: 2,
-                access_index: 0,
-            },
-        ] {
-            assert!(!err.is_transient(), "{err}");
-        }
     }
 }

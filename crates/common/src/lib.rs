@@ -24,7 +24,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
-pub mod backoff;
 pub mod config;
 pub mod digest;
 pub mod error;
@@ -36,7 +35,6 @@ pub mod seqlock;
 pub mod stats;
 
 pub use addr::{Addr, LineAddr};
-pub use backoff::{BackoffSchedule, RetryPolicy};
 pub use config::{CacheGeometry, L2Size, LlcConfig, SystemConfig};
 pub use digest::Fnv1a;
 pub use error::{AuditViolation, SimError, ViolationKind};

@@ -1140,13 +1140,11 @@ pub struct SamplingProgress {
 /// digested, so probed and unprobed runs stay byte-identical in every
 /// recorded artifact.
 pub trait TelemetryProbe: Sync {
-    /// A cell (or cell attempt) is starting on this probe's worker.
-    #[allow(clippy::too_many_arguments)]
+    /// A cell is starting on this probe's worker.
     fn cell_begin(
         &self,
         _spec_index: u64,
         _workload_index: u64,
-        _attempt: u64,
         _expected_accesses: u64,
         _label: &str,
         _workload: &str,

@@ -52,7 +52,6 @@ impl Default for BusOptions {
 struct Counters {
     done: AtomicU64,
     failed: AtomicU64,
-    retried: AtomicU64,
     running: AtomicU64,
 }
 
@@ -82,7 +81,6 @@ impl Shared {
             cached: self.cached,
             done,
             failed,
-            retried: self.counters.retried.load(Ordering::Relaxed),
             running: self.counters.running.load(Ordering::Relaxed),
             eta_ms,
         }
@@ -99,7 +97,6 @@ fn jsonl_line(tick: u64, elapsed_ms: u64, finished: bool, c: &CampaignCounters) 
         ("total".into(), JsonValue::u64(c.total)),
         ("cached".into(), JsonValue::u64(c.cached)),
         ("failed".into(), JsonValue::u64(c.failed)),
-        ("retried".into(), JsonValue::u64(c.retried)),
         ("running".into(), JsonValue::u64(c.running)),
         (
             "eta_ms".into(),
@@ -213,22 +210,19 @@ impl CampaignBus {
         self.shared.counters.running.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A cell finished successfully after `attempts` attempts.
-    pub fn cell_finished(&self, attempts: u32) {
-        self.settle(attempts, &self.shared.counters.done);
+    /// A cell finished successfully.
+    pub fn cell_finished(&self) {
+        self.settle(&self.shared.counters.done);
     }
 
-    /// A cell failed permanently after `attempts` attempts.
-    pub fn cell_failed(&self, attempts: u32) {
-        self.settle(attempts, &self.shared.counters.failed);
+    /// A cell failed.
+    pub fn cell_failed(&self) {
+        self.settle(&self.shared.counters.failed);
     }
 
-    fn settle(&self, attempts: u32, bucket: &AtomicU64) {
-        let c = &self.shared.counters;
-        c.running.fetch_sub(1, Ordering::Relaxed);
+    fn settle(&self, bucket: &AtomicU64) {
+        self.shared.counters.running.fetch_sub(1, Ordering::Relaxed);
         bucket.fetch_add(1, Ordering::Relaxed);
-        c.retried
-            .fetch_add(attempts.saturating_sub(1) as u64, Ordering::Relaxed);
         self.shared
             .eta
             .lock()
@@ -289,7 +283,6 @@ impl TelemetryProbe for WorkerProbe {
         &self,
         spec_index: u64,
         workload_index: u64,
-        attempt: u64,
         expected_accesses: u64,
         label: &str,
         workload: &str,
@@ -297,7 +290,6 @@ impl TelemetryProbe for WorkerProbe {
         self.record.begin_cell(
             spec_index,
             workload_index,
-            attempt,
             expected_accesses,
             label,
             workload,
@@ -359,7 +351,7 @@ mod tests {
         let bus = CampaignBus::start(&dir, 2, 6, 1, &opts).unwrap().unwrap();
         let probes = bus.worker_probes().unwrap();
         assert_eq!(probes.len(), 2);
-        probes[0].cell_begin(0, 3, 1, 1000, "ZIV", "mix_hot");
+        probes[0].cell_begin(0, 3, 1000, "ZIV", "mix_hot");
         bus.cell_started();
         probes[0].publish_progress(&ProbeSnapshot {
             access_index: 256,
@@ -367,7 +359,7 @@ mod tests {
             ..ProbeSnapshot::default()
         });
         probes[0].cell_end();
-        bus.cell_finished(2); // one retry
+        bus.cell_finished();
 
         let reader = TelemetryReader::open(&dir.join(ziv_telemetry::SEGMENT_FILE)).unwrap();
         bus.finish();
@@ -376,7 +368,6 @@ mod tests {
         assert_eq!(snap.campaign.total, 6);
         assert_eq!(snap.campaign.cached, 1);
         assert_eq!(snap.campaign.done, 2); // cached + the finished cell
-        assert_eq!(snap.campaign.retried, 1);
         assert_eq!(snap.campaign.running, 0);
         let w = &snap.workers[0];
         assert_eq!(w.label, "ZIV");
@@ -396,7 +387,6 @@ mod tests {
             cached: 2,
             done: 5,
             failed: 1,
-            retried: 3,
             running: 2,
             eta_ms: Some(1234),
         };

@@ -54,7 +54,7 @@ fn intern_app_name(name: &str) -> &'static str {
     s
 }
 
-fn result_to_json(digest: CellDigest, r: &RunResult, attempts: u32) -> JsonValue {
+fn result_to_json(digest: CellDigest, r: &RunResult) -> JsonValue {
     let cores = r
         .cores
         .iter()
@@ -66,19 +66,13 @@ fn result_to_json(digest: CellDigest, r: &RunResult, attempts: u32) -> JsonValue
             ])
         })
         .collect();
-    let mut fields = vec![
+    JsonValue::Obj(vec![
         ("digest".to_string(), JsonValue::str(digest.hex())),
         ("label".to_string(), JsonValue::str(&r.label)),
         ("workload".to_string(), JsonValue::str(&r.workload)),
-    ];
-    // First-attempt successes omit the field so clean-run ledgers stay
-    // byte-identical with and without a retry policy armed.
-    if attempts > 1 {
-        fields.push(("attempts".to_string(), JsonValue::u64(u64::from(attempts))));
-    }
-    fields.push(("cores".to_string(), JsonValue::Arr(cores)));
-    fields.push(("metrics".to_string(), r.metrics.to_json()));
-    JsonValue::Obj(fields)
+        ("cores".to_string(), JsonValue::Arr(cores)),
+        ("metrics".to_string(), r.metrics.to_json()),
+    ])
 }
 
 fn result_from_json(v: &JsonValue) -> Result<(CellDigest, RunResult), String> {
@@ -135,7 +129,7 @@ fn result_from_json(v: &JsonValue) -> Result<(CellDigest, RunResult), String> {
 /// — the access index at which it was detected.
 ///
 /// A failure entry deliberately does **not** satisfy
-/// [`Ledger::get`], so a `--resume` pass retries the cell; it exists so
+/// [`Ledger::get`], so a `--resume` pass runs the cell again; it exists so
 /// an interrupted campaign's post-mortem (`ledger.jsonl`) shows *why*
 /// a cell has no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,28 +144,15 @@ pub struct FailedCell {
     pub message: String,
     /// Access index of detection, when the failure is tied to one.
     pub access_index: Option<u64>,
-    /// How many attempts the supervisor made before giving up (1 when
-    /// no retry policy was armed — the field is omitted from the JSON
-    /// in that case).
-    pub attempts: u32,
 }
 
-fn error_to_json(
-    digest: CellDigest,
-    label: &str,
-    workload: &str,
-    error: &SimError,
-    attempts: u32,
-) -> JsonValue {
+fn error_to_json(digest: CellDigest, label: &str, workload: &str, error: &SimError) -> JsonValue {
     let mut err_fields = vec![
         ("kind".to_string(), JsonValue::str(error.kind_tag())),
         ("message".to_string(), JsonValue::str(error.to_string())),
     ];
     if let Some(idx) = error.access_index() {
         err_fields.push(("access_index".to_string(), JsonValue::u64(idx)));
-    }
-    if attempts > 1 {
-        err_fields.push(("attempts".to_string(), JsonValue::u64(u64::from(attempts))));
     }
     JsonValue::Obj(vec![
         ("digest".to_string(), JsonValue::str(digest.hex())),
@@ -212,10 +193,6 @@ fn error_from_json(v: &JsonValue) -> Result<(CellDigest, FailedCell), String> {
                 .unwrap_or_default()
                 .to_string(),
             access_index: err.get("access_index").and_then(JsonValue::as_u64),
-            attempts: err
-                .get("attempts")
-                .and_then(JsonValue::as_u64)
-                .map_or(1, |a| a.min(u64::from(u32::MAX)) as u32),
         },
     ))
 }
@@ -475,35 +452,13 @@ impl LedgerWriter {
     ///
     /// Panics if another thread poisoned the writer lock.
     pub fn append(&self, digest: CellDigest, result: &RunResult) -> std::io::Result<()> {
-        self.append_attempted(digest, result, 1)
+        self.write_line(&result_to_json(digest, result).to_string())
     }
 
-    /// [`LedgerWriter::append`] recording the supervisor's attempt
-    /// count. First-attempt successes (`attempts == 1`) serialize
-    /// byte-identically to [`LedgerWriter::append`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another thread poisoned the writer lock.
-    pub fn append_attempted(
-        &self,
-        digest: CellDigest,
-        result: &RunResult,
-        attempts: u32,
-    ) -> std::io::Result<()> {
-        let line = result_to_json(digest, result, attempts).to_string();
-        self.write_line(&line)
-    }
-
-    /// Appends one failed cell as an error entry (with the supervisor's
-    /// attempt count), flushes, and fsyncs. The entry never satisfies
-    /// [`Ledger::get`], so a later `--resume` retries exactly this
-    /// cell; a subsequent successful append for the same digest
-    /// supersedes it.
+    /// Appends one failed cell as an error entry, flushes, and fsyncs.
+    /// The entry never satisfies [`Ledger::get`], so a later `--resume`
+    /// runs exactly this cell again; a subsequent successful append for
+    /// the same digest supersedes it.
     ///
     /// # Errors
     ///
@@ -518,10 +473,8 @@ impl LedgerWriter {
         label: &str,
         workload: &str,
         error: &SimError,
-        attempts: u32,
     ) -> std::io::Result<()> {
-        let line = error_to_json(digest, label, workload, error, attempts).to_string();
-        self.write_line(&line)
+        self.write_line(&error_to_json(digest, label, workload, error).to_string())
     }
 
     /// One locked write + flush + fsync: after this returns, the line
@@ -576,6 +529,28 @@ mod tests {
         // Every field — per-core stats, every Metrics counter, the
         // relocation histogram, the f64 energy — survives exactly.
         assert_eq!(ledger.get(d), Some(&r));
+
+        // Builds that retried cells wrote `"attempts"` into the lines of
+        // cells that took more than one attempt; those lines still load.
+        let line = std::fs::read_to_string(&path).unwrap();
+        let old_result = line.replacen(&d.hex(), &CellDigest(2).hex(), 1).replacen(
+            r#","cores":"#,
+            r#","attempts":2,"cores":"#,
+            1,
+        );
+        let old_error = format!(
+            r#"{{"digest":"{}","label":"L","workload":"w","error":{{"kind":"config","message":"boom","attempts":2}}}}"#,
+            CellDigest(3).hex()
+        );
+        assert!(old_result.contains(r#""attempts":2"#));
+        std::fs::write(&path, format!("{line}{old_result}{old_error}\n")).unwrap();
+        let ledger = Ledger::load(&path).unwrap();
+        assert_eq!(ledger.skipped_lines(), 0);
+        assert_eq!(ledger.get(CellDigest(2)), Some(&r));
+        let f = ledger
+            .failure(CellDigest(3))
+            .expect("the old error line loads");
+        assert_eq!((f.kind.as_str(), f.message.as_str()), ("config", "boom"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -674,11 +649,14 @@ mod tests {
             line: None,
             detail: "no LLC copy".into(),
         });
-        w.append_error(CellDigest(9), "Z-LRU", "homo-circset", &e, 1)
+        w.append_error(CellDigest(9), "Z-LRU", "homo-circset", &e)
             .unwrap();
         let ledger = Ledger::load(&path).unwrap();
         assert_eq!(ledger.len(), 0, "a failure is not a cached result");
-        assert!(ledger.get(CellDigest(9)).is_none(), "resume must retry it");
+        assert!(
+            ledger.get(CellDigest(9)).is_none(),
+            "resume must run it again"
+        );
         assert_eq!(ledger.failed_count(), 1);
         let f = ledger.failure(CellDigest(9)).unwrap();
         assert_eq!(f.kind, "audit");
@@ -695,10 +673,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let w = LedgerWriter::append_to(&path).unwrap();
         let e = SimError::Config("boom".into());
-        w.append_error(CellDigest(5), "L", "w", &e, 1).unwrap();
-        w.append(CellDigest(5), &r).unwrap(); // retried and succeeded
+        w.append_error(CellDigest(5), "L", "w", &e).unwrap();
+        w.append(CellDigest(5), &r).unwrap(); // resumed and succeeded
         w.append(CellDigest(6), &r).unwrap();
-        w.append_error(CellDigest(6), "L", "w", &e, 1).unwrap(); // regressed
+        w.append_error(CellDigest(6), "L", "w", &e).unwrap(); // regressed
         let ledger = Ledger::load(&path).unwrap();
         assert_eq!(ledger.get(CellDigest(5)), Some(&r));
         assert!(ledger.failure(CellDigest(5)).is_none());

@@ -31,11 +31,10 @@
 //!   (`ziv_common::json`) keeps the build dependency-free.
 //! - [`run_campaign`]: the runner — partitions cells into cached and
 //!   missing, executes the missing ones on the worker pool
-//!   ([`run_cells_supervised`]: watchdog-cancelled hangs, contained
-//!   panics, deterministic retry of transient failures),
-//!   appends each finished cell to the ledger as it completes, and
-//!   exports `grid.csv` / `summary.csv` assembled from cached + fresh
-//!   results. The final CSVs are byte-identical whether the campaign
+//!   ([`run_cells_supervised`]: watchdog-cancelled hangs and contained
+//!   panics, each cell run once), appends each finished cell to the
+//!   ledger as it completes, and exports `grid.csv` / `summary.csv`
+//!   assembled from cached + fresh results. The final CSVs are byte-identical whether the campaign
 //!   ran in one pass or across any number of interruptions, at any
 //!   thread count.
 //! - [`ProgressSink`] / [`Telemetry`]: the observability layer —
@@ -50,7 +49,7 @@
 //!   pool, for `zivsim compare`.
 //! - [`FailureRecord`] / [`replay`]: the robustness layer — a failing
 //!   cell (invariant-audit violation, watchdog trip) is isolated,
-//!   recorded as a ledger error entry that `--resume` retries, and
+//!   recorded as a ledger error entry that `--resume` runs again, and
 //!   dumped as a minimized repro record that `zivsim replay`
 //!   re-executes deterministically.
 //!
@@ -98,8 +97,8 @@ pub use runner::{
 };
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use supervise::{
-    default_stall_window, execute_with_retry, oversubscription_factor, run_cells_supervised,
-    run_grid, NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
+    default_stall_window, oversubscription_factor, run_cells_supervised, run_grid,
+    NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};
 pub use view::{check_guarantees, Heading, Metric, Table, View};

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use ziv_common::fsutil::write_file;
 use ziv_common::json::JsonValue;
-use ziv_common::{RetryPolicy, SimError};
+use ziv_common::SimError;
 use ziv_core::{AuditCadence, CancelToken};
 use ziv_sim::{
     blame_to_csv, grid_to_csv, heatmap_to_csv, latency_to_csv, leakage_to_csv, perfetto_to_json,
@@ -63,22 +63,18 @@ pub struct RunnerConfig {
     /// never digested, so it cannot perturb the ledger or the cached
     /// cell results.
     pub observe: ObserveConfig,
-    /// Wall-clock budget per cell attempt (`--cell-timeout`). When set,
-    /// a watchdog thread cancels any cell that exceeds it; the cell is
+    /// Wall-clock budget per cell (`--cell-timeout`). When set, a
+    /// watchdog thread cancels any cell that exceeds it; the cell is
     /// ledgered as a `timeout` failure. `None` disables the wall clock.
     /// When neither this nor `stall_window` is set, cells run without a
     /// cancellation token — the zero-cost path.
     pub cell_timeout: Option<Duration>,
-    /// No-forward-progress budget per cell attempt (`--stall-window`):
+    /// No-forward-progress budget per cell (`--stall-window`):
     /// a cell whose access counter stops advancing for this long is
     /// cancelled and ledgered as a `timeout` failure. Catches wedged
     /// cells in milliseconds where the wall clock must stay generous
     /// for legitimately slow cells.
     pub stall_window: Option<Duration>,
-    /// Extra attempts for transiently failing cells (`--retries`).
-    /// Only errors with [`SimError::is_transient`] are retried, under a
-    /// deterministic backoff schedule seeded from the campaign seed.
-    pub retries: u32,
     /// Publish the live telemetry segment (`--telemetry on`):
     /// `<results-dir>/telemetry.shm`, the seqlock shared-memory bus
     /// that `zivsim watch` tails. Pure observability — never digested,
@@ -112,7 +108,6 @@ impl RunnerConfig {
             observe: ObserveConfig::disabled(),
             cell_timeout: None,
             stall_window: None,
-            retries: 0,
             telemetry: false,
             progress_jsonl: false,
             perfetto: false,
@@ -135,8 +130,6 @@ pub struct CellFailure {
     pub workload: String,
     /// The typed error that felled the cell.
     pub error: SimError,
-    /// Attempts made before giving up (1 = no retries were taken).
-    pub attempts: u32,
     /// Path of the replayable repro record, when one was written.
     pub record_path: Option<PathBuf>,
 }
@@ -219,18 +212,11 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
         }
     }
 
-    fn cell_finished(
-        &self,
-        spec_index: usize,
-        workload_index: usize,
-        result: &T,
-        attempts: u32,
-        wall: Duration,
-    ) {
+    fn cell_finished(&self, spec_index: usize, workload_index: usize, result: &T, wall: Duration) {
         let result = result.as_ref();
         if let Some(writer) = self.writer {
             let digest = self.campaign.cell_digest(spec_index, workload_index);
-            if let Err(e) = writer.append_attempted(digest, result, attempts) {
+            if let Err(e) = writer.append(digest, result) {
                 self.latch("append ledger entry", e);
             }
         }
@@ -246,7 +232,7 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
             .cell_finished(&timing, done, self.campaign.total_cells());
         self.timings.lock().unwrap().push(timing);
         if let Some(bus) = self.bus {
-            bus.cell_finished(attempts);
+            bus.cell_finished();
         }
     }
 
@@ -255,7 +241,6 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
         spec_index: usize,
         workload_index: usize,
         error: &SimError,
-        attempts: u32,
         _wall: Duration,
     ) {
         self.failed.fetch_add(1, Ordering::Relaxed);
@@ -263,7 +248,7 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
         let workload = self.campaign.recipes[workload_index].workload_name();
         if let Some(writer) = self.writer {
             let digest = self.campaign.cell_digest(spec_index, workload_index);
-            if let Err(e) = writer.append_error(digest, label, &workload, error, attempts) {
+            if let Err(e) = writer.append_error(digest, label, &workload, error) {
                 self.latch("append ledger error entry", e);
             }
         }
@@ -274,7 +259,7 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
         self.sink
             .cell_failed(label, &workload, error, done, self.campaign.total_cells());
         if let Some(bus) = self.bus {
-            bus.cell_failed(attempts);
+            bus.cell_failed();
         }
     }
 
@@ -298,7 +283,7 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
 ///
 /// **Fault isolation**: a cell that fails its invariant audit or trips
 /// the watchdog does not take the campaign down. It is recorded as an
-/// error entry in the ledger (so `--resume` retries exactly that cell),
+/// error entry in the ledger (so `--resume` re-runs exactly that cell),
 /// dumped as a replayable repro record when `cfg.params` is set, and
 /// reported in [`CampaignOutcome::failures`]; the remaining cells still
 /// run — unless `cfg.strict`, which stops claiming new cells after the
@@ -365,7 +350,7 @@ type Plan = (
 /// against it. Cached cells take the campaign's *current* label and
 /// workload name (the digest ignores labels, so a relabel must not leak
 /// stale names into the CSVs). Cells whose latest ledger line is an
-/// error entry are retried.
+/// error entry run again.
 fn plan(
     campaign: &Campaign,
     cfg: &RunnerConfig,
@@ -427,8 +412,8 @@ struct Pass<T> {
 }
 
 /// The execute step: runs `cells` through the pool under `cfg`'s
-/// threads, watchdog, retries and strictness, each attempt one call of
-/// `run`, reporting to `sink` and the live bus. With a `ledger`, every
+/// threads, watchdog and strictness, each cell one call of `run`,
+/// reporting to `sink` and the live bus. With a `ledger`, every
 /// settled cell is appended to it and each failure gets a repro record
 /// when `cfg.params` is set; without one, the pass writes neither.
 /// `cached` counts the campaign's cells already done.
@@ -502,8 +487,6 @@ fn execute<T: AsRef<RunResult> + Send>(
         let sup = SuperviseConfig {
             cell_timeout: cfg.cell_timeout,
             stall_window: cfg.stall_window,
-            retry: RetryPolicy::with_retries(cfg.retries, cfg.params.map_or(0x2026, |p| p.seed)),
-            poll: Duration::from_millis(5),
         };
         let probes = bus.as_ref().and_then(|b| b.worker_probes());
         let runs = run_cells_supervised(
@@ -565,7 +548,6 @@ fn execute<T: AsRef<RunResult> + Send>(
                         label: campaign.specs[s].label.clone(),
                         workload: campaign.recipes[w].workload_name(),
                         error,
-                        attempts: run.attempts,
                         record_path,
                     });
                 }
@@ -763,9 +745,9 @@ fn aggregate_ipc(r: &RunResult) -> f64 {
 /// content-addressed cache stores only full-fidelity results — so a
 /// sampled pass cannot poison later full campaigns, and it writes no
 /// repro records. Otherwise the sampled cells run like a full pass's:
-/// through the pool under `cfg`'s threads, watchdog, retries and
-/// strictness, reporting to `sink` and the live bus. Observation is
-/// off for the sampled pass.
+/// through the pool under `cfg`'s threads, watchdog and strictness,
+/// reporting to `sink` and the live bus. Observation is off for the
+/// sampled pass.
 ///
 /// With `validate` set, the full campaign runs first via
 /// [`run_campaign`] — ledgered, supervised, and exporting its standard

@@ -42,7 +42,7 @@ pub struct SoakConfig {
     pub threads: usize,
     /// Campaign parameters (seed drives the chaos schedule too).
     pub params: CampaignParams,
-    /// Wall-clock budget per cell attempt — the hard backstop. Keep it
+    /// Wall-clock budget per cell — the hard backstop. Keep it
     /// generous: hung cells are caught far earlier by `stall_window`,
     /// so this only has to accommodate the slowest *healthy* cell.
     pub cell_timeout: Duration,
@@ -55,8 +55,6 @@ pub struct SoakConfig {
     /// into false stalls; an explicit value here (or `--stall-window`)
     /// is authoritative and used verbatim.
     pub stall_window: Duration,
-    /// Extra attempts for transiently failing cells.
-    pub retries: u32,
     /// Publish the live telemetry segment for each pass
     /// (`--telemetry on`). Each pass writes its own
     /// `telemetry.shm` under its pass directory (`baseline/`,
@@ -69,7 +67,7 @@ pub struct SoakConfig {
 impl SoakConfig {
     /// Defaults: 2 threads, env-sized params, 60 s wall clock, a 750 ms
     /// base stall window scaled by the host's oversubscription factor
-    /// (see [`crate::default_stall_window`]), no retries.
+    /// (see [`crate::default_stall_window`]).
     pub fn new(results_dir: impl Into<PathBuf>) -> Self {
         let threads = 2;
         SoakConfig {
@@ -81,7 +79,6 @@ impl SoakConfig {
                 Duration::from_millis(750),
                 threads,
             ),
-            retries: 0,
             telemetry: false,
             progress_jsonl: false,
         }
@@ -171,7 +168,6 @@ pub fn run_soak(cfg: &SoakConfig, sink: &dyn ProgressSink) -> Result<SoakReport,
         params: Some(cfg.params),
         cell_timeout: Some(cfg.cell_timeout),
         stall_window: Some(cfg.stall_window),
-        retries: cfg.retries,
         telemetry: cfg.telemetry,
         progress_jsonl: cfg.progress_jsonl,
         ..RunnerConfig::new(dir)

@@ -1,5 +1,5 @@
-//! The worker pool: watchdog-cancelled cells, per-worker panic
-//! containment, and bounded deterministic retry.
+//! The worker pool: watchdog-cancelled cells and per-worker panic
+//! containment.
 //!
 //! [`run_cells_supervised`] is the one pool every grid of cells runs
 //! through: campaigns' full and sampled passes, [`run_grid`], and
@@ -7,10 +7,10 @@
 //! caller passes — `ziv_sim::run_one_instrumented` for a full cell,
 //! `ziv_sim::run_one_sampled_instrumented` for a sampled one; a failing
 //! cell comes back as an `Err` outcome and never takes down its worker
-//! or the other cells. On top of that the pool contains the three
+//! or the other cells. On top of that the pool contains the two
 //! failure modes a single run cannot:
 //!
-//! - **Hangs.** Each attempt runs under a [`CancelToken`] registered in
+//! - **Hangs.** Each cell runs under a [`CancelToken`] registered in
 //!   a per-worker watch slot; a single watchdog thread scans the slots
 //!   and cancels any cell past its wall-clock budget
 //!   ([`SuperviseConfig::cell_timeout`]) or making no progress for
@@ -18,13 +18,13 @@
 //!   cooperatively, so a cancelled cell stops at the next access — even
 //!   one wedged by an injected `hang-core` fault — and is reported as
 //!   [`SimError::Timeout`].
-//! - **Panics.** Every attempt runs inside `catch_unwind`: a panic deep
+//! - **Panics.** Every cell runs inside `catch_unwind`: a panic deep
 //!   in the model becomes one [`SimError::Internal`] failure for that
 //!   cell instead of a dead worker and a wedged campaign.
-//! - **Transient I/O.** A failed attempt whose error
-//!   [`SimError::is_transient`] qualifies is retried under the
-//!   deterministic [`RetryPolicy`] backoff schedule; the attempt count
-//!   is reported to the observer so the ledger records it.
+//!
+//! The pool runs each cell exactly once. A cell is a pure computation
+//! over an in-memory trace, so a failure recurs identically on a
+//! re-run; `--resume` is the way to run a failed cell again.
 //!
 //! With neither budget set ([`SuperviseConfig::unsupervised`]) cells
 //! run without a cancellation token and no watchdog thread starts;
@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use ziv_common::{RetryPolicy, SimError};
+use ziv_common::SimError;
 use ziv_core::CancelToken;
 use ziv_sim::{
     run_one_instrumented, GridResult, Observations, RunOptions, RunResult, RunSpec, TelemetryProbe,
@@ -45,31 +45,27 @@ use ziv_workloads::Workload;
 /// Supervision knobs for a campaign run.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperviseConfig {
-    /// Wall-clock budget per cell attempt (`--cell-timeout`). Bounds
-    /// how long any cell — however slow — may run.
+    /// Wall-clock budget per cell (`--cell-timeout`). Bounds how long
+    /// any cell — however slow — may run.
     pub cell_timeout: Option<Duration>,
-    /// No-forward-progress budget per cell attempt (`--stall-window`):
-    /// a cell whose access counter stops advancing for this long is
-    /// cancelled. Catches a wedged cell in milliseconds where the
-    /// wall-clock budget must stay generous enough for legitimately
-    /// slow cells.
+    /// No-forward-progress budget per cell (`--stall-window`): a cell
+    /// whose access counter stops advancing for this long is cancelled.
+    /// Catches a wedged cell in milliseconds where the wall-clock budget
+    /// must stay generous enough for legitimately slow cells.
     pub stall_window: Option<Duration>,
-    /// Retry policy for transient failures (`--retries`).
-    pub retry: RetryPolicy,
-    /// Watchdog scan interval. Only the cancellation *latency* depends
-    /// on it; results never do.
-    pub poll: Duration,
 }
 
+/// Watchdog scan interval. Only the cancellation *latency* depends on
+/// it; results never do.
+const WATCHDOG_POLL: Duration = Duration::from_millis(5);
+
 impl SuperviseConfig {
-    /// No watchdog, no retries. With neither budget set, cells run
-    /// without a cancellation token — the zero-cost unarmed path.
+    /// No watchdog. With neither budget set, cells run without a
+    /// cancellation token — the zero-cost unarmed path.
     pub fn unsupervised() -> Self {
         SuperviseConfig {
             cell_timeout: None,
             stall_window: None,
-            retry: RetryPolicy::none(),
-            poll: Duration::from_millis(5),
         }
     }
 
@@ -122,29 +118,20 @@ pub trait SuperviseObserver<T = RunResult>: Sync {
         let _ = (spec_index, workload_index);
     }
 
-    /// A cell completed after `attempts` attempts (1 = first try).
-    fn cell_finished(
-        &self,
-        spec_index: usize,
-        workload_index: usize,
-        result: &T,
-        attempts: u32,
-        wall: Duration,
-    ) {
-        let _ = (spec_index, workload_index, result, attempts, wall);
+    /// A cell completed.
+    fn cell_finished(&self, spec_index: usize, workload_index: usize, result: &T, wall: Duration) {
+        let _ = (spec_index, workload_index, result, wall);
     }
 
-    /// A cell failed after `attempts` attempts (retries exhausted or
-    /// the error was not transient).
+    /// A cell failed.
     fn cell_failed(
         &self,
         spec_index: usize,
         workload_index: usize,
         error: &SimError,
-        attempts: u32,
         wall: Duration,
     ) {
-        let _ = (spec_index, workload_index, error, attempts, wall);
+        let _ = (spec_index, workload_index, error, wall);
     }
 
     /// Polled before claiming the next cell; `true` stops the grid
@@ -167,16 +154,14 @@ pub struct SupervisedRun<T = RunResult> {
     pub spec_index: usize,
     /// Index of the workload in the grid's workload list.
     pub workload_index: usize,
-    /// The run's results, or the error of its final attempt.
+    /// The run's results, or the error that felled it.
     pub outcome: Result<T, SimError>,
-    /// Flight-recorder payload of the final attempt, when observing.
+    /// Flight-recorder payload, when observing.
     pub observations: Option<Box<Observations>>,
-    /// Attempts made (1 = no retries were needed).
-    pub attempts: u32,
 }
 
-/// A cell attempt currently under watch: its token, its wall-clock
-/// deadline, and its progress history for stall detection.
+/// A cell currently under watch: its token, its wall-clock deadline,
+/// and its progress history for stall detection.
 struct Watch {
     token: CancelToken,
     deadline: Option<Instant>,
@@ -197,7 +182,7 @@ impl Watch {
         }
     }
 
-    /// One watchdog scan over this attempt; cancels on a blown budget.
+    /// One watchdog scan over this cell; cancels on a blown budget.
     fn check(&mut self, now: Instant, stall_window: Option<Duration>) {
         if self.token.is_cancelled() {
             return;
@@ -239,50 +224,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `attempt_fn` under `policy`, sleeping `sleep_ms` between
-/// attempts. Returns the final outcome and the number of attempts made.
-/// `attempt_fn` receives the 1-based attempt number.
-fn execute_with_retry_with<T>(
-    policy: &RetryPolicy,
-    mut sleep_ms: impl FnMut(u64),
-    mut attempt_fn: impl FnMut(u32) -> Result<T, SimError>,
-) -> (Result<T, SimError>, u32) {
-    let mut attempt = 1u32;
-    loop {
-        match attempt_fn(attempt) {
-            Ok(v) => return (Ok(v), attempt),
-            Err(e) if policy.should_retry(&e, attempt) => {
-                sleep_ms(policy.backoff.delay_ms(attempt));
-                attempt += 1;
-            }
-            Err(e) => return (Err(e), attempt),
-        }
-    }
-}
-
-/// Runs `attempt_fn` under `policy` with real backoff sleeps. See
-/// [`RetryPolicy`]: only transient errors are retried, and the delay
-/// schedule is deterministic per seed.
-pub fn execute_with_retry<T>(
-    policy: &RetryPolicy,
-    attempt_fn: impl FnMut(u32) -> Result<T, SimError>,
-) -> (Result<T, SimError>, u32) {
-    execute_with_retry_with(
-        policy,
-        |ms| std::thread::sleep(Duration::from_millis(ms)),
-        attempt_fn,
-    )
-}
-
-/// What one cell attempt returns: the outcome and, when the run
-/// observed, its flight-recorder payload.
+/// What one cell returns: the outcome and, when the run observed, its
+/// flight-recorder payload.
 type CellOutcome<T> = (Result<T, SimError>, Option<Box<Observations>>);
 
-/// One guarded attempt of `run`: a panic becomes one
+/// One guarded run of a cell: a panic becomes one
 /// [`SimError::Internal`] carrying the panic message; a watchdog token is
 /// registered in the given slot when `watch` is provided (the inner
-/// `Option<Duration>` is the attempt's wall-clock budget).
-fn run_attempt<T>(
+/// `Option<Duration>` is the cell's wall-clock budget).
+fn run_guarded<T>(
     run: impl FnOnce(Option<&CancelToken>) -> CellOutcome<T>,
     watch: Option<(&Mutex<Option<Watch>>, Option<Duration>)>,
 ) -> CellOutcome<T> {
@@ -304,16 +254,16 @@ fn run_attempt<T>(
 }
 
 /// The worker pool. Runs the listed `(spec_index, workload_index)`
-/// cells across `threads` workers, each attempt a call of
-/// `run(spec, workload, cancel, probe)` guarded by panic containment,
-/// the optional watchdog, and the retry policy (see the module docs).
+/// cells across `threads` workers, each cell one call of
+/// `run(spec, workload, cancel, probe)` guarded by panic containment
+/// and the optional watchdog (see the module docs).
 /// `run` must poll `cancel` as the sim drivers do, or the watchdog
 /// cannot stop it. Results are sorted by `(spec_index,
 /// workload_index)`; cells skipped by
 /// [`SuperviseObserver::should_abort`] are absent.
 ///
 /// With `probes`, worker slot `i` uses `probes[i]` for every cell it
-/// claims, bracketing each retry attempt with `cell_begin`/`cell_end`
+/// claims, bracketing each cell with `cell_begin`/`cell_end`
 /// and threading the probe into the sim driver's hot-loop publish site.
 /// Probes observe, never steer — results are byte-identical with and
 /// without them, and `probes == None` publishes nothing.
@@ -371,7 +321,7 @@ pub fn run_cells_supervised<T: Send>(
                             watch.check(Instant::now(), sup.stall_window);
                         }
                     }
-                    std::thread::sleep(sup.poll);
+                    std::thread::sleep(WATCHDOG_POLL);
                 }
             });
         }
@@ -388,59 +338,37 @@ pub fn run_cells_supervised<T: Send>(
                         break;
                     }
                     let (spec_index, workload_index) = cells[idx];
+                    let (spec, workload) = (&specs[spec_index], &workloads[workload_index]);
                     observer.cell_started(spec_index, workload_index);
                     let started = Instant::now();
-                    let mut observations = None;
-                    let (outcome, attempts) = execute_with_retry(&sup.retry, |attempt| {
-                        if let Some(p) = probe {
-                            p.cell_begin(
-                                spec_index as u64,
-                                workload_index as u64,
-                                attempt as u64,
-                                workloads[workload_index].total_accesses(),
-                                &specs[spec_index].label,
-                                &workloads[workload_index].name,
-                            );
-                        }
-                        let (outcome, obs) = run_attempt(
-                            |cancel| {
-                                run(
-                                    &specs[spec_index],
-                                    &workloads[workload_index],
-                                    cancel,
-                                    probe,
-                                )
-                            },
-                            sup.watched().then_some((slot, sup.cell_timeout)),
+                    if let Some(p) = probe {
+                        p.cell_begin(
+                            spec_index as u64,
+                            workload_index as u64,
+                            workload.total_accesses(),
+                            &spec.label,
+                            &workload.name,
                         );
-                        if let Some(p) = probe {
-                            p.cell_end();
-                        }
-                        observations = obs;
-                        outcome
-                    });
+                    }
+                    let (outcome, observations) = run_guarded(
+                        |cancel| run(spec, workload, cancel, probe),
+                        sup.watched().then_some((slot, sup.cell_timeout)),
+                    );
+                    if let Some(p) = probe {
+                        p.cell_end();
+                    }
+                    let wall = started.elapsed();
                     match &outcome {
-                        Ok(result) => observer.cell_finished(
-                            spec_index,
-                            workload_index,
-                            result,
-                            attempts,
-                            started.elapsed(),
-                        ),
-                        Err(error) => observer.cell_failed(
-                            spec_index,
-                            workload_index,
-                            error,
-                            attempts,
-                            started.elapsed(),
-                        ),
+                        Ok(result) => {
+                            observer.cell_finished(spec_index, workload_index, result, wall)
+                        }
+                        Err(error) => observer.cell_failed(spec_index, workload_index, error, wall),
                     }
                     results.lock().unwrap().push(SupervisedRun {
                         spec_index,
                         workload_index,
                         outcome,
                         observations,
-                        attempts,
                     });
                 }
                 active.fetch_sub(1, Ordering::Release);
@@ -496,7 +424,6 @@ pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Ve
 mod tests {
     use super::*;
     use ziv_common::config::SystemConfig;
-    use ziv_common::BackoffSchedule;
     use ziv_core::LlcMode;
     use ziv_workloads::{apps, mixes, ScaleParams};
 
@@ -538,16 +465,8 @@ mod tests {
             fn cell_started(&self, _s: usize, _w: usize) {
                 self.started.fetch_add(1, Ordering::Relaxed);
             }
-            fn cell_finished(
-                &self,
-                _s: usize,
-                _w: usize,
-                result: &RunResult,
-                attempts: u32,
-                wall: Duration,
-            ) {
+            fn cell_finished(&self, _s: usize, _w: usize, result: &RunResult, wall: Duration) {
                 assert!(result.metrics.llc_accesses > 0);
-                assert_eq!(attempts, 1);
                 assert!(wall > Duration::ZERO);
                 self.finished.fetch_add(1, Ordering::Relaxed);
             }
@@ -588,75 +507,6 @@ mod tests {
             assert_eq!(x.result.metrics.llc_misses, y.result.metrics.llc_misses);
             assert_eq!(x.result.cores[0].cycles, y.result.cores[0].cycles);
         }
-    }
-
-    fn transient() -> SimError {
-        SimError::io("flaky append", "/tmp/x", std::io::Error::other("EIO"))
-    }
-
-    #[test]
-    fn retry_succeeds_after_transient_failures() {
-        let policy = RetryPolicy::with_retries(3, 0x2026);
-        let mut slept = Vec::new();
-        let mut calls = 0;
-        let (out, attempts) = execute_with_retry_with(
-            &policy,
-            |ms| slept.push(ms),
-            |attempt| {
-                calls += 1;
-                assert_eq!(attempt, calls);
-                if calls < 3 {
-                    Err(transient())
-                } else {
-                    Ok(42)
-                }
-            },
-        );
-        assert_eq!(out.unwrap(), 42);
-        assert_eq!(attempts, 3);
-        let sched = policy.backoff;
-        assert_eq!(slept, vec![sched.delay_ms(1), sched.delay_ms(2)]);
-    }
-
-    #[test]
-    fn retry_gives_up_at_the_attempt_cap() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff: BackoffSchedule {
-                base_ms: 1,
-                max_ms: 1,
-                seed: 0,
-            },
-        };
-        let mut calls = 0u32;
-        let (out, attempts) = execute_with_retry_with(
-            &policy,
-            |_| {},
-            |_| {
-                calls += 1;
-                Err::<(), _>(transient())
-            },
-        );
-        assert!(out.is_err());
-        assert_eq!(attempts, 3);
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn deterministic_errors_never_retry() {
-        let policy = RetryPolicy::with_retries(5, 0);
-        let mut calls = 0u32;
-        let (out, attempts) = execute_with_retry_with(
-            &policy,
-            |_| panic!("must not sleep"),
-            |_| {
-                calls += 1;
-                Err::<(), _>(SimError::Config("bad".into()))
-            },
-        );
-        assert_eq!(out.unwrap_err().kind_tag(), "config");
-        assert_eq!(attempts, 1);
-        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Telemetry {
 ///
 /// A naive ETA extrapolates from total elapsed time, which stays wrong
 /// for the rest of the campaign after a slow head cell or a burst of
-/// mid-campaign retries. This estimator instead keeps the completion
+/// slow cells mid-campaign. This estimator instead keeps the completion
 /// times of the last `window` cells and projects the remaining work at
 /// the *recent* rate — `marks-in-window / (now - oldest mark)` — so the
 /// estimate recovers as soon as the window rolls past an outlier.
@@ -360,7 +360,7 @@ mod tests {
         let naive = now.as_secs_f64() / 5.0 * 10.0;
         assert!(naive > 200.0, "the naive estimate this guards against");
 
-        // Retries mid-campaign slow the window; the estimate tracks it.
+        // Slow cells mid-campaign slow the window; the estimate tracks it.
         let mut eta = EtaEstimator::new(2);
         for t in [1, 2, 10, 18] {
             eta.record(Duration::from_secs(t));

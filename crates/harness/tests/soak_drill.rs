@@ -20,7 +20,6 @@ fn chaos_soak_isolates_every_fault_and_survives_a_torn_ledger() {
         params: CampaignParams::tiny(),
         cell_timeout: Duration::from_secs(120),
         stall_window: Duration::from_millis(750),
-        retries: 1,
         ..SoakConfig::new(dir.clone())
     };
     let report = run_soak(&cfg, &NullSink).expect("soak infrastructure must not fail");

@@ -961,7 +961,7 @@ pub fn run_paired_sampled_instrumented(
     let plan = resolve_plan(baseline, workload, plan);
     let expected = workload.total_accesses();
     if let Some(p) = probe {
-        p.cell_begin(0, 0, 1, expected, &baseline.label, &workload.name);
+        p.cell_begin(0, 0, expected, &baseline.label, &workload.name);
     }
     let base =
         run_one_sampled_instrumented(baseline, workload, opts, plan, None, probe, |_| false)?;
@@ -970,7 +970,7 @@ pub fn run_paired_sampled_instrumented(
     let mut deltas = RunningMoments::new();
     if let Some(p) = probe {
         p.cell_end();
-        p.cell_begin(1, 0, 1, expected, &target.label, &workload.name);
+        p.cell_begin(1, 0, expected, &target.label, &workload.name);
     }
     let tgt = run_one_sampled_instrumented(target, workload, opts, plan, None, probe, |iv| {
         let Some(&b) = base_ipcs.get(iv.index as usize) else {

@@ -21,7 +21,7 @@
 pub const MAGIC: u64 = 0x5A49_5654_454C_4531;
 
 /// Layout version. Bump on any incompatible layout change.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 /// Header words: magic, version, n_workers, total segment words,
 /// writer PID, then reserved padding.
@@ -59,15 +59,13 @@ pub const C_TOTAL: usize = 0;
 pub const C_CACHED: usize = 1;
 /// Cells finished successfully (including cached).
 pub const C_DONE: usize = 2;
-/// Cells that exhausted retries and failed.
+/// Cells that failed.
 pub const C_FAILED: usize = 3;
-/// Extra attempts spent on retries across all cells.
-pub const C_RETRIED: usize = 4;
 /// Cells currently executing on a worker.
-pub const C_RUNNING: usize = 5;
+pub const C_RUNNING: usize = 4;
 /// Estimated milliseconds to completion; [`ETA_UNKNOWN`] when the
 /// windowed estimator has no basis yet.
-pub const C_ETA_MS: usize = 6;
+pub const C_ETA_MS: usize = 5;
 
 /// Sentinel for "no ETA available".
 pub const ETA_UNKNOWN: u64 = u64::MAX;
@@ -83,34 +81,32 @@ pub const W_GENERATION: usize = 1;
 pub const W_SPEC: usize = 2;
 /// Workload index of the cell being executed.
 pub const W_WORKLOAD: usize = 3;
-/// Attempt number (1-based) of the current execution.
-pub const W_ATTEMPT: usize = 4;
 /// Accesses issued so far in this cell.
-pub const W_ACCESS: usize = 5;
+pub const W_ACCESS: usize = 4;
 /// Expected total accesses for this cell (0 if unknown).
-pub const W_EXPECTED: usize = 6;
+pub const W_EXPECTED: usize = 5;
 /// Instructions retired (summed over cores).
-pub const W_INSTRUCTIONS: usize = 7;
+pub const W_INSTRUCTIONS: usize = 6;
 /// Cycles elapsed (max over cores, rounded).
-pub const W_CYCLES: usize = 8;
+pub const W_CYCLES: usize = 7;
 /// LLC accesses so far.
-pub const W_LLC_ACCESSES: usize = 9;
+pub const W_LLC_ACCESSES: usize = 8;
 /// LLC misses so far.
-pub const W_LLC_MISSES: usize = 10;
+pub const W_LLC_MISSES: usize = 9;
 /// Inclusion victims so far.
-pub const W_INCLUSION_VICTIMS: usize = 11;
+pub const W_INCLUSION_VICTIMS: usize = 10;
 /// ZIV relocations so far.
-pub const W_RELOCATIONS: usize = 12;
+pub const W_RELOCATIONS: usize = 11;
 /// Sampling stratum: [`STRATUM_FULL`] for unsampled runs, otherwise
 /// the current sampling phase.
-pub const W_STRATUM: usize = 13;
+pub const W_STRATUM: usize = 12;
 /// Closed sampling intervals so far.
-pub const W_INTERVALS: usize = 14;
+pub const W_INTERVALS: usize = 13;
 /// Running mean of per-interval IPC (f64 bits; 0 until ≥1 interval).
-pub const W_IPC_MEAN: usize = 15;
+pub const W_IPC_MEAN: usize = 14;
 /// Half-width of the running IPC confidence interval (f64 bits;
 /// 0 until ≥2 intervals).
-pub const W_IPC_HALF: usize = 16;
+pub const W_IPC_HALF: usize = 15;
 /// First word of the 32-byte cell label.
 pub const W_LABEL: usize = 20;
 /// First word of the 32-byte workload name.

@@ -12,8 +12,7 @@
 //! * a **heartbeat** (monotonic tick + writer PID + finished flag) so
 //!   readers can distinguish "finished cleanly", "still running", and
 //!   "writer died" (stale tick + dead PID);
-//! * **campaign counters** (cells done/running/failed/retried, windowed
-//!   ETA);
+//! * **campaign counters** (cells done/running/failed, windowed ETA);
 //! * **per-worker cell progress** (access index, live counter values,
 //!   sampling stratum and running IPC confidence interval).
 //!

@@ -38,10 +38,8 @@ pub struct CampaignSnap {
     pub cached: u64,
     /// Cells finished successfully (including cached).
     pub done: u64,
-    /// Cells that exhausted retries and failed.
+    /// Cells that failed.
     pub failed: u64,
-    /// Extra attempts spent on retries.
-    pub retried: u64,
     /// Cells currently executing.
     pub running: u64,
     /// Estimated milliseconds to completion, if the writer had a basis.
@@ -61,8 +59,6 @@ pub struct WorkerSnap {
     pub spec_index: u64,
     /// Workload index of the current/last cell.
     pub workload_index: u64,
-    /// Attempt number (1-based).
-    pub attempt: u64,
     /// Accesses issued so far.
     pub access_index: u64,
     /// Expected accesses (0 when unknown).
@@ -198,7 +194,6 @@ impl TelemetryReader {
                 generation: w[l::W_GENERATION],
                 spec_index: w[l::W_SPEC],
                 workload_index: w[l::W_WORKLOAD],
-                attempt: w[l::W_ATTEMPT],
                 access_index: w[l::W_ACCESS],
                 expected_accesses: w[l::W_EXPECTED],
                 instructions: w[l::W_INSTRUCTIONS],
@@ -229,7 +224,6 @@ impl TelemetryReader {
                 cached: c[l::C_CACHED],
                 done: c[l::C_DONE],
                 failed: c[l::C_FAILED],
-                retried: c[l::C_RETRIED],
                 running: c[l::C_RUNNING],
                 eta_ms: match c[l::C_ETA_MS] {
                     l::ETA_UNKNOWN => None,

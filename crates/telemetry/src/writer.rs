@@ -27,10 +27,8 @@ pub struct CampaignCounters {
     pub cached: u64,
     /// Cells finished successfully (including cached).
     pub done: u64,
-    /// Cells that exhausted retries and failed.
+    /// Cells that failed.
     pub failed: u64,
-    /// Extra attempts spent on retries.
-    pub retried: u64,
     /// Cells currently executing.
     pub running: u64,
     /// Estimated milliseconds to completion, if known.
@@ -131,7 +129,6 @@ impl TelemetryWriter {
             data[l::C_CACHED].store(c.cached, Ordering::Relaxed);
             data[l::C_DONE].store(c.done, Ordering::Relaxed);
             data[l::C_FAILED].store(c.failed, Ordering::Relaxed);
-            data[l::C_RETRIED].store(c.retried, Ordering::Relaxed);
             data[l::C_RUNNING].store(c.running, Ordering::Relaxed);
             data[l::C_ETA_MS].store(c.eta_ms.unwrap_or(l::ETA_UNKNOWN), Ordering::Relaxed);
         });
@@ -169,12 +166,10 @@ impl WorkerRecord {
 
     /// Begin a cell: bump the generation, record identity and labels,
     /// zero the live counters.
-    #[allow(clippy::too_many_arguments)]
     pub fn begin_cell(
         &self,
         spec_index: u64,
         workload_index: u64,
-        attempt: u64,
         expected_accesses: u64,
         label: &str,
         workload: &str,
@@ -190,7 +185,6 @@ impl WorkerRecord {
             data[l::W_GENERATION].store(generation, Ordering::Relaxed);
             data[l::W_SPEC].store(spec_index, Ordering::Relaxed);
             data[l::W_WORKLOAD].store(workload_index, Ordering::Relaxed);
-            data[l::W_ATTEMPT].store(attempt, Ordering::Relaxed);
             data[l::W_ACCESS].store(0, Ordering::Relaxed);
             data[l::W_EXPECTED].store(expected_accesses, Ordering::Relaxed);
             for idx in [

@@ -33,7 +33,6 @@ fn campaign_for(g: u64) -> CampaignCounters {
         cached: g,
         done: g,
         failed: 0,
-        retried: 0,
         running: 1,
         eta_ms: Some(g),
     }
@@ -71,7 +70,7 @@ fn concurrent_reader_never_sees_torn_records() {
             let mut g = 0u64;
             while !stop.load(Ordering::Acquire) {
                 g += 1;
-                record.begin_cell(g, g + 1, 1, g * 4096, &format!("gen-{g}"), "drill");
+                record.begin_cell(g, g + 1, g * 4096, &format!("gen-{g}"), "drill");
                 let (access, instructions, relocations) = counters_for(g);
                 record.publish_progress(access, instructions, 0, 0, 0, 0, relocations, 0);
                 writer.publish_heartbeat(g, false, g);

@@ -1,94 +1,12 @@
-//! Property suites for the supervision primitives: the retry backoff
-//! schedule and the cooperative cancellation token.
-//!
-//! The backoff contract (see `ziv_common::backoff`): for any
-//! `(base, max, seed)` the delay sequence is monotone non-decreasing,
-//! never exceeds the cap, and is a pure function of the seed — a
-//! replayed campaign waits the identical schedule. The token contract
-//! (see `ziv_core::cancel`): an access-deadline token never fires
-//! before its deadline and always fires at or after it, and the first
-//! cancellation reason wins and sticks.
+//! Property suites for the cooperative cancellation token (see
+//! `ziv_core::cancel`): an access-deadline token never fires before its
+//! deadline and always fires at or after it, and the first cancellation
+//! reason wins and sticks.
 
 use proptest::prelude::*;
-use ziv_common::{BackoffSchedule, RetryPolicy, SimError};
 use ziv_core::CancelToken;
 
 proptest! {
-    /// Later attempts never wait less, regardless of base/cap/seed.
-    #[test]
-    fn backoff_is_monotone_nondecreasing(
-        base_ms in 0u64..10_000,
-        max_ms in 0u64..1_000_000,
-        seed in any::<u64>(),
-    ) {
-        let s = BackoffSchedule { base_ms, max_ms, seed };
-        let mut prev = 0u64;
-        for attempt in 1..=64u32 {
-            let d = s.delay_ms(attempt);
-            prop_assert!(
-                d >= prev,
-                "attempt {}: delay {} < previous {}", attempt, d, prev
-            );
-            prev = d;
-        }
-    }
-
-    /// No delay ever exceeds the cap, even at saturating attempts.
-    #[test]
-    fn backoff_is_bounded_by_the_cap(
-        base_ms in 0u64..10_000,
-        max_ms in 0u64..1_000_000,
-        seed in any::<u64>(),
-        attempt in 1u32..=512,
-    ) {
-        let s = BackoffSchedule { base_ms, max_ms, seed };
-        prop_assert!(s.delay_ms(attempt) <= max_ms);
-        prop_assert!(s.delay_ms(u32::MAX) <= max_ms, "saturation stays capped");
-    }
-
-    /// The whole schedule is a pure function of the seed: same seed,
-    /// same delays; and the jitter actually depends on the seed (two
-    /// seeds agreeing on 32 consecutive draws would need the jitter
-    /// span to be degenerate).
-    #[test]
-    fn backoff_is_deterministic_per_seed(
-        base_ms in 2u64..10_000,
-        seed in any::<u64>(),
-        other_seed in any::<u64>(),
-    ) {
-        let max_ms = u64::MAX; // uncapped: every draw's jitter is visible
-        let a = BackoffSchedule { base_ms, max_ms, seed };
-        let b = BackoffSchedule { base_ms, max_ms, seed };
-        let seq = |s: &BackoffSchedule| (1..=32u32).map(|n| s.delay_ms(n)).collect::<Vec<_>>();
-        prop_assert_eq!(seq(&a), seq(&b));
-        if other_seed != seed {
-            let c = BackoffSchedule { base_ms, max_ms, seed: other_seed };
-            // Not a hard guarantee per-draw, but 32 independent draws
-            // from a 64-bit-mixed hash colliding across the whole
-            // window is effectively impossible with span >= 2.
-            prop_assert_ne!(seq(&a), seq(&c));
-        }
-    }
-
-    /// The retry policy never retries deterministic errors and never
-    /// exceeds its attempt budget, for any configuration.
-    #[test]
-    fn retry_policy_respects_transience_and_the_cap(
-        retries in 0u32..8,
-        seed in any::<u64>(),
-        attempt in 1u32..16,
-    ) {
-        let p = RetryPolicy::with_retries(retries, seed);
-        let io = SimError::io("write", "/tmp/x", std::io::Error::other("transient"));
-        let cfg = SimError::Config("deterministic".into());
-        prop_assert!(!p.should_retry(&cfg, attempt), "config errors never retry");
-        prop_assert_eq!(
-            p.should_retry(&io, attempt),
-            attempt < retries + 1,
-            "transient errors retry exactly while attempts remain"
-        );
-    }
-
     /// An access-deadline token never fires early and always fires at
     /// or after the deadline.
     #[test]

@@ -9,7 +9,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 # benchmark/ is a package of its own, outside the workspace, so the
-# workspace-wide fmt and clippy runs skip it.
+# workspace-wide fmt and clippy runs skip it. Its tracked Cargo.lock
+# lists the workspace crates it builds. Cargo rewrites that file when
+# the workspace's crate graph changes, and --locked does not object, so
+# the checksum taken here is compared after the last benchmark build.
+BENCH_LOCK_SUM="$(sha256sum benchmark/Cargo.lock)"
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 
 echo "== one counting site (no Metrics += in the hierarchy)"
@@ -51,6 +55,13 @@ cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 diff <(./benchmark/target/release/benchmark pin --seed 0x2026
        ./benchmark/target/release/benchmark pin --seed 1) \
      <(grep -v '^#' benchmark/expected/digests.txt)
+
+echo "== benchmark/Cargo.lock unchanged by the builds"
+if [ "$(sha256sum benchmark/Cargo.lock)" != "$BENCH_LOCK_SUM" ]; then
+    echo "a build rewrote benchmark/Cargo.lock: the workspace's crate graph" \
+         "changed, and the benchmark's lockfile must change with it" >&2
+    exit 1
+fi
 
 echo "== cargo test (release, debug assertions on)"
 # The figure campaigns run in release; keep the invariant-heavy paths

@@ -63,7 +63,7 @@ const SPEC: &[&str] = &["--mode", "--policy", "--prefetch"];
 /// The invariant auditor and the cycle watchdog.
 const CHECKS: &[&str] = &["--audit", "--cell-budget"];
 /// The worker pool's supervision.
-const SUPERVISION: &[&str] = &["--threads", "--retries", "--cell-timeout", "--stall-window"];
+const SUPERVISION: &[&str] = &["--threads", "--cell-timeout", "--stall-window"];
 /// The live telemetry bus.
 const LIVE: &[&str] = &["--telemetry", "--progress"];
 /// A campaign's observers.
@@ -176,9 +176,7 @@ const FLAGS: &[Flag] = &[
      |o, v| parse_inject_fault(v).map(|f| o.inject_fault = Some(f))),
     ("--threads", "<n>", "worker threads (default: available parallelism)",
      |o, v| v.number().map(|n| o.threads = Some(n))),
-    ("--retries", "<n>", "re-attempt transiently failing cells up to N times (default 0)",
-     |o, v| v.number().map(|n| o.retries = n)),
-    ("--cell-timeout", "<ms>", "wall-clock budget per cell attempt (default off; soak 60000)",
+    ("--cell-timeout", "<ms>", "wall-clock budget per cell (default off; soak 60000)",
      |o, v| v.positive().map(|n| o.cell_timeout_ms = Some(n))),
     ("--stall-window", "<ms>", "cancel a cell making no progress for MS (default off; soak 750)",
      |o, v| v.positive().map(|n| o.stall_window_ms = Some(n))),
@@ -444,7 +442,6 @@ struct Options {
     strict: bool,
     cell_budget: Option<u64>,
     inject_fault: Option<(usize, usize, FaultInjection)>,
-    retries: u32,
     cell_timeout_ms: Option<u64>,
     stall_window_ms: Option<u64>,
     out: Option<String>,
@@ -487,7 +484,6 @@ impl Options {
             strict: false,
             cell_budget: None,
             inject_fault: None,
-            retries: 0,
             cell_timeout_ms: None,
             stall_window_ms: None,
             out: None,
@@ -818,7 +814,6 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         cell_budget: opts.cell_budget,
         cell_timeout: opts.cell_timeout_ms.map(std::time::Duration::from_millis),
         stall_window: opts.stall_window_ms.map(std::time::Duration::from_millis),
-        retries: opts.retries,
         params: Some(params),
         observe,
         telemetry: opts.telemetry,
@@ -880,17 +875,12 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
 }
 
 /// Lists a campaign pass's failed `cells` on stderr, each with its
-/// attempts and repro record when it has them.
+/// repro record when it has one.
 fn print_failures(cells: &str, failures: &[ziv::harness::CellFailure]) {
     eprintln!("\n{} {cells} FAILED:", failures.len());
     for f in failures {
-        let attempts = if f.attempts > 1 {
-            format!(" after {} attempts", f.attempts)
-        } else {
-            String::new()
-        };
         eprintln!(
-            "  {} × {} [{}]: {}{attempts}",
+            "  {} × {} [{}]: {}",
             f.label,
             f.workload,
             f.digest.hex(),
@@ -978,7 +968,6 @@ impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
         &self,
         spec_index: u64,
         workload_index: u64,
-        attempt: u64,
         expected_accesses: u64,
         label: &str,
         workload: &str,
@@ -987,7 +976,6 @@ impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
         self.inner.cell_begin(
             spec_index,
             workload_index,
-            attempt,
             expected_accesses,
             label,
             workload,
@@ -1004,7 +992,7 @@ impl ziv::sim::TelemetryProbe for PairedSampleProbe<'_> {
 
     fn cell_end(&self) {
         self.inner.cell_end();
-        self.bus.cell_finished(1);
+        self.bus.cell_finished();
     }
 }
 
@@ -1116,7 +1104,6 @@ fn cmd_soak(opts: &Options) -> Result<(), CliError> {
     if let Some(ms) = opts.stall_window_ms {
         cfg.stall_window = std::time::Duration::from_millis(ms);
     }
-    cfg.retries = opts.retries;
     cfg.telemetry = opts.telemetry;
     cfg.progress_jsonl = opts.progress_jsonl;
     let report = run_soak(&cfg, &StderrProgress).map_err(|e| CliError::Internal(e.to_string()))?;
@@ -1201,7 +1188,6 @@ fn snapshot_json(s: &ziv::telemetry::Snapshot) -> String {
                 ("workload".into(), JsonValue::str(&w.workload)),
                 ("spec_index".into(), JsonValue::u64(w.spec_index)),
                 ("workload_index".into(), JsonValue::u64(w.workload_index)),
-                ("attempt".into(), JsonValue::u64(w.attempt)),
                 ("access_index".into(), JsonValue::u64(w.access_index)),
                 (
                     "expected_accesses".into(),
@@ -1234,7 +1220,6 @@ fn snapshot_json(s: &ziv::telemetry::Snapshot) -> String {
         ("cached".into(), JsonValue::u64(c.cached)),
         ("done".into(), JsonValue::u64(c.done)),
         ("failed".into(), JsonValue::u64(c.failed)),
-        ("retried".into(), JsonValue::u64(c.retried)),
         ("running".into(), JsonValue::u64(c.running)),
         (
             "eta_ms".into(),
@@ -1256,13 +1241,11 @@ fn render_snapshot(s: &ziv::telemetry::Snapshot, deltas: &[u64]) {
     }
     let c = &s.campaign;
     println!(
-        "cells {}/{} done ({} cached, {} failed, {} retried, {} running)   \
-         elapsed {}   eta {}",
+        "cells {}/{} done ({} cached, {} failed, {} running)   elapsed {}   eta {}",
         c.done,
         c.total,
         c.cached,
         c.failed,
-        c.retried,
         c.running,
         fmt_mmss(s.heartbeat.elapsed_ms),
         c.eta_ms.map_or("--:--".into(), fmt_mmss),
@@ -1295,9 +1278,6 @@ fn render_snapshot(s: &ziv::telemetry::Snapshot, deltas: &[u64]) {
             w.access_index,
             stratum_tag(w.stratum),
         );
-        if w.attempt > 1 {
-            line.push_str(&format!(" attempt {}", w.attempt));
-        }
         if w.intervals > 0 {
             line.push_str(&format!(
                 "  {} iv, ipc {:.4} ±{:.4}",
@@ -2072,7 +2052,6 @@ mod tests {
                 cached: 1,
                 done: 3,
                 failed: 0,
-                retried: 1,
                 running: 2,
                 eta_ms: None,
             },
@@ -2119,16 +2098,14 @@ mod tests {
     #[test]
     fn parses_supervision_flags() {
         let o = parse_args(&args(
-            "campaign smoke --retries 2 --cell-timeout 5000 --stall-window 400",
+            "campaign smoke --cell-timeout 5000 --stall-window 400",
         ))
         .unwrap();
-        assert_eq!(o.retries, 2);
         assert_eq!(o.cell_timeout_ms, Some(5000));
         assert_eq!(o.stall_window_ms, Some(400));
 
         // Off by default: an unsupervised campaign stays unsupervised.
         let o = parse_args(&args("campaign smoke")).unwrap();
-        assert_eq!(o.retries, 0);
         assert!(o.cell_timeout_ms.is_none() && o.stall_window_ms.is_none());
 
         // `soak` takes the same flags (plus the usual campaign knobs).
@@ -2142,7 +2119,6 @@ mod tests {
 
         assert!(parse_args(&args("campaign smoke --cell-timeout 0")).is_err());
         assert!(parse_args(&args("campaign smoke --stall-window 0")).is_err());
-        assert!(parse_args(&args("campaign smoke --retries nope")).is_err());
     }
 
     #[test]

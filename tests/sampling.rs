@@ -297,7 +297,7 @@ fn hung_sampled_cell_is_cancelled_by_the_watchdog() {
             "--cell-timeout",
             "60000",
         ])
-        .args(["--stall-window", "750", "--retries", "2", "--strict"])
+        .args(["--stall-window", "750", "--strict"])
         .args(["--threads", "2", "--results-dir"])
         .arg(base.join("cli"))
         .env("ZIV_FAST", "1")
