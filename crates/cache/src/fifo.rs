@@ -3,10 +3,13 @@
 //! or the bank's write port is busy. It decouples the relocation datapath
 //! from the rest of the relocation logic.
 //!
-//! The simulator performs relocations functionally at request time; this
-//! structure models the buffer's *timing* (occupancy, completion cycles,
-//! the never-observed-in-the-paper overflow case) and provides the
-//! statistics behind Fig 18's discussion.
+//! The simulator performs relocations functionally at request time: the
+//! LLC pushes each request here and completes it at once, so the queue
+//! never holds more than one entry. Nothing outside this file's tests
+//! reads what it computes (`high_water`, `total_pushed`,
+//! `overflow_stalls`, completion cycles), and no figure is built from it.
+//! ROADMAP.md's "Model the relocation FIFO, or delete it" decides its
+//! fate.
 
 use std::collections::VecDeque;
 use ziv_common::{Cycle, LineAddr};

@@ -41,6 +41,9 @@ pub enum ViolationKind {
     NotInPrcMismatch,
     /// A directory entry's dirty owner is not a member of its sharer set.
     OwnerNotSharer,
+    /// A core holds a dirty private copy whose directory entry does not
+    /// name that core as dirty owner and only sharer.
+    DirtyNotExclusive,
     /// ZIV mode generated an inclusion victim without accounting for it
     /// as a relocation-set-exhaustion fallback — the zero-inclusion-victim
     /// guarantee was violated.
@@ -60,6 +63,7 @@ impl ViolationKind {
             ViolationKind::DanglingRelocation => "dangling-relocation",
             ViolationKind::NotInPrcMismatch => "not-in-prc-mismatch",
             ViolationKind::OwnerNotSharer => "owner-not-sharer",
+            ViolationKind::DirtyNotExclusive => "dirty-not-exclusive",
             ViolationKind::ZivGuarantee => "ziv-guarantee",
             ViolationKind::MetricConservation => "metric-conservation",
         }
@@ -75,6 +79,7 @@ impl ViolationKind {
             "dangling-relocation" => ViolationKind::DanglingRelocation,
             "not-in-prc-mismatch" => ViolationKind::NotInPrcMismatch,
             "owner-not-sharer" => ViolationKind::OwnerNotSharer,
+            "dirty-not-exclusive" => ViolationKind::DirtyNotExclusive,
             "ziv-guarantee" => ViolationKind::ZivGuarantee,
             "metric-conservation" => ViolationKind::MetricConservation,
             _ => return None,
@@ -305,6 +310,7 @@ mod tests {
             ViolationKind::DanglingRelocation,
             ViolationKind::NotInPrcMismatch,
             ViolationKind::OwnerNotSharer,
+            ViolationKind::DirtyNotExclusive,
             ViolationKind::ZivGuarantee,
             ViolationKind::MetricConservation,
         ];

@@ -10,8 +10,10 @@
 //!   L1/L2 line has a home LLC copy or a tracked `Relocated` copy.
 //! - **Directory ↔ LLC ↔ private consistency**: sharer bitvectors match
 //!   actual private contents in both directions, relocation pointers are
-//!   never dangling (either direction), dirty owners are sharers, and
-//!   `NotInPrC` hints agree with the directory in both directions.
+//!   never dangling (either direction), dirty owners are sharers, a
+//!   dirty private copy's entry names its core as dirty owner and only
+//!   sharer, and `NotInPrC` hints agree with the directory in both
+//!   directions.
 //! - **The zero-inclusion-victim guarantee**: in ZIV mode an inclusion
 //!   victim may exist only if the defensive relocation-set-exhaustion
 //!   fallback fired (and was counted).
@@ -303,6 +305,30 @@ impl Auditor {
                 ),
             });
         }
+
+        // A dirty private copy is exclusive: its entry names the core as
+        // dirty owner and only sharer, which lets a store to it skip the
+        // directory. Checked last, so a fault the checks above catch
+        // keeps the kind they report.
+        for (ci, core) in h.private_cores().iter().enumerate() {
+            let c = CoreId::new(ci);
+            let exclusive = |line| {
+                dir.probe(line)
+                    .is_some_and(|e| e.dirty_owner == Some(c) && e.sharers.is_sole_sharer(c))
+            };
+            for line in core.resident_lines() {
+                if core.is_dirty(line) && !exclusive(line) {
+                    return Err(violation(
+                        ViolationKind::DirtyNotExclusive,
+                        line,
+                        format!(
+                            "core {ci} holds the block dirty but its directory entry does \
+                             not name it as dirty owner and only sharer"
+                        ),
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -522,6 +548,23 @@ mod tests {
     fn clear_not_in_prc_on_a_block_no_core_holds_is_a_mismatch() {
         let v = audit_after_flipping(true);
         assert_eq!(v.kind, ViolationKind::NotInPrcMismatch, "{v}");
+    }
+
+    #[test]
+    fn a_dirty_copy_its_entry_does_not_own_is_not_exclusive() {
+        let cfg = crate::HierarchyConfig::new(ziv_common::config::SystemConfig::scaled());
+        let mut h = CacheHierarchy::new(&cfg);
+        let a = crate::Access::write(CoreId::new(1), ziv_common::Addr::new(0x4000), 0x400);
+        h.access(&a, 0, 0);
+        Auditor::check_structure(&h, 0).expect("a healthy hierarchy passes");
+        let line = a.addr.line();
+        h.dir_mut()
+            .probe_mut(line)
+            .expect("the store's line is tracked")
+            .dirty_owner = None;
+        let v = Auditor::check_structure(&h, 3).expect_err("the lost ownership is caught");
+        assert_eq!(v.kind, ViolationKind::DirtyNotExclusive, "{v}");
+        assert_eq!((v.line, v.access_index), (Some(line), 3));
     }
 
     #[test]

@@ -431,6 +431,12 @@ impl CacheHierarchy {
         &mut self.llc
     }
 
+    /// The sparse directory, mutable (unit tests that corrupt its state).
+    #[cfg(test)]
+    pub(crate) fn dir_mut(&mut self) -> &mut SparseDirectory {
+        &mut self.dir
+    }
+
     /// Merges per-bank relocation-interval histograms into the metrics
     /// (call once at end of simulation; Fig 18).
     pub fn finalize(&mut self) {
@@ -476,10 +482,14 @@ impl CacheHierarchy {
         let line = a.addr.line();
         let outcome =
             self.cores[a.core.index()].access(line, a.is_instr, a.is_write, &mut self.notice_buf);
+        // A store to a copy the core already held dirty needs no upgrade:
+        // a dirty private copy means the directory names this core as
+        // dirty owner and only sharer (the auditor's `dirty-not-exclusive`
+        // check), so `ensure_exclusive` would change nothing.
         let (breakdown, class) = match outcome {
-            PrivLookup::L1Hit => {
+            PrivLookup::L1Hit { owned } => {
                 self.drain_notices(a.core, now);
-                if a.is_write {
+                if a.is_write && !owned {
                     self.ensure_exclusive(line, a.core, now);
                 }
                 self.maybe_send_tlh_hint(a, line, now, seq);
@@ -489,9 +499,9 @@ impl CacheHierarchy {
                 };
                 (b, AccessClass::L1Hit)
             }
-            PrivLookup::L2Hit => {
+            PrivLookup::L2Hit { owned } => {
                 self.drain_notices(a.core, now);
-                if a.is_write {
+                if a.is_write && !owned {
                     self.ensure_exclusive(line, a.core, now);
                 }
                 self.maybe_send_tlh_hint(a, line, now, seq);

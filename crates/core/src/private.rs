@@ -5,18 +5,22 @@
 //! last private copy — the protocol that keeps the sparse directory
 //! up-to-date (Section III-A).
 
-use ziv_cache::SetAssocArray;
 use ziv_char::L2BlockMeta;
-use ziv_common::{CacheGeometry, CoreId, LineAddr};
-use ziv_replacement::{AccessCtx, Lru, ReplacementPolicy};
+use ziv_common::{CacheGeometry, LineAddr};
 
 /// Result of a private-hierarchy lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrivLookup {
     /// Hit in the L1 (instruction or data).
-    L1Hit,
+    L1Hit {
+        /// The L1 copy was dirty before this access.
+        owned: bool,
+    },
     /// Miss in L1, hit in the private L2.
-    L2Hit,
+    L2Hit {
+        /// The L2 copy was dirty before this access.
+        owned: bool,
+    },
     /// Miss in both; the shared LLC must be consulted.
     Miss,
 }
@@ -47,65 +51,123 @@ struct L2State {
     meta: L2BlockMeta,
 }
 
+/// One true-LRU private cache. Each set keeps its valid lines in
+/// recency order, most recently used first: a hit moves its line to the
+/// front, a fill shifts the set down one slot and writes at the front (a
+/// full set gives up its last line, the least recently filled or hit),
+/// and an invalidation closes the gap.
 #[derive(Debug)]
 struct Level<S> {
-    array: SetAssocArray<S>,
-    lru: Lru,
-    geom: CacheGeometry,
+    /// Set `s` owns slots `s * ways .. (s + 1) * ways`; the first
+    /// `len[s]` of them hold its lines' whole addresses.
+    lines: Vec<u64>,
+    /// The state of the line in the same slot.
+    states: Vec<S>,
+    /// Valid lines per set.
+    len: Vec<u8>,
+    ways: usize,
+    set_mask: u64,
 }
 
-impl<S: Default + Clone> Level<S> {
+impl<S: Copy + Default> Level<S> {
     fn new(geom: CacheGeometry) -> Self {
+        let slots = geom.blocks() as usize;
         Level {
-            array: SetAssocArray::new(geom),
-            lru: Lru::new(geom),
-            geom,
+            lines: vec![0; slots],
+            states: vec![S::default(); slots],
+            len: vec![0; geom.sets as usize],
+            ways: geom.ways as usize,
+            set_mask: geom.sets as u64 - 1,
         }
     }
 
-    fn lookup(&self, line: LineAddr) -> Option<u8> {
-        self.array
-            .lookup(self.geom.set_of(line), self.geom.tag_of(line))
+    /// `line`'s set index and its first slot.
+    #[inline]
+    fn set_of(&self, line: u64) -> (usize, usize) {
+        let set = (line & self.set_mask) as usize;
+        (set, set * self.ways)
     }
 
-    fn touch(&mut self, line: LineAddr, way: u8) {
-        let ctx = AccessCtx::demand(line, 0, CoreId::new(0), 0, 0);
-        self.lru.on_hit(self.geom.set_of(line), way, &ctx);
+    /// The slot holding `line`, if this level holds it.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let (set, base) = self.set_of(line.raw());
+        let valid = &self.lines[base..base + self.len[set] as usize];
+        valid
+            .iter()
+            .position(|&l| l == line.raw())
+            .map(|i| base + i)
     }
 
-    /// Fills `line`, evicting if needed; returns `(evicted_line, state)`.
+    /// A demand hit: moves `line` to the front of its set and returns its
+    /// state; `None` on a miss.
+    #[inline]
+    fn touch(&mut self, line: LineAddr) -> Option<&mut S> {
+        let slot = self.find(line)?;
+        let (_, base) = self.set_of(line.raw());
+        let state = self.states[slot];
+        push_front(&mut self.lines[base..=slot], line.raw());
+        push_front(&mut self.states[base..=slot], state);
+        Some(&mut self.states[base])
+    }
+
+    /// Fills `line`, which this level does not hold, at the front of its
+    /// set; returns the line a full set gave up, with its state.
     fn fill(&mut self, line: LineAddr, state: S) -> Option<(LineAddr, S)> {
-        let set = self.geom.set_of(line);
-        let ctx = AccessCtx::demand(line, 0, CoreId::new(0), 0, 0);
-        let way = match self.array.invalid_way(set) {
-            Some(w) => w,
-            None => {
-                let w = self.lru.victim(set, &ctx);
-                self.lru.on_evict(set, w);
-                w
-            }
-        };
-        let old = self.array.fill(set, way, self.geom.tag_of(line), state);
-        self.lru.on_fill(set, way, &ctx);
-        old.map(|(tag, s)| (self.geom.line_of(tag, set), s))
+        debug_assert!(self.find(line).is_none(), "{line} filled twice");
+        let (set, base) = self.set_of(line.raw());
+        let len = self.len[set] as usize;
+        let end = base + (len + 1).min(self.ways);
+        let last_line = push_front(&mut self.lines[base..end], line.raw());
+        let last_state = push_front(&mut self.states[base..end], state);
+        self.len[set] = (end - base) as u8;
+        (len == self.ways).then(|| (LineAddr::new(last_line), last_state))
     }
 
     fn invalidate(&mut self, line: LineAddr) -> Option<S> {
-        let set = self.geom.set_of(line);
-        let way = self.array.lookup(set, self.geom.tag_of(line))?;
-        self.lru.on_evict(set, way);
-        self.array.invalidate(set, way).map(|(_, s)| s)
+        let slot = self.find(line)?;
+        let (set, base) = self.set_of(line.raw());
+        let end = base + self.len[set] as usize;
+        let state = self.states[slot];
+        self.lines.copy_within(slot + 1..end, slot);
+        self.states.copy_within(slot + 1..end, slot);
+        self.len[set] -= 1;
+        Some(state)
+    }
+
+    fn state(&self, line: LineAddr) -> Option<&S> {
+        self.find(line).map(|slot| &self.states[slot])
     }
 
     fn state_mut(&mut self, line: LineAddr) -> Option<&mut S> {
-        let set = self.geom.set_of(line);
-        let way = self.array.lookup(set, self.geom.tag_of(line))?;
-        Some(self.array.state_mut(set, way))
+        self.find(line).map(|slot| &mut self.states[slot])
     }
 
     fn occupancy(&self) -> usize {
-        self.array.total_valid()
+        self.len.iter().map(|&n| n as usize).sum()
     }
+
+    /// Every line this level holds, set by set.
+    fn resident(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        let ways = self.ways;
+        self.len.iter().enumerate().flat_map(move |(set, &n)| {
+            let base = set * ways;
+            self.lines[base..base + n as usize]
+                .iter()
+                .map(|&l| LineAddr::new(l))
+        })
+    }
+}
+
+/// Writes `x` into the front of `slots`, moving every slot down one;
+/// returns the value moved out of the last slot. One pass that carries
+/// each value in a register: a set holds a few ways, too few for a
+/// `memmove` call to pay.
+#[inline(always)]
+fn push_front<T: Copy>(slots: &mut [T], x: T) -> T {
+    slots
+        .iter_mut()
+        .fold(x, |carry, slot| std::mem::replace(slot, carry))
 }
 
 impl Level<L1State> {
@@ -142,22 +204,15 @@ impl PrivateHierarchy {
     /// Whether the core holds `line` in any private cache — the
     /// presence the sparse directory tracks.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.l1d.lookup(line).is_some()
-            || self.l2.lookup(line).is_some()
-            || self.l1i.lookup(line).is_some()
+        self.l1d.find(line).is_some()
+            || self.l2.find(line).is_some()
+            || self.l1i.find(line).is_some()
     }
 
     /// Whether the core holds a dirty copy of `line`.
     pub fn is_dirty(&self, line: LineAddr) -> bool {
-        let in_l1 = self
-            .l1d
-            .lookup(line)
-            .map(|w| self.l1d.array.state(self.l1d.geom.set_of(line), w).dirty);
-        let in_l2 = self
-            .l2
-            .lookup(line)
-            .map(|w| self.l2.array.state(self.l2.geom.set_of(line), w).dirty);
-        in_l1.unwrap_or(false) || in_l2.unwrap_or(false)
+        self.l1d.state(line).is_some_and(|s| s.dirty)
+            || self.l2.state(line).is_some_and(|s| s.dirty)
     }
 
     /// Clears dirty state (the core supplied data and was downgraded).
@@ -171,7 +226,8 @@ impl PrivateHierarchy {
     }
 
     /// Performs a demand access. Fills the L1 on an L2 hit. Any blocks
-    /// leaving the hierarchy are appended to `notices`.
+    /// leaving the hierarchy are appended to `notices`. A hit reports
+    /// whether the copy that hit was dirty before the access.
     pub fn access(
         &mut self,
         line: LineAddr,
@@ -185,19 +241,16 @@ impl PrivateHierarchy {
         } else {
             &mut self.l1d
         };
-        if let Some(way) = l1.lookup(line) {
-            l1.touch(line, way);
-            if is_write {
-                l1.array.state_mut(l1.geom.set_of(line), way).dirty = true;
-            }
-            return PrivLookup::L1Hit;
+        if let Some(s) = l1.touch(line) {
+            let owned = s.dirty;
+            s.dirty |= is_write;
+            return PrivLookup::L1Hit { owned };
         }
-        if let Some(way) = self.l2.lookup(line) {
-            self.l2.touch(line, way);
-            let set = self.l2.geom.set_of(line);
-            self.l2.array.state_mut(set, way).meta.on_reuse();
+        if let Some(s) = self.l2.touch(line) {
+            let owned = s.dirty;
+            s.meta.on_reuse();
             self.fill_l1(line, is_instr, is_write, notices);
-            return PrivLookup::L2Hit;
+            return PrivLookup::L2Hit { owned };
         }
         PrivLookup::Miss
     }
@@ -299,14 +352,11 @@ impl PrivateHierarchy {
             return;
         }
         let other = if from_l1i { &self.l1d } else { &self.l1i };
-        if let Some(way) = other.lookup(line) {
+        if let Some(s) = other.state(line) {
             // Rare: the same line in the other L1; presence persists.
             // That copy was handed the same metadata when the L2 copy
             // left, since both L1s held the line then.
-            debug_assert_eq!(
-                other.array.state(other.geom.set_of(line), way).deferred,
-                state.deferred
-            );
+            debug_assert_eq!(s.deferred, state.deferred);
             return;
         }
         notices.push(EvictionNotice {
@@ -334,41 +384,20 @@ impl PrivateHierarchy {
         self.l1i.occupancy() + self.l1d.occupancy() + self.l2.occupancy()
     }
 
-    /// Iterates over every line currently present in the hierarchy
-    /// (tests and inclusion-invariant checks; O(capacity)).
+    /// Every line currently present in the hierarchy, ascending and
+    /// without duplicates (tests and inclusion-invariant checks;
+    /// O(capacity)).
     pub fn resident_lines(&self) -> Vec<LineAddr> {
-        let mut lines = Vec::new();
-        for level_lines in [
-            collect_lines(&self.l1i.array, self.l1i.geom),
-            collect_lines(&self.l1d.array, self.l1d.geom),
-            collect_lines_l2(&self.l2.array, self.l2.geom),
-        ] {
-            lines.extend(level_lines);
-        }
+        let mut lines: Vec<LineAddr> = self
+            .l1i
+            .resident()
+            .chain(self.l1d.resident())
+            .chain(self.l2.resident())
+            .collect();
         lines.sort_unstable();
         lines.dedup();
         lines
     }
-}
-
-fn collect_lines(array: &SetAssocArray<L1State>, geom: CacheGeometry) -> Vec<LineAddr> {
-    let mut out = Vec::new();
-    for set in 0..geom.sets {
-        for w in array.iter_set(set) {
-            out.push(geom.line_of(w.tag, set));
-        }
-    }
-    out
-}
-
-fn collect_lines_l2(array: &SetAssocArray<L2State>, geom: CacheGeometry) -> Vec<LineAddr> {
-    let mut out = Vec::new();
-    for set in 0..geom.sets {
-        for w in array.iter_set(set) {
-            out.push(geom.line_of(w.tag, set));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -394,7 +423,10 @@ mod tests {
         let mut n = Vec::new();
         assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::Miss);
         h.fill_from_shared(line(1), false, false, true, &mut n);
-        assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::L1Hit);
+        assert_eq!(
+            h.access(line(1), false, false, &mut n),
+            PrivLookup::L1Hit { owned: false }
+        );
         assert!(h.contains(line(1)));
         assert!(n.is_empty());
     }
@@ -408,8 +440,14 @@ mod tests {
         for l in [3u64, 5] {
             h.fill_from_shared(line(l), false, false, false, &mut n);
         }
-        assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::L2Hit);
-        assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::L1Hit);
+        assert_eq!(
+            h.access(line(1), false, false, &mut n),
+            PrivLookup::L2Hit { owned: false }
+        );
+        assert_eq!(
+            h.access(line(1), false, false, &mut n),
+            PrivLookup::L1Hit { owned: false }
+        );
     }
 
     #[test]
@@ -475,9 +513,15 @@ mod tests {
         let mut h = hierarchy();
         let mut n = Vec::new();
         h.fill_from_shared(line(2), true, false, false, &mut n);
-        assert_eq!(h.access(line(2), true, false, &mut n), PrivLookup::L1Hit);
+        assert_eq!(
+            h.access(line(2), true, false, &mut n),
+            PrivLookup::L1Hit { owned: false }
+        );
         // A data access to the same line misses L1D but hits L2.
-        assert_eq!(h.access(line(2), false, false, &mut n), PrivLookup::L2Hit);
+        assert_eq!(
+            h.access(line(2), false, false, &mut n),
+            PrivLookup::L2Hit { owned: false }
+        );
     }
 
     #[test]
@@ -489,11 +533,17 @@ mod tests {
         for l in [3u64, 5] {
             h.fill_from_shared(line(l), false, false, false, &mut n);
         }
-        assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::L2Hit);
+        assert_eq!(
+            h.access(line(1), false, false, &mut n),
+            PrivLookup::L2Hit { owned: false }
+        );
         for l in [3u64, 5] {
             let _ = h.access(line(l), false, false, &mut n);
         }
-        assert_eq!(h.access(line(1), false, false, &mut n), PrivLookup::L2Hit);
+        assert_eq!(
+            h.access(line(1), false, false, &mut n),
+            PrivLookup::L2Hit { owned: false }
+        );
         // Force line 1 fully out and inspect its notice metadata.
         n.clear();
         h.invalidate(line(3));

@@ -205,10 +205,11 @@ pub fn run_one_checked(
 }
 
 /// The machinery both drivers share: the hierarchy, each core's trace
-/// cursor and clocks, and the per-access step with its checks. The
-/// full driver ([`run_one_instrumented`]) and the sampling engine
+/// cursor and clocks, the queue of cores still issuing, and the
+/// per-access step with its checks. The full driver
+/// ([`run_one_instrumented`]) and the sampling engine
 /// ([`run_one_sampled_instrumented`](crate::run_one_sampled_instrumented))
-/// keep only their own schedule on top: which core is eligible, which
+/// keep only their own schedule on top: when a core retires, which
 /// stream position an access takes, and what happens between accesses.
 pub(crate) struct Sim<'a> {
     pub(crate) h: CacheHierarchy,
@@ -216,8 +217,12 @@ pub(crate) struct Sim<'a> {
     pub(crate) base_cpi: f64,
     /// Index of each core's next trace record.
     pub(crate) cursor: Vec<usize>,
-    /// Each core's clock, in cycles.
+    /// Each core's clock, in cycles. A caller that moves clocks other
+    /// than through [`Sim::issue`] re-sorts the queue ([`Sim::resort`]).
     pub(crate) cycles: Vec<f64>,
+    /// The cores still issuing, ordered by (clock, core index): the
+    /// front is the lagging core.
+    queue: Vec<usize>,
     /// Instructions each core has retired.
     pub(crate) instructions: Vec<u64>,
     /// Accesses issued so far, over all cores.
@@ -259,6 +264,7 @@ impl<'a> Sim<'a> {
             base_cpi: spec.system.base_cpi,
             cursor: vec![0; ncores],
             cycles: vec![0.0; ncores],
+            queue: (0..ncores).collect(),
             instructions: vec![0; ncores],
             issued: 0,
             cancel,
@@ -312,24 +318,49 @@ impl<'a> Sim<'a> {
         Ok(())
     }
 
-    /// The lagging core: the one with the smallest clock among those
-    /// `eligible` admits, or `None` when it admits none. Advancing it
-    /// next gives the deterministic smallest-cycle-first interleaving.
+    /// The lagging core: the issuing core with the smallest clock, the
+    /// lowest index among equal clocks, or `None` once every core has
+    /// retired. Advancing it next gives the deterministic
+    /// smallest-cycle-first interleaving.
     #[inline]
-    pub(crate) fn lagging(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
-        // A sentinel rather than an `Option` keeps the scan a predicted
-        // branch per core: tracking an `Option` here let LLVM turn it
-        // into a select chain that ran the private-cache-bound benchmark
-        // workload about 4% slower.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        for (c, clock) in self.cycles.iter().enumerate() {
-            if eligible(c) && *clock < best {
-                best = *clock;
-                core = c;
-            }
+    pub(crate) fn lagging(&self) -> Option<usize> {
+        self.queue.first().copied()
+    }
+
+    /// Stops issuing from `core`.
+    pub(crate) fn retire(&mut self, core: usize) {
+        self.queue.retain(|&c| c != core);
+    }
+
+    /// Restores the queue's order after clocks moved in bulk. The key is
+    /// unique, so an unstable sort gives the one order.
+    pub(crate) fn resort(&mut self) {
+        let cycles = &self.cycles;
+        self.queue.sort_unstable_by(|&a, &b| {
+            let by_clock = cycles[a].partial_cmp(&cycles[b]);
+            by_clock.expect("clocks are never NaN").then(a.cmp(&b))
+        });
+    }
+
+    /// Moves `core`, the only core whose clock moved, to its place in the
+    /// queue with one insertion pass (a retired core stays retired).
+    #[inline]
+    fn requeue(&mut self, core: usize) {
+        let (q, cycles) = (&mut self.queue, &self.cycles);
+        let Some(mut i) = q.iter().position(|&c| c == core) else {
+            return;
+        };
+        let before =
+            |a: usize, b: usize| cycles[a] < cycles[b] || (cycles[a] == cycles[b] && a < b);
+        while i + 1 < q.len() && before(q[i + 1], core) {
+            q[i] = q[i + 1];
+            i += 1;
         }
-        (core != usize::MAX).then_some(core)
+        while i > 0 && before(core, q[i - 1]) {
+            q[i] = q[i - 1];
+            i -= 1;
+        }
+        q[i] = core;
     }
 
     /// Issues `core`'s next trace record to the hierarchy at global
@@ -359,6 +390,7 @@ impl<'a> Sim<'a> {
         let lat = self.h.access(&a, now, seq);
         let exposed = lat as f64 * (1.0 - trace.overlap);
         self.cycles[core] += (1 + rec.gap as u64) as f64 * self.base_cpi + exposed;
+        self.requeue(core);
         self.instructions[core] += 1 + rec.gap as u64;
         self.last = (core, now);
         self.issued += 1;
@@ -583,7 +615,7 @@ fn run_laps(sim: &mut Sim, mut slicer: Option<&mut EpochSlicer>) -> Result<(), S
 
     while done < ncores && sim.issued < issue_cap {
         sim.poll(0)?;
-        let Some(core) = sim.lagging(|c| laps[c] < LAP_CAP) else {
+        let Some(core) = sim.lagging() else {
             break; // everyone parked (cannot happen before done == ncores)
         };
         // The policy-independent global stream position (round-robin by
@@ -608,6 +640,9 @@ fn run_laps(sim: &mut Sim, mut slicer: Option<&mut EpochSlicer>) -> Result<(), S
                 done += 1;
             }
             laps[core] += 1;
+            if laps[core] == LAP_CAP {
+                sim.retire(core);
+            }
             // Snapshot at every completed lap: the reported IPC then
             // covers (nearly) the whole co-run window, so repeated
             // inclusion-victim damage to fast cores is measured.
@@ -703,6 +738,58 @@ mod tests {
             .with_policy(ziv_replacement::PolicyKind::Min);
         let r = run_one(&spec, &small_workload(2));
         assert!(r.metrics.llc_accesses > 0);
+    }
+
+    /// The core queue's front is always the core a plain argmin over the
+    /// issuing cores' clocks picks, the lowest index among equal clocks,
+    /// through single moves, retirements and bulk re-sorts.
+    #[test]
+    fn the_core_queue_front_is_the_argmin() {
+        let spec = RunSpec::new("I-LRU", SystemConfig::scaled());
+        let wl = small_workload(8);
+        let mut sim = Sim::new(&spec, &wl, &RunOptions::default(), None, None);
+        let mut issuing = [true; 8];
+        let argmin = |sim: &Sim, issuing: &[bool]| {
+            let mut best: Option<usize> = None;
+            for c in (0..issuing.len()).filter(|&c| issuing[c]) {
+                if best.is_none_or(|b| sim.cycles[c] < sim.cycles[b]) {
+                    best = Some(c);
+                }
+            }
+            best
+        };
+        // Quarter-cycle steps keep the sums exact, so clocks tie often;
+        // a few go back, as a hand-built trace with an overlap above 1
+        // would make them.
+        let steps = [0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.75, -0.5];
+        let mut rng = ziv_common::SimRng::seed_from_u64(0x0c10c);
+        for step in 0..5_000 {
+            // The front core moves, as in both drivers, and now and then
+            // another one.
+            let core = match sim.lagging() {
+                Some(front) if rng.chance(0.8) => front,
+                _ => loop {
+                    let c = rng.below_usize(8);
+                    if issuing[c] {
+                        break c;
+                    }
+                },
+            };
+            sim.cycles[core] += *rng.pick(&steps);
+            sim.requeue(core);
+            if step % 97 == 96 {
+                for c in (0..8).filter(|&c| issuing[c]) {
+                    sim.cycles[c] += rng.below(4) as f64 * 0.25;
+                }
+                sim.resort();
+            }
+            if step % 700 == 699 {
+                issuing[core] = false;
+                sim.retire(core);
+            }
+            assert_eq!(sim.lagging(), argmin(&sim, &issuing), "step {step}");
+        }
+        assert_eq!(issuing.iter().filter(|&&i| i).count(), 1);
     }
 
     #[test]

@@ -769,9 +769,9 @@ fn sample_intervals(
             // hierarchy, so the per-access lagging-core interleave is
             // unobservable — charge each core its records' base-CPI
             // work in one pass over the trace slices instead of paying
-            // the core-selection scan per access. The absolute clock
-            // skew this introduces cancels out of every interval
-            // estimate (they are deltas).
+            // the core selection per access, then re-sort the core queue
+            // once. The absolute clock skew this introduces cancels out
+            // of every interval estimate (they are deltas).
             let mut left = (plan.gap - plan.warm_len()) - pos;
             while left > 0 && done < ncores {
                 let active = ncores - done;
@@ -796,9 +796,11 @@ fn sample_intervals(
                     if sim.cursor[c] == records.len() {
                         completed[c] = true;
                         done += 1;
+                        sim.retire(c);
                     }
                 }
             }
+            sim.resort();
             if let Some(tok) = sim.cancel {
                 tok.note_progress(sim.issued);
             }
@@ -830,7 +832,7 @@ fn sample_intervals(
 
         // A sampled run is single-pass: a core that completed its trace
         // stops issuing.
-        let Some(core) = sim.lagging(|c| !completed[c]) else {
+        let Some(core) = sim.lagging() else {
             break;
         };
         let seq = (sim.cursor[core] * ncores + core) as u64;
@@ -845,6 +847,7 @@ fn sample_intervals(
         if finishing {
             completed[core] = true;
             done += 1;
+            sim.retire(core);
         }
 
         // Close the interval when it completes — the access just issued

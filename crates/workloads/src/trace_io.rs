@@ -130,7 +130,13 @@ pub fn read_trace<R: Read>(input: R) -> Result<Workload, ParseTraceError> {
                         "overlap" => {
                             overlap = value
                                 .parse()
-                                .map_err(|e| err(lineno, format!("overlap: {e}")))?
+                                .map_err(|e| err(lineno, format!("overlap: {e}")))?;
+                            // The fraction of latency hidden: above 1 a
+                            // core's clock would run backwards, and NaN
+                            // would leave the driver no order of cores.
+                            if !(0.0..=1.0).contains(&overlap) {
+                                return Err(err(lineno, "overlap must be in [0, 1]"));
+                            }
                         }
                         "app" => app = value.to_string(),
                         _ => return Err(err(lineno, format!("unknown core attribute '{key}'"))),
@@ -294,6 +300,13 @@ mod tests {
             .unwrap_err()
             .message
             .contains("trailing"));
+
+        for overlap in ["1.5", "-0.1", "NaN"] {
+            let bad = format!("# core 0 overlap {overlap}\n0 1040 400 r 3\n");
+            let e = read_trace(bad.as_bytes()).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains("overlap must be in [0, 1]"), "{e}");
+        }
     }
 
     #[test]
