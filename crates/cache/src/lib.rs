@@ -9,9 +9,10 @@
 //!   Section III-D with the paper's **Algorithm 1** (`nextRS`
 //!   computation) implemented literally on a multi-word bit string,
 //!   including the `emptyPV` shortcut bit.
-//! - [`RelocationFifo`]: the eight-entry buffer that decouples the
-//!   relocation datapath from the rest of the relocation logic
-//!   (Section III-D1).
+//!
+//! The paper's eight-entry relocation FIFO (Section III-D1) is not
+//! modeled: the LLC performs each relocation at once, when it is
+//! requested.
 //!
 //! # Examples
 //!
@@ -30,9 +31,7 @@
 #![warn(missing_debug_implementations)]
 
 mod array;
-mod fifo;
 mod pv;
 
 pub use array::{ProbeOutcome, SetAssocArray, WayRef};
-pub use fifo::{FifoFullError, RelocationFifo, RelocationRequest};
 pub use pv::PropertyVector;

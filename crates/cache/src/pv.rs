@@ -235,9 +235,8 @@ mod tests {
         assert!(counts.iter().all(|&c| c == 10), "{counts:?}");
     }
 
-    // Seeded randomized model checks (deterministic stand-ins for the
-    // proptest suites, which live in `devtests/` to keep this crate
-    // dependency-free).
+    // Seeded randomized model checks against naive reference
+    // implementations.
     #[test]
     fn algorithm1_matches_reference() {
         let mut rng = SimRng::seed_from_u64(0xA160);

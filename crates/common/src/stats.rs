@@ -211,10 +211,12 @@ impl Log2Histogram {
     ///
     /// Bucket `i` holds values in `[2^i, 2^(i+1))` (bucket 0 holds
     /// `0..2`), so the estimate is exact at bucket boundaries and never
-    /// overshoots the bucket's upper edge: for any `k`,
-    /// `percentile(fraction_below_pow2(k)) <= 2^k`. `percentile(0.0)`
-    /// is the infimum of the recorded value range — the lower edge of
-    /// the lowest non-empty bucket.
+    /// overshoots the bucket's upper edge: for any `k` with
+    /// `q = fraction_below_pow2(k) > 0`, `percentile(q) <= 2^k`.
+    /// `percentile(0.0)` is the infimum of the recorded value range —
+    /// the lower edge of the lowest non-empty bucket. So when no sample
+    /// lies below `2^k`, `q` is 0 and `percentile(q)` is that edge,
+    /// which is at least `2^k`.
     ///
     /// # Examples
     ///

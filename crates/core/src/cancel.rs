@@ -9,7 +9,8 @@
 //! the unarmed path (`Option::None` in the driver) costs nothing at
 //! all.
 //!
-//! Semantics, relied on by the devtests proptests:
+//! Semantics, checked by the cancel-token properties in
+//! `tests/component_properties.rs`:
 //!
 //! - with an access deadline `d`, [`CancelToken::fired`] never reports
 //!   cancellation for `issued < d` (unless externally cancelled) and

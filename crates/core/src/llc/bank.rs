@@ -1,9 +1,9 @@
 //! One LLC bank: the tag/data array with ZIV block state, its
 //! replacement policy, its property vectors (ZIV banks only), and its
-//! relocation FIFO.
+//! relocation-interval histogram.
 
 use crate::llc::{GradedKind, ZivProperty};
-use ziv_cache::{PropertyVector, RelocationFifo, SetAssocArray};
+use ziv_cache::{PropertyVector, SetAssocArray};
 use ziv_char::GroupId;
 use ziv_common::ids::{SetIdx, WayIdx};
 use ziv_common::stats::Log2Histogram;
@@ -70,8 +70,6 @@ pub struct LlcBank {
     /// The ZIV relocation-set property vectors; `None` in every non-ZIV
     /// mode, where nothing reads them.
     pub pvs: Option<PropertyVectors>,
-    /// The eight-entry relocation buffer (Section III-D1).
-    pub fifo: RelocationFifo,
     /// Cycle of the last relocation in this bank (Fig 18 intervals).
     pub last_relocation: Option<Cycle>,
     /// Histogram of relocation intervals (log2 cycles) — Fig 18.
@@ -146,7 +144,6 @@ impl LlcBank {
             array: SetAssocArray::new(geom),
             policy,
             pvs: property.map(|p| PropertyVectors::new(geom.sets, p.graded())),
-            fifo: RelocationFifo::new(),
             last_relocation: None,
             relocation_intervals: Log2Histogram::new(),
         }

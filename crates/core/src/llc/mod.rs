@@ -241,8 +241,6 @@ pub struct RelocationOutcome {
     pub evicted_from_rs: Option<EvictedBlock>,
     /// Whether the relocation crossed banks (Section III-D1 fallback).
     pub cross_bank: bool,
-    /// Cycle at which the relocation datapath finished.
-    pub completed_at: Cycle,
 }
 
 /// Everything a fill did, for the hierarchy to act on (default: a plain fill).
@@ -803,19 +801,9 @@ impl SharedLlc {
         dst.policy.on_relocate_in(dst_set, dst_way, &reloc_ctx);
         dst.refresh_set(dst_set);
 
-        // Timing + statistics through the relocation FIFO.
-        let write_latency = self.cfg.data_latency;
-        let bank_for_stats = &mut self.banks[dst_bank.index()];
-        let _ = bank_for_stats.fifo.push(ziv_cache::RelocationRequest {
-            line: moved.line,
-            requested_at: now,
-        });
-        let completed_at = bank_for_stats
-            .fifo
-            .complete_front(write_latency)
-            .map(|(_, done)| done)
-            .unwrap_or(now);
-        bank_for_stats.record_relocation(now);
+        // The relocation completes at once (the paper's relocation FIFO
+        // is not modeled); its interval feeds Fig 18.
+        dst.record_relocation(now);
 
         outcome.victim_reason = VictimReason::ZivRelocation;
         outcome.relocation = Some(RelocationOutcome {
@@ -827,7 +815,6 @@ impl SharedLlc {
             },
             evicted_from_rs,
             cross_bank: src_bank != dst_bank,
-            completed_at,
         });
         ZivChoice::Relocated {
             vacated_way: src_way,

@@ -698,7 +698,6 @@ mod tests {
             to: loc,
             evicted_from_rs: None,
             cross_bank: true,
-            completed_at: 0,
         };
         let outcome = FillOutcome {
             relocation: Some(relocation),

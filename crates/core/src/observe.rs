@@ -1587,7 +1587,6 @@ mod tests {
             to: loc,
             evicted_from_rs: None,
             cross_bank: false,
-            completed_at: 40,
         };
         let outcome = FillOutcome {
             loc,

@@ -101,10 +101,6 @@ pub struct DirEntryState {
     pub dirty_owner: Option<CoreId>,
     /// ZIV `Relocated` state: where the (relocated) LLC copy lives.
     pub relocated: Option<LlcLocation>,
-    /// Busy while the tracked block waits in the relocation FIFO; private
-    /// cache miss requests to a busy entry are negatively acknowledged
-    /// (Section III-D1).
-    pub busy: bool,
 }
 
 impl DirEntryState {
@@ -194,7 +190,6 @@ mod tests {
         assert!(e.sharers.is_sole_sharer(c(2)));
         assert_eq!(e.dirty_owner, None);
         assert_eq!(e.relocated, None);
-        assert!(!e.busy);
     }
 
     #[test]

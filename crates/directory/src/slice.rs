@@ -93,8 +93,8 @@ impl DirectorySlice {
         self.array.state_mut(set, way)
     }
 
-    /// Allocates an entry for `line`. If the target set is full, a
-    /// non-busy NRU victim is evicted and returned as
+    /// Allocates an entry for `line`. If the target set is full, the
+    /// NRU victim is evicted and returned as
     /// `(victim_line_within_slice_tag_bits, victim_state)` — the caller
     /// owns the consequences (back-invalidation, or ZeroDEV spill).
     ///
@@ -102,9 +102,7 @@ impl DirectorySlice {
     ///
     /// # Panics
     ///
-    /// Panics if `line` already has an entry (callers must check first),
-    /// or if every way in the set is busy (cannot happen: at most one
-    /// relocation is in flight per bank in this model).
+    /// Panics if `line` already has an entry (callers must check first).
     pub fn allocate(
         &mut self,
         line: LineAddr,
@@ -138,11 +136,7 @@ impl DirectorySlice {
             self.nru.on_fill(set, way, &nru_ctx());
             return (set, way, None);
         }
-        // Evict the NRU victim among the entries that are not busy.
-        let victim = self
-            .nru
-            .victim_where(set, &nru_ctx(), &mut |w| !self.array.state(set, w).busy)
-            .expect("all directory ways busy");
+        let victim = self.nru.victim(set, &nru_ctx());
         let evicted_line = self.line_at(set, victim, bank_index);
         let (_, old_state) = self
             .array
@@ -234,22 +228,6 @@ mod tests {
         assert_eq!(s.probe(a), None);
         assert!(s.probe(b).is_some());
         assert!(s.probe(c).is_some());
-    }
-
-    #[test]
-    fn busy_entries_are_not_evicted() {
-        let mut s = slice();
-        let a = line_for(1, 1);
-        let b = line_for(1, 2);
-        let c = line_for(1, 3);
-        s.allocate(a, DirEntryState::default(), 0);
-        s.allocate(b, DirEntryState::default(), 0);
-        let (set, way) = s.probe(a).unwrap();
-        s.state_mut(set, way).busy = true;
-        s.lookup(b); // b is recently used; NRU would prefer a, but a is busy
-        let (_, _, ev) = s.allocate(c, DirEntryState::default(), 0);
-        assert_eq!(ev.unwrap().0, b);
-        assert!(s.probe(a).is_some());
     }
 
     #[test]

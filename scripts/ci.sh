@@ -16,6 +16,15 @@ cargo fmt --all --check
 BENCH_LOCK_SUM="$(sha256sum benchmark/Cargo.lock)"
 cargo fmt --check --manifest-path benchmark/Cargo.toml
 
+echo "== the workspace resolves no registry crate"
+# Every crate the workspace builds is a path dependency, so it builds
+# offline. A `source =` line in Cargo.lock names a registry or git
+# source, which an offline host cannot fetch.
+if grep -n '^source = ' Cargo.lock; then
+    echo "Cargo.lock resolves a crate from a registry or git source; the workspace must build offline" >&2
+    exit 1
+fi
+
 echo "== one counting site (no Metrics += in the hierarchy)"
 # Every counter moves in Metrics::count, fed by the hierarchy's event
 # stream; a counter bumped straight in hierarchy.rs would be a second

@@ -13,8 +13,9 @@
 //!   deterministic RNG, statistics.
 //! - [`replacement`] — LRU, NRU, SRRIP, Hawkeye (OPTgen + PC
 //!   predictor), and the offline Belady MIN oracle.
-//! - [`cache`] — set-associative arrays, the property-vector machinery
-//!   with the paper's Algorithm 1, and the relocation FIFO.
+//! - [`cache`] — set-associative arrays and the property-vector
+//!   machinery with the paper's Algorithm 1. The relocation FIFO is not
+//!   modeled: each relocation completes at once.
 //! - [`directory`] — the sparse coherence directory with the ZIV
 //!   `Relocated` pointer state and a ZeroDEV mode.
 //! - [`dram`] / [`noc`] — DDR3-2133-like memory timing/energy and the

@@ -8,7 +8,8 @@
 //! filtering victim chooser (QBS, SHARP, ECI, way partitioning and
 //! CHARonBase) under LRU, a ZIV cell that relocates during the counted
 //! lap, so the relocation path (Algorithm 1, relocation victims, the
-//! relocation FIFO) is covered, and an inclusive cell with stride
+//! Fig 18 interval histogram; the relocation FIFO is not modeled) is
+//! covered, and an inclusive cell with stride
 //! prefetchers that issue and fill prefetches during the counted lap.
 
 use std::alloc::{GlobalAlloc, Layout, System};

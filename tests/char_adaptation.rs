@@ -3,27 +3,10 @@
 //! rides eviction-notice acks to the L2 controllers, and dead-block
 //! inference loosens.
 
+mod support;
+
 use ziv::prelude::*;
 use ziv_char::CharConfig;
-use ziv_common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
-
-fn tiny() -> SystemConfig {
-    SystemConfig {
-        cores: 2,
-        l1i: CacheGeometry::new(2, 2),
-        l1d: CacheGeometry::new(2, 2),
-        l1_latency: 0,
-        l2: CacheGeometry::new(4, 2),
-        l2_latency: 4,
-        llc: LlcConfig::from_total_capacity(64 * 64, 4, 2),
-        dir_ratio: DirRatio::X2,
-        dir_base_ways: 8,
-        noc: NocParams::table1(),
-        dram: DramParams::ddr3_2133(),
-        base_cpi: 0.25,
-        scale_denominator: 1,
-    }
-}
 
 #[test]
 fn relocation_pressure_lowers_the_char_threshold() {
@@ -32,7 +15,7 @@ fn relocation_pressure_lowers_the_char_threshold() {
         decrement_interval: 64,
         ..CharConfig::default()
     };
-    let cfg = HierarchyConfig::new(tiny())
+    let cfg = HierarchyConfig::new(support::tiny(2, 64, DirRatio::X2))
         .with_mode(LlcMode::Ziv(ZivProperty::LikelyDead))
         .with_char(char_cfg);
     let mut h = CacheHierarchy::new(&cfg);
@@ -82,7 +65,7 @@ fn char_on_base_reduces_but_does_not_eliminate_victims() {
         LlcMode::CharOnBase,
         LlcMode::Ziv(ZivProperty::LikelyDead),
     ] {
-        let cfg = HierarchyConfig::new(tiny()).with_mode(mode);
+        let cfg = HierarchyConfig::new(support::tiny(2, 64, DirRatio::X2)).with_mode(mode);
         let mut h = CacheHierarchy::new(&cfg);
         let mut rng = ziv::common::SimRng::seed_from_u64(2);
         let mut now = 0u64;

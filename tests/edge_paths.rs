@@ -2,26 +2,9 @@
 //! through relocations, writes to relocated blocks, directory evictions
 //! of relocated entries, and instruction-side traffic.
 
-use ziv::prelude::*;
-use ziv_common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
+mod support;
 
-fn tiny(cores: usize, dir_ratio: DirRatio) -> SystemConfig {
-    SystemConfig {
-        cores,
-        l1i: CacheGeometry::new(2, 2),
-        l1d: CacheGeometry::new(2, 2),
-        l1_latency: 0,
-        l2: CacheGeometry::new(4, 2),
-        l2_latency: 4,
-        llc: LlcConfig::from_total_capacity(32 * 64, 4, 2),
-        dir_ratio,
-        dir_base_ways: 8,
-        noc: NocParams::table1(),
-        dram: DramParams::ddr3_2133(),
-        base_cpi: 0.25,
-        scale_denominator: 1,
-    }
-}
+use ziv::prelude::*;
 
 struct D {
     h: CacheHierarchy,
@@ -31,7 +14,7 @@ struct D {
 
 impl D {
     fn new(mode: LlcMode, ratio: DirRatio) -> D {
-        let cfg = HierarchyConfig::new(tiny(2, ratio)).with_mode(mode);
+        let cfg = HierarchyConfig::new(support::tiny(2, 32, ratio)).with_mode(mode);
         D {
             h: CacheHierarchy::new(&cfg),
             now: 0,

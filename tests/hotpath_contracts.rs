@@ -1,5 +1,5 @@
 //! Seeded checks of the contracts the access path's bookkeeping walks
-//! rest on (DESIGN.md §8). Every failure message names its seed.
+//! rest on (DESIGN.md §8), on the case runner in `support`.
 //!
 //! 1. `ReplacementPolicy::victim` is the first way of `rank`, and
 //!    `victim_where` the first way of `rank` its predicate accepts, for
@@ -9,7 +9,10 @@
 //! 2. `SharerSet::iter` yields exactly the cores in the set, ascending,
 //!    as many as `count()` — every coherence fan-out walks it.
 
+mod support;
+
 use std::rc::Rc;
+use support::{property, NO_OPS};
 use ziv::common::ids::{SetIdx, WayIdx};
 use ziv::common::{CacheGeometry, CoreId, LineAddr, SimRng};
 use ziv::directory::SharerSet;
@@ -63,7 +66,7 @@ fn ops(rng: &mut SimRng, n: usize) -> Vec<Op> {
 }
 
 /// Every policy the LLC can run; MIN knows the future of `ops`.
-fn policies(seed: u64, ops: &[Op]) -> Vec<Box<dyn ReplacementPolicy>> {
+fn policies(drrip_seed: u64, ops: &[Op]) -> Vec<Box<dyn ReplacementPolicy>> {
     let geom = CacheGeometry::new(SETS, WAYS);
     let future = PrecomputedFuture::from_stream(
         ops.iter()
@@ -74,7 +77,7 @@ fn policies(seed: u64, ops: &[Op]) -> Vec<Box<dyn ReplacementPolicy>> {
         Box::new(Lru::new(geom)),
         Box::new(Nru::new(geom)),
         Box::new(Srrip::new(geom)),
-        Box::new(Drrip::new(geom, seed)),
+        Box::new(Drrip::new(geom, drrip_seed)),
         Box::new(Ship::new(geom)),
         Box::new(Hawkeye::new(geom)),
         Box::new(MinOracle::new(geom, Rc::new(future))),
@@ -86,64 +89,69 @@ fn victim_is_the_first_ranked_way_after_every_update() {
     // The context `refresh_set` queries with, next to each update's own.
     let neutral = AccessCtx::demand(LineAddr::new(0), 0, CoreId::new(0), 0, u64::MAX);
     let mut order = Vec::new();
-    for seed in 0..24u64 {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let ops = ops(&mut rng, 300);
-        // Way masks for `victim_where`: none, one way, and two random sets
-        // of ways.
-        let masks = [
-            0,
-            1 << rng.below(u64::from(WAYS)),
-            rng.below(1 << WAYS),
-            rng.below(1 << WAYS),
-        ];
-        for mut policy in policies(seed, &ops) {
-            let name = policy.name();
-            for (step, op) in ops.iter().enumerate() {
-                match op.update {
-                    Update::Fill => policy.on_fill(op.set, op.way, &op.ctx),
-                    Update::Hit => policy.on_hit(op.set, op.way, &op.ctx),
-                    Update::Evict => policy.on_evict(op.set, op.way),
-                    Update::RelocateIn => policy.on_relocate_in(op.set, op.way, &op.ctx),
-                    Update::Protect => policy.protect(op.set, op.way),
-                }
-                for ctx in [&op.ctx, &neutral] {
-                    for set in 0..SETS {
-                        policy.rank(set, ctx, &mut order);
-                        assert_eq!(
-                            order.len(),
-                            WAYS as usize,
-                            "seed {seed}, {name}, step {step}: rank must cover every way"
-                        );
-                        assert_eq!(
-                            policy.victim(set, ctx),
-                            order[0],
-                            "seed {seed}, {name}, step {step} ({:?} of set {} way {}), \
-                             set {set}, seq {}: victim is not the first-ranked way",
-                            op.update,
-                            op.set,
-                            op.way,
-                            ctx.seq
-                        );
-                        for mask in masks {
-                            let admitted = |w: WayIdx| mask >> w & 1 == 1;
+    property(
+        "victim_is_the_first_ranked_way_after_every_update",
+        24,
+        |rng| {
+            // Way masks for `victim_where`: none, one way, and two random
+            // sets of ways.
+            let masks = [
+                0,
+                1 << rng.below(u64::from(WAYS)),
+                rng.below(1 << WAYS),
+                rng.below(1 << WAYS),
+            ];
+            ((rng.next_u64(), masks), ops(rng, 300))
+        },
+        |&(drrip_seed, masks), ops| {
+            for mut policy in policies(drrip_seed, ops) {
+                let name = policy.name();
+                for (step, op) in ops.iter().enumerate() {
+                    match op.update {
+                        Update::Fill => policy.on_fill(op.set, op.way, &op.ctx),
+                        Update::Hit => policy.on_hit(op.set, op.way, &op.ctx),
+                        Update::Evict => policy.on_evict(op.set, op.way),
+                        Update::RelocateIn => policy.on_relocate_in(op.set, op.way, &op.ctx),
+                        Update::Protect => policy.protect(op.set, op.way),
+                    }
+                    for ctx in [&op.ctx, &neutral] {
+                        for set in 0..SETS {
+                            policy.rank(set, ctx, &mut order);
                             assert_eq!(
-                                policy.victim_where(set, ctx, &mut |w| admitted(w)),
-                                order.iter().copied().find(|&w| admitted(w)),
-                                "seed {seed}, {name}, step {step} ({:?} of set {} way {}), \
-                                 set {set}, seq {}, mask {mask:#06x}: victim_where is not the \
-                                 first ranked way in the mask",
+                                order.len(),
+                                WAYS as usize,
+                                "{name}, step {step}: rank must cover every way"
+                            );
+                            assert_eq!(
+                                policy.victim(set, ctx),
+                                order[0],
+                                "{name}, step {step} ({:?} of set {} way {}), set {set}, \
+                                 seq {}: victim is not the first-ranked way",
                                 op.update,
                                 op.set,
                                 op.way,
                                 ctx.seq
                             );
+                            for mask in masks {
+                                let admitted = |w: WayIdx| mask >> w & 1 == 1;
+                                assert_eq!(
+                                    policy.victim_where(set, ctx, &mut |w| admitted(w)),
+                                    order.iter().copied().find(|&w| admitted(w)),
+                                    "{name}, step {step} ({:?} of set {} way {}), set {set}, \
+                                     seq {}, mask {mask:#06x}: victim_where is not the first \
+                                     ranked way in the mask",
+                                    op.update,
+                                    op.set,
+                                    op.way,
+                                    ctx.seq
+                                );
+                            }
                         }
                     }
                 }
             }
-        }
-    }
+        },
+    );
 }
 
 /// The sharer set holding exactly the cores whose bits are set in `bits`.
@@ -179,14 +187,18 @@ fn sharer_iter_yields_exactly_the_set_bits_ascending() {
     for bits in edges {
         check_sharers(bits, "edge case");
     }
-    for seed in 0..2_000u64 {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let random =
-            |rng: &mut SimRng| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
-        // Dense (about half the bits), then sparse (about one in eight).
-        let dense = random(&mut rng);
-        let sparse = dense & random(&mut rng) & random(&mut rng);
-        check_sharers(dense, &format!("seed {seed} (dense)"));
-        check_sharers(sparse, &format!("seed {seed} (sparse)"));
-    }
+    let random = |rng: &mut SimRng| u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+    property(
+        "sharer_iter_yields_exactly_the_set_bits_ascending",
+        2_000,
+        |rng| {
+            // Dense (about half the bits), then sparse (about one in eight).
+            let dense = random(rng);
+            ((dense, dense & random(rng) & random(rng)), NO_OPS)
+        },
+        |&(dense, sparse), _| {
+            check_sharers(dense, "dense");
+            check_sharers(sparse, "sparse");
+        },
+    );
 }

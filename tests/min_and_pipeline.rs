@@ -2,26 +2,9 @@
 //! patterns, the experiment grid end-to-end, and the side-channel
 //! isolation property from the paper's security motivation.
 
-use ziv::prelude::*;
-use ziv_common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
+mod support;
 
-fn tiny(cores: usize) -> SystemConfig {
-    SystemConfig {
-        cores,
-        l1i: CacheGeometry::new(2, 2),
-        l1d: CacheGeometry::new(2, 2),
-        l1_latency: 0,
-        l2: CacheGeometry::new(4, 2),
-        l2_latency: 4,
-        llc: LlcConfig::from_total_capacity(128 * 64, 4, 2),
-        dir_ratio: DirRatio::X2,
-        dir_base_ways: 8,
-        noc: NocParams::table1(),
-        dram: DramParams::ddr3_2133(),
-        base_cpi: 0.25,
-        scale_denominator: 1,
-    }
-}
+use ziv::prelude::*;
 
 /// Builds a single-core circular workload over `n` lines.
 fn circular_workload(n: u64, laps: usize) -> Workload {
@@ -51,11 +34,12 @@ fn min_beats_lru_on_thrashing_circular_pattern() {
     // Belady's MIN retains a resident prefix.
     let wl = circular_workload(192, 12);
     let lru = ziv::sim::run_one(
-        &RunSpec::new("NI-LRU", tiny(1)).with_mode(LlcMode::NonInclusive),
+        &RunSpec::new("NI-LRU", support::tiny(1, 128, DirRatio::X2))
+            .with_mode(LlcMode::NonInclusive),
         &wl,
     );
     let min = ziv::sim::run_one(
-        &RunSpec::new("NI-MIN", tiny(1))
+        &RunSpec::new("NI-MIN", support::tiny(1, 128, DirRatio::X2))
             .with_mode(LlcMode::NonInclusive)
             .with_policy(PolicyKind::Min),
         &wl,
@@ -93,9 +77,12 @@ fn min_inclusive_victimizes_recently_used_blocks() {
         }],
         attack: None,
     };
-    let lru = ziv::sim::run_one(&RunSpec::new("I-LRU", tiny(1)), &wl);
+    let lru = ziv::sim::run_one(
+        &RunSpec::new("I-LRU", support::tiny(1, 128, DirRatio::X2)),
+        &wl,
+    );
     let min = ziv::sim::run_one(
-        &RunSpec::new("I-MIN", tiny(1)).with_policy(PolicyKind::Min),
+        &RunSpec::new("I-MIN", support::tiny(1, 128, DirRatio::X2)).with_policy(PolicyKind::Min),
         &wl,
     );
     assert!(
@@ -167,7 +154,7 @@ fn attacker_cannot_flush_victim_private_caches_under_ziv() {
         (LlcMode::Inclusive, false),
         (LlcMode::Ziv(ZivProperty::NotInPrC), true),
     ] {
-        let cfg = HierarchyConfig::new(tiny(2)).with_mode(mode);
+        let cfg = HierarchyConfig::new(support::tiny(2, 128, DirRatio::X2)).with_mode(mode);
         let mut h = CacheHierarchy::new(&cfg);
         let mut now = 0u64;
         let mut seq = 0u64;

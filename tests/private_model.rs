@@ -11,27 +11,19 @@
 //! which lines are present: an eviction that picks any line but the
 //! least recently used one shows as a wrong notice.
 //!
-//! Each property runs a fixed set of seeds through `ziv_common::rng`; a
-//! failing case names its seed and operation index, and replays exactly
-//! from that seed.
+//! Each property runs on the seeded case runner in `support`: a failing
+//! case names its seed and operation index, and replays exactly from
+//! that seed.
 
+mod support;
+
+use support::property;
 use ziv::char_engine::L2BlockMeta;
 use ziv::common::{CacheGeometry, LineAddr, SimRng};
 use ziv::core::private::{EvictionNotice, PrivLookup, PrivateHierarchy};
 
 /// Lines the operations draw from: several times what the caches hold.
 const LINES: u64 = 64;
-
-/// Seeded cases per property and geometry.
-const CASES: u64 = 64;
-
-/// Runs `check` once per seed.
-fn for_seeds(mut check: impl FnMut(u64, &mut SimRng)) {
-    for case in 0..CASES {
-        let seed = 0x9217_0000 + case;
-        check(seed, &mut SimRng::seed_from_u64(seed));
-    }
-}
 
 /// `(L1I, L1D, L2)` geometries: the 2-way caches the property was first
 /// written for, and 4-way ones whose sets hold a longer recency order.
@@ -289,56 +281,59 @@ impl Model {
 #[test]
 fn hierarchy_matches_the_exact_lru_model() {
     for geoms in geometries() {
-        for_seeds(|seed, rng| {
-            let [l1i, l1d, l2] = geoms;
-            let mut h = PrivateHierarchy::new(l1i, l1d, l2);
-            let mut model = Model::new(geoms);
-            let mut notices = Vec::new();
-            let ops = rng.range(1, 500);
-            for i in 0..ops {
-                let op = op(rng);
-                let at = format!("seed {seed:#x}, op {i} ({op:?}), geometries {geoms:?}");
-                match op {
-                    Op::Access { line, instr, write } => {
-                        let got = h.access(LineAddr::new(line), instr, write, &mut notices);
-                        assert_eq!(got, model.access(line, instr, write), "{at}");
-                    }
-                    Op::Fill {
-                        line,
-                        instr,
-                        write,
-                        from_llc,
-                    } => {
-                        // Only a lookup that missed fills.
-                        let missed =
-                            model.l1(instr).get(line).is_none() && model.l2.get(line).is_none();
-                        if missed {
-                            let l = LineAddr::new(line);
-                            h.fill_from_shared(l, instr, write, from_llc, &mut notices);
-                            model.fill_from_shared(line, instr, write, from_llc);
+        property(
+            &format!("hierarchy_matches_the_exact_lru_model ({geoms:?})"),
+            64,
+            |rng| ((), (0..rng.range(1, 500)).map(|_| op(rng)).collect()),
+            |_, ops| {
+                let [l1i, l1d, l2] = geoms;
+                let mut h = PrivateHierarchy::new(l1i, l1d, l2);
+                let mut model = Model::new(geoms);
+                let mut notices = Vec::new();
+                for (i, &op) in ops.iter().enumerate() {
+                    let at = format!("op {i} ({op:?})");
+                    match op {
+                        Op::Access { line, instr, write } => {
+                            let got = h.access(LineAddr::new(line), instr, write, &mut notices);
+                            assert_eq!(got, model.access(line, instr, write), "{at}");
+                        }
+                        Op::Fill {
+                            line,
+                            instr,
+                            write,
+                            from_llc,
+                        } => {
+                            // Only a lookup that missed fills.
+                            let missed =
+                                model.l1(instr).get(line).is_none() && model.l2.get(line).is_none();
+                            if missed {
+                                let l = LineAddr::new(line);
+                                h.fill_from_shared(l, instr, write, from_llc, &mut notices);
+                                model.fill_from_shared(line, instr, write, from_llc);
+                            }
+                        }
+                        Op::Prefetch { line, from_llc } => {
+                            h.prefetch_fill(LineAddr::new(line), from_llc, &mut notices);
+                            model.prefetch_fill(line, from_llc);
+                        }
+                        Op::Invalidate { line } => {
+                            let got = h.invalidate(LineAddr::new(line));
+                            assert_eq!(got, model.invalidate(line), "invalidation, {at}");
                         }
                     }
-                    Op::Prefetch { line, from_llc } => {
-                        h.prefetch_fill(LineAddr::new(line), from_llc, &mut notices);
-                        model.prefetch_fill(line, from_llc);
-                    }
-                    Op::Invalidate { line } => {
-                        let got = h.invalidate(LineAddr::new(line));
-                        assert_eq!(got, model.invalidate(line), "invalidation, {at}");
+                    assert_eq!(notices, model.notices, "notices, {at}");
+                    notices.clear();
+                    model.notices.clear();
+                    assert_eq!(h.resident_lines(), model.resident(), "resident lines, {at}");
+                    assert_eq!(h.occupancy(), model.occupancy(), "occupancy, {at}");
+                    for line in 0..LINES {
+                        let l = LineAddr::new(line);
+                        assert_eq!(h.contains(l), model.holds(line), "line {line}, {at}");
+                        assert_eq!(h.is_dirty(l), model.is_dirty(line), "line {line}, {at}");
                     }
                 }
-                assert_eq!(notices, model.notices, "notices, {at}");
-                notices.clear();
-                model.notices.clear();
-                assert_eq!(h.resident_lines(), model.resident(), "resident lines, {at}");
-                assert_eq!(h.occupancy(), model.occupancy(), "occupancy, {at}");
-                for line in 0..LINES {
-                    let l = LineAddr::new(line);
-                    assert_eq!(h.contains(l), model.holds(line), "line {line}, {at}");
-                    assert_eq!(h.is_dirty(l), model.is_dirty(line), "line {line}, {at}");
-                }
-            }
-        });
+            },
+        );
     }
 }
 
@@ -346,47 +341,48 @@ fn hierarchy_matches_the_exact_lru_model() {
 /// out leaves as a dirty notice or a dirty invalidation.
 #[test]
 fn dirty_data_always_leaves_loudly() {
-    for_seeds(|seed, rng| {
-        let [l1i, l1d, l2] = geometries()[0];
-        let mut h = PrivateHierarchy::new(l1i, l1d, l2);
-        let mut dirty_in = std::collections::BTreeSet::new();
-        let mut notices = Vec::new();
-        let fills = rng.range(1, 200);
-        for i in 0..fills {
-            let (line, write) = (rng.below(32), rng.chance(0.5));
-            let l = LineAddr::new(line);
-            if !h.contains(l) {
-                h.fill_from_shared(l, false, write, false, &mut notices);
-                if write {
+    property(
+        "dirty_data_always_leaves_loudly",
+        64,
+        |rng| {
+            let fills = (0..rng.range(1, 200))
+                .map(|_| (rng.below(32), rng.chance(0.5)))
+                .collect();
+            ((), fills)
+        },
+        |_, fills| {
+            let [l1i, l1d, l2] = geometries()[0];
+            let mut h = PrivateHierarchy::new(l1i, l1d, l2);
+            let mut dirty_in = std::collections::BTreeSet::new();
+            let mut notices = Vec::new();
+            for (i, &(line, write)) in fills.iter().enumerate() {
+                let l = LineAddr::new(line);
+                if !h.contains(l) {
+                    h.fill_from_shared(l, false, write, false, &mut notices);
+                    if write {
+                        dirty_in.insert(line);
+                    }
+                } else if write {
+                    let _ = h.access(l, false, true, &mut notices);
                     dirty_in.insert(line);
                 }
-            } else if write {
-                let _ = h.access(l, false, true, &mut notices);
-                dirty_in.insert(line);
-            }
-            for n in notices.drain(..) {
-                if dirty_in.remove(&n.line.raw()) {
-                    assert!(
-                        n.dirty,
-                        "seed {seed:#x}, fill {i}: dirty line {} left clean",
-                        n.line
-                    );
+                for n in notices.drain(..) {
+                    if dirty_in.remove(&n.line.raw()) {
+                        assert!(n.dirty, "fill {i}: dirty line {} left clean", n.line);
+                    }
                 }
             }
-        }
-        for line in 0..32u64 {
-            if let Some(was_dirty) = h.invalidate(LineAddr::new(line)) {
-                if dirty_in.remove(&line) {
-                    assert!(
-                        was_dirty,
-                        "seed {seed:#x}: dirty line {line} invalidated clean"
-                    );
+            for line in 0..32u64 {
+                if let Some(was_dirty) = h.invalidate(LineAddr::new(line)) {
+                    if dirty_in.remove(&line) {
+                        assert!(was_dirty, "dirty line {line} invalidated clean");
+                    }
                 }
             }
-        }
-        assert!(
-            dirty_in.is_empty(),
-            "seed {seed:#x}: dirty lines unaccounted for: {dirty_in:?}"
-        );
-    });
+            assert!(
+                dirty_in.is_empty(),
+                "dirty lines unaccounted for: {dirty_in:?}"
+            );
+        },
+    );
 }

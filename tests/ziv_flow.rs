@@ -3,28 +3,9 @@
 //! relocated block is reachable through the sparse directory, can be
 //! re-relocated, and dies when its last private copy leaves.
 
-use ziv::prelude::*;
-use ziv_common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
+mod support;
 
-/// A deliberately tiny machine: 1-set-per-bank LLC so set conflicts are
-/// trivial to construct. LLC: 2 banks x 4 sets x 4 ways = 32 blocks.
-fn tiny() -> SystemConfig {
-    SystemConfig {
-        cores: 2,
-        l1i: CacheGeometry::new(2, 2),
-        l1d: CacheGeometry::new(2, 2),
-        l1_latency: 0,
-        l2: CacheGeometry::new(4, 2),
-        l2_latency: 4,
-        llc: LlcConfig::from_total_capacity(32 * 64, 4, 2),
-        dir_ratio: DirRatio::X2,
-        dir_base_ways: 8,
-        noc: NocParams::table1(),
-        dram: DramParams::ddr3_2133(),
-        base_cpi: 0.25,
-        scale_denominator: 1,
-    }
-}
+use ziv::prelude::*;
 
 struct Driver {
     h: CacheHierarchy,
@@ -34,7 +15,9 @@ struct Driver {
 
 impl Driver {
     fn new(mode: LlcMode) -> Driver {
-        let cfg = HierarchyConfig::new(tiny()).with_mode(mode);
+        // A 2-bank × 4-set × 4-way LLC of 32 blocks, so set conflicts
+        // are trivial to construct.
+        let cfg = HierarchyConfig::new(support::tiny(2, 32, DirRatio::X2)).with_mode(mode);
         Driver {
             h: CacheHierarchy::new(&cfg),
             now: 0,
