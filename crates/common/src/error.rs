@@ -166,11 +166,11 @@ pub enum SimError {
         /// 0-based global index of the access that crossed the budget.
         access_index: u64,
     },
-    /// A cell was cancelled by the supervisor — its wall-clock or
-    /// access-count budget expired while the cell was still running.
+    /// A cell was cancelled by the supervisor — its wall-clock budget
+    /// expired while the cell was still running.
     Timeout {
         /// Why the supervisor fired (e.g. "wall-clock budget 5000ms
-        /// exceeded" or "access deadline 1000 reached").
+        /// exceeded (81920 accesses issued)").
         reason: String,
         /// 0-based global index of the last access the cell had issued
         /// when the cancellation was observed.

@@ -417,16 +417,6 @@ pub enum FaultInjection {
         /// 0-based access index from which accesses stall.
         at_access: u64,
     },
-    /// At access `at_access`, the hierarchy wedges: the access never
-    /// completes and the simulation makes no further progress (the
-    /// `stall-core` loop variant). Unlike [`FaultInjection::StallCore`]
-    /// — which burns simulated cycles and trips the in-loop cycle
-    /// budget — a hang burns *wall-clock* time and can only be stopped
-    /// by the supervisor's cancellation token.
-    HangCore {
-        /// 0-based access index at which the hang begins.
-        at_access: u64,
-    },
     /// At access `at_access`, the model panics (a simulated internal
     /// compiler-error-class bug). The supervisor's `catch_unwind`
     /// containment converts it into one ledgered
@@ -444,7 +434,6 @@ impl FaultInjection {
             FaultInjection::CorruptDirectory { .. } => "corrupt-directory",
             FaultInjection::SkipBackInvalidation { .. } => "skip-back-invalidation",
             FaultInjection::StallCore { .. } => "stall-core",
-            FaultInjection::HangCore { .. } => "hang-core",
             FaultInjection::PanicCore { .. } => "panic-core",
         }
     }
@@ -455,19 +444,17 @@ impl FaultInjection {
             FaultInjection::CorruptDirectory { at_access }
             | FaultInjection::SkipBackInvalidation { at_access }
             | FaultInjection::StallCore { at_access }
-            | FaultInjection::HangCore { at_access }
             | FaultInjection::PanicCore { at_access } => *at_access,
         }
     }
 
     /// Every kind of fault, armed at `at_access`, in
     /// [`FaultInjection::kind_str`] order.
-    pub fn all(at_access: u64) -> [FaultInjection; 5] {
+    pub fn all(at_access: u64) -> [FaultInjection; 4] {
         [
             FaultInjection::CorruptDirectory { at_access },
             FaultInjection::SkipBackInvalidation { at_access },
             FaultInjection::StallCore { at_access },
-            FaultInjection::HangCore { at_access },
             FaultInjection::PanicCore { at_access },
         ]
     }
@@ -573,8 +560,7 @@ mod tests {
             FaultInjection::CorruptDirectory { at_access: 5 },
             FaultInjection::SkipBackInvalidation { at_access: 6 },
             FaultInjection::StallCore { at_access: 7 },
-            FaultInjection::HangCore { at_access: 8 },
-            FaultInjection::PanicCore { at_access: 9 },
+            FaultInjection::PanicCore { at_access: 8 },
         ];
         for f in faults {
             assert_eq!(

@@ -176,11 +176,6 @@ pub struct CacheHierarchy {
     /// When set, the next inclusive back-invalidation is "lost"
     /// ([`FaultInjection::SkipBackInvalidation`]).
     skip_next_back_invalidation: bool,
-    /// Set when an injected [`FaultInjection::HangCore`] fires: the
-    /// model is wedged and will make no further progress. The driver
-    /// polls [`CacheHierarchy::is_hung`] and parks the cell until the
-    /// supervisor cancels it.
-    hung: bool,
     /// Attached flight recorder, the consumer of the hierarchy's
     /// [`HierarchyEvent`] stream after [`Metrics::count`]. `None` in
     /// every untraced run: each emission site pays its counters and one
@@ -261,7 +256,6 @@ impl CacheHierarchy {
             fault: cfg.fault,
             accesses_done: 0,
             skip_next_back_invalidation: false,
-            hung: false,
             recorder: None,
             profiler: None,
             warmup: None,
@@ -1153,15 +1147,6 @@ impl CacheHierarchy {
                 // latency so the per-cell watchdog budget trips.
                 Some(1 << 32)
             }
-            FaultInjection::HangCore { at_access } if idx >= at_access => {
-                // The wall-clock hang scenario: the model wedges. The
-                // driver sees `is_hung` after this access and parks the
-                // cell; only the supervisor's cancellation token can
-                // end it.
-                self.hung = true;
-                self.fault = None; // one-shot, applied
-                Some(1)
-            }
             FaultInjection::PanicCore { at_access } if idx >= at_access => {
                 // The internal-bug scenario: a real defect would panic
                 // deep inside the model, exactly like this.
@@ -1172,13 +1157,6 @@ impl CacheHierarchy {
             }
             _ => None,
         }
-    }
-
-    /// Whether an injected [`FaultInjection::HangCore`] has wedged the
-    /// model. Once true, further accesses would make no progress; the
-    /// driver must stop issuing and wait for supervision.
-    pub fn is_hung(&self) -> bool {
-        self.hung
     }
 
     /// Checks the hierarchy's structural invariants; returns a

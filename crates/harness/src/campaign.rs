@@ -1074,7 +1074,7 @@ pub mod campaigns {
     }
 
     /// Builds the chaos variant of the `soak` grid: the same campaign
-    /// with one deliberate fault armed on each of five specs, plus the
+    /// with one deliberate fault armed on each of four specs, plus the
     /// plan of what went where. Deterministic per `params.seed` — the
     /// scheduler draws every trigger access and the fault→spec
     /// assignment from a splitmix64 stream, so two processes with the
@@ -1082,18 +1082,18 @@ pub mod campaigns {
     ///
     /// Scheduling constraints the shuffle respects:
     ///
-    /// - spec 0 (the baseline) and the last spec stay healthy, so the
-    ///   run always has fault-free rows to compare byte-for-byte
+    /// - spec 0 (the baseline) and the last two specs stay healthy, so
+    ///   the run always has fault-free rows to compare byte-for-byte
     ///   against the fault-free pass;
     /// - `skip-back-invalidation` is pinned to spec 1 (I-Hawkeye,
     ///   inclusive): it only fires on a real back-invalidation;
-    /// - the other four injectors (`corrupt-directory`, `stall-core`,
-    ///   `hang-core`, `panic-core`) are shuffled across specs 2–5.
+    /// - the other three injectors (`corrupt-directory`, `stall-core`,
+    ///   `panic-core`) are shuffled across specs 2–4.
     pub fn soak_chaos(params: &CampaignParams) -> (Campaign, Vec<SoakFault>) {
         let mut campaign = by_name("soak", params).expect("soak is registered");
         let mut state = params.seed ^ 0xfa17_1417_c4a0_55ed;
         let mut draw = move || {
-            // splitmix64: the same generator the backoff jitter uses.
+            // splitmix64.
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1110,7 +1110,6 @@ pub mod campaigns {
         let mut movable = [
             FaultInjection::CorruptDirectory { at_access: at() },
             FaultInjection::StallCore { at_access: at() },
-            FaultInjection::HangCore { at_access: at() },
             FaultInjection::PanicCore { at_access: at() },
         ];
         // Seeded Fisher-Yates over the movable injectors.

@@ -1,6 +1,6 @@
 //! Minimized failure-repro records and deterministic replay.
 //!
-//! When a campaign cell fails (audit violation, watchdog trip), the
+//! When a campaign cell fails (audit violation, budget trip, panic), the
 //! runner dumps everything needed to rebuild that exact run into
 //! `<results-dir>/failures/<digest>.json`: the campaign parameters
 //! (which regenerate the workload bit-for-bit), the cell coordinates,
@@ -9,19 +9,13 @@
 //! which pins the violation to the exact access that introduced it —
 //! the record is a *repro*, not merely a log line.
 
-use crate::campaign::{campaigns, CampaignParams, CellDigest, CELL_SCHEMA_VERSION};
-use crate::supervise::{run_cells_supervised, NoopSuperviseObserver, SuperviseConfig};
+use crate::campaign::{campaigns, CampaignParams, CellDigest};
+use crate::supervise::{run_cells_supervised, NoopSuperviseObserver};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use ziv_common::json::{self, JsonValue};
-use ziv_common::{Fnv1a, SimError};
+use ziv_common::SimError;
 use ziv_core::{AuditCadence, FaultInjection};
 use ziv_sim::{run_one_instrumented, CellBudget, Effort, RunOptions, TraceEvent};
-
-/// Wall-clock guard on a replay run. Replaying a `hang-core` record
-/// re-injects the hang; without this budget the replay itself would
-/// wedge instead of reproducing the recorded `timeout` failure.
-const REPLAY_WALL_BUDGET: Duration = Duration::from_secs(30);
 
 /// Version tag of the failure-record JSON schema.
 pub const FAILURE_SCHEMA_VERSION: u64 = 1;
@@ -279,11 +273,10 @@ pub struct ReplayReport {
 /// `every-access` audit cadence (pinning any violation to the exact
 /// access that introduced it) under the recorded cycle budget, and
 /// compares the outcome with what the record claims. The replay runs
-/// its one cell through the worker pool — panic containment plus a
-/// wall-clock watchdog — so hang-core and panic-core records reproduce
-/// their failures instead of taking the replaying process down with
-/// them. Reproduction is judged by error kind and, for audit errors,
-/// by violation, never by message text.
+/// its one cell through the worker pool, with no wall-clock budget, so
+/// a panic-core record reproduces its failure instead of taking the
+/// replaying process down with it. Reproduction is judged by error
+/// kind and, for audit errors, by violation, never by message text.
 ///
 /// # Errors
 ///
@@ -292,7 +285,7 @@ pub struct ReplayReport {
 /// fault kind). A replay that simply *fails to reproduce* is not an
 /// error: it comes back as `Ok` with `reproduced == false`.
 pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
-    let campaign = campaigns::by_name(&record.campaign, &record.params)
+    let mut campaign = campaigns::by_name(&record.campaign, &record.params)
         .ok_or_else(|| SimError::Config(format!("unknown campaign '{}'", record.campaign)))?;
     if record.spec_index >= campaign.specs.len() {
         return Err(SimError::Config(format!(
@@ -310,19 +303,15 @@ pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
             campaign.recipes.len()
         )));
     }
-    let mut spec = campaign.specs[record.spec_index].clone();
     if let Some((kind, at)) = &record.fault {
         let fault = FaultInjection::from_parts(kind, *at)
             .ok_or_else(|| SimError::Config(format!("unknown fault kind '{kind}'")))?;
-        spec = spec.with_fault(fault);
+        campaign.specs[record.spec_index].fault = Some(fault);
     }
+    let spec = &campaign.specs[record.spec_index];
 
     let mut notes = Vec::new();
-    let mut h = Fnv1a::new();
-    h.write_u64(CELL_SCHEMA_VERSION);
-    spec.digest_into(&mut h);
-    campaign.recipes[record.workload_index].digest_into(&mut h);
-    let rebuilt = CellDigest(h.finish());
+    let rebuilt = campaign.cell_digest(record.spec_index, record.workload_index);
     if rebuilt != record.digest {
         notes.push(format!(
             "warning: rebuilt cell digest {rebuilt} != recorded {} \
@@ -337,20 +326,15 @@ pub fn replay(record: &FailureRecord) -> Result<ReplayReport, SimError> {
         budget: Some(CellBudget::Cycles(record.budget_cycles)),
         ..RunOptions::default()
     };
-    // A hang-core record parks the model again (the watchdog cancels
-    // it, reproducing the timeout) and a panic-core record panics again
-    // (contained, reproducing the internal error).
-    let sup = SuperviseConfig {
-        cell_timeout: Some(REPLAY_WALL_BUDGET),
-        ..SuperviseConfig::unsupervised()
-    };
+    // A panic-core record panics again (contained, reproducing the
+    // internal error).
     let run = run_cells_supervised(
-        std::slice::from_ref(&spec),
+        std::slice::from_ref(spec),
         std::slice::from_ref(&workload),
         &[(0, 0)],
         1,
         |spec, workload, cancel, probe| run_one_instrumented(spec, workload, &opts, cancel, probe),
-        &sup,
+        None,
         &NoopSuperviseObserver,
         None,
     )

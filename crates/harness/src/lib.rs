@@ -31,9 +31,9 @@
 //!   (`ziv_common::json`) keeps the build dependency-free.
 //! - [`run_campaign`]: the runner — partitions cells into cached and
 //!   missing, executes the missing ones on the worker pool
-//!   ([`run_cells_supervised`]: watchdog-cancelled hangs and contained
-//!   panics, each cell run once), appends each finished cell to the
-//!   ledger as it completes, and exports `grid.csv` / `summary.csv`
+//!   ([`run_cells_supervised`]: per-cell wall-clock deadlines and
+//!   contained panics, each cell run once), appends each finished cell
+//!   to the ledger as it completes, and exports `grid.csv` / `summary.csv`
 //!   assembled from cached + fresh results. The final CSVs are byte-identical whether the campaign
 //!   ran in one pass or across any number of interruptions, at any
 //!   thread count.
@@ -97,8 +97,7 @@ pub use runner::{
 };
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use supervise::{
-    default_stall_window, oversubscription_factor, run_cells_supervised, run_grid,
-    NoopSuperviseObserver, SuperviseConfig, SuperviseObserver, SupervisedRun,
+    run_cells_supervised, run_grid, NoopSuperviseObserver, SuperviseObserver, SupervisedRun,
 };
 pub use telemetry::{CellTiming, EtaEstimator, NullSink, ProgressSink, StderrProgress, Telemetry};
 pub use view::{check_guarantees, Heading, Metric, Table, View};

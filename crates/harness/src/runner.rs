@@ -11,7 +11,7 @@ use crate::bus::{BusOptions, CampaignBus};
 use crate::campaign::{Campaign, CampaignParams, CellDigest};
 use crate::failure::FailureRecord;
 use crate::ledger::{Ledger, LedgerRecovery, LedgerWriter};
-use crate::supervise::{run_cells_supervised, SuperviseConfig, SuperviseObserver};
+use crate::supervise::{run_cells_supervised, SuperviseObserver};
 use crate::telemetry::{CellTiming, ProgressSink, Telemetry};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -63,18 +63,11 @@ pub struct RunnerConfig {
     /// never digested, so it cannot perturb the ledger or the cached
     /// cell results.
     pub observe: ObserveConfig,
-    /// Wall-clock budget per cell (`--cell-timeout`). When set, a
-    /// watchdog thread cancels any cell that exceeds it; the cell is
-    /// ledgered as a `timeout` failure. `None` disables the wall clock.
-    /// When neither this nor `stall_window` is set, cells run without a
-    /// cancellation token — the zero-cost path.
+    /// Wall-clock budget per cell (`--cell-timeout`). When set, each
+    /// cell runs under a deadline checked every 256 accesses; a cell
+    /// past it is ledgered as a `timeout` failure. `None` runs cells
+    /// without a cancellation token — the zero-cost path.
     pub cell_timeout: Option<Duration>,
-    /// No-forward-progress budget per cell (`--stall-window`):
-    /// a cell whose access counter stops advancing for this long is
-    /// cancelled and ledgered as a `timeout` failure. Catches wedged
-    /// cells in milliseconds where the wall clock must stay generous
-    /// for legitimately slow cells.
-    pub stall_window: Option<Duration>,
     /// Publish the live telemetry segment (`--telemetry on`):
     /// `<results-dir>/telemetry.shm`, the seqlock shared-memory bus
     /// that `zivsim watch` tails. Pure observability — never digested,
@@ -107,7 +100,6 @@ impl RunnerConfig {
             params: None,
             observe: ObserveConfig::disabled(),
             cell_timeout: None,
-            stall_window: None,
             telemetry: false,
             progress_jsonl: false,
             perfetto: false,
@@ -281,13 +273,13 @@ impl<T: AsRef<RunResult>> SuperviseObserver<T> for CampaignObserver<'_> {
 /// round-trip their `u64` counters exactly, and the grid is assembled
 /// in `(spec, workload)` order with the campaign's current labels.
 ///
-/// **Fault isolation**: a cell that fails its invariant audit or trips
-/// the watchdog does not take the campaign down. It is recorded as an
-/// error entry in the ledger (so `--resume` re-runs exactly that cell),
-/// dumped as a replayable repro record when `cfg.params` is set, and
-/// reported in [`CampaignOutcome::failures`]; the remaining cells still
-/// run — unless `cfg.strict`, which stops claiming new cells after the
-/// first failure.
+/// **Fault isolation**: a cell that fails its invariant audit, trips
+/// its cycle budget or outruns its deadline does not take the campaign
+/// down. It is recorded as an error entry in the ledger (so `--resume`
+/// re-runs exactly that cell), dumped as a replayable repro record when
+/// `cfg.params` is set, and reported in [`CampaignOutcome::failures`];
+/// the remaining cells still run — unless `cfg.strict`, which stops
+/// claiming new cells after the first failure.
 ///
 /// # Errors
 ///
@@ -412,7 +404,7 @@ struct Pass<T> {
 }
 
 /// The execute step: runs `cells` through the pool under `cfg`'s
-/// threads, watchdog and strictness, each cell one call of `run`,
+/// threads, deadline and strictness, each cell one call of `run`,
 /// reporting to `sink` and the live bus. With a `ledger`, every
 /// settled cell is appended to it and each failure gets a repro record
 /// when `cfg.params` is set; without one, the pass writes neither.
@@ -484,10 +476,6 @@ fn execute<T: AsRef<RunResult> + Send>(
             timings: Mutex::new(Vec::with_capacity(cells.len())),
             io_error: Mutex::new(None),
         };
-        let sup = SuperviseConfig {
-            cell_timeout: cfg.cell_timeout,
-            stall_window: cfg.stall_window,
-        };
         let probes = bus.as_ref().and_then(|b| b.worker_probes());
         let runs = run_cells_supervised(
             &campaign.specs,
@@ -495,7 +483,7 @@ fn execute<T: AsRef<RunResult> + Send>(
             cells,
             cfg.threads,
             |spec, workload, cancel, probe| run(spec, workload, &opts, cancel, probe),
-            &sup,
+            cfg.cell_timeout,
             &observer,
             probes.as_deref(),
         );
@@ -745,7 +733,7 @@ fn aggregate_ipc(r: &RunResult) -> f64 {
 /// content-addressed cache stores only full-fidelity results — so a
 /// sampled pass cannot poison later full campaigns, and it writes no
 /// repro records. Otherwise the sampled cells run like a full pass's:
-/// through the pool under `cfg`'s threads, watchdog and strictness,
+/// through the pool under `cfg`'s threads, deadline and strictness,
 /// reporting to `sink` and the live bus. Observation is off for the
 /// sampled pass.
 ///
@@ -918,7 +906,8 @@ fn profile_json(cells: &[ObservedCell<'_>]) -> JsonValue {
 /// nothing for this — only failing cells are ever re-run, and only for
 /// failure kinds that terminate on their own (audit violations, cycle
 /// budgets). A timed-out or panicking cell is never re-run here: the
-/// unsupervised re-trace would hang the runner or kill the worker.
+/// unbudgeted re-trace would run as long as the cell takes, or panic
+/// outside the pool's containment.
 fn failure_events(
     observations: Option<&Observations>,
     spec: &RunSpec,

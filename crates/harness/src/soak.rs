@@ -5,10 +5,9 @@
 //! 1. **Fault-free pass.** The `soak` campaign runs clean into
 //!    `<dir>/baseline`; any failure here is a real defect, not chaos.
 //! 2. **Chaos pass.** [`campaigns::soak_chaos`] arms one injected fault
-//!    on each of five specs (seeded, deterministic) and the same grid
-//!    runs into `<dir>/chaos` under full supervision: sampled
-//!    invariant auditing, a wall-clock + progress-stall watchdog, and
-//!    panic containment.
+//!    on each of four specs (seeded, deterministic) and the same grid
+//!    runs into `<dir>/chaos` under sampled invariant auditing, the
+//!    derived cycle budget and panic containment.
 //! 3. **Isolation audit.** Every injected fault must land as a ledgered
 //!    failure of the *expected kind* with a replayable repro record —
 //!    and every cell that still succeeded (healthy specs, or a fault
@@ -29,7 +28,6 @@ use crate::runner::{run_campaign, RunnerConfig};
 use crate::telemetry::ProgressSink;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use ziv_common::SimError;
 use ziv_core::{AuditCadence, FaultInjection};
 
@@ -42,19 +40,6 @@ pub struct SoakConfig {
     pub threads: usize,
     /// Campaign parameters (seed drives the chaos schedule too).
     pub params: CampaignParams,
-    /// Wall-clock budget per cell — the hard backstop. Keep it
-    /// generous: hung cells are caught far earlier by `stall_window`,
-    /// so this only has to accommodate the slowest *healthy* cell.
-    pub cell_timeout: Duration,
-    /// No-forward-progress budget: how quickly a wedged cell (the
-    /// hang-core fault) is cancelled. Healthy cells report progress
-    /// every 256 accesses, so even unoptimized debug builds stay well
-    /// inside a few hundred milliseconds — *when each worker owns a
-    /// core*. The default scales the base window by the pool's
-    /// oversubscription factor so time-sliced workers are not starved
-    /// into false stalls; an explicit value here (or `--stall-window`)
-    /// is authoritative and used verbatim.
-    pub stall_window: Duration,
     /// Publish the live telemetry segment for each pass
     /// (`--telemetry on`). Each pass writes its own
     /// `telemetry.shm` under its pass directory (`baseline/`,
@@ -65,20 +50,12 @@ pub struct SoakConfig {
 }
 
 impl SoakConfig {
-    /// Defaults: 2 threads, env-sized params, 60 s wall clock, a 750 ms
-    /// base stall window scaled by the host's oversubscription factor
-    /// (see [`crate::default_stall_window`]).
+    /// Defaults: 2 threads, env-sized params.
     pub fn new(results_dir: impl Into<PathBuf>) -> Self {
-        let threads = 2;
         SoakConfig {
             results_dir: results_dir.into(),
-            threads,
+            threads: 2,
             params: CampaignParams::from_env(),
-            cell_timeout: Duration::from_secs(60),
-            stall_window: crate::supervise::default_stall_window(
-                Duration::from_millis(750),
-                threads,
-            ),
             telemetry: false,
             progress_jsonl: false,
         }
@@ -113,13 +90,12 @@ impl SoakReport {
 }
 
 /// The [`SimError::kind_tag`] each injector must produce when it fires
-/// under sampled auditing and the stall-detecting watchdog.
+/// under sampled auditing and the derived cycle budget.
 fn expected_kind(fault: &FaultInjection) -> &'static str {
     match fault {
         FaultInjection::CorruptDirectory { .. } => "audit",
         FaultInjection::SkipBackInvalidation { .. } => "audit",
         FaultInjection::StallCore { .. } => "budget-exceeded",
-        FaultInjection::HangCore { .. } => "timeout",
         FaultInjection::PanicCore { .. } => "internal",
     }
 }
@@ -155,19 +131,15 @@ pub fn run_soak(cfg: &SoakConfig, sink: &dyn ProgressSink) -> Result<SoakReport,
         faults.iter().map(|f| (f.spec_index, f.fault)).collect();
 
     // Act 1: the fault-free pass. Supervised identically to the chaos
-    // pass (same audit, same watchdog) so the two passes differ only in
-    // the injected faults.
+    // pass (same audit, same cycle budget) so the two passes differ
+    // only in the injected faults.
     // Sampled auditing: detection lands within one sample interval of
     // the injected corruption (deterministically — the cadence clock is
-    // per-cell), at a per-access cost the wall-clock budget can absorb.
-    // Every-access auditing here would make *healthy* cells slower than
-    // the watchdog budget, drowning the drill in false timeouts.
+    // per-cell), at a per-access cost far below every-access auditing.
     let pass_cfg = |dir: PathBuf| RunnerConfig {
         threads: cfg.threads,
         audit: AuditCadence::Sampled { one_in: 64 },
         params: Some(cfg.params),
-        cell_timeout: Some(cfg.cell_timeout),
-        stall_window: Some(cfg.stall_window),
         telemetry: cfg.telemetry,
         progress_jsonl: cfg.progress_jsonl,
         ..RunnerConfig::new(dir)

@@ -1,4 +1,4 @@
-//! The worker pool: watchdog-cancelled cells and per-worker panic
+//! The worker pool: per-cell wall-clock deadlines and per-worker panic
 //! containment.
 //!
 //! [`run_cells_supervised`] is the one pool every grid of cells runs
@@ -10,13 +10,10 @@
 //! or the other cells. On top of that the pool contains the two
 //! failure modes a single run cannot:
 //!
-//! - **Hangs.** Each cell runs under a [`CancelToken`] registered in
-//!   a per-worker watch slot; a single watchdog thread scans the slots
-//!   and cancels any cell past its wall-clock budget
-//!   ([`SuperviseConfig::cell_timeout`]) or making no progress for
-//!   [`SuperviseConfig::stall_window`]. Both sim drivers poll the token
-//!   cooperatively, so a cancelled cell stops at the next access — even
-//!   one wedged by an injected `hang-core` fault — and is reported as
+//! - **Runaway cells.** With a `cell_timeout`, each cell runs under a
+//!   [`CancelToken`] whose deadline starts when the cell does. Both sim
+//!   drivers check it every 256 accesses, so a cell past its budget
+//!   stops within 256 accesses and is reported as
 //!   [`SimError::Timeout`].
 //! - **Panics.** Every cell runs inside `catch_unwind`: a panic deep
 //!   in the model becomes one [`SimError::Internal`] failure for that
@@ -26,10 +23,9 @@
 //! over an in-memory trace, so a failure recurs identically on a
 //! re-run; `--resume` is the way to run a failed cell again.
 //!
-//! With neither budget set ([`SuperviseConfig::unsupervised`]) cells
-//! run without a cancellation token and no watchdog thread starts;
+//! Without a `cell_timeout` cells run without a cancellation token;
 //! cell results are deterministic and independent of thread count and
-//! claiming order.
+//! claiming order. The pool starts no thread besides its workers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,72 +37,6 @@ use ziv_sim::{
     run_one_instrumented, GridResult, Observations, RunOptions, RunResult, RunSpec, TelemetryProbe,
 };
 use ziv_workloads::Workload;
-
-/// Supervision knobs for a campaign run.
-#[derive(Debug, Clone, Copy)]
-pub struct SuperviseConfig {
-    /// Wall-clock budget per cell (`--cell-timeout`). Bounds how long
-    /// any cell — however slow — may run.
-    pub cell_timeout: Option<Duration>,
-    /// No-forward-progress budget per cell (`--stall-window`): a cell
-    /// whose access counter stops advancing for this long is cancelled.
-    /// Catches a wedged cell in milliseconds where the wall-clock budget
-    /// must stay generous enough for legitimately slow cells.
-    pub stall_window: Option<Duration>,
-}
-
-/// Watchdog scan interval. Only the cancellation *latency* depends on
-/// it; results never do.
-const WATCHDOG_POLL: Duration = Duration::from_millis(5);
-
-impl SuperviseConfig {
-    /// No watchdog. With neither budget set, cells run without a
-    /// cancellation token — the zero-cost unarmed path.
-    pub fn unsupervised() -> Self {
-        SuperviseConfig {
-            cell_timeout: None,
-            stall_window: None,
-        }
-    }
-
-    /// Whether cells need a cancellation token and a watchdog thread.
-    fn watched(&self) -> bool {
-        self.cell_timeout.is_some() || self.stall_window.is_some()
-    }
-}
-
-impl Default for SuperviseConfig {
-    fn default() -> Self {
-        Self::unsupervised()
-    }
-}
-
-/// How many workers contend for each hardware thread:
-/// `ceil(workers / available_parallelism)`, minimum 1.
-///
-/// On an oversubscribed host the OS time-slices the workers, so a cell
-/// can sit unscheduled — making *no* forward progress — for several
-/// scheduling quanta while being perfectly healthy. Any stall budget
-/// chosen for the uncontended case must stretch by this factor.
-pub fn oversubscription_factor(workers: usize) -> u32 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = workers.max(1);
-    workers.div_ceil(cores).max(1) as u32
-}
-
-/// Derives a default stall window from an uncontended `base` budget by
-/// scaling it with [`oversubscription_factor`]: `workers` pool threads
-/// sharing one core get `workers ×` the base window before the
-/// watchdog may call a progressing-but-starved cell stalled.
-///
-/// This is for *derived defaults* only — an explicit `--stall-window`
-/// is authoritative and must not pass through here (an operator who
-/// asked for 400 ms gets 400 ms).
-pub fn default_stall_window(base: Duration, workers: usize) -> Duration {
-    base * oversubscription_factor(workers)
-}
 
 /// Observer of cell execution in the pool, called from worker threads;
 /// `T` is what a cell produces. The campaign runner hooks it to append
@@ -160,58 +90,6 @@ pub struct SupervisedRun<T = RunResult> {
     pub observations: Option<Box<Observations>>,
 }
 
-/// A cell currently under watch: its token, its wall-clock deadline,
-/// and its progress history for stall detection.
-struct Watch {
-    token: CancelToken,
-    deadline: Option<Instant>,
-    timeout: Option<Duration>,
-    last_progress: u64,
-    last_advance: Instant,
-}
-
-impl Watch {
-    fn new(token: CancelToken, timeout: Option<Duration>) -> Watch {
-        let now = Instant::now();
-        Watch {
-            token,
-            deadline: timeout.map(|t| now + t),
-            timeout,
-            last_progress: 0,
-            last_advance: now,
-        }
-    }
-
-    /// One watchdog scan over this cell; cancels on a blown budget.
-    fn check(&mut self, now: Instant, stall_window: Option<Duration>) {
-        if self.token.is_cancelled() {
-            return;
-        }
-        if let (Some(deadline), Some(timeout)) = (self.deadline, self.timeout) {
-            if now >= deadline {
-                self.token.cancel(format!(
-                    "wall-clock budget {}ms exceeded ({} accesses issued)",
-                    timeout.as_millis(),
-                    self.token.progress()
-                ));
-                return;
-            }
-        }
-        if let Some(window) = stall_window {
-            let progress = self.token.progress();
-            if progress != self.last_progress {
-                self.last_progress = progress;
-                self.last_advance = now;
-            } else if now.duration_since(self.last_advance) >= window {
-                self.token.cancel(format!(
-                    "no forward progress for {}ms (stalled near access {progress})",
-                    window.as_millis()
-                ));
-            }
-        }
-    }
-}
-
 /// Renders a `catch_unwind` payload into the human-readable fragment of
 /// a [`SimError::Internal`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -229,23 +107,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 type CellOutcome<T> = (Result<T, SimError>, Option<Box<Observations>>);
 
 /// One guarded run of a cell: a panic becomes one
-/// [`SimError::Internal`] carrying the panic message; a watchdog token is
-/// registered in the given slot when `watch` is provided (the inner
-/// `Option<Duration>` is the cell's wall-clock budget).
+/// [`SimError::Internal`] carrying the panic message; with a `timeout`
+/// the cell runs under a token whose deadline starts now.
 fn run_guarded<T>(
     run: impl FnOnce(Option<&CancelToken>) -> CellOutcome<T>,
-    watch: Option<(&Mutex<Option<Watch>>, Option<Duration>)>,
+    timeout: Option<Duration>,
 ) -> CellOutcome<T> {
-    let token = watch.map(|(slot, timeout)| {
-        let token = CancelToken::new();
-        *slot.lock().unwrap() = Some(Watch::new(token.clone(), timeout));
-        token
-    });
-    let outcome = catch_unwind(AssertUnwindSafe(|| run(token.as_ref())));
-    if let Some((slot, _)) = watch {
-        *slot.lock().unwrap() = None;
-    }
-    outcome.unwrap_or_else(|payload| {
+    let token = timeout.map(CancelToken::with_budget);
+    catch_unwind(AssertUnwindSafe(|| run(token.as_ref()))).unwrap_or_else(|payload| {
         (
             Err(SimError::Internal(panic_message(payload.as_ref()))),
             None,
@@ -256,9 +125,9 @@ fn run_guarded<T>(
 /// The worker pool. Runs the listed `(spec_index, workload_index)`
 /// cells across `threads` workers, each cell one call of
 /// `run(spec, workload, cancel, probe)` guarded by panic containment
-/// and the optional watchdog (see the module docs).
-/// `run` must poll `cancel` as the sim drivers do, or the watchdog
-/// cannot stop it. Results are sorted by `(spec_index,
+/// and, with `cell_timeout`, a wall-clock deadline (see the module
+/// docs). `run` must poll `cancel` as the sim drivers do, or the
+/// deadline cannot stop it. Results are sorted by `(spec_index,
 /// workload_index)`; cells skipped by
 /// [`SuperviseObserver::should_abort`] are absent.
 ///
@@ -280,7 +149,7 @@ pub fn run_cells_supervised<T: Send>(
     threads: usize,
     run: impl Fn(&RunSpec, &Workload, Option<&CancelToken>, Option<&dyn TelemetryProbe>) -> CellOutcome<T>
         + Sync,
-    sup: &SuperviseConfig,
+    cell_timeout: Option<Duration>,
     observer: &dyn SuperviseObserver<T>,
     probes: Option<&[Box<dyn TelemetryProbe>]>,
 ) -> Vec<SupervisedRun<T>> {
@@ -300,8 +169,6 @@ pub fn run_cells_supervised<T: Send>(
             p.len()
         );
     }
-    let active = AtomicUsize::new(workers);
-    let slots: Vec<Mutex<Option<Watch>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     // Worker i owns probe i for the whole pool lifetime — the
     // segment's single-writer-per-record contract.
     let worker_probes: Vec<Option<&dyn TelemetryProbe>> = (0..workers)
@@ -309,23 +176,7 @@ pub fn run_cells_supervised<T: Send>(
         .collect();
 
     std::thread::scope(|scope| {
-        // One watchdog for the whole pool: scan the per-worker watch
-        // slots and cancel anything past its wall-clock deadline or
-        // stalled beyond the progress window. It exits when the last
-        // worker retires, which the scope then joins.
-        if sup.watched() {
-            scope.spawn(|| {
-                while active.load(Ordering::Acquire) > 0 {
-                    for slot in &slots {
-                        if let Some(watch) = slot.lock().unwrap().as_mut() {
-                            watch.check(Instant::now(), sup.stall_window);
-                        }
-                    }
-                    std::thread::sleep(WATCHDOG_POLL);
-                }
-            });
-        }
-        for (slot, probe) in slots.iter().zip(worker_probes.iter()) {
+        for probe in &worker_probes {
             scope.spawn(|| {
                 let probe = *probe;
                 loop {
@@ -350,10 +201,8 @@ pub fn run_cells_supervised<T: Send>(
                             &workload.name,
                         );
                     }
-                    let (outcome, observations) = run_guarded(
-                        |cancel| run(spec, workload, cancel, probe),
-                        sup.watched().then_some((slot, sup.cell_timeout)),
-                    );
+                    let (outcome, observations) =
+                        run_guarded(|cancel| run(spec, workload, cancel, probe), cell_timeout);
                     if let Some(p) = probe {
                         p.cell_end();
                     }
@@ -371,7 +220,6 @@ pub fn run_cells_supervised<T: Send>(
                         observations,
                     });
                 }
-                active.fetch_sub(1, Ordering::Release);
             });
         }
     });
@@ -388,7 +236,7 @@ pub fn run_cells_supervised<T: Send>(
 ///
 /// # Panics
 ///
-/// Panics if any cell fails: with auditing, budget and watchdog off, a
+/// Panics if any cell fails: with auditing, budget and deadline off, a
 /// failure is a simulator bug.
 pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Vec<GridResult> {
     let cells: Vec<(usize, usize)> = (0..specs.len())
@@ -402,7 +250,7 @@ pub fn run_grid(specs: &[RunSpec], workloads: &[Workload], threads: usize) -> Ve
         |spec, workload, cancel, probe| {
             run_one_instrumented(spec, workload, &RunOptions::default(), cancel, probe)
         },
-        &SuperviseConfig::unsupervised(),
+        None,
         &NoopSuperviseObserver,
         None,
     )
@@ -483,7 +331,7 @@ mod tests {
             |spec, workload, cancel, probe| {
                 run_one_instrumented(spec, workload, &RunOptions::default(), cancel, probe)
             },
-            &SuperviseConfig::unsupervised(),
+            None,
             &obs,
             None,
         );
@@ -507,32 +355,6 @@ mod tests {
             assert_eq!(x.result.metrics.llc_misses, y.result.metrics.llc_misses);
             assert_eq!(x.result.cores[0].cycles, y.result.cores[0].cycles);
         }
-    }
-
-    #[test]
-    fn oversubscription_scales_the_default_stall_window() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // A pool no larger than the machine is not oversubscribed: the
-        // base window passes through unchanged.
-        assert_eq!(oversubscription_factor(1), 1);
-        assert_eq!(oversubscription_factor(cores), 1);
-        assert_eq!(
-            default_stall_window(Duration::from_millis(750), cores),
-            Duration::from_millis(750)
-        );
-        // Workers beyond the core count stretch the window by the
-        // time-slicing factor, rounding up so a partial extra worker
-        // still buys a full extra quantum.
-        assert_eq!(oversubscription_factor(cores * 4), 4);
-        assert_eq!(oversubscription_factor(cores * 4 + 1), 5);
-        assert_eq!(
-            default_stall_window(Duration::from_millis(200), cores * 4),
-            Duration::from_millis(800)
-        );
-        // Degenerate pool sizes never collapse the window to zero.
-        assert_eq!(oversubscription_factor(0), 1);
     }
 
     #[test]

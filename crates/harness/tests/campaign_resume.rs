@@ -5,6 +5,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 use ziv_harness::{
     campaigns, run_campaign, CampaignParams, CellTiming, NullSink, ProgressSink, RunnerConfig,
 };
@@ -136,10 +137,13 @@ fn thread_count_does_not_change_exports_or_digests() {
     let campaign = campaigns::by_name("smoke", &params()).unwrap();
     let mut grids = Vec::new();
     let mut dirs = Vec::new();
-    for threads in [1, 4] {
+    // A wall-clock budget no cell comes near changes nothing either.
+    let budget = Some(Duration::from_secs(60));
+    for (threads, cell_timeout) in [(1, None), (4, None), (2, budget)] {
         let dir = temp_dir(&format!("threads-{threads}"));
         let cfg = RunnerConfig {
             threads,
+            cell_timeout,
             ..RunnerConfig::new(dir.clone())
         };
         let out = run_campaign(&campaign, &cfg, &NullSink).unwrap();
@@ -147,6 +151,10 @@ fn thread_count_does_not_change_exports_or_digests() {
         dirs.push(dir);
     }
     assert_eq!(grids[0], grids[1], "grid.csv must not depend on --threads");
+    assert_eq!(
+        grids[0], grids[2],
+        "grid.csv must not depend on --cell-timeout"
+    );
 
     // Cross-"process" cache sharing: a ledger written by one run is a
     // full cache for a separately constructed (but equal-params)

@@ -2,7 +2,6 @@
 //! surviving cells byte-identical to the fault-free pass, crash
 //! recovery proven. This is the library-level twin of `zivsim soak`.
 
-use std::time::Duration;
 use ziv_harness::{campaigns, run_soak, CampaignParams, NullSink, SoakConfig};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -18,18 +17,16 @@ fn chaos_soak_isolates_every_fault_and_survives_a_torn_ledger() {
     let cfg = SoakConfig {
         threads: 2,
         params: CampaignParams::tiny(),
-        cell_timeout: Duration::from_secs(120),
-        stall_window: Duration::from_millis(750),
         ..SoakConfig::new(dir.clone())
     };
     let report = run_soak(&cfg, &NullSink).expect("soak infrastructure must not fail");
     assert!(report.passed(), "soak violations: {:#?}", report.violations);
-    // Five armed injectors, each ledgered at least once; the grid is
+    // Four armed injectors, each ledgered at least once; the grid is
     // 7 specs × 3 workloads and the healthy rows all survive.
-    assert_eq!(report.fault_plan.len(), 5);
+    assert_eq!(report.fault_plan.len(), 4);
     assert_eq!(report.total_cells, 21);
     assert!(
-        report.chaos_failures >= 5,
+        report.chaos_failures >= 4,
         "expected every injector to fell at least one cell, got {}",
         report.chaos_failures
     );
@@ -48,10 +45,10 @@ fn chaos_schedule_is_deterministic_per_seed() {
     let (a, faults_a) = campaigns::soak_chaos(&params);
     let (_, faults_b) = campaigns::soak_chaos(&params);
     assert_eq!(faults_a, faults_b);
-    // Spec 0 (baseline) and the last spec are never faulted; the
+    // Spec 0 (baseline) and the last two specs are never faulted; the
     // back-invalidation fault sits on an inclusive spec.
     assert!(faults_a.iter().all(|f| f.spec_index != 0));
-    assert!(faults_a.iter().all(|f| f.spec_index != a.specs.len() - 1));
+    assert!(faults_a.iter().all(|f| f.spec_index < a.specs.len() - 2));
     let skip = faults_a
         .iter()
         .find(|f| f.fault.kind_str() == "skip-back-invalidation")

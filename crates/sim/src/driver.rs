@@ -276,12 +276,10 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Polls the cancel token before the next access, and every 256
-    /// accesses reports progress: the count to the token, and a
-    /// [`ProbeSnapshot`] tagged with the sampling `stratum` (0 in a
-    /// full run) to the probe. Fine-grained enough that a supervisor's
-    /// stall detector can tell a slow cell from a wedged one even in
-    /// unoptimized builds.
+    /// Every 256 accesses, checks the cancel token's deadline and
+    /// publishes a [`ProbeSnapshot`] tagged with the sampling `stratum`
+    /// (0 in a full run) to the probe; between those accesses it costs
+    /// one never-taken branch.
     ///
     /// # Errors
     ///
@@ -289,33 +287,41 @@ impl<'a> Sim<'a> {
     #[inline]
     pub(crate) fn poll(&self, stratum: u64) -> Result<(), SimError> {
         let issued = self.issued;
-        if let Some(tok) = self.cancel {
-            if let Some(reason) = tok.fired(issued) {
-                return Err(SimError::Timeout {
-                    reason,
-                    access_index: issued,
-                });
-            }
-            if issued & 0xFF == 0 {
-                tok.note_progress(issued);
-            }
+        if issued & 0xFF != 0 {
+            return Ok(());
         }
+        self.check_deadline()?;
         if let Some(p) = self.probe {
-            if issued & 0xFF == 0 {
-                let m = self.h.metrics();
-                p.publish_progress(&ProbeSnapshot {
-                    access_index: issued,
-                    instructions: self.instructions.iter().sum(),
-                    cycles: self.window(),
-                    llc_accesses: m.llc_accesses,
-                    llc_misses: m.llc_misses,
-                    inclusion_victims: m.inclusion_victims,
-                    relocations: m.relocations,
-                    stratum,
-                });
-            }
+            let m = self.h.metrics();
+            p.publish_progress(&ProbeSnapshot {
+                access_index: issued,
+                instructions: self.instructions.iter().sum(),
+                cycles: self.window(),
+                llc_accesses: m.llc_accesses,
+                llc_misses: m.llc_misses,
+                inclusion_victims: m.inclusion_victims,
+                relocations: m.relocations,
+                stratum,
+            });
         }
         Ok(())
+    }
+
+    /// Checks the cancel token's deadline now, whatever the access
+    /// count: [`Sim::poll`] does every 256 accesses, and the sampling
+    /// engine after each fast-forward, which can jump past them.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Timeout`] once the token has fired.
+    pub(crate) fn check_deadline(&self) -> Result<(), SimError> {
+        match self.cancel.and_then(|tok| tok.fired(self.issued)) {
+            Some(reason) => Err(SimError::Timeout {
+                reason,
+                access_index: self.issued,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The lagging core: the issuing core with the smallest clock, the
@@ -367,15 +373,8 @@ impl<'a> Sim<'a> {
     /// stream position `seq` and charges the core's clock. Returns
     /// whether the record was the last of the core's trace; the cursor
     /// is left past it.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Timeout`] when an injected hang wedged the model: it
-    /// parks on wall-clock time — the real hang signature — until the
-    /// cancel token fires, or fails at once without a token rather than
-    /// wedging the caller forever.
     #[inline]
-    pub(crate) fn issue(&mut self, core: usize, seq: u64) -> Result<bool, SimError> {
+    pub(crate) fn issue(&mut self, core: usize, seq: u64) -> bool {
         let trace = &self.workload.traces[core];
         let rec = trace.records[self.cursor[core]];
         self.cursor[core] += 1;
@@ -394,23 +393,7 @@ impl<'a> Sim<'a> {
         self.instructions[core] += 1 + rec.gap as u64;
         self.last = (core, now);
         self.issued += 1;
-        if self.h.is_hung() {
-            let reason = match self.cancel {
-                Some(tok) => loop {
-                    if let Some(reason) = tok.fired(self.issued) {
-                        break reason;
-                    }
-                    tok.note_progress(self.issued);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                },
-                None => "model hung (hang-core fault) with no supervisor attached".into(),
-            };
-            return Err(SimError::Timeout {
-                reason,
-                access_index: self.issued - 1,
-            });
-        }
-        Ok(self.cursor[core] == trace.records.len())
+        self.cursor[core] == trace.records.len()
     }
 
     /// Checks the access [`Sim::issue`] made last: the invariant audit,
@@ -502,21 +485,15 @@ impl<'a> Sim<'a> {
 /// can embed the events leading up to the violation. `None` when
 /// observability is disabled.
 ///
-/// When `cancel` is `Some`, the access loop polls the token once per
-/// access (one relaxed atomic load) and publishes coarse progress; a
-/// fired token stops the run with [`SimError::Timeout`] carrying the
-/// cancellation reason and the access position. A hierarchy wedged by
-/// [`ziv_core::FaultInjection::HangCore`] parks here, burning wall-clock
-/// time (not simulated cycles) until the token fires; without a token
-/// the hang is converted into an immediate [`SimError::Timeout`] rather
-/// than wedging the caller forever.
-///
-/// When `probe` is `Some`, the loop publishes a [`ProbeSnapshot`] every
-/// 256 accesses (the cadence a supervisor polls at). Probes observe,
-/// never steer. With `cancel` and `probe` both `None` each poll site is
-/// a single never-taken branch, so unsupervised, unwatched runs stay
-/// byte-identical and add no allocations or syscalls to the hot path —
-/// the property the differential determinism tests pin.
+/// When `cancel` is `Some`, the access loop checks the token's
+/// wall-clock deadline every 256 accesses; a spent budget stops the run
+/// with [`SimError::Timeout`] carrying the reason and the access
+/// position. When `probe` is `Some`, the loop publishes a
+/// [`ProbeSnapshot`] at the same cadence. Probes observe, never steer.
+/// Between those accesses the poll is one never-taken branch, so
+/// unsupervised, unwatched runs stay byte-identical and add no
+/// allocations or syscalls to the hot path — the property the
+/// differential determinism tests pin.
 ///
 /// # Errors
 ///
@@ -626,7 +603,7 @@ fn run_laps(sim: &mut Sim, mut slicer: Option<&mut EpochSlicer>) -> Result<(), S
         } else {
             (sim.cursor[core] * ncores + core) as u64
         };
-        let finishing = sim.issue(core, seq)?;
+        let finishing = sim.issue(core, seq);
         sim.check()?;
         if let Some(sl) = slicer.as_deref_mut() {
             if sl.due(sim.issued) {

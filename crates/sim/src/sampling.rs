@@ -678,7 +678,8 @@ pub fn run_one_sampled(
 ///
 /// `cancel` and `probe` follow the contract of
 /// [`run_one_instrumented`](crate::run_one_instrumented): every 256
-/// accesses the loop polls the token and publishes a progress sample
+/// accesses, and after each fast-forward, the loop checks the token's
+/// deadline; every 256 accesses it publishes a progress sample
 /// carrying the current sampling stratum (head/skip/warm/timed), and
 /// each closed interval publishes the running per-interval IPC mean and
 /// confidence half-width so watchers can see CI convergence live. With
@@ -801,9 +802,7 @@ fn sample_intervals(
                 }
             }
             sim.resort();
-            if let Some(tok) = sim.cancel {
-                tok.note_progress(sim.issued);
-            }
+            sim.check_deadline()?;
             continue;
         }
 
@@ -836,7 +835,7 @@ fn sample_intervals(
             break;
         };
         let seq = (sim.cursor[core] * ncores + core) as u64;
-        let finishing = sim.issue(core, seq)?;
+        let finishing = sim.issue(core, seq);
         // Fast-forwarded spans are audit-silent by construction.
         if phase == Phase::Warm {
             warm_accesses += 1;

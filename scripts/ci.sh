@@ -329,15 +329,14 @@ diff "$SAMP_PLAIN/summary.csv"  "$TELEM_DIR/results/summary.csv"
 
 echo "== chaos-soak drill (supervision gate: every injected fault isolated)"
 # The supervised-execution acceptance drill through the release binary:
-# a fault-free pass of the soak grid, a chaos pass with five seeded
+# a fault-free pass of the soak grid, a chaos pass with four seeded
 # injected faults (corrupt-directory, skip-back-invalidation, stall,
-# hang, panic), the isolation audit (expected error kinds, repro
-# records, surviving cells byte-identical to the fault-free pass), and
-# the torn-ledger crash-recovery resume. Exit code 3 is the pass
-# verdict per the documented contract — failures present, all isolated.
+# panic), the isolation audit (expected error kinds, repro records,
+# surviving cells byte-identical to the fault-free pass), and the
+# torn-ledger crash-recovery resume. Exit code 3 is the pass verdict
+# per the documented contract — failures present, all isolated.
 # 0 would mean the injectors never fired; 4 means a supervision
-# guarantee broke. Two threads: the drill's stall detector needs the
-# workers not to starve each other on small CI machines.
+# guarantee broke.
 SOAK_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN" "$TELEM_DIR" "$SOAK_DIR"' EXIT
 set +e
@@ -350,13 +349,53 @@ test "$SOAK_EXIT" -eq 3
 grep -q "every guarantee held" "$SOAK_DIR/soak.out"
 grep -q "torn tail detected = true" "$SOAK_DIR/soak.out"
 
+echo "== wall-clock budget drill (every cell past --cell-timeout isolated)"
+# The per-cell deadline through the release binary. A full-size smoke
+# cell issues about 160k accesses and the drivers check the deadline
+# every 256, so no cell can finish in 1 ms: the campaign must exit 3,
+# every ledgered failure must be a timeout naming the budget, and each
+# failed cell must leave exactly one repro record.
+DEADLINE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN" "$TELEM_DIR" "$SOAK_DIR" "$DEADLINE_DIR"' EXIT
+set +e
+ZIV_FULL=1 ./target/release/zivsim campaign smoke \
+    --threads 1 --cell-timeout 1 --results-dir "$DEADLINE_DIR/results" \
+    > "$DEADLINE_DIR/campaign.out" 2>&1
+DEADLINE_EXIT=$?
+set -e
+cat "$DEADLINE_DIR/campaign.out"
+test "$DEADLINE_EXIT" -eq 3
+python3 - "$DEADLINE_DIR/results" <<'PY'
+import json, os, sys
+results = sys.argv[1]
+failed = set()
+bad = False
+for line in open(os.path.join(results, "ledger.jsonl")):
+    entry = json.loads(line)
+    error = entry.get("error")
+    if error is None:
+        continue
+    failed.add(entry["digest"])
+    if error["kind"] != "timeout" or "wall-clock budget 1ms exceeded" not in error["message"]:
+        print(f"FAIL {entry['label']} x {entry['workload']}: not a wall-clock timeout: {error}")
+        bad = True
+records = {name[: -len(".json")] for name in os.listdir(os.path.join(results, "failures"))}
+if not failed:
+    sys.exit("FAIL the ledger holds no failed cell")
+if records != failed:
+    print(f"FAIL repro records {sorted(records)} != failed cells {sorted(failed)}")
+    bad = True
+print(f"wall-clock drill: {len(failed)} cell(s) timed out, {len(records)} repro record(s)")
+sys.exit(1 if bad else 0)
+PY
+
 echo "== figures bench (guarantees + cached rerun byte-identity)"
 # The figure-regeneration bench target on one registry entry, twice.
 # The first run simulates every cell and fails on a broken exact-zero
 # guarantee; the rerun must serve every cell from the ledger and leave
 # ledger.jsonl and grid.csv byte-identical.
 FIG_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN" "$TELEM_DIR" "$SOAK_DIR" "$FIG_DIR"' EXIT
+trap 'rm -rf "$SMOKE_DIR" "$TRACED_DIR" "$PROFILED_DIR" "$FORENSICS_DIR" "$ATK_DIR" "$SAMP_DIR" "$SAMP_PLAIN" "$TELEM_DIR" "$SOAK_DIR" "$DEADLINE_DIR" "$FIG_DIR"' EXIT
 FIG=fig18-reloc-intervals
 for pass in 1 2; do
     ZIV_FAST=1 ZIV_RESULTS_DIR="$FIG_DIR/results" \

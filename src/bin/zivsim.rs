@@ -63,7 +63,7 @@ const SPEC: &[&str] = &["--mode", "--policy", "--prefetch"];
 /// The invariant auditor and the cycle watchdog.
 const CHECKS: &[&str] = &["--audit", "--cell-budget"];
 /// The worker pool's supervision.
-const SUPERVISION: &[&str] = &["--threads", "--cell-timeout", "--stall-window"];
+const SUPERVISION: &[&str] = &["--threads", "--cell-timeout"];
 /// The live telemetry bus.
 const LIVE: &[&str] = &["--telemetry", "--progress"];
 /// A campaign's observers.
@@ -130,7 +130,7 @@ const COMMANDS: &[Command] = &[
               flags: &[SPEC, WORKLOAD, CHECKS, &["--sampling", "--results-dir"], LIVE],
               about: "paired interval-sampled run: the mode (default ziv-likelydead) vs inclusive" },
     Command { name: "soak", run: cmd_soak, positional: None, forces: &[],
-              flags: &[&["--cores", "--seed", "--results-dir"], SUPERVISION, LIVE],
+              flags: &[&["--cores", "--seed", "--results-dir", "--threads"], LIVE],
               about: "chaos-soak drill: seeded faults under supervision, then a torn-ledger resume" },
     Command { name: "watch", run: cmd_watch, positional: Some(("<results-dir>", TEXT)), forces: &[],
               flags: &[&["--json", "--once", "--refresh", "--stale-after"]],
@@ -176,10 +176,8 @@ const FLAGS: &[Flag] = &[
      |o, v| parse_inject_fault(v).map(|f| o.inject_fault = Some(f))),
     ("--threads", "<n>", "worker threads (default: available parallelism)",
      |o, v| v.number().map(|n| o.threads = Some(n))),
-    ("--cell-timeout", "<ms>", "wall-clock budget per cell (default off; soak 60000)",
+    ("--cell-timeout", "<ms>", "wall-clock budget per cell, checked every 256 accesses (default off)",
      |o, v| v.positive().map(|n| o.cell_timeout_ms = Some(n))),
-    ("--stall-window", "<ms>", "cancel a cell making no progress for MS (default off; soak 750)",
-     |o, v| v.positive().map(|n| o.stall_window_ms = Some(n))),
     ("--epoch", "<n>", "snapshot counter deltas every N accesses (timeseries.csv)",
      |o, v| v.positive().map(|n| o.observe.epoch = Some(n))),
     ("--events", "<all|k1,k2,..>", "event kinds to record: fill, eviction, back-invalidation, \
@@ -443,7 +441,6 @@ struct Options {
     cell_budget: Option<u64>,
     inject_fault: Option<(usize, usize, FaultInjection)>,
     cell_timeout_ms: Option<u64>,
-    stall_window_ms: Option<u64>,
     out: Option<String>,
     /// The observers the flags and the command's forced flags ask for.
     observe: ObserveConfig,
@@ -485,7 +482,6 @@ impl Options {
             cell_budget: None,
             inject_fault: None,
             cell_timeout_ms: None,
-            stall_window_ms: None,
             out: None,
             observe: ObserveConfig::disabled(),
             perfetto: false,
@@ -813,7 +809,6 @@ fn cmd_campaign(opts: &Options) -> Result<(), CliError> {
         strict: opts.strict,
         cell_budget: opts.cell_budget,
         cell_timeout: opts.cell_timeout_ms.map(std::time::Duration::from_millis),
-        stall_window: opts.stall_window_ms.map(std::time::Duration::from_millis),
         params: Some(params),
         observe,
         telemetry: opts.telemetry,
@@ -1097,12 +1092,6 @@ fn cmd_soak(opts: &Options) -> Result<(), CliError> {
     cfg.params = opts.campaign_params();
     if let Some(threads) = opts.threads {
         cfg.threads = threads;
-    }
-    if let Some(ms) = opts.cell_timeout_ms {
-        cfg.cell_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(ms) = opts.stall_window_ms {
-        cfg.stall_window = std::time::Duration::from_millis(ms);
     }
     cfg.telemetry = opts.telemetry;
     cfg.progress_jsonl = opts.progress_jsonl;
@@ -2097,38 +2086,33 @@ mod tests {
 
     #[test]
     fn parses_supervision_flags() {
-        let o = parse_args(&args(
-            "campaign smoke --cell-timeout 5000 --stall-window 400",
-        ))
-        .unwrap();
+        let o = parse_args(&args("campaign smoke --cell-timeout 5000")).unwrap();
         assert_eq!(o.cell_timeout_ms, Some(5000));
-        assert_eq!(o.stall_window_ms, Some(400));
 
         // Off by default: an unsupervised campaign stays unsupervised.
         let o = parse_args(&args("campaign smoke")).unwrap();
-        assert!(o.cell_timeout_ms.is_none() && o.stall_window_ms.is_none());
+        assert!(o.cell_timeout_ms.is_none());
 
-        // `soak` takes the same flags (plus the usual campaign knobs).
-        let o = parse_args(&args(
-            "soak --results-dir out --threads 2 --seed 9 --cell-timeout 60000",
-        ))
-        .unwrap();
+        // `soak` takes the usual campaign knobs, but no budget: no
+        // fault it plants can time out.
+        let o = parse_args(&args("soak --results-dir out --threads 2 --seed 9")).unwrap();
         assert_eq!(o.command.name, "soak");
         assert_eq!(o.results_dir.as_deref(), Some("out"));
         assert_eq!(o.seed, Some(9));
+        assert_eq!(o.threads, Some(2));
+        assert!(parse_args(&args("soak --cell-timeout 60000")).is_err());
 
         assert!(parse_args(&args("campaign smoke --cell-timeout 0")).is_err());
-        assert!(parse_args(&args("campaign smoke --stall-window 0")).is_err());
     }
 
     #[test]
-    fn parses_hang_and_panic_fault_kinds() {
-        let o = parse_args(&args("campaign soak --inject-fault 2:0:hang-core:150")).unwrap();
+    fn parses_stall_and_panic_fault_kinds() {
+        let o = parse_args(&args("campaign soak --inject-fault 2:0:stall-core:150")).unwrap();
         let (s, _, fault) = o.inject_fault.unwrap();
         assert_eq!(s, 2);
         assert_eq!(
             fault,
-            ziv::core::FaultInjection::HangCore { at_access: 150 }
+            ziv::core::FaultInjection::StallCore { at_access: 150 }
         );
         let o = parse_args(&args("campaign soak --inject-fault 3:0:panic-core:99")).unwrap();
         let (_, _, fault) = o.inject_fault.unwrap();

@@ -14,7 +14,7 @@ use ziv::common::digest::Fnv1a;
 /// Every pinned command line and the digest of its stdout.
 #[rustfmt::skip]
 const PINS: &[(&str, u64)] = &[
-    ("help", 0x52303900a89b52ed),
+    ("help", 0xa2c4882717dca755),
     ("list", 0x7a78e8aff67f1433),
     ("run --cores 2 --accesses 400", 0x0947d9a87d1ca2c8),
     ("run --mode ziv-likelydead --policy hawkeye --l2 512 --workload homo:circset --seed 7 --forensics --cores 2 --accesses 400", 0xcfba85d40da04db9),

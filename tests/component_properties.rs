@@ -3,12 +3,13 @@
 //! reference models, the replacement policies (the LRU stack property,
 //! rank-order consistency, and the MIN oracle's optimality against
 //! brute force on one set), the DRAM timing model, and the cancel
-//! token's deadline and first-reason rules.
+//! token's deadline.
 
 mod support;
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::time::Duration;
 use support::{property, NO_OPS};
 use ziv::cache::SetAssocArray;
 use ziv::common::config::DramParams;
@@ -553,52 +554,25 @@ fn energy_accumulates_monotonically() {
     );
 }
 
-/// An access-deadline token never fires early and always fires at or
-/// after the deadline.
+/// A token without a budget, or with one too far out to reach, never
+/// fires; a spent budget fires at the first check and names itself.
 #[test]
 fn cancel_token_fires_exactly_at_its_deadline() {
     property(
         "cancel_token_fires_exactly_at_its_deadline",
         256,
-        |rng| {
-            let mut draw = || rng.below(1_000_000);
-            ((draw(), draw(), draw()), NO_OPS)
-        },
-        |&(deadline, below, at_or_above), _| {
-            let t = CancelToken::with_access_deadline(deadline);
-            if below < deadline {
-                assert!(t.fired(below).is_none(), "fired before the deadline");
+        |rng| (rng.next_u64(), NO_OPS),
+        |&issued, _| {
+            assert!(CancelToken::new().fired(issued).is_none());
+            for far in [Duration::from_secs(365 * 24 * 3600), Duration::MAX] {
+                let token = CancelToken::with_budget(far);
+                assert!(token.fired(issued).is_none(), "a {far:?} budget fired");
             }
-            let issued = deadline.saturating_add(at_or_above);
-            assert!(t.fired(issued).is_some(), "must fire at/after the deadline");
-        },
-    );
-}
-
-/// The first cancellation reason wins and sticks, no matter how many
-/// follow.
-#[test]
-fn cancel_reason_is_sticky_first_wins() {
-    property(
-        "cancel_reason_is_sticky_first_wins",
-        256,
-        |rng| {
-            let reasons = (0..rng.range(1, 6))
-                .map(|_| {
-                    (0..rng.range(1, 13))
-                        .map(|_| (b'a' + rng.below(26) as u8) as char)
-                        .collect::<String>()
-                })
-                .collect();
-            (rng.next_u64(), reasons)
-        },
-        |&issued, reasons| {
-            let t = CancelToken::new();
-            for r in reasons {
-                t.cancel(r.clone());
-            }
-            let fired = t.fired(issued).expect("cancelled token always fires");
-            assert_eq!(fired, reasons[0]);
+            let spent = CancelToken::with_budget(Duration::ZERO);
+            assert_eq!(
+                spent.fired(issued).expect("a zero budget is spent at once"),
+                format!("wall-clock budget 0ms exceeded ({issued} accesses issued)")
+            );
         },
     );
 }

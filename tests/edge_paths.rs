@@ -8,8 +8,7 @@ use ziv::prelude::*;
 
 struct D {
     h: CacheHierarchy,
-    now: u64,
-    seq: u64,
+    clock: support::Clock,
 }
 
 impl D {
@@ -17,24 +16,13 @@ impl D {
         let cfg = HierarchyConfig::new(support::tiny(2, 32, ratio)).with_mode(mode);
         D {
             h: CacheHierarchy::new(&cfg),
-            now: 0,
-            seq: 0,
+            clock: support::Clock::default(),
         }
     }
 
     fn go(&mut self, core: usize, line: u64, write: bool, instr: bool) -> u64 {
-        let addr = Addr::new(line * 64);
-        let a = Access {
-            core: CoreId::new(core),
-            addr,
-            pc: 0x400 + line % 8,
-            is_write: write,
-            is_instr: instr,
-        };
-        let lat = self.h.access(&a, self.now, self.seq);
-        self.now += 1 + lat;
-        self.seq += 1;
-        lat
+        let pc = 0x400 + line % 8;
+        self.clock.issue(&mut self.h, core, line, pc, write, instr)
     }
 
     fn read(&mut self, core: usize, line: u64) -> u64 {

@@ -156,28 +156,20 @@ fn attacker_cannot_flush_victim_private_caches_under_ziv() {
     ] {
         let cfg = HierarchyConfig::new(support::tiny(2, 128, DirRatio::X2)).with_mode(mode);
         let mut h = CacheHierarchy::new(&cfg);
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        let go = |h: &mut CacheHierarchy, core: usize, line: u64, now: &mut u64, seq: &mut u64| {
-            let a = Access::read(CoreId::new(core), Addr::new(line * 64), 0x400);
-            let lat = h.access(&a, *now, *seq);
-            *now += 1 + lat;
-            *seq += 1;
-            lat
+        let mut clock = support::Clock::default();
+        let mut go = |h: &mut CacheHierarchy, core: usize, line: u64| {
+            clock.issue(h, core, line, 0x400, false, false)
         };
         let secret: Vec<u64> = (0..6).map(|i| 3 + i * 5).collect();
         for _ in 0..4 {
             for &l in &secret {
-                go(&mut h, 0, l, &mut now, &mut seq);
+                go(&mut h, 0, l);
             }
         }
         for l in 0..256u64 {
-            go(&mut h, 1, (1 << 20) + l, &mut now, &mut seq);
+            go(&mut h, 1, (1 << 20) + l);
         }
-        let slow = secret
-            .iter()
-            .filter(|&&l| go(&mut h, 0, l, &mut now, &mut seq) > 4)
-            .count();
+        let slow = secret.iter().filter(|&&l| go(&mut h, 0, l) > 4).count();
         if expect_isolated {
             assert_eq!(slow, 0, "{}: victim must be isolated", mode.label());
             assert_eq!(h.metrics().inclusion_victims, 0);

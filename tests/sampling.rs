@@ -7,6 +7,8 @@
 //! `zivsim sample` command reports a paired verdict end-to-end, and
 //! sampled results reproduce pinned digests.
 
+mod support;
+
 use std::fs;
 use std::path::PathBuf;
 use ziv::common::digest::Fnv1a;
@@ -260,56 +262,54 @@ fn faulted_smoke(fault: FaultInjection) -> ziv::harness::Campaign {
     campaign
 }
 
-/// Sampled cells run under the pool's watchdog: a hung cell is
-/// cancelled by the stall detector and reported as a timeout, instead
-/// of failing at once for want of a supervisor.
+/// Sampled cells run under the pool's wall-clock deadline: a cell past
+/// its budget is cancelled and reported as a timeout, and the cells
+/// that fit it are sampled. The plan skips 5 accesses in every 100, so
+/// the deadline is checked after each fast-forward as well, and a
+/// large cell is nearly as slow as a full one.
 #[test]
 fn hung_sampled_cell_is_cancelled_by_the_watchdog() {
-    let base = temp_dir("sampled-hang");
-    let campaign = faulted_smoke(FaultInjection::HangCore { at_access: 100 });
+    let base = temp_dir("sampled-deadline");
+    let (campaign, large_accesses) = support::deadline_campaign();
     let cfg = RunnerConfig {
-        stall_window: Some(std::time::Duration::from_millis(750)),
+        cell_timeout: Some(support::CELL_BUDGET),
         ..RunnerConfig::new(base.join("lib"))
     };
-    let outcome = run_campaign_sampled(&campaign, &cfg, SamplingPlan::auto(), false, &NullSink)
-        .expect("a hung cell does not abort the sampled pass");
-    assert_eq!(outcome.failures.len(), campaign.recipes.len());
+    let outcome = run_campaign_sampled(&campaign, &cfg, plan(50, 50, 900), false, &NullSink)
+        .expect("a timed-out cell does not abort the sampled pass");
+    assert_eq!(outcome.failures.len(), campaign.specs.len());
     for f in &outcome.failures {
-        assert_eq!(f.spec_index, 0);
+        assert_eq!(f.workload_index, 0, "a small cell failed: {}", f.error);
         assert_eq!(f.error.kind_tag(), "timeout", "{}", f.error);
         assert!(
-            f.error.to_string().contains("no forward progress"),
-            "the watchdog's stall detector cancelled it: {}",
+            f.error
+                .to_string()
+                .contains("wall-clock budget 50ms exceeded"),
+            "the timeout names the budget: {}",
             f.error
         );
+        let stopped_at = f.error.access_index().expect("a timeout has an access");
+        assert!(stopped_at < large_accesses, "{}", f.error);
     }
-    assert_eq!(
-        outcome.cells.len(),
-        campaign.total_cells() - campaign.recipes.len()
-    );
+    assert_eq!(outcome.cells.len(), campaign.specs.len());
 
-    // The same through the CLI, with every supervision flag given.
+    // The same through the CLI, with every supervision flag given:
+    // full-size smoke cells cannot finish in 1 ms.
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_zivsim"))
         .args(["campaign", "smoke", "--sampling", "auto"])
-        .args([
-            "--inject-fault",
-            "0:0:hang-core:100",
-            "--cell-timeout",
-            "60000",
-        ])
-        .args(["--stall-window", "750", "--strict"])
+        .args(["--cell-timeout", "1", "--strict"])
         .args(["--threads", "2", "--results-dir"])
         .arg(base.join("cli"))
-        .env("ZIV_FAST", "1")
+        .env("ZIV_FULL", "1")
+        .env_remove("ZIV_FAST")
         .output()
         .expect("spawn zivsim");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
     assert!(
-        stderr.contains("no forward progress"),
-        "the watchdog's timeout is reported: {stderr}"
+        stderr.contains("wall-clock budget 1ms exceeded"),
+        "the timeout is reported: {stderr}"
     );
-    assert!(!stderr.contains("no supervisor attached"), "{stderr}");
     fs::remove_dir_all(&base).ok();
 }
 

@@ -1,6 +1,6 @@
 //! What the integration tests share: the tiny machine most of them run
-//! on, a driver clock, and the seeded case runner every property test
-//! uses.
+//! on, a driver clock, the seeded case runner every property test uses,
+//! and a campaign whose cells straddle a wall-clock budget.
 //!
 //! A test file takes it with `mod support;`. Each test binary compiles
 //! its own copy and uses only part of it, hence the `dead_code` allow.
@@ -9,9 +9,12 @@
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 use ziv::common::config::{CacheGeometry, DramParams, LlcConfig, NocParams};
 use ziv::common::SimRng;
+use ziv::harness::{campaigns, Campaign, CampaignParams};
 use ziv::prelude::*;
+use ziv::workloads::Recipe;
 
 /// A machine small enough that a few hundred accesses overflow every
 /// level: 2-way L1s of 2 sets, a 2-way L2 of 4 sets, and a 2-bank,
@@ -42,16 +45,32 @@ pub struct Clock {
 }
 
 impl Clock {
-    pub fn access(&mut self, h: &mut CacheHierarchy, core: usize, line: u64, write: bool) {
-        let addr = Addr::new(line * 64);
-        let pc = 0x400 + line % 32;
-        let a = if write {
-            Access::write(CoreId::new(core), addr, pc)
-        } else {
-            Access::read(CoreId::new(core), addr, pc)
+    /// Issues `core`'s access to `line` from `pc`, a store when `write`
+    /// and an instruction fetch when `instr`, and returns its latency.
+    pub fn issue(
+        &mut self,
+        h: &mut CacheHierarchy,
+        core: usize,
+        line: u64,
+        pc: u64,
+        write: bool,
+        instr: bool,
+    ) -> u64 {
+        let a = Access {
+            core: CoreId::new(core),
+            addr: Addr::new(line * 64),
+            pc,
+            is_write: write,
+            is_instr: instr,
         };
-        self.now += 1 + h.access(&a, self.now, self.seq);
+        let lat = h.access(&a, self.now, self.seq);
+        self.now += 1 + lat;
         self.seq += 1;
+        lat
+    }
+
+    pub fn access(&mut self, h: &mut CacheHierarchy, core: usize, line: u64, write: bool) {
+        self.issue(h, core, line, 0x400 + line % 32, write, false);
     }
 
     pub fn read(&mut self, h: &mut CacheHierarchy, core: usize, line: u64) {
@@ -134,4 +153,30 @@ pub fn property<P: Debug, O: Debug>(
             shrunk.len()
         );
     }
+}
+
+/// The wall-clock budget [`deadline_campaign`]'s cells straddle.
+pub const CELL_BUDGET: Duration = Duration::from_millis(50);
+
+/// The smoke campaign's specs over two recipes: recipe 0 issues 2M
+/// accesses, hundreds of milliseconds even in a release build, so its
+/// cells outrun [`CELL_BUDGET`] many times over; recipe 1 issues about
+/// 200, a few milliseconds even unoptimized. Returns the campaign and
+/// recipe 0's access count.
+pub fn deadline_campaign() -> (Campaign, u64) {
+    let smoke = campaigns::by_name("smoke", &CampaignParams::tiny()).expect("smoke campaign");
+    let recipe = |accesses_per_core| Recipe {
+        accesses_per_core,
+        ..smoke.recipes[0]
+    };
+    let large = recipe(1_000_000);
+    let large_accesses = (large.cores * large.accesses_per_core) as u64;
+    let campaign = Campaign {
+        name: "deadline".into(),
+        description: "one cell per spec outruns the wall-clock budget".into(),
+        specs: smoke.specs,
+        recipes: vec![large, recipe(100)],
+        baseline_spec: 0,
+    };
+    (campaign, large_accesses)
 }

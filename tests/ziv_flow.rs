@@ -9,8 +9,7 @@ use ziv::prelude::*;
 
 struct Driver {
     h: CacheHierarchy,
-    now: u64,
-    seq: u64,
+    clock: support::Clock,
 }
 
 impl Driver {
@@ -20,17 +19,13 @@ impl Driver {
         let cfg = HierarchyConfig::new(support::tiny(2, 32, DirRatio::X2)).with_mode(mode);
         Driver {
             h: CacheHierarchy::new(&cfg),
-            now: 0,
-            seq: 0,
+            clock: support::Clock::default(),
         }
     }
 
     fn read(&mut self, core: usize, line: u64) -> u64 {
-        let a = Access::read(CoreId::new(core), Addr::new(line * 64), 0x400 + line % 4);
-        let lat = self.h.access(&a, self.now, self.seq);
-        self.now += 1 + lat;
-        self.seq += 1;
-        lat
+        let pc = 0x400 + line % 4;
+        self.clock.issue(&mut self.h, core, line, pc, false, false)
     }
 }
 
